@@ -18,7 +18,7 @@ test:
 	$(GO) test ./...
 
 # Focused race check over the packages that share state across the
-# parallel runner's worker pool or the decision-plane probe gang (fast
+# parallel runner's worker pool, plus the decision-plane packages (fast
 # enough for the inner dev loop; `make race` still covers everything).
 test-race:
 	$(GO) test -race ./internal/parallel ./internal/experiments ./internal/core ./internal/cluster
@@ -71,25 +71,19 @@ profile:
 # Compile-and-run smoke over the hot-path benchmarks so they cannot
 # silently rot (CI runs this; -benchtime=1x and the small fleet size
 # keep it fast). Full fleet numbers live in BENCH_dispatcher.json.
-# The final step cross-checks the sharded dispatcher end to end: the
-# batch plan at one shard and the streamed path at eight must print the
-# same dispatch-log digest (DESIGN.md §14).
+# The final step cross-checks the streaming dispatcher end to end: the
+# batch plan and the streamed path must print the same dispatch-log
+# digest (DESIGN.md §14).
 bench-smoke:
 	$(GO) test -run='^$$' -bench=EngineSteadyState -benchtime=1x ./internal/gpusim
 	$(GO) test -run='^$$' -bench='BenchmarkScheduleOnline/2k-16gpu|BenchmarkBuildPlan/2k-16gpu' -benchtime=1x ./internal/core
 	$(GO) run ./cmd/gpusched bench-cluster -cluster 4x2 -workflows 2000 > /dev/null
-	@d1=$$($(GO) run ./cmd/gpusched bench-online -fleet 2000x16 -shards 1 | sed -n 's/.*dispatch digest //p'); \
-	d2=$$($(GO) run ./cmd/gpusched bench-online -fleet 2000x16 -shards 8 -stream | sed -n 's/.*dispatch digest //p'); \
+	@d1=$$($(GO) run ./cmd/gpusched bench-online -fleet 2000x16 | sed -n 's/.*dispatch digest //p'); \
+	d2=$$($(GO) run ./cmd/gpusched bench-online -fleet 2000x16 -stream | sed -n 's/.*dispatch digest //p'); \
 	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
-		echo "sharded/streamed dispatch digest mismatch: '$$d1' vs '$$d2'"; exit 1; \
+		echo "batch/streamed dispatch digest mismatch: '$$d1' vs '$$d2'"; exit 1; \
 	fi; \
-	echo "sharded+streamed dispatch identity OK ($$d1)"
-	@d1=$$($(GO) run ./cmd/gpusched bench-online -fleet 2000x16 -shards 8 -probe-workers 1 | sed -n 's/.*dispatch digest //p'); \
-	d2=$$($(GO) run ./cmd/gpusched bench-online -fleet 2000x16 -shards 8 -probe-workers 8 | sed -n 's/.*dispatch digest //p'); \
-	if [ -z "$$d1" ] || [ "$$d1" != "$$d2" ]; then \
-		echo "serial/parallel probe dispatch digest mismatch: '$$d1' vs '$$d2'"; exit 1; \
-	fi; \
-	echo "probe-worker dispatch identity OK ($$d1)"
+	echo "batch+streamed dispatch identity OK ($$d1)"
 
 # Regenerate BENCH_dispatcher.json from the live tree (the historical
 # "before" columns stay pinned in the script; see its header).

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"gpushare/internal/core"
-	"gpushare/internal/gpu"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
 )
@@ -118,48 +116,5 @@ func TestExplainRunFromFile(t *testing.T) {
 	}
 	if err := runExplain([]string{"-flight", filepath.Join(t.TempDir(), "nope.json")}, &buf); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-// TestExplainShardCountIdentity is the acceptance pin at the CLI level:
-// the explain trail for any arrival is byte-identical whether the run
-// used one shard or eight, because the dump it reads is.
-func TestExplainShardCountIdentity(t *testing.T) {
-	device := gpu.MustLookup("A100X")
-	arrivals, store, err := core.GenerateFleet(device, core.FleetSpec{Workflows: 400, TargetGPUs: 8, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := obs.Active()
-	defer obs.SetActive(prev)
-
-	explainAll := func(shards int) string {
-		hub := obs.NewHub(nil)
-		obs.SetActive(hub)
-		sched, err := core.NewScheduler(device, 8, store, core.ThroughputPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sched.Shards = shards
-		if _, err := sched.PlanOnline(arrivals); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "flight.json")
-		if err := writeFlightDump(path, hub); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		// One whole-window render plus one per-seq query: both must match.
-		if err := runExplain([]string{"-flight", path}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := runExplain([]string{"-flight", path, "-seq", "399"}, &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	ref := explainAll(1)
-	if got := explainAll(8); got != ref {
-		t.Fatal("explain trail diverged between 1 and 8 shards")
 	}
 }

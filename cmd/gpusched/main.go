@@ -94,8 +94,6 @@ func main() {
 		jobs      = flag.Int("j", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS); output is identical at any value")
 		htaddr    = flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this address (serve mode defaults to 127.0.0.1:8378)")
 		fleet     = flag.String("fleet", "10000x64", "bench-online fleet shape WORKFLOWSxGPUS")
-		shards    = flag.Int("shards", 0, "online dispatcher shard count (0 selects 1; clamped to the GPU count); dispatch decisions are byte-identical at any value")
-		probeWkrs = flag.Int("probe-workers", 0, "decision-plane probe workers: fan shard/node scans over this many persistent workers (<= 1 scans serially); decisions are byte-identical at any value")
 		arrivals  = flag.Int("arrivals", 0, "bench-online: override the workflow count from -fleet")
 		stream    = flag.Bool("stream", false, "bench-online: run the bounded-memory streaming ingest path; serve: expose POST /ingest and GET /stream/state")
 		flightOut = flag.String("flight-out", "", "write the flight-recorder decision trail (explain's input) to this file after the run; implies telemetry")
@@ -178,7 +176,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		streamSrv, err = newStreamServer(spec, policy, *fleet, *shards, *probeWkrs, *seed)
+		streamSrv, err = newStreamServer(spec, policy, *fleet, *seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -216,7 +214,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := runFleetBench(spec, policy, *fleet, *seed, *shards, *probeWkrs, *arrivals, *stream); err != nil {
+		if err := runFleetBench(spec, policy, *fleet, *seed, *arrivals, *stream); err != nil {
 			fatal(err)
 		}
 		flushFlight()
@@ -243,7 +241,7 @@ func main() {
 		return
 	}
 	if clusterBench {
-		if err := runClusterBench(spec, *clusterShape, *clusterMode, *discipline, *tenants, *preempt, *workflows, *probeWkrs, *seed); err != nil {
+		if err := runClusterBench(spec, *clusterShape, *clusterMode, *discipline, *tenants, *preempt, *workflows, *seed); err != nil {
 			fatal(err)
 		}
 		flushFlight()
@@ -396,18 +394,12 @@ func parseClusterShape(shape string) (nodes, gpusPerNode int, err error) {
 // deterministic synthetic arrival stream through PlanOnline (or the
 // streaming ingest path with -stream), no simulated execution. Wall
 // timing lives here because cmd/ sits outside the nodeterminism
-// analyzer scope. The dispatch-log digest is printed so runs at
-// different -shards values (and plan vs stream) can be diffed.
-func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed uint64, shards, probeWorkers, arrivalCount int, stream bool) error {
+// analyzer scope. The dispatch-log digest is printed so plan and stream
+// runs can be diffed.
+func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed uint64, arrivalCount int, stream bool) error {
 	workflows, gpus, err := parseFleetShape(shape)
 	if err != nil {
 		return err
-	}
-	if shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (0 selects 1 shard), got %d", shards)
-	}
-	if probeWorkers < 0 {
-		return fmt.Errorf("-probe-workers must be >= 0 (<= 1 scans serially), got %d", probeWorkers)
 	}
 	if arrivalCount < 0 {
 		return fmt.Errorf("-arrivals must be >= 0 (0 keeps the -fleet count), got %d", arrivalCount)
@@ -433,8 +425,6 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		if err != nil {
 			return err
 		}
-		sched.Shards = shards
-		sched.ProbeWorkers = probeWorkers
 		st, err := sched.NewStreamer(core.StreamConfig{})
 		if err != nil {
 			return err
@@ -464,8 +454,6 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		if err != nil {
 			return err
 		}
-		sched.Shards = shards
-		sched.ProbeWorkers = probeWorkers
 		start := time.Now()
 		plan, err := sched.PlanOnline(arrivals)
 		if err != nil {
@@ -480,8 +468,8 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 			return err
 		}
 	}
-	fmt.Printf("fleet %dx%d (%s policy, %d shard(s), %d probe worker(s)%s): planned %d dispatches in %v (%.0f ns/arrival)\n",
-		workflows, gpus, policy.Objective, max(shards, 1), max(probeWorkers, 1), map[bool]string{true: ", streamed", false: ""}[stream],
+	fmt.Printf("fleet %dx%d (%s policy%s): planned %d dispatches in %v (%.0f ns/arrival)\n",
+		workflows, gpus, policy.Objective, map[bool]string{true: ", streamed", false: ""}[stream],
 		dispatched, elapsed.Round(time.Millisecond),
 		float64(elapsed.Nanoseconds())/float64(dispatched))
 	fmt.Printf("  admission probes %d  wait events %d  retirements %d  mean wait %.1fs\n",
@@ -507,7 +495,7 @@ func dispatchDigest(events []core.DispatchEvent) (string, error) {
 // planned over a cluster of nodes, no simulated execution. Like
 // runFleetBench, wall timing lives in cmd/ outside the nodeterminism
 // analyzer scope.
-func runClusterBench(device gpu.DeviceSpec, shape, modeStr, disciplineStr string, tenantCount int, preempt bool, workflows, probeWorkers int, seed uint64) error {
+func runClusterBench(device gpu.DeviceSpec, shape, modeStr, disciplineStr string, tenantCount int, preempt bool, workflows int, seed uint64) error {
 	nodes, gpusPerNode, err := parseClusterShape(shape)
 	if err != nil {
 		return err
@@ -561,14 +549,10 @@ func runClusterBench(device gpu.DeviceSpec, shape, modeStr, disciplineStr string
 	if err != nil {
 		return err
 	}
-	if probeWorkers < 0 {
-		return fmt.Errorf("-probe-workers must be >= 0 (<= 1 scans serially), got %d", probeWorkers)
-	}
 	planner, err := cluster.NewPlanner(spec, store)
 	if err != nil {
 		return err
 	}
-	planner.ProbeWorkers = probeWorkers
 	start := time.Now()
 	out, err := planner.Plan(subs)
 	if err != nil {

@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 
 	"gpushare/internal/core"
@@ -36,19 +38,13 @@ type ingestArrival struct {
 }
 
 // newStreamServer builds the live dispatcher the ingest endpoint feeds:
-// the fleet archetype profile store sized from -fleet's GPU count, the
-// configured policy, -shards shards, and -probe-workers scan workers.
-// Ingested workflows must name benchmarks that store covers.
-func newStreamServer(device gpu.DeviceSpec, policy core.Policy, shape string, shards, probeWorkers int, seed uint64) (*streamServer, error) {
+// the fleet archetype profile store sized from -fleet's GPU count and
+// the configured policy. Ingested workflows must name benchmarks that
+// store covers.
+func newStreamServer(device gpu.DeviceSpec, policy core.Policy, shape string, seed uint64) (*streamServer, error) {
 	_, gpus, err := parseFleetShape(shape)
 	if err != nil {
 		return nil, err
-	}
-	if shards < 0 {
-		return nil, fmt.Errorf("-shards must be >= 0 (0 selects 1 shard), got %d", shards)
-	}
-	if probeWorkers < 0 {
-		return nil, fmt.Errorf("-probe-workers must be >= 0 (<= 1 scans serially), got %d", probeWorkers)
 	}
 	// One-workflow fleet: the arrivals are discarded, only the archetype
 	// profile store matters here.
@@ -60,8 +56,6 @@ func newStreamServer(device gpu.DeviceSpec, policy core.Policy, shape string, sh
 	if err != nil {
 		return nil, err
 	}
-	sched.Shards = shards
-	sched.ProbeWorkers = probeWorkers
 	st, err := sched.NewStreamer(core.StreamConfig{})
 	if err != nil {
 		return nil, err
@@ -80,9 +74,10 @@ func (ss *streamServer) wrap(fallback http.Handler) http.Handler {
 }
 
 // handleIngest dispatches a JSON array of arrivals in order and returns
-// the resulting dispatch events. On a mid-batch failure the earlier
-// arrivals stay dispatched (the stream has no rollback); the error
-// reports how far the batch got.
+// the resulting dispatch events. Timestamps are validated for the whole
+// batch before anything is dispatched; on a later mid-batch failure the
+// earlier arrivals stay dispatched (the stream has no rollback) and the
+// error reports how far the batch got.
 func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON array of arrivals", http.StatusMethodNotAllowed)
@@ -93,25 +88,33 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad arrival batch: %v", err), http.StatusBadRequest)
 		return
 	}
-	events := make([]core.DispatchEvent, 0, len(batch))
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
+	arrivals := make([]core.Arrival, len(batch))
 	for i, wa := range batch {
-		a := core.Arrival{
-			At:       simtime.Zero.Add(simtime.FromSeconds(wa.AtS)),
-			Workflow: workflow.Workflow{Name: wa.Name},
+		at, err := arrivalInstant(wa.AtS)
+		if err != nil {
+			http.Error(w, fmt.Sprintf("arrival %d: %v (nothing dispatched)", i, err), http.StatusBadRequest)
+			return
 		}
+		arrivals[i] = core.Arrival{At: at, Workflow: workflow.Workflow{Name: wa.Name}}
 		for _, t := range wa.Tasks {
-			a.Workflow.Tasks = append(a.Workflow.Tasks, workflow.Task{
+			arrivals[i].Workflow.Tasks = append(arrivals[i].Workflow.Tasks, workflow.Task{
 				Benchmark: t.Benchmark, Size: t.Size, Iterations: t.Iterations,
 			})
 		}
+	}
+	events := make([]core.DispatchEvent, 0, len(batch))
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for i, a := range arrivals {
 		ev, err := ss.st.Ingest(a)
 		if err != nil {
 			http.Error(w, fmt.Sprintf("arrival %d (%d dispatched): %v", i, i, err),
 				http.StatusUnprocessableEntity)
 			return
 		}
+		// RunningAlongside points into the streamer's name scratch, which
+		// the next Ingest reuses: the response must own its copy.
+		ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
 		events = append(events, ev)
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -120,6 +123,16 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// but note it for the operator.
 		fmt.Fprintf(os.Stderr, "gpusched: /ingest response: %v\n", err)
 	}
+}
+
+// arrivalInstant converts a wire timestamp to a simulated instant,
+// rejecting what the nanosecond clock cannot represent: negative or NaN
+// seconds, and values whose nanosecond count overflows int64.
+func arrivalInstant(atS float64) (simtime.Time, error) {
+	if !(atS >= 0) || atS*float64(simtime.Second) >= math.MaxInt64 {
+		return 0, fmt.Errorf("at_s %v outside [0, %v) seconds", atS, simtime.Forever.Seconds())
+	}
+	return simtime.Zero.Add(simtime.FromSeconds(atS)), nil
 }
 
 // handleState snapshots the stream for deterministic resume elsewhere.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,19 +64,16 @@ func TestParseClusterShape(t *testing.T) {
 
 func TestRunClusterBenchValidation(t *testing.T) {
 	spec := gpu.MustLookup("A100X")
-	if err := runClusterBench(spec, "4x2junk", "mixed", "fair-share", 2, false, 10, 0, 1); err == nil {
+	if err := runClusterBench(spec, "4x2junk", "mixed", "fair-share", 2, false, 10, 1); err == nil {
 		t.Fatal("malformed -cluster accepted")
 	}
-	if err := runClusterBench(spec, "4x2", "mixed", "fair-share", 0, false, 10, 0, 1); err == nil {
+	if err := runClusterBench(spec, "4x2", "mixed", "fair-share", 0, false, 10, 1); err == nil {
 		t.Fatal("zero -tenants accepted")
 	}
-	if err := runClusterBench(spec, "4x2", "mixed", "round-robin", 2, false, 10, 0, 1); err == nil {
+	if err := runClusterBench(spec, "4x2", "mixed", "round-robin", 2, false, 10, 1); err == nil {
 		t.Fatal("unknown -discipline accepted")
 	}
-	if err := runClusterBench(spec, "4x2", "mixed", "fair-share", 2, false, 10, -2, 1); err == nil {
-		t.Fatal("negative -probe-workers accepted")
-	}
-	if err := runClusterBench(spec, "4x2", "mixed", "fair-share", 2, true, 200, 2, 1); err != nil {
+	if err := runClusterBench(spec, "4x2", "mixed", "fair-share", 2, true, 200, 1); err != nil {
 		t.Fatalf("cluster bench: %v", err)
 	}
 }
@@ -83,19 +81,13 @@ func TestRunClusterBenchValidation(t *testing.T) {
 func TestRunFleetBenchValidation(t *testing.T) {
 	spec := gpu.MustLookup("A100X")
 	policy := core.ThroughputPolicy()
-	if err := runFleetBench(spec, policy, "10x8junk", 1, 0, 0, 0, false); err == nil {
+	if err := runFleetBench(spec, policy, "10x8junk", 1, 0, false); err == nil {
 		t.Fatal("malformed -fleet accepted")
 	}
-	if err := runFleetBench(spec, policy, "10x8", 1, -1, 0, 0, false); err == nil {
-		t.Fatal("negative -shards accepted")
-	}
-	if err := runFleetBench(spec, policy, "10x8", 1, 0, -2, 0, false); err == nil {
-		t.Fatal("negative -probe-workers accepted")
-	}
-	if err := runFleetBench(spec, policy, "10x8", 1, 0, 0, -5, false); err == nil {
+	if err := runFleetBench(spec, policy, "10x8", 1, -5, false); err == nil {
 		t.Fatal("negative -arrivals accepted")
 	}
-	if err := runFleetBench(spec, policy, "200x8", 1, 4, 2, 50, true); err != nil {
+	if err := runFleetBench(spec, policy, "200x8", 1, 50, true); err != nil {
 		t.Fatalf("streamed bench: %v", err)
 	}
 }
@@ -105,7 +97,7 @@ func TestRunFleetBenchValidation(t *testing.T) {
 // snapshot resumes to the same dispatcher elsewhere.
 func TestStreamServerRoundTrip(t *testing.T) {
 	spec := gpu.MustLookup("A100X")
-	ss, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 2, 2, 7)
+	ss, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +136,8 @@ func TestStreamServerRoundTrip(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&state); err != nil {
 		t.Fatal(err)
 	}
-	if state.Events != 2 || state.GPUs != 8 || state.Shards != 2 {
-		t.Fatalf("snapshot = events %d gpus %d shards %d", state.Events, state.GPUs, state.Shards)
+	if state.Events != 2 || state.GPUs != 8 {
+		t.Fatalf("snapshot = events %d gpus %d", state.Events, state.GPUs)
 	}
 	// The snapshot must restore onto an equivalent scheduler.
 	_, store, err := core.NewFleetSource(spec, core.FleetSpec{Workflows: 1, TargetGPUs: 8, Seed: 7})
@@ -156,7 +148,6 @@ func TestStreamServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched.Shards = 2
 	if _, err := sched.RestoreStreamer(core.StreamConfig{}, &state); err != nil {
 		t.Fatalf("restore from HTTP snapshot: %v", err)
 	}
@@ -164,7 +155,7 @@ func TestStreamServerRoundTrip(t *testing.T) {
 
 func TestStreamServerRejections(t *testing.T) {
 	spec := gpu.MustLookup("A100X")
-	ss, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 1, 0, 7)
+	ss, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +194,141 @@ func TestStreamServerRejections(t *testing.T) {
 		t.Fatalf("GET /ingest status = %d", resp.StatusCode)
 	}
 
-	if _, err := newStreamServer(spec, core.ThroughputPolicy(), "bad-shape", 1, 0, 7); err == nil {
+	if _, err := newStreamServer(spec, core.ThroughputPolicy(), "bad-shape", 7); err == nil {
 		t.Fatal("malformed shape accepted")
 	}
-	if _, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", -1, 0, 7); err == nil {
-		t.Fatal("negative shards accepted")
+}
+
+// wireBatch encodes arrivals in the /ingest wire form.
+func wireBatch(t *testing.T, arrivals []core.Arrival) string {
+	t.Helper()
+	type wireTask struct {
+		Benchmark  string `json:"benchmark"`
+		Size       string `json:"size"`
+		Iterations int    `json:"iterations"`
 	}
-	if _, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 1, -2, 7); err == nil {
-		t.Fatal("negative probe workers accepted")
+	type wireArrival struct {
+		AtS   float64    `json:"at_s"`
+		Name  string     `json:"name"`
+		Tasks []wireTask `json:"tasks"`
+	}
+	wire := make([]wireArrival, len(arrivals))
+	for i, a := range arrivals {
+		wire[i] = wireArrival{AtS: a.At.Seconds(), Name: a.Workflow.Name}
+		for _, task := range a.Workflow.Tasks {
+			wire[i].Tasks = append(wire[i].Tasks, wireTask{task.Benchmark, task.Size, task.Iterations})
+		}
+	}
+	data, err := json.Marshal(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestIngestBatchMatchesPlan pins /ingest's events to PlanOnline's for
+// the same arrivals, co-resident lists included: a multi-arrival batch
+// on a two-GPU fleet where arrivals share GPUs, so an event whose
+// RunningAlongside still pointed into the streamer's reused name scratch
+// would name another event's co-residents.
+func TestIngestBatchMatchesPlan(t *testing.T) {
+	device := gpu.MustLookup("A100X")
+	const seed = 7
+	arrivals, store, err := core.GenerateFleet(device, core.FleetSpec{Workflows: 32, TargetGPUs: 2, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewScheduler(device, 2, store, core.EnergyPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := sched.PlanOnline(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, ev := range plan.Dispatches {
+		if len(ev.RunningAlongside) > 0 {
+			shared++
+		}
+	}
+	if shared < 2 {
+		t.Fatalf("only %d dispatches share a GPU; the batch cannot expose aliasing", shared)
+	}
+
+	ss, err := newStreamServer(device, core.EnergyPolicy(), "32x2", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(ss.wrap(http.NotFoundHandler()))
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(wireBatch(t, arrivals)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/ingest status = %d", resp.StatusCode)
+	}
+	var got []core.DispatchEvent
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(plan.Dispatches) {
+		t.Fatalf("/ingest returned %d events, want %d", len(got), len(plan.Dispatches))
+	}
+	for i := range got {
+		if !reflect.DeepEqual(got[i], plan.Dispatches[i]) {
+			t.Fatalf("event %d = %+v, want %+v", i, got[i], plan.Dispatches[i])
+		}
+	}
+}
+
+// TestIngestRejectsUnrepresentableTimestamps pins the /ingest boundary:
+// a negative timestamp, or one whose nanosecond count overflows int64,
+// fails the whole batch with 400 before anything is dispatched, and the
+// stream still accepts a following valid in-order batch.
+func TestIngestRejectsUnrepresentableTimestamps(t *testing.T) {
+	spec := gpu.MustLookup("A100X")
+	ss, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(ss.wrap(http.NotFoundHandler()))
+	defer srv.Close()
+
+	arrival := func(atS string, name string) string {
+		return `{"at_s":` + atS + `,"name":"` + name + `","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":1}]}`
+	}
+	post := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	for _, bad := range []string{"1e300", "-1"} {
+		// A valid arrival ahead of the bad one must not be dispatched.
+		resp := post("[" + arrival("0", "ok") + "," + arrival(bad, "bad") + "]")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("at_s %s: status = %d, want %d", bad, resp.StatusCode, http.StatusBadRequest)
+		}
+		if n := ss.st.Events(); n != 0 {
+			t.Fatalf("at_s %s: %d arrivals dispatched from a rejected batch", bad, n)
+		}
+	}
+	resp := post("[" + arrival("3", "a") + "," + arrival("4", "b") + "]")
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("valid batch after rejections: status = %d", resp.StatusCode)
+	}
+	var events []core.DispatchEvent
+	if err := json.NewDecoder(resp.Body).Decode(&events); err != nil {
+		t.Fatal(err)
+	}
+	if len(events) != 2 || events[0].Workflow != "a" || events[1].At.Seconds() != 4 {
+		t.Fatalf("valid batch events = %+v", events)
 	}
 }

@@ -275,80 +275,70 @@ func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	return true
 }
 
-// scanNodes runs one scan round over the nodes (fit probes or
-// preemption what-ifs, per st.scanWhatIf) and returns how many nodes
-// hold valid verdicts. Serial mode scans in spec order with cross-node
-// early exit; parallel mode forks every node's scan over the pool —
-// speculative work past the eventual winner, discarded by the caller's
-// merge.
+// findFit scans nodes in spec order and GPUs in index order for the
+// first device that admits the member under the node's sharing mode.
+// Every probe — hit or miss — lands in the flight recorder with its
+// per-rule verdict when telemetry is on.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) scanNodes() int {
-	if st.pool != nil {
-		st.scanBest.Store(int32(len(st.nodes)))
-		st.pool.Run(len(st.nodes), st.scanFn)
-		return len(st.nodes)
-	}
+func (st *planner) findFit(j *job, m *member, now simtime.Time) *gpuState {
 	for n := range st.nodes {
-		st.scanNode(n)
-		if st.nodes[n].probe.fitGPU >= 0 {
-			return n + 1
+		node := &st.nodes[n]
+		for g := range node.gpus {
+			gs := &node.gpus[g]
+			st.stats.Probes++
+			ok, reason := st.probeReason(gs, m, len(gs.res))
+			if st.fl != nil {
+				st.fl.Record(obs.FlightRecord{
+					Seq:           int64(j.seq),
+					Kind:          obs.FlightProbe,
+					AtNS:          int64(now),
+					Tenant:        j.tenant.spec.Name,
+					Workflow:      m.profile.Workflow.Name,
+					Node:          node.spec.Name,
+					GPU:           int32(g),
+					Clients:       int32(len(gs.res)),
+					Rules:         uint8(reason.Rules),
+					SMExcessMilli: reason.SMExcessMilli,
+					BWExcessMilli: reason.BWExcessMilli,
+					MemExcessMiB:  reason.MemExcessMiB,
+				})
+			}
+			if ok {
+				return gs
+			}
 		}
 	}
-	return len(st.nodes)
+	return nil
 }
 
-// scanNode fills one node's buffered verdict for the current round. It
-// is read-only over shared planner state — aggregates, resident lists,
-// and job marks mutate only between rounds, in the serial phases — and
-// writes nothing but its own node's probe slot, which is what makes
-// concurrent node scans race-free. Every probed GPU leaves a trail
-// record; the trail is worker-count invariant because it is replayed
-// serially in node order by the merge.
-//
-// Parallel rounds bound their speculation through scanBest — the
-// lowest node index holding a fit so far. A node above it abandons its
-// scan (the merge stops strictly before its slot) and a node that
-// finds a fit publishes its index with a CAS-min; nodes at or below
-// the final winner always complete, so the merged counters and trail
-// cannot observe the abandonment.
+// findEvictionFit is the preemption counterpart of findFit: the first
+// GPU (node spec order, then index order) where a read-only what-if
+// shows the member would fit with every strictly-lower-priority resident
+// gone. With telemetry on, each what-if leaves a provenance record whose
+// digest pair proves the probe left the aggregate untouched.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) scanNode(n int) {
-	node := &st.nodes[n]
-	pr := &node.probe
-	pr.fitGPU = -1
-	pr.probes = 0
-	record := st.fl != nil
-	if record {
-		pr.trail = pr.trail[:0]
-	}
-	par := st.pool != nil
-	j, m := st.scanJob, st.scanMember
-	if st.scanWhatIf {
+func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) *gpuState {
+	for n := range st.nodes {
+		node := &st.nodes[n]
 		for g := range node.gpus {
-			if par && st.scanBest.Load() < int32(n) {
-				return
-			}
 			gs := &node.gpus[g]
 			var fits bool
-			if !record {
-				fits = st.canFitAfterEviction(gs, j, m, pr)
+			if st.fl == nil {
+				fits = st.canFitAfterEviction(gs, j, m)
 			} else {
-				// What-if provenance: the digest pair proves the probe left
-				// the aggregate untouched — `restored` must equal `digest`,
-				// and with the read-only fold there is no mutation to
-				// restore from in the first place.
+				// `restored` must equal `digest`: with the read-only fold
+				// there is no mutation to restore from in the first place.
 				digest := gs.agg.Digest()
-				fits = st.canFitAfterEviction(gs, j, m, pr)
+				fits = st.canFitAfterEviction(gs, j, m)
 				restored := gs.agg.Digest()
 				//repro:allow:hotpathalloc what-if provenance formats the digest pair; telemetry-off scans never reach this branch
 				detail := fmt.Sprintf("fit=%t digest=%016x restored=%016x", fits, digest, restored)
-				//repro:allow:hotpathalloc trail growth is bounded by the node's GPU count; capacity is retained
-				pr.trail = append(pr.trail, obs.FlightRecord{
+				st.fl.Record(obs.FlightRecord{
 					Seq:      int64(j.seq),
 					Kind:     obs.FlightWhatIf,
-					AtNS:     int64(st.scanNow),
+					AtNS:     int64(now),
 					Tenant:   j.tenant.spec.Name,
 					Workflow: m.profile.Workflow.Name,
 					Node:     node.spec.Name,
@@ -358,95 +348,11 @@ func (st *planner) scanNode(n int) {
 				})
 			}
 			if fits {
-				pr.fitGPU = g
-				if par {
-					st.publishBest(n)
-				}
-				return
+				return gs
 			}
-		}
-		return
-	}
-	for g := range node.gpus {
-		if par && st.scanBest.Load() < int32(n) {
-			return
-		}
-		gs := &node.gpus[g]
-		pr.probes++
-		ok, reason := st.probeReason(gs, m, len(gs.res))
-		if record {
-			//repro:allow:hotpathalloc trail growth is bounded by the node's GPU count; capacity is retained
-			pr.trail = append(pr.trail, obs.FlightRecord{
-				Seq:           int64(j.seq),
-				Kind:          obs.FlightProbe,
-				AtNS:          int64(st.scanNow),
-				Tenant:        j.tenant.spec.Name,
-				Workflow:      m.profile.Workflow.Name,
-				Node:          node.spec.Name,
-				GPU:           int32(g),
-				Clients:       int32(len(gs.res)),
-				Rules:         uint8(reason.Rules),
-				SMExcessMilli: reason.SMExcessMilli,
-				BWExcessMilli: reason.BWExcessMilli,
-				MemExcessMiB:  reason.MemExcessMiB,
-			})
-		}
-		if ok {
-			pr.fitGPU = g
-			if par {
-				st.publishBest(n)
-			}
-			return
-		}
-	}
-}
-
-// publishBest CAS-mins this node's index into scanBest so concurrent
-// workers can abandon nodes the merge will never reach.
-//
-//repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) publishBest(n int) {
-	for {
-		best := st.scanBest.Load()
-		if best <= int32(n) || st.scanBest.CompareAndSwap(best, int32(n)) {
-			return
-		}
-	}
-}
-
-// mergeScan walks the scanned nodes in spec order, folds each node's
-// probe count into the stats, replays its trail into the flight
-// recorder, and stops at the first node holding a fit — the serial
-// scan's visit order, so counters and trails are byte-identical at any
-// worker count, with everything past the winner discarded exactly as
-// if it were never scanned.
-//
-//repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) mergeScan(scanned int) *gpuState {
-	for n := 0; n < scanned; n++ {
-		node := &st.nodes[n]
-		st.stats.Probes += node.probe.probes
-		if st.fl != nil {
-			for i := range node.probe.trail {
-				st.fl.Record(node.probe.trail[i])
-			}
-		}
-		if node.probe.fitGPU >= 0 {
-			return &node.gpus[node.probe.fitGPU]
 		}
 	}
 	return nil
-}
-
-// findFit scans nodes in spec order and GPUs in index order for the
-// first device that admits the member under the node's sharing mode.
-// Every probe — hit or miss — lands in the flight recorder with its
-// per-rule verdict when telemetry is on.
-//
-//repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) findFit(j *job, m *member, now simtime.Time) *gpuState {
-	st.scanJob, st.scanMember, st.scanNow, st.scanWhatIf = j, m, now, false
-	return st.mergeScan(st.scanNodes())
 }
 
 // admits probes one GPU under its node's sharing mode.
@@ -563,9 +469,8 @@ func (st *planner) placeMember(j *job, memberIx int, g *gpuState, now simtime.Ti
 // evictForMember frees room for one member by preempting on the first
 // GPU (node spec order, then index order) where a what-if probe shows
 // the member would fit with every strictly-lower-priority resident gone.
-// The what-if sweep is a scan round like findFit's — read-only, so the
-// pool can fan it across nodes — and only the merged winner proceeds to
-// the serial eviction loop: whole victim gangs — lowest priority first,
+// The what-if sweep (findEvictionFit) is read-only; only its winner
+// proceeds to the eviction loop: whole victim gangs — lowest priority first,
 // youngest placement first (least lost work), latest arrival last-resort
 // tie-break — are evicted until the member actually fits, and the GPU is
 // returned; nil when no GPU's victim set suffices. Targeting one GPU
@@ -574,8 +479,7 @@ func (st *planner) placeMember(j *job, memberIx int, g *gpuState, now simtime.Ti
 // on other GPUs — gang eviction is all-or-nothing, mirroring gang
 // admission).
 func (st *planner) evictForMember(j *job, m *member, now simtime.Time) *gpuState {
-	st.scanJob, st.scanMember, st.scanNow, st.scanWhatIf = j, m, now, true
-	gs := st.mergeScan(st.scanNodes())
+	gs := st.findEvictionFit(j, m, now)
 	if gs == nil {
 		return nil
 	}
@@ -606,14 +510,13 @@ func victimable(v, preemptor *job) bool {
 // victim mask marks the hypothetical evictees and AdmitExcluding folds
 // the survivors without touching the live aggregate — the cached sums
 // are always the left-fold over the member list, so the masked fold is
-// bit-identical to the old save/remove/probe/restore sequence. Being
-// read-only is what lets scanNodes fan what-ifs across nodes, and what
-// the digest pair in scanNode's provenance record now proves trivially.
+// bit-identical to a save/remove/probe/restore sequence, and the digest
+// pair in findEvictionFit's provenance record proves it trivially.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) canFitAfterEviction(g *gpuState, preemptor *job, m *member, pr *nodeProbe) bool {
-	pr.probes++
-	mask := pr.skip[:0]
+func (st *planner) canFitAfterEviction(g *gpuState, preemptor *job, m *member) bool {
+	st.stats.Probes++
+	mask := st.skip[:0]
 	removed := 0
 	for i := range g.res {
 		v := victimable(g.res[i].job, preemptor)
@@ -623,7 +526,7 @@ func (st *planner) canFitAfterEviction(g *gpuState, preemptor *job, m *member, p
 			removed++
 		}
 	}
-	pr.skip = mask
+	st.skip = mask
 	if removed == 0 {
 		return false
 	}

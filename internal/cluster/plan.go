@@ -3,13 +3,11 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"gpushare/internal/core"
 	"gpushare/internal/eventq"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
-	"gpushare/internal/parallel"
 	"gpushare/internal/profile"
 	"gpushare/internal/simtime"
 )
@@ -131,14 +129,6 @@ type Outcome struct {
 type Planner struct {
 	spec     Spec
 	profiles *profile.Store
-
-	// ProbeWorkers widens the per-member node scan (fit probes and
-	// preemption what-ifs) over that many persistent workers; <= 1 — the
-	// default — scans serially, values beyond the node count are
-	// clamped, and parallel scanning needs at least two nodes to engage.
-	// Outcomes, stats, and flight trails are byte-identical at any
-	// worker count (DESIGN.md §16).
-	ProbeWorkers int
 }
 
 // NewPlanner validates the spec and binds a profile store.
@@ -239,21 +229,6 @@ type gpuState struct {
 	savedRes []*resident
 }
 
-// nodeProbe is one node's buffered scan verdict: scanNode fills it
-// (fit and what-if scans alike) and the serial merge in findFit /
-// evictForMember replays it in node order. Buffering is what lets
-// nodes scan concurrently — each scan writes only its own node's slot
-// — while the merged counters and flight trail stay byte-identical to
-// the serial early-exit scan. skip is the read-only what-if's victim
-// mask scratch, owned by the node so concurrent what-ifs never share
-// it.
-type nodeProbe struct {
-	fitGPU int                // node-local first fitting GPU, or -1
-	probes int64              // admission checks this scan evaluated
-	trail  []obs.FlightRecord // buffered probe/what-if records (telemetry on)
-	skip   []bool             // victim-mask scratch for read-only what-ifs
-}
-
 // nodeState is one node's resolved capacities.
 type nodeState struct {
 	spec           NodeSpec
@@ -262,8 +237,6 @@ type nodeState struct {
 	cap            int     // residents per GPU under the node's mode
 	instanceMemMiB int64   // per-instance memory under ModeMIG
 	threadCapPct   float64 // per-client SM cap under ModeMPS (100 = uncapped)
-
-	probe nodeProbe // buffered scan verdict (see scanNode)
 }
 
 // planner is the mutable planning state for one Plan call.
@@ -283,27 +256,14 @@ type planner struct {
 	txEvicted []*resident
 	txTouched []*gpuState
 
+	// skip is the read-only what-if's victim-mask scratch (see
+	// canFitAfterEviction).
+	skip []bool
+
 	// fl is the flight recorder captured at construction; nil when
 	// telemetry is disabled, and every record site is guarded so the
 	// disabled hot path stays allocation-free.
 	fl *obs.Flight
-
-	// pool fans node scans over persistent workers when ProbeWorkers
-	// asked for parallel probing (nil = serial scanning with cross-node
-	// early exit). scanFn is the prebuilt round closure; the scan*
-	// fields are its arguments, written before the fork (Gang.Run's
-	// channel handoff orders the writes before every worker read).
-	pool       *parallel.Gang
-	scanFn     func(int)
-	scanJob    *job
-	scanMember *member
-	scanNow    simtime.Time
-	scanWhatIf bool
-
-	// scanBest is the parallel rounds' cooperative early-exit: the
-	// lowest node index holding a fit so far (CAS-min, reset to
-	// len(nodes) before each fork; see scanNode).
-	scanBest atomic.Int32
 
 	out   *Outcome
 	stats *Stats
@@ -311,8 +271,8 @@ type planner struct {
 
 // Plan runs the cluster admission loop over the submission stream and
 // returns the full decision history. Decisions are a pure function of
-// (spec, store, submissions): byte-identical across runs and worker
-// counts, pinned by the golden logs in testdata/.
+// (spec, store, submissions): byte-identical across runs, pinned by the
+// golden logs in testdata/.
 func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 	hub := obs.Active()
 	defer hub.StartWall("cluster", "Plan").End()
@@ -324,7 +284,6 @@ func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer st.close()
 	st.run()
 	st.finish()
 
@@ -403,14 +362,6 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		for g := range n.gpus {
 			n.gpus[g] = gpuState{node: n, index: g, agg: interference.NewAggregate(ns.Device)}
 		}
-		n.probe.fitGPU = -1
-	}
-	if workers := p.ProbeWorkers; workers > 1 && len(st.nodes) >= 2 {
-		if workers > len(st.nodes) {
-			workers = len(st.nodes)
-		}
-		st.pool = parallel.NewGang(workers)
-		st.scanFn = func(n int) { st.scanNode(n) }
 	}
 
 	// Stable sort by arrival instant; input order breaks ties. The
@@ -449,13 +400,6 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		st.jobs[i] = j
 	}
 	return st, nil
-}
-
-// close releases the planner's worker pool, if any.
-func (st *planner) close() {
-	if st.pool != nil {
-		st.pool.Close()
-	}
 }
 
 // overheadS resolves the preemption restart penalty.

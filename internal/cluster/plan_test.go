@@ -639,7 +639,7 @@ func TestClusterAdmitAllocs(t *testing.T) {
 	m := &st.jobs[0].members[0]
 	warm := func() {
 		_ = st.findFit(st.jobs[0], m, simtime.Zero)
-		_ = st.canFitAfterEviction(g, st.jobs[1], m, &st.nodes[0].probe)
+		_ = st.canFitAfterEviction(g, st.jobs[1], m)
 		st.saveGPU(g)
 		r := st.acquireResident()
 		st.releaseResident(r)
@@ -648,6 +648,62 @@ func TestClusterAdmitAllocs(t *testing.T) {
 	warm()
 	if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
 		t.Fatalf("admit/preempt hot path allocates %v per cycle, want 0", allocs)
+	}
+}
+
+// TestWhatIfLeavesAggregateUntouched pins the read-only preemption
+// what-if directly: canFitAfterEviction never mutates the live
+// aggregate — not on a fit, not on a miss, not when there are no
+// victims — so the provenance digest pair is two reads of the same
+// state.
+func TestWhatIfLeavesAggregateUntouched(t *testing.T) {
+	store := testStore(t)
+	spec := oneNode(4, "a", "b")
+	spec.Preemption = true
+	p, err := NewPlanner(spec, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []Submission{
+		sub(0, "a", 0, workflow.Single(wf("low0", "big"))),
+		sub(0, "a", 0, workflow.Single(wf("low1", "small"))),
+		sub(0, "b", 2, workflow.Single(wf("high", "big"))),
+	}
+	st, err := p.newPlanner(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Place and commit the two priority-0 jobs by hand so the GPU holds
+	// fully-resident (victimable) gangs.
+	now := simtime.Zero
+	for _, j := range st.jobs[:2] {
+		g := st.findFit(j, &j.members[0], now)
+		if g == nil {
+			t.Fatal("setup job did not fit")
+		}
+		st.placeMember(j, 0, g, now)
+		st.commit(j, now)
+	}
+	g := &st.nodes[0].gpus[0]
+	before := g.agg.Digest()
+
+	high, low := st.jobs[2], st.jobs[0]
+	if !st.canFitAfterEviction(g, high, &high.members[0]) {
+		t.Fatal("high-priority member should fit once the victims are gone")
+	}
+	if got := g.agg.Digest(); got != before {
+		t.Fatalf("fitting what-if mutated the aggregate: digest %016x, want %016x", got, before)
+	}
+	// No strictly-lower-priority residents for the low job: no victims.
+	if st.canFitAfterEviction(g, low, &low.members[0]) {
+		t.Fatal("what-if with no victims must report no fit")
+	}
+	if got := g.agg.Digest(); got != before {
+		t.Fatalf("victimless what-if mutated the aggregate: digest %016x, want %016x", got, before)
+	}
+	// The resident list is untouched too — the what-if is mask-based.
+	if len(g.res) != 2 {
+		t.Fatalf("what-if disturbed the resident list: %d residents, want 2", len(g.res))
 	}
 }
 

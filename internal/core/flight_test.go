@@ -18,44 +18,6 @@ func flightBytes(t *testing.T, h *obs.Hub) []byte {
 	return data
 }
 
-// TestFlightShardCountIdentity is the provenance half of the shard
-// identity pin: the decision trail — every arrival, probe, wait, and
-// dispatch record — is byte-identical at any shard count, because
-// records carry only shard-count-invariant decision properties (global
-// GPU index, global wait instants, never a shard id, never
-// retirements whose cross-shard order differs).
-func TestFlightShardCountIdentity(t *testing.T) {
-	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 600, TargetGPUs: 8, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := obs.Active()
-	defer obs.SetActive(prev)
-
-	run := func(shards int) []byte {
-		hub := obs.NewHub(nil)
-		obs.SetActive(hub)
-		s := fleetScheduler(t, store, 8, shards)
-		if _, err := s.PlanOnline(arrivals); err != nil {
-			t.Fatal(err)
-		}
-		return flightBytes(t, hub)
-	}
-	ref := run(1)
-	var refSnap obs.FlightSnapshot
-	if err := json.Unmarshal(ref, &refSnap); err != nil {
-		t.Fatal(err)
-	}
-	if refSnap.Total == 0 {
-		t.Fatal("flat run recorded no flight records")
-	}
-	for _, shards := range []int{2, 5, 8} {
-		if got := run(shards); !bytes.Equal(got, ref) {
-			t.Fatalf("shards=%d: flight snapshot diverged from flat dispatcher", shards)
-		}
-	}
-}
-
 // TestStreamFlightResume extends the snapshot/resume identity to the
 // flight ring: a run interrupted mid-stream and resumed on a fresh
 // process (fresh hub, state through JSON) finishes with the
@@ -71,7 +33,7 @@ func TestStreamFlightResume(t *testing.T) {
 	// Uninterrupted reference run.
 	refHub := obs.NewHub(nil)
 	obs.SetActive(refHub)
-	s := fleetScheduler(t, store, 8, 4)
+	s := fleetScheduler(t, store, 8)
 	ref, err := s.NewStreamer(StreamConfig{RingCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +54,7 @@ func TestStreamFlightResume(t *testing.T) {
 	cut := len(arrivals)/2 + 3
 	hubA := obs.NewHub(nil)
 	obs.SetActive(hubA)
-	sA := fleetScheduler(t, store, 8, 4)
+	sA := fleetScheduler(t, store, 8)
 	first, err := sA.NewStreamer(StreamConfig{RingCapacity: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -120,7 +82,7 @@ func TestStreamFlightResume(t *testing.T) {
 
 	hubB := obs.NewHub(nil)
 	obs.SetActive(hubB)
-	sB := fleetScheduler(t, store, 8, 4)
+	sB := fleetScheduler(t, store, 8)
 	second, err := sB.RestoreStreamer(StreamConfig{RingCapacity: 32}, &restored)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +116,7 @@ func TestStreamFlightDisabled(t *testing.T) {
 	prev := obs.SetActive(nil)
 	defer obs.SetActive(prev)
 
-	s := fleetScheduler(t, store, 4, 2)
+	s := fleetScheduler(t, store, 4)
 	st, err := s.NewStreamer(StreamConfig{RingCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +136,7 @@ func TestStreamFlightDisabled(t *testing.T) {
 
 	// A state saved with telemetry enabled restores under a disabled hub.
 	state.Flight = &obs.FlightSnapshot{Total: 3, Records: []obs.FlightRecord{{Seq: 0, Kind: obs.FlightArrival, GPU: -1}}}
-	s2 := fleetScheduler(t, store, 4, 2)
+	s2 := fleetScheduler(t, store, 4)
 	resumed, err := s2.RestoreStreamer(StreamConfig{RingCapacity: 16}, state)
 	if err != nil {
 		t.Fatal(err)

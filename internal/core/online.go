@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"gpushare/internal/arena"
 	"gpushare/internal/eventq"
@@ -13,7 +12,6 @@ import (
 	"gpushare/internal/interference"
 	"gpushare/internal/metrics"
 	"gpushare/internal/obs"
-	"gpushare/internal/parallel"
 	"gpushare/internal/profile"
 	"gpushare/internal/simtime"
 	"gpushare/internal/workflow"
@@ -250,225 +248,38 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 	return plan, nil
 }
 
-// onlineShard owns a contiguous range of the fleet's GPUs and every
-// admission structure scoped to them: resident sets with their
-// interference aggregates, the predicted-completion min-heap, the
-// pooled completion payloads, the dirty set for wait-round re-probing,
-// and single-owner telemetry histograms. Sharding splits the
-// dispatcher's state by GPU range so each shard's heap and dirty set
-// stay small at fleet scale; decisions remain byte-identical to the
-// flat dispatcher because shards are probed serially in index order
-// (DESIGN.md §14).
-type onlineShard struct {
-	// lo is the global index of gpus[0]; the shard covers
-	// [lo, lo+len(gpus)).
-	lo   int
+// onlineDispatcher is the admission state the decision loop drives: the
+// GPU fleet's resident sets with their interference aggregates, the
+// predicted-completion min-heap, the pooled completion payloads, the
+// dirty set for wait-round re-probing, and single-owner telemetry
+// histograms. The decision kernel (admit/retire/scan) is the production
+// dispatcher's per-arrival work and is held to the hot-path contract;
+// dispatchOne keeps the per-dispatch record building outside it.
+type onlineDispatcher struct {
 	gpus []onlineGPU
-	// completions orders this shard's predicted retirements by (end,
-	// schedule seq); payloads are pooled *completionKey values naming the
-	// exact resident each event was scheduled for, so the steady state
-	// allocates nothing (eventq freelist, pointer-in-interface payload)
-	// and retirement is identity-based even when several residents on a
-	// GPU share a quantized finish instant.
+	// completions orders predicted retirements by (end, schedule seq);
+	// payloads are pooled *completionKey values naming the exact resident
+	// each event was scheduled for, so the steady state allocates nothing
+	// (eventq freelist, pointer-in-interface payload) and retirement is
+	// identity-based even when several residents on a GPU share a
+	// quantized finish instant.
 	completions eventq.Queue
-	dirtied     []*onlineGPU     // shard GPUs retired into during the current wait round
+	dirtied     []*onlineGPU     // GPUs retired into during the current wait round
 	keyFree     []*completionKey // recycled completion payloads
 
-	// Single-owner histograms: the decision loop is serial, so each
-	// observation is an unsynchronized int bump; planOnline folds them
-	// into the shared registry after the loop (sums are commutative, so
-	// the merged metrics are byte-identical at any shard count).
-	waitHist    *obs.LocalHistogram // admission latency, sim ms
-	depthHist   *obs.LocalHistogram // collocated clients at dispatch
-	serviceHist *obs.LocalHistogram // predicted service time, sim ms
-
-	// Scan results: scan buffers its verdict here instead of touching
-	// shared dispatcher state, so shards can scan concurrently (each
-	// writes only its own slots) and the serial merge in probeRound
-	// replays counters and flight records in shard index order —
-	// byte-identical to the serial early-exit scan. Slots from a shard
-	// the merge never reached are stale, never read: the merge stops at
-	// the winning shard and the serial path stops scanning there too.
-	scanGPU    int                // winning global GPU index, or -1
-	scanProbes int64              // admission checks this scan evaluated
-	trail      []obs.FlightRecord // buffered probe records (telemetry on)
-}
-
-// completionKey is a completion event's payload: the GPU and the
-// placement serial of the resident the event retires. Keys are pooled by
-// their shard (acquireKey/releaseKey) so scheduling stays
-// allocation-free in steady state.
-type completionKey struct {
-	gpu *onlineGPU
-	seq uint64
-}
-
-// acquireKey takes a completion payload from the shard's freelist or
-// allocates one.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (sh *onlineShard) acquireKey() *completionKey {
-	if n := len(sh.keyFree); n > 0 {
-		k := sh.keyFree[n-1]
-		sh.keyFree[n-1] = nil
-		sh.keyFree = sh.keyFree[:n-1]
-		return k
-	}
-	//repro:allow:hotpathalloc key-pool refill: cold path, amortized away once the steady state recycles keys
-	return &completionKey{}
-}
-
-// releaseKey returns a retired payload to the shard's freelist.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (sh *onlineShard) releaseKey(k *completionKey) {
-	k.gpu = nil
-	//repro:allow:hotpathalloc key-pool growth is amortized; capacity is retained for the run's lifetime
-	sh.keyFree = append(sh.keyFree, k)
-}
-
-// scan probes the shard's GPUs in index order for the first that admits
-// the load, stopping there. On retry rounds (first false) only dirty
-// GPUs are probed: the rest rejected this same candidate against an
-// unchanged resident set, and an unchanged group and the same candidate
-// yield the same sums, hence the same rejection.
-//
-// scan is read-only over shared dispatcher state — it reads aggregates,
-// resident counts, and dirty marks (mutated only between rounds, by
-// retirement) and writes nothing but the shard's own scan slots. That
-// is what lets probeRound run all shards concurrently: the verdict
-// (winning GPU), the probe count, and the flight trail are buffered per
-// shard and merged serially afterward. Every evaluated GPU (including
-// client-cap skips) leaves a trail record carrying the typed rule
-// verdict; the stream is shard- and worker-count invariant because the
-// dirty and skip sets are decision properties and the record names only
-// the global GPU index — never the shard or the worker.
-//
-// In a parallel round, scan bounds its speculation through scanBest,
-// the lowest shard index known to hold an admit: a shard above it
-// abandons its scan (its slots go stale but the merge stops strictly
-// before them), and a shard that finds an admit publishes its index
-// with a CAS-min. Every shard at or below the final winner still
-// completes in full, so the merged counters and trail cannot observe
-// the abandonment — only the wall clock can.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (sh *onlineShard) scan(d *onlineDispatcher, si int, load interference.Load, first bool, seq int64, now simtime.Time) {
-	sh.scanGPU = -1
-	sh.scanProbes = 0
-	record := d.fl != nil
-	if record {
-		sh.trail = sh.trail[:0]
-	}
-	par := d.pool != nil
-	for g := range sh.gpus {
-		if par && d.scanBest.Load() < int32(si) {
-			return
-		}
-		gd := &sh.gpus[g]
-		if !first && !gd.dirty {
-			continue
-		}
-		if len(gd.res)+1 > d.clientCap {
-			if record {
-				//repro:allow:hotpathalloc trail growth is bounded by the shard's GPU count; capacity is retained
-				sh.trail = append(sh.trail, obs.FlightRecord{
-					Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
-					GPU: int32(sh.lo + g), Clients: int32(len(gd.res)),
-					Rules: uint8(interference.MaskClientCap),
-				})
-			}
-			continue
-		}
-		sh.scanProbes++
-		out := gd.agg.Admit(load)
-		admit := !out.Interferes()
-		if d.allowInterfering && !out.Capacity {
-			admit = true
-		}
-		if record {
-			r := out.Reason()
-			//repro:allow:hotpathalloc trail growth is bounded by the shard's GPU count; capacity is retained
-			sh.trail = append(sh.trail, obs.FlightRecord{
-				Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
-				GPU: int32(sh.lo + g), Clients: int32(len(gd.res)),
-				Rules:         uint8(r.Rules),
-				SMExcessMilli: r.SMExcessMilli,
-				BWExcessMilli: r.BWExcessMilli,
-				MemExcessMiB:  r.MemExcessMiB,
-			})
-		}
-		if admit {
-			sh.scanGPU = sh.lo + g
-			if par {
-				for {
-					best := d.scanBest.Load()
-					if best <= int32(si) || d.scanBest.CompareAndSwap(best, int32(si)) {
-						break
-					}
-				}
-			}
-			return
-		}
-	}
-}
-
-// retire removes this shard's residents predicted to have finished by
-// now, marking their GPUs dirty for the next probe round. Removal is
-// identity-based: each completion event names the resident it was
-// scheduled for (by placement serial), so colliding finish instants on
-// one GPU can never retire the wrong resident — an index scan for
-// "first end <= now" would pick whichever collided resident sits
-// earliest in the list.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (sh *onlineShard) retire(now simtime.Time, stats *DispatchStats) {
-	for {
-		at, ok := sh.completions.PeekTime()
-		if !ok || at > now {
-			return
-		}
-		ev, _ := sh.completions.Pop()
-		k := ev.Data.(*completionKey)
-		gd := k.gpu
-		sh.completions.Free(ev)
-		for j := range gd.res {
-			if gd.res[j].seq == k.seq {
-				copy(gd.res[j:], gd.res[j+1:])
-				gd.res = gd.res[:len(gd.res)-1]
-				gd.agg.RemoveAt(j)
-				break
-			}
-		}
-		sh.releaseKey(k)
-		stats.Completions++
-		if !gd.dirty {
-			gd.dirty = true
-			//repro:allow:hotpathalloc dirty-set growth is bounded by the shard's GPU count; capacity is retained
-			sh.dirtied = append(sh.dirtied, gd)
-		}
-	}
-}
-
-// onlineDispatcher is the admission state the decision loop drives: the
-// GPU fleet split into contiguous shards, each owning its range's
-// resident sets, completion heap, and telemetry. The decision kernel
-// (admit/retire/probe) is the production dispatcher's per-arrival work
-// and is held to the hot-path contract; dispatchOne keeps the
-// per-dispatch record building outside it.
-type onlineDispatcher struct {
-	shards []onlineShard
-	// base and rem describe the contiguous shard ranges: the first rem
-	// shards own base+1 GPUs, the rest base (shardFor inverts this in
-	// O(1)).
-	base, rem int
-
-	nextSeq uint64 // next resident placement serial, global across shards
+	nextSeq uint64 // next resident placement serial
 
 	clientCap        int
 	allowInterfering bool
 	stats            *DispatchStats
 	waitedNS         int64 // total queueing delay, sim ns
+
+	// Single-owner histograms: the decision loop is serial, so each
+	// observation is an unsynchronized int bump; mergeObs folds them into
+	// the shared registry once per run.
+	waitHist    *obs.LocalHistogram // admission latency, sim ms
+	depthHist   *obs.LocalHistogram // collocated clients at dispatch
+	serviceHist *obs.LocalHistogram // predicted service time, sim ms
 
 	// arrivalSeq numbers the arrivals in dispatch order — the key flight
 	// records carry and `gpusched explain -seq` queries by. The streamer
@@ -479,189 +290,157 @@ type onlineDispatcher struct {
 	// construction (nil when telemetry is disabled — the hot path then
 	// pays one predictable branch per probe and allocates nothing).
 	fl *obs.Flight
-
-	// pool fans shard scans over persistent workers when ProbeWorkers
-	// asked for parallel probing (nil = serial scanning with cross-shard
-	// early exit). scanFn is the prebuilt round closure — built once at
-	// construction so the per-round handoff allocates nothing — and the
-	// scan* fields are its arguments, written by probeRound before the
-	// fork (Gang.Run's channel handoff orders the writes before every
-	// worker read).
-	pool      *parallel.Gang
-	scanFn    func(int)
-	scanLoad  interference.Load
-	scanFirst bool
-	scanSeq   int64
-	scanNow   simtime.Time
-
-	// scanBest is the cooperative early-exit for parallel rounds: the
-	// lowest shard index holding an admit so far (CAS-min, reset to
-	// len(shards) before each fork). Workers abandon shards above it —
-	// safe because the merge stops strictly before those slots, and
-	// every shard at or below the final winner always completes.
-	scanBest atomic.Int32
 }
 
-// close releases the dispatcher's worker pool, if any. planOnline and
-// the streamer call it on teardown; a dispatcher without a pool has
-// nothing to release.
-func (d *onlineDispatcher) close() {
-	if d.pool != nil {
-		d.pool.Close()
-	}
+// completionKey is a completion event's payload: the GPU and the
+// placement serial of the resident the event retires. Keys are pooled
+// (acquireKey/releaseKey) so scheduling stays allocation-free in steady
+// state.
+type completionKey struct {
+	gpu *onlineGPU
+	seq uint64
 }
 
-// newOnlineDispatcher builds the sharded admission state. The shard
-// count is clamped to [1, GPUs]; GPU g lives in the shard whose
-// contiguous range contains it, so probing shards in index order visits
-// GPUs in exactly the flat dispatcher's order.
-//
-// ProbeWorkers > 1 with at least two shards arms the parallel scan
-// path: a persistent Gang (width clamped to the shard count) plus the
-// prebuilt round closure. ProbeWorkers <= 1 — the default — keeps the
-// serial scan, so small fleets never pay fork/join overhead.
+// newOnlineDispatcher builds the admission state for the scheduler's
+// fleet. A zero-GPU fleet gets no GPUs: every scan finds nothing and
+// admit reports the arrival unadmittable.
 func newOnlineDispatcher(s *Scheduler, stats *DispatchStats) *onlineDispatcher {
-	shards := s.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > s.GPUs {
-		// Covers the degenerate zero-GPU fleet too: no shards, every
-		// probe round finds nothing, and admit reports the arrival
-		// unadmittable instead of dividing by a zero shard count.
-		shards = s.GPUs
-	}
 	d := &onlineDispatcher{
-		shards:           make([]onlineShard, shards),
+		gpus:             make([]onlineGPU, s.GPUs),
 		clientCap:        s.Policy.clientCap(s.Device.MaxMPSClients),
 		allowInterfering: s.Policy.AllowInterferingPairs,
 		stats:            stats,
+		waitHist:         obs.NewLocalHistogram(queueWaitBoundsMs),
+		depthHist:        obs.NewLocalHistogram(groupOccupancyBounds),
+		serviceHist:      obs.NewLocalHistogram(serviceBoundsMs),
 		fl:               obs.Active().FlightRecorder(),
 	}
-	if shards > 0 {
-		d.base, d.rem = s.GPUs/shards, s.GPUs%shards
-	}
-	lo := 0
-	for si := range d.shards {
-		n := d.base
-		if si < d.rem {
-			n++
-		}
-		sh := &d.shards[si]
-		sh.lo = lo
-		sh.gpus = make([]onlineGPU, n)
-		for g := range sh.gpus {
-			sh.gpus[g].agg = interference.NewAggregate(s.Device)
-		}
-		sh.waitHist = obs.NewLocalHistogram(queueWaitBoundsMs)
-		sh.depthHist = obs.NewLocalHistogram(groupOccupancyBounds)
-		sh.serviceHist = obs.NewLocalHistogram(serviceBoundsMs)
-		sh.scanGPU = -1
-		lo += n
-	}
-	if workers := s.ProbeWorkers; workers > 1 && shards >= 2 {
-		if workers > shards {
-			workers = shards
-		}
-		d.pool = parallel.NewGang(workers)
-		d.scanFn = func(si int) {
-			d.shards[si].scan(d, si, d.scanLoad, d.scanFirst, d.scanSeq, d.scanNow)
-		}
+	for g := range d.gpus {
+		d.gpus[g].agg = interference.NewAggregate(s.Device)
 	}
 	return d
 }
 
-// shardFor returns the shard owning global GPU index g.
+// acquireKey takes a completion payload from the freelist or allocates
+// one.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) shardFor(g int) *onlineShard {
-	wide := d.rem * (d.base + 1)
-	if g < wide {
-		return &d.shards[g/(d.base+1)]
+func (d *onlineDispatcher) acquireKey() *completionKey {
+	if n := len(d.keyFree); n > 0 {
+		k := d.keyFree[n-1]
+		d.keyFree[n-1] = nil
+		d.keyFree = d.keyFree[:n-1]
+		return k
 	}
-	return &d.shards[d.rem+(g-wide)/d.base]
+	//repro:allow:hotpathalloc key-pool refill: cold path, amortized away once the steady state recycles keys
+	return &completionKey{}
 }
 
-// retire drains every shard's completion heap up to now. Shards retire
-// independently: a completion only touches its own GPU's resident set,
-// so the cross-shard processing order cannot affect any admission sum.
+// releaseKey returns a retired payload to the freelist.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) retire(now simtime.Time) {
-	for si := range d.shards {
-		d.shards[si].retire(now, d.stats)
-	}
+func (d *onlineDispatcher) releaseKey(k *completionKey) {
+	k.gpu = nil
+	//repro:allow:hotpathalloc key-pool growth is amortized; capacity is retained for the run's lifetime
+	d.keyFree = append(d.keyFree, k)
 }
 
-// nextCompletion returns the earliest predicted completion across all
-// shards: the minimum of the per-shard heap minima, exactly the global
-// heap minimum of the flat dispatcher.
+// scan probes the GPUs in index order for the first that admits the
+// load, stopping there, and returns its index or -1. On retry rounds
+// (first false) only dirty GPUs are probed: the rest rejected this same
+// candidate against an unchanged resident set, and an unchanged group
+// and the same candidate yield the same sums, hence the same rejection.
+// Every evaluated GPU (including client-cap skips) leaves a flight
+// record carrying the typed rule verdict.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) nextCompletion() (simtime.Time, bool) {
-	var best simtime.Time
-	found := false
-	for si := range d.shards {
-		if t, ok := d.shards[si].completions.PeekTime(); ok && (!found || t < best) {
-			best, found = t, true
-		}
-	}
-	return best, found
-}
-
-// probeRound runs one scan round over the shards and merges the
-// verdicts, returning the winning global GPU index or -1.
-//
-// Serial mode scans shards in index order with cross-shard early exit.
-// Parallel mode forks every shard's scan over the pool — speculative
-// work past the eventual winner — then discards it in the merge. Both
-// modes merge identically: walk the scanned shards in index order,
-// fold each shard's probe count into the stats and replay its trail
-// into the flight recorder, and stop at the first shard holding an
-// admit. The merge order is the serial scan's visit order, so counters
-// and trails are byte-identical at any worker count; shards past the
-// winner contribute nothing, exactly as if they were never scanned.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) probeRound(load interference.Load, first bool, seq int64, now simtime.Time) int {
-	scanned := len(d.shards)
-	if d.pool != nil {
-		d.scanLoad, d.scanFirst, d.scanSeq, d.scanNow = load, first, seq, now
-		d.scanBest.Store(int32(len(d.shards)))
-		d.pool.Run(len(d.shards), d.scanFn)
-	} else {
-		for si := range d.shards {
-			d.shards[si].scan(d, si, load, first, seq, now)
-			if d.shards[si].scanGPU >= 0 {
-				scanned = si + 1
-				break
-			}
-		}
-	}
+func (d *onlineDispatcher) scan(load interference.Load, first bool, seq int64, now simtime.Time) int {
+	fl := d.fl
 	placed := -1
-	for si := 0; si < scanned; si++ {
-		sh := &d.shards[si]
-		d.stats.Probes += sh.scanProbes
-		if d.fl != nil {
-			for i := range sh.trail {
-				d.fl.Record(sh.trail[i])
-			}
+	var probes int64
+	for g := range d.gpus {
+		gd := &d.gpus[g]
+		if !first && !gd.dirty {
+			continue
 		}
-		if sh.scanGPU >= 0 {
-			placed = sh.scanGPU
+		if len(gd.res)+1 > d.clientCap {
+			if fl != nil {
+				fl.Record(obs.FlightRecord{
+					Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
+					GPU: int32(g), Clients: int32(len(gd.res)),
+					Rules: uint8(interference.MaskClientCap),
+				})
+			}
+			continue
+		}
+		probes++
+		out := gd.agg.Admit(load)
+		admit := !out.Interferes()
+		if d.allowInterfering && !out.Capacity {
+			admit = true
+		}
+		if fl != nil {
+			r := out.Reason()
+			fl.Record(obs.FlightRecord{
+				Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
+				GPU: int32(g), Clients: int32(len(gd.res)),
+				Rules:         uint8(r.Rules),
+				SMExcessMilli: r.SMExcessMilli,
+				BWExcessMilli: r.BWExcessMilli,
+				MemExcessMiB:  r.MemExcessMiB,
+			})
+		}
+		if admit {
+			placed = g
 			break
 		}
 	}
+	d.stats.Probes += probes
 	return placed
 }
 
-// admit runs the wait loop for one arrival: first-fit over GPUs in
-// global index order (shards scanned serially or concurrently — the
-// merge keeps the outcome identical), waiting on predicted completions
-// when no GPU admits. It returns the dispatch instant and target, or
-// ok=false when no GPU can ever admit the load. Resident sets are only
-// mutated by retirement; the caller commits the chosen placement with
-// place.
+// retire removes the residents predicted to have finished by now,
+// marking their GPUs dirty for the next probe round. Removal is
+// identity-based: each completion event names the resident it was
+// scheduled for (by placement serial), so colliding finish instants on
+// one GPU can never retire the wrong resident — an index scan for
+// "first end <= now" would pick whichever collided resident sits
+// earliest in the list.
+//
+//repro:hotpath pinned by TestDispatcherAdmitAllocs
+func (d *onlineDispatcher) retire(now simtime.Time) {
+	for {
+		at, ok := d.completions.PeekTime()
+		if !ok || at > now {
+			return
+		}
+		ev, _ := d.completions.Pop()
+		k := ev.Data.(*completionKey)
+		gd := k.gpu
+		d.completions.Free(ev)
+		for j := range gd.res {
+			if gd.res[j].seq == k.seq {
+				copy(gd.res[j:], gd.res[j+1:])
+				gd.res = gd.res[:len(gd.res)-1]
+				gd.agg.RemoveAt(j)
+				break
+			}
+		}
+		d.releaseKey(k)
+		d.stats.Completions++
+		if !gd.dirty {
+			gd.dirty = true
+			//repro:allow:hotpathalloc dirty-set growth is bounded by the GPU count; capacity is retained
+			d.dirtied = append(d.dirtied, gd)
+		}
+	}
+}
+
+// admit runs the wait loop for one arrival: first-fit over GPUs in index
+// order, waiting on predicted completions when no GPU admits. It returns
+// the dispatch instant and target, or ok=false when no GPU can ever
+// admit the load. Resident sets are only mutated by retirement; the
+// caller commits the chosen placement with place.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, seq int64) (at simtime.Time, gpu int, ok bool) {
@@ -669,29 +448,25 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 	first := true
 	for {
 		d.retire(now)
-		placed := d.probeRound(load, first, seq, now)
-		// Clear every shard's dirty set, including shards after an early
-		// exit: the flat dispatcher cleared all marks after each round.
-		for si := range d.shards {
-			sh := &d.shards[si]
-			for _, gd := range sh.dirtied {
-				gd.dirty = false
-			}
-			sh.dirtied = sh.dirtied[:0]
+		placed := d.scan(load, first, seq, now)
+		// Clear every dirty mark, including those past an early exit: the
+		// next arrival scans every GPU anyway, and the next retry round
+		// must only see GPUs retired into after this one.
+		for _, gd := range d.dirtied {
+			gd.dirty = false
 		}
+		d.dirtied = d.dirtied[:0]
 		if placed >= 0 {
 			return now, placed, true
 		}
-		// Wait for the next predicted completion: the cross-shard heap
-		// minimum (every remaining resident ends after now).
-		next, okNext := d.nextCompletion()
+		// Wait for the next predicted completion (every remaining resident
+		// ends after now).
+		next, okNext := d.completions.PeekTime()
 		if !okNext {
 			return 0, -1, false
 		}
 		d.stats.Waits++
 		if d.fl != nil {
-			// The waited-to instant is the global heap minimum — a decision
-			// property, identical at any shard count.
 			d.fl.Record(obs.FlightRecord{
 				Seq: seq, Kind: obs.FlightWait, AtNS: int64(now),
 				GPU: -1, WaitNS: int64(next - now),
@@ -703,22 +478,21 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 }
 
 // place commits an admitted load: the resident joins GPU g's set and
-// fold, and its predicted completion is scheduled on g's shard against
-// the resident's placement serial.
+// fold, and its predicted completion is scheduled against the
+// resident's placement serial.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) place(g int, load interference.Load, name string, end simtime.Time) {
-	sh := d.shardFor(g)
-	gd := &sh.gpus[g-sh.lo]
+	gd := &d.gpus[g]
 	seq := d.nextSeq
 	d.nextSeq++
 	//repro:allow:hotpathalloc resident-list growth is bounded by the client cap; capacity is retained
 	gd.res = append(gd.res, onlineResident{name: name, end: end, seq: seq})
 	gd.agg.Add(load)
-	k := sh.acquireKey()
+	k := d.acquireKey()
 	k.gpu = gd
 	k.seq = seq
-	sh.completions.Schedule(end, 0, k)
+	d.completions.Schedule(end, 0, k)
 }
 
 // dispatchOne runs one arrival end to end: admit, record, place. The
@@ -748,8 +522,7 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *a
 		return DispatchEvent{}, fmt.Errorf("core: workflow %s cannot be admitted on any GPU (needs %d MiB)",
 			a.Workflow.Name, wp.MaxMemMiB)
 	}
-	sh := d.shardFor(placed)
-	gd := &sh.gpus[placed-sh.lo]
+	gd := &d.gpus[placed]
 	var alongside []string
 	if n := len(gd.res); n > 0 {
 		alongside = names.Make(n)
@@ -761,9 +534,9 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *a
 	d.place(placed, load, a.Workflow.Name, end)
 	waited := now.Sub(a.At)
 	d.waitedNS += int64(waited)
-	sh.waitHist.Observe(int64(waited / simtime.Millisecond))
-	sh.depthHist.Observe(int64(len(alongside) + 1))
-	sh.serviceHist.Observe(int64(wp.TotalDurationS * 1000))
+	d.waitHist.Observe(int64(waited / simtime.Millisecond))
+	d.depthHist.Observe(int64(len(alongside) + 1))
+	d.serviceHist.Observe(int64(wp.TotalDurationS * 1000))
 	if d.fl != nil {
 		d.fl.Record(obs.FlightRecord{
 			Seq: seq, Kind: obs.FlightDispatch, AtNS: int64(now),
@@ -781,18 +554,12 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *a
 }
 
 // mergeObs folds the dispatcher's single-owner telemetry into the
-// shared registry: per-shard histograms merge bucket-wise (commutative
-// sums, so totals are byte-identical at any shard count) and the
-// accumulated counters land once instead of per arrival.
+// shared registry: histograms merge bucket-wise and the accumulated
+// counters land once instead of per arrival.
 func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
-	waitHist := hub.Histogram("dispatch_queue_wait_ms", queueWaitBoundsMs)
-	occHist := hub.Histogram("dispatch_collocated_clients", groupOccupancyBounds)
-	svcHist := hub.Histogram("dispatch_service_ms", serviceBoundsMs)
-	for si := range d.shards {
-		d.shards[si].waitHist.MergeInto(waitHist)
-		d.shards[si].depthHist.MergeInto(occHist)
-		d.shards[si].serviceHist.MergeInto(svcHist)
-	}
+	d.waitHist.MergeInto(hub.Histogram("dispatch_queue_wait_ms", queueWaitBoundsMs))
+	d.depthHist.MergeInto(hub.Histogram("dispatch_collocated_clients", groupOccupancyBounds))
+	d.serviceHist.MergeInto(hub.Histogram("dispatch_service_ms", serviceBoundsMs))
 	hub.Counter("dispatch_total").Add(dispatched)
 	hub.Counter("dispatch_waited_simns_total").Add(d.waitedNS)
 	hub.Counter("dispatch_probe_total").Add(d.stats.Probes)
@@ -802,15 +569,12 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 
 // dispatchArrivals is the admission loop over all arrivals. Its
 // decisions are byte-identical to a full per-arrival rescan (pinned by
-// the goldens in testdata/) and to the flat single-shard dispatcher at
-// any shard count (pinned by TestShardCountIdentity), but each probe is
-// O(1) against the GPU's interference aggregate, retirements come off
-// per-shard completion-time min-heaps instead of an every-iteration
-// sweep, and wait-loop retries re-probe only GPUs whose resident set
-// changed.
+// the goldens in testdata/), but each probe is O(1) against the GPU's
+// interference aggregate, retirements come off a completion-time
+// min-heap instead of an every-iteration sweep, and wait-loop retries
+// re-probe only GPUs whose resident set changed.
 func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
 	d := newOnlineDispatcher(s, &plan.Stats)
-	defer d.close()
 	for i := range plan.arrivals {
 		ev, err := d.dispatchOne(&plan.arrivals[i], plan.profiles[i], &plan.mem.names)
 		if err != nil {

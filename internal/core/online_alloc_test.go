@@ -14,9 +14,8 @@ import (
 // GPUs so every arrival exercises retirement, dirty-set re-probing and
 // completion waits, not just the empty-fleet fast path.
 func TestDispatcherAdmitAllocs(t *testing.T) {
-	device := a100x()
 	var stats DispatchStats
-	d := testDispatcher(device, 4, 2, &stats)
+	d := testDispatcher(4, &stats)
 	load := interference.Load{SMPct: 30, BWPct: 20, MemMiB: 1024}
 	hold := simtime.FromSeconds(100)
 	now := simtime.Zero
@@ -50,9 +49,8 @@ func TestDispatcherAdmitAllocsFlightEnabled(t *testing.T) {
 	prev := obs.SetActive(obs.NewHub(nil))
 	defer obs.SetActive(prev)
 
-	device := a100x()
 	var stats DispatchStats
-	d := testDispatcher(device, 4, 2, &stats)
+	d := testDispatcher(4, &stats)
 	if d.fl == nil {
 		t.Fatal("dispatcher did not capture the active flight recorder")
 	}

@@ -66,58 +66,6 @@ func BenchmarkScheduleOnline(b *testing.B) {
 	}
 }
 
-// BenchmarkProbeWorkers measures the parallel decision plane at
-// large-fleet shapes: the same arrival stream planned with the serial
-// shard scan (w1) and with the probe gang fanned over eight workers
-// (w8). Decisions are byte-identical at every width — that is
-// TestProbeWorkerIdentity's pin — so the only thing that may differ
-// here is wall time. On a single-core host (GOMAXPROCS=1) w8 bounds
-// the fan-out overhead instead of showing a speedup: speculative
-// probing past the winner is already capped by the scanBest
-// cooperative early-exit (shards above a published winner abandon
-// after one atomic load), so the residual w8/w1 gap is the per-round
-// scheduling cost of waking and draining the helper goroutines on a
-// single P. The speedup itself scales with physical cores (up to
-// min(workers, shards) once shards spread the probe work evenly).
-func BenchmarkProbeWorkers(b *testing.B) {
-	configs := []struct {
-		name      string
-		workflows int
-		gpus      int
-		shards    int
-		workers   int
-	}{
-		{"200k-1024gpu-w1", 200_000, 1024, 32, 1},
-		{"200k-1024gpu-w8", 200_000, 1024, 32, 8},
-		{"500k-2048gpu-w1", 500_000, 2048, 64, 1},
-		{"500k-2048gpu-w8", 500_000, 2048, 64, 8},
-	}
-	for _, c := range configs {
-		b.Run(c.name, func(b *testing.B) {
-			s, arrivals := fleetBench(b, c.workflows, c.gpus, EnergyPolicy())
-			s.Shards = c.shards
-			s.ProbeWorkers = c.workers
-			if _, err := s.planOnline(arrivals); err != nil { // warm the profile cache
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan, err := s.planOnline(arrivals)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(plan.Dispatches) != c.workflows {
-					b.Fatalf("dispatched %d of %d", len(plan.Dispatches), c.workflows)
-				}
-			}
-			b.StopTimer()
-			nsPerArrival := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(c.workflows)
-			b.ReportMetric(nsPerArrival, "ns/arrival")
-		})
-	}
-}
-
 func BenchmarkBuildPlan(b *testing.B) {
 	configs := []struct {
 		name      string

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,6 +15,17 @@ import (
 )
 
 func at(s float64) simtime.Time { return simtime.Zero.Add(simtime.FromSeconds(s)) }
+
+// testDispatcher builds a dispatcher through the production constructor
+// over a bare energy-policy scheduler, for tests that drive the
+// admission kernel in isolation. The client cap is lowered to 8 so
+// small fleets saturate.
+func testDispatcher(gpus int, stats *DispatchStats) *onlineDispatcher {
+	s := &Scheduler{Device: a100x(), GPUs: gpus, Policy: EnergyPolicy()}
+	d := newOnlineDispatcher(s, stats)
+	d.clientCap = 8
+	return d
+}
 
 func TestScheduleOnlineBasics(t *testing.T) {
 	store := suiteStore(t)
@@ -106,7 +118,7 @@ func TestEmptyInputEdgeCases(t *testing.T) {
 // aggregate) identify the removals.
 func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 	var stats DispatchStats
-	d := testDispatcher(a100x(), 1, 1, &stats)
+	d := testDispatcher(1, &stats)
 
 	collide := at(10)
 	// Three residents, two sharing the finish instant; the survivor sits
@@ -118,7 +130,7 @@ func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 	d.place(0, interference.Load{SMPct: 30, BWPct: 3, MemMiB: 300}, "early-b", collide)
 
 	d.retire(collide)
-	gd := &d.shards[0].gpus[0]
+	gd := &d.gpus[0]
 	if len(gd.res) != 1 || gd.res[0].name != "late" {
 		t.Fatalf("survivors after colliding retirement = %+v, want only %q", gd.res, "late")
 	}
@@ -130,8 +142,64 @@ func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 		t.Fatalf("aggregate after retirement holds %d members: %+v", gd.agg.Len(), gd.agg)
 	}
 	// And the popped events' payload keys must have been recycled.
-	if len(d.shards[0].keyFree) != 2 {
-		t.Fatalf("key freelist holds %d entries, want 2", len(d.shards[0].keyFree))
+	if len(d.keyFree) != 2 {
+		t.Fatalf("key freelist holds %d entries, want 2", len(d.keyFree))
+	}
+}
+
+// TestDirtyMarksClearedAfterEarlyAdmit is the edge case for the
+// wait-loop dirty-set protocol: one wait round retires residents on GPU
+// 0 and GPU 3, and GPU 0 admits, ending the round before GPU 3 is ever
+// probed. Every dirty mark must still clear, and the cleared mark must
+// not hide GPU 3's freed capacity from the next arrival — fresh arrivals
+// scan every GPU, so the dirty set only narrows retry rounds of the same
+// wait loop. Placements must be the ones a full rescan of every GPU
+// would pick, and DispatchStats must count exactly the probes the dirty
+// protocol promises.
+func TestDirtyMarksClearedAfterEarlyAdmit(t *testing.T) {
+	load := interference.Load{SMPct: 60, BWPct: 10, MemMiB: 1024}
+	var stats DispatchStats
+	d := testDispatcher(4, &stats)
+	// Fill all four GPUs; GPU 0 and GPU 3 both free up at t=10s, the
+	// others much later.
+	for g, end := range []simtime.Time{at(10), at(100), at(100), at(10)} {
+		d.place(g, load, "filler", end)
+	}
+	type placement struct {
+		gpu int
+		at  simtime.Time
+	}
+	var got []placement
+	for seq, arrival := range []simtime.Time{simtime.Zero, at(11)} {
+		when, g, ok := d.admit(load, arrival, int64(seq))
+		if !ok {
+			t.Fatal("admit failed: a completion always frees capacity")
+		}
+		for i := range d.gpus {
+			if d.gpus[i].dirty {
+				t.Fatalf("arrival %d: GPU %d still marked dirty after its round", seq, i)
+			}
+		}
+		if len(d.dirtied) != 0 {
+			t.Fatalf("arrival %d: dirty list holds %d GPUs after its round", seq, len(d.dirtied))
+		}
+		d.place(g, load, "w", when.Add(simtime.FromSeconds(1000)))
+		got = append(got, placement{gpu: g, at: when})
+	}
+	// Arrival A at t=0: every GPU rejects, the wait round at t=10 retires
+	// GPU 0 and GPU 3, and GPU 0 admits. Arrival B at t=11: GPU 3 is free
+	// but its dirty mark was cleared by A's round — the full scan finds
+	// it.
+	want := []placement{{gpu: 0, at: at(10)}, {gpu: 3, at: at(11)}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("placements %+v, want %+v", got, want)
+	}
+	// A probes all four GPUs (all reject), then only the dirty GPU 0 on
+	// the retry (admit); B probes GPUs 0..3 (three rejects, then GPU 3
+	// admits).
+	wantStats := DispatchStats{Probes: 4 + 1 + 4, Waits: 1, Completions: 2}
+	if stats != wantStats {
+		t.Fatalf("stats %+v, want %+v", stats, wantStats)
 	}
 }
 

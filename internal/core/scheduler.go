@@ -91,19 +91,6 @@ type Scheduler struct {
 	// <= 0 selects GOMAXPROCS. Outcomes are byte-identical at any worker
 	// count (DESIGN.md §8).
 	Workers int
-	// Shards splits the online dispatcher's admission state into that
-	// many contiguous GPU ranges, each with its own completion heap and
-	// dirty set; <= 0 selects 1 and values beyond GPUs are clamped.
-	// Dispatch decisions are byte-identical at any shard count
-	// (DESIGN.md §14).
-	Shards int
-	// ProbeWorkers widens the online dispatcher's per-arrival shard scan
-	// over that many persistent workers; <= 1 — the default — scans
-	// serially, and values beyond the shard count are clamped. Parallel
-	// scanning needs at least two shards to engage. Dispatch decisions,
-	// stats, flight trails, and stream digests are byte-identical at any
-	// worker count (DESIGN.md §16).
-	ProbeWorkers int
 	// Cache optionally memoizes simulation runs across Execute calls;
 	// nil runs uncached.
 	Cache *parallel.Cache

@@ -50,7 +50,7 @@ type StreamConfig struct {
 // not choose one.
 const defaultRingCapacity = 1024
 
-// Streamer ingests arrivals one at a time through the sharded
+// Streamer ingests arrivals one at a time through the online
 // dispatcher. It is single-owner, like the dispatcher it drives; wrap
 // it in a mutex to share (cmd/gpusched's serve mode does).
 type Streamer struct {
@@ -70,7 +70,7 @@ type Streamer struct {
 }
 
 // NewStreamer returns a streaming ingest session against the
-// scheduler's fleet (GPUs, shards, policy, profile store).
+// scheduler's fleet (GPUs, policy, profile store).
 func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 	if cfg.RingCapacity < 0 {
 		return nil, fmt.Errorf("core: negative stream ring capacity %d", cfg.RingCapacity)
@@ -96,6 +96,10 @@ func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 // dispatcher's decisions assume a time-ordered stream, and an
 // out-of-order arrival would silently produce a log no sorted plan can
 // reproduce.
+//
+// The returned event's RunningAlongside is carved from the streamer's
+// name scratch and is valid only until the next Ingest, which reuses
+// it; a caller that keeps events across calls must copy the slice.
 func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	if st.finished {
 		return DispatchEvent{}, fmt.Errorf("core: ingest after Finish")
@@ -185,8 +189,8 @@ func (st *Streamer) WaitedS() float64 { return simtime.Time(st.d.waitedNS).Secon
 func (st *Streamer) Recent(dst []string) []string { return st.ring.Snapshot(dst) }
 
 // Finish closes the stream: the ring's retained events drain to the
-// spill sink, per-shard telemetry folds into the shared registry, and
-// the digest is finalized and returned as hex. The digest equals
+// spill sink, the dispatcher's telemetry folds into the shared
+// registry, and the digest is finalized and returned as hex. The digest equals
 // sha256(json.Marshal(events)) over the full dispatch log — the same
 // value digestDispatches computes for a materialized plan.
 func (st *Streamer) Finish() (string, error) {
@@ -194,7 +198,6 @@ func (st *Streamer) Finish() (string, error) {
 		return "", fmt.Errorf("core: Finish called twice")
 	}
 	st.finished = true
-	st.d.close()
 	for i := 0; i < st.ring.Len(); i++ {
 		if err := st.spillLine(st.ring.At(i)); err != nil {
 			return "", err
@@ -217,10 +220,9 @@ func (st *Streamer) Finish() (string, error) {
 // every sum bit for bit (the aggregate invariant: sums equal the
 // left-fold over the member list).
 type StreamState struct {
-	// GPUs and Shards pin the fleet shape; restore rejects a scheduler
-	// with a different one.
-	GPUs   int `json:"gpus"`
-	Shards int `json:"shards"`
+	// GPUs pins the fleet shape; restore rejects a scheduler with a
+	// different one.
+	GPUs int `json:"gpus"`
 
 	Events   int64          `json:"events"`
 	NextSeq  uint64         `json:"next_seq"`
@@ -230,7 +232,7 @@ type StreamState struct {
 	Digest   []byte         `json:"digest_state"`
 	Ring     []string       `json:"ring"`
 	Resident []residentSave `json:"residents"`
-	Hists    []shardHists   `json:"shard_hists"`
+	Hists    streamHists    `json:"hists"`
 	// Flight carries the decision-provenance ring when telemetry was
 	// enabled at save time, so a resumed run's trail is byte-identical
 	// to the uninterrupted one (nil when disabled).
@@ -246,8 +248,8 @@ type residentSave struct {
 	Load interference.Load `json:"load"`
 }
 
-// shardHists is one shard's telemetry in a stream snapshot.
-type shardHists struct {
+// streamHists is the dispatcher's telemetry in a stream snapshot.
+type streamHists struct {
 	Wait    obs.HistogramSnapshot `json:"wait"`
 	Depth   obs.HistogramSnapshot `json:"depth"`
 	Service obs.HistogramSnapshot `json:"service"`
@@ -265,7 +267,6 @@ func (st *Streamer) SaveState() (*StreamState, error) {
 	}
 	state := &StreamState{
 		GPUs:     st.sched.GPUs,
-		Shards:   len(st.d.shards),
 		Events:   st.n,
 		NextSeq:  st.d.nextSeq,
 		LastAt:   st.lastAt,
@@ -273,34 +274,31 @@ func (st *Streamer) SaveState() (*StreamState, error) {
 		WaitedNS: st.d.waitedNS,
 		Digest:   digestState,
 		Ring:     st.ring.Snapshot(nil),
+		Hists: streamHists{
+			Wait:    st.d.waitHist.Snapshot(),
+			Depth:   st.d.depthHist.Snapshot(),
+			Service: st.d.serviceHist.Snapshot(),
+		},
 	}
-	for si := range st.d.shards {
-		sh := &st.d.shards[si]
-		for g := range sh.gpus {
-			gd := &sh.gpus[g]
-			for j := range gd.res {
-				state.Resident = append(state.Resident, residentSave{
-					GPU:  sh.lo + g,
-					Name: gd.res[j].name,
-					End:  gd.res[j].end,
-					Seq:  gd.res[j].seq,
-					Load: gd.agg.At(j),
-				})
-			}
+	for g := range st.d.gpus {
+		gd := &st.d.gpus[g]
+		for j := range gd.res {
+			state.Resident = append(state.Resident, residentSave{
+				GPU:  g,
+				Name: gd.res[j].name,
+				End:  gd.res[j].end,
+				Seq:  gd.res[j].seq,
+				Load: gd.agg.At(j),
+			})
 		}
-		state.Hists = append(state.Hists, shardHists{
-			Wait:    sh.waitHist.Snapshot(),
-			Depth:   sh.depthHist.Snapshot(),
-			Service: sh.serviceHist.Snapshot(),
-		})
 	}
 	if st.d.fl != nil {
 		fs := st.d.fl.Snapshot()
 		state.Flight = &fs
 	}
-	// Global placement-serial order: per shard, completion events must be
-	// re-scheduled in their original schedule order so the heaps'
-	// same-instant tie-breaks replay identically.
+	// Placement-serial order: completion events must be re-scheduled in
+	// their original schedule order so the heap's same-instant tie-breaks
+	// replay identically.
 	sort.Slice(state.Resident, func(i, j int) bool {
 		return state.Resident[i].Seq < state.Resident[j].Seq
 	})
@@ -308,8 +306,8 @@ func (st *Streamer) SaveState() (*StreamState, error) {
 }
 
 // RestoreStreamer resumes a saved streaming run on this scheduler. The
-// scheduler must present the same fleet shape (GPUs, shards after
-// clamping) and profile store contents as the run that saved the state;
+// scheduler must present the same fleet shape (GPU count) and profile
+// store contents as the run that saved the state;
 // continuing the resumed stream over the remaining arrivals produces
 // byte-identical events — and the identical final digest — to the
 // uninterrupted run (pinned by TestStreamSnapshotResume).
@@ -324,14 +322,15 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 	if err != nil {
 		return nil, err
 	}
-	if got := len(st.d.shards); got != state.Shards {
-		return nil, fmt.Errorf("core: stream state saved with %d shards, scheduler resolves to %d", state.Shards, got)
-	}
 	if len(state.Ring) > st.ring.Cap() {
 		return nil, fmt.Errorf("core: stream state retains %d events, ring capacity is %d", len(state.Ring), st.ring.Cap())
 	}
-	if len(state.Hists) != len(st.d.shards) {
-		return nil, fmt.Errorf("core: stream state has %d shard histograms, want %d", len(state.Hists), len(st.d.shards))
+	// A snapshot without the histogram section (including one saved in
+	// the older per-shard format) fails here rather than resuming with
+	// silently zeroed telemetry.
+	if !st.d.waitHist.Restore(state.Hists.Wait) || !st.d.depthHist.Restore(state.Hists.Depth) ||
+		!st.d.serviceHist.Restore(state.Hists.Service) {
+		return nil, fmt.Errorf("core: stream state histograms missing or bounds mismatched")
 	}
 
 	var prevSeq uint64
@@ -343,26 +342,10 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 			return nil, fmt.Errorf("core: stream state resident serials not strictly increasing under next_seq")
 		}
 		prevSeq = r.Seq
-		sh := st.d.shardFor(r.GPU)
-		gd := &sh.gpus[r.GPU-sh.lo]
-		gd.res = append(gd.res, onlineResident{name: r.Name, end: r.End, seq: r.Seq})
-		gd.agg.Add(r.Load)
-		k := sh.acquireKey()
-		k.gpu = gd
-		k.seq = r.Seq
-		sh.completions.Schedule(r.End, 0, k)
-	}
-	for si := range st.d.shards {
-		sh := &st.d.shards[si]
-		if !sh.waitHist.Restore(state.Hists[si].Wait) || !sh.depthHist.Restore(state.Hists[si].Depth) {
-			return nil, fmt.Errorf("core: stream state shard %d histogram bounds mismatch", si)
-		}
-		// Service histograms were added to the state after wait/depth;
-		// restoring an older snapshot (zero-value section) is fine — the
-		// bounds check only rejects a populated mismatched section.
-		if len(state.Hists[si].Service.Bounds) > 0 && !sh.serviceHist.Restore(state.Hists[si].Service) {
-			return nil, fmt.Errorf("core: stream state shard %d service histogram bounds mismatch", si)
-		}
+		// place takes the resident's serial from nextSeq; the loop leaves
+		// nextSeq mid-stream and the restore below sets its saved value.
+		st.d.nextSeq = r.Seq
+		st.d.place(r.GPU, r.Load, r.Name, r.End)
 	}
 	if state.Flight != nil && st.d.fl != nil {
 		if err := st.d.fl.Restore(*state.Flight); err != nil {

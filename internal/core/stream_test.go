@@ -14,13 +14,12 @@ import (
 )
 
 // fleetScheduler builds a scheduler over a generated fleet's store.
-func fleetScheduler(t *testing.T, store *profile.Store, gpus, shards int) *Scheduler {
+func fleetScheduler(t *testing.T, store *profile.Store, gpus int) *Scheduler {
 	t.Helper()
 	s, err := NewScheduler(a100x(), gpus, store, EnergyPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Shards = shards
 	return s
 }
 
@@ -66,41 +65,6 @@ func TestFleetSourceMatchesGenerateFleet(t *testing.T) {
 	}
 }
 
-// TestShardCountIdentity is the tentpole's identity pin: the dispatch
-// log — every decision byte, not a summary — is identical at shard
-// counts 1, 4, 5 (uneven ranges), and 16, and so is the fleet digest.
-func TestShardCountIdentity(t *testing.T) {
-	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 2000, TargetGPUs: 16, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := fleetScheduler(t, store, 16, 1)
-	ref, err := base.PlanOnline(arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refCount, refDigest := digestDispatches(t, ref.Dispatches)
-	if refCount != len(arrivals) {
-		t.Fatalf("dispatched %d of %d", refCount, len(arrivals))
-	}
-	for _, shards := range []int{4, 5, 16, 64 /* clamped to 16 */} {
-		s := fleetScheduler(t, store, 16, shards)
-		plan, err := s.PlanOnline(arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plan.Dispatches, ref.Dispatches) {
-			t.Fatalf("shards=%d: dispatch log diverged from flat dispatcher", shards)
-		}
-		if _, digest := digestDispatches(t, plan.Dispatches); digest != refDigest {
-			t.Fatalf("shards=%d: digest %s, want %s", shards, digest, refDigest)
-		}
-		if plan.Stats != ref.Stats {
-			t.Fatalf("shards=%d: stats %+v, want %+v", shards, plan.Stats, ref.Stats)
-		}
-	}
-}
-
 // TestStreamDigestMatchesPlan pins the streaming frame format: digest
 // over '[' e1 ',' ... ']' streamed one event at a time equals
 // sha256(json.Marshal(dispatches)) of the materialized plan, and the
@@ -110,7 +74,7 @@ func TestStreamDigestMatchesPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fleetScheduler(t, store, 8, 4)
+	s := fleetScheduler(t, store, 8)
 	plan, err := s.PlanOnline(arrivals)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +126,7 @@ func TestStreamSnapshotResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fleetScheduler(t, store, 12, 5)
+	s := fleetScheduler(t, store, 12)
 
 	// Uninterrupted reference run.
 	var refSpill bytes.Buffer
@@ -205,7 +169,7 @@ func TestStreamSnapshotResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := fleetScheduler(t, store, 12, 5)
+	s2 := fleetScheduler(t, store, 12)
 	var spillB bytes.Buffer
 	second, err := s2.RestoreStreamer(StreamConfig{RingCapacity: 32, Spill: &spillB}, &restored)
 	if err != nil {
@@ -243,14 +207,14 @@ func TestStreamSnapshotResume(t *testing.T) {
 }
 
 // TestStreamRestoreValidation exercises the snapshot compatibility
-// checks: fleet shape, shard count, ring capacity, and serial order all
-// gate a restore.
+// checks: fleet shape, snapshot format, ring capacity, and serial order
+// all gate a restore.
 func TestStreamRestoreValidation(t *testing.T) {
 	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 200, TargetGPUs: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fleetScheduler(t, store, 4, 2)
+	s := fleetScheduler(t, store, 4)
 	st, err := s.NewStreamer(StreamConfig{RingCapacity: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -272,15 +236,36 @@ func TestStreamRestoreValidation(t *testing.T) {
 		mutate func(*StreamState)
 		want   string
 	}{
-		{"gpu mismatch", fleetScheduler(t, store, 8, 2), StreamConfig{RingCapacity: 16}, nil, "saved for 4 GPUs"},
-		{"shard mismatch", fleetScheduler(t, store, 4, 4), StreamConfig{RingCapacity: 16}, nil, "saved with 2 shards"},
-		{"ring too small", fleetScheduler(t, store, 4, 2), StreamConfig{RingCapacity: 2}, nil, "ring capacity"},
-		{"resident gpu out of range", fleetScheduler(t, store, 4, 2), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
+		{"gpu mismatch", fleetScheduler(t, store, 8), StreamConfig{RingCapacity: 16}, nil, "saved for 4 GPUs"},
+		{"pre-change snapshot", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
+			// Re-encode in the older format: a "shards" count and per-shard
+			// "shard_hists" list in place of the single "hists" section.
+			blob, err := json.Marshal(ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(blob, &doc); err != nil {
+				t.Fatal(err)
+			}
+			doc["shards"] = json.RawMessage("1")
+			doc["shard_hists"] = json.RawMessage("[" + string(doc["hists"]) + "]")
+			delete(doc, "hists")
+			if blob, err = json.Marshal(doc); err != nil {
+				t.Fatal(err)
+			}
+			*ss = StreamState{}
+			if err := json.Unmarshal(blob, ss); err != nil {
+				t.Fatal(err)
+			}
+		}, "histograms missing"},
+		{"ring too small", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 2}, nil, "ring capacity"},
+		{"resident gpu out of range", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
 			if len(ss.Resident) > 0 {
 				ss.Resident[0].GPU = 99
 			}
 		}, "on GPU 99"},
-		{"serials not increasing", fleetScheduler(t, store, 4, 2), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
+		{"serials not increasing", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
 			if len(ss.Resident) > 1 {
 				ss.Resident[1].Seq = ss.Resident[0].Seq
 			}
@@ -307,7 +292,7 @@ func TestStreamRestoreValidation(t *testing.T) {
 // TestStreamMisuse pins the ordering and lifecycle errors.
 func TestStreamMisuse(t *testing.T) {
 	store := suiteStore(t)
-	s := fleetScheduler(t, store, 2, 1)
+	s := fleetScheduler(t, store, 2)
 	st, err := s.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +330,7 @@ func TestStreamMisuse(t *testing.T) {
 // empty slice, matching a plan with no dispatches.
 func TestStreamEmptyDigest(t *testing.T) {
 	store := suiteStore(t)
-	s := fleetScheduler(t, store, 1, 1)
+	s := fleetScheduler(t, store, 1)
 	st, err := s.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -362,7 +347,7 @@ func TestStreamEmptyDigest(t *testing.T) {
 
 // TestPlanOnlineZeroGPUs pins the degenerate fleet: NewScheduler
 // rejects it, and a hand-built zero-GPU scheduler reports the first
-// arrival unadmittable instead of panicking in the shard arithmetic.
+// arrival unadmittable instead of panicking.
 func TestPlanOnlineZeroGPUs(t *testing.T) {
 	store := suiteStore(t)
 	if _, err := NewScheduler(a100x(), 0, store, EnergyPolicy()); err == nil {
@@ -378,7 +363,7 @@ func TestPlanOnlineZeroGPUs(t *testing.T) {
 // TestPlanOnlineDuplicateArrivalTimes pins the tie-break for arrivals
 // sharing a submission instant: submission order (the sort is stable,
 // the dispatcher processes in order), so the dispatch log lists them in
-// input order regardless of shard count.
+// input order.
 func TestPlanOnlineDuplicateArrivalTimes(t *testing.T) {
 	store := suiteStore(t)
 	var arrivals []Arrival
@@ -388,23 +373,13 @@ func TestPlanOnlineDuplicateArrivalTimes(t *testing.T) {
 			Workflow: wfOne(fmt.Sprintf("dup-%d", i), "AthenaPK", "4x", 1),
 		})
 	}
-	var ref []DispatchEvent
-	for _, shards := range []int{1, 2, 4} {
-		s := fleetScheduler(t, store, 4, shards)
-		plan, err := s.PlanOnline(arrivals)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range plan.Dispatches {
-			if want := fmt.Sprintf("dup-%d", i); d.Workflow != want {
-				t.Fatalf("shards=%d: dispatch %d is %s, want %s (tie-break must be submission order)",
-					shards, i, d.Workflow, want)
-			}
-		}
-		if ref == nil {
-			ref = plan.Dispatches
-		} else if !reflect.DeepEqual(plan.Dispatches, ref) {
-			t.Fatalf("shards=%d: duplicate-timestamp log diverged", shards)
+	plan, err := fleetScheduler(t, store, 4).PlanOnline(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range plan.Dispatches {
+		if want := fmt.Sprintf("dup-%d", i); d.Workflow != want {
+			t.Fatalf("dispatch %d is %s, want %s (tie-break must be submission order)", i, d.Workflow, want)
 		}
 	}
 }
@@ -415,7 +390,7 @@ func TestPlanOnlineDuplicateArrivalTimes(t *testing.T) {
 // profiles recycle through Put.
 func TestStreamProfileRecycling(t *testing.T) {
 	store := suiteStore(t)
-	s := fleetScheduler(t, store, 2, 1)
+	s := fleetScheduler(t, store, 2)
 	st, err := s.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +441,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fleetScheduler(t, store, gpus, 16)
+	s := fleetScheduler(t, store, gpus)
 	var spilled countingWriter
 	st, err := s.NewStreamer(StreamConfig{RingCapacity: 4096, Spill: &spilled})
 	if err != nil {
@@ -535,7 +510,7 @@ func TestPlanOnlineSteadyAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := fleetScheduler(t, store, 16, 4)
+	s := fleetScheduler(t, store, 16)
 	allocs := testing.AllocsPerRun(3, func() {
 		if _, err := s.planOnline(arrivals); err != nil {
 			t.Fatal(err)

@@ -18,9 +18,8 @@ import (
 //
 // The recorder lives under the same determinism contract as the metrics
 // registry (DESIGN.md §10/§15): records carry sim-time and integer-
-// scaled magnitudes only, callers emit them in decision order, and the
-// dispatchers record nothing whose order depends on the shard count —
-// so the snapshot is byte-identical at any -j / -shards. Like every obs
+// scaled magnitudes only, and callers emit them in decision order — so
+// the snapshot is byte-identical at any -j. Like every obs
 // type, a nil *Flight is a no-op, and Record on a live recorder with no
 // spill writer allocates nothing.
 
@@ -198,7 +197,7 @@ func (f *Flight) writeSpill(r FlightRecord) {
 // FlightSnapshot is the exported recorder state: the retained records
 // oldest-first plus the lifetime accounting. Identical decision
 // streams produce identical snapshots, and json.Marshal of the struct
-// is byte-stable, so snapshots diff exactly across shard counts.
+// is byte-stable, so snapshots diff exactly across runs.
 type FlightSnapshot struct {
 	Capacity int            `json:"capacity"`
 	Total    int64          `json:"total"`

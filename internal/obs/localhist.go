@@ -4,7 +4,7 @@ import "math"
 
 // LocalHistogram is the single-owner counterpart of Histogram: the same
 // int64 fixed-bucket shape, but plain fields instead of atomics, so a
-// hot loop that owns the histogram (one dispatcher shard, one worker)
+// hot loop that owns the histogram (one dispatcher, one worker)
 // can observe without synchronization or a registry lookup. At the end
 // of the run the owner folds it into the shared registry with MergeInto
 // — bucket counts are commutative sums, so merged totals and the JSON
@@ -111,8 +111,8 @@ func (h *LocalHistogram) Snapshot() HistogramSnapshot {
 }
 
 // Restore overwrites the histogram state from a snapshot with the same
-// bounds (the streaming dispatcher reloads per-shard histograms from a
-// saved run state). It reports false when the snapshot's bounds do not
+// bounds (the streaming dispatcher reloads its histograms from a saved
+// run state). It reports false when the snapshot's bounds do not
 // match.
 func (h *LocalHistogram) Restore(s HistogramSnapshot) bool {
 	if h == nil || len(s.Bounds) != len(h.bounds) || len(s.Counts) != len(h.counts) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"gpushare/internal/gpu"
 	"gpushare/internal/kernel"
@@ -202,8 +203,11 @@ var suite = []*benchDef{
 
 var (
 	byName = map[string]*benchDef{}
-	// workloads caches constructed Workload values per canonical name.
-	workloads = map[string]*Workload{}
+	// workloads caches constructed Workload values per canonical name;
+	// workloadsMu guards it, since experiments call Get from parallel
+	// workers.
+	workloads   = map[string]*Workload{}
+	workloadsMu sync.Mutex
 )
 
 func init() {
@@ -251,6 +255,8 @@ func Get(name string) (*Workload, error) {
 		sort.Strings(known)
 		return nil, fmt.Errorf("workload: unknown benchmark %q (known: %v)", name, known)
 	}
+	workloadsMu.Lock()
+	defer workloadsMu.Unlock()
 	if w, ok := workloads[d.name]; ok {
 		return w, nil
 	}

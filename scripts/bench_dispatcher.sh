@@ -13,7 +13,7 @@ out=${1:-BENCH_dispatcher.json}
 benchtime=${BENCHTIME:-3x}
 
 echo "running dispatcher benchmarks (-benchtime=$benchtime)..." >&2
-bench=$(go test -run '^$' -bench 'BenchmarkScheduleOnline|BenchmarkBuildPlan|BenchmarkProbeWorkers' \
+bench=$(go test -run '^$' -bench 'BenchmarkScheduleOnline|BenchmarkBuildPlan' \
 	-benchtime="$benchtime" -count=1 -timeout 30m ./internal/core)
 echo "$bench" >&2
 
@@ -49,34 +49,13 @@ emit_size() { # emit_size BENCH_REGEX PER_UNIT BEFORE_NS BEFORE_B BEFORE_A
 	}'
 }
 
-# emit_probe SHAPE_PREFIX: serial (w1) vs eight-worker (w8) probe scan
-# at one fleet shape. Both are measured live; the projected multi-core
-# speedup divides the w8 aggregate work evenly over eight cores
-# (w1 / (w8/8)) — on a single-core host w8's wall time IS the summed
-# worker time, so the quotient models perfect spreading.
-emit_probe() {
-	local pat=$1
-	local w1 w8
-	w1=$(metric "BenchmarkProbeWorkers/${pat}-w1" "ns/arrival")
-	w8=$(metric "BenchmarkProbeWorkers/${pat}-w8" "ns/arrival")
-	require "$pat-w1" "$w1" "ns/arrival"
-	require "$pat-w8" "$w8" "ns/arrival"
-	awk -v w1="$w1" -v w8="$w8" 'BEGIN {
-		printf "      \"serial_w1\": { \"ns_per_arrival\": %d },\n", w1+0.5
-		printf "      \"parallel_w8\": { \"ns_per_arrival\": %d },\n", w8+0.5
-		printf "      \"projected_8core_speedup\": %.2f\n", w1/(w8/8)
-	}'
-}
-
-ncpu=$(nproc 2>/dev/null || echo 1)
-
 host="$(awk -F': ' '/model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)"
 host="${host:-unknown CPU}, $(go env GOOS)/$(go env GOARCH), $(go version | awk '{print $3}')"
 
 {
 	cat <<EOF
 {
-  "description": "Scheduling decision path before/after for the sharded arena-backed dispatcher rewrite. 'before' is the PR-5 incremental-aggregate dispatcher (commit b152169: O(1) admission sums and an eventq completion heap, but per-arrival workflow-profile construction, per-event name-list slices, and an append-grown dispatch log). 'after' shards the fleet into deterministic GPU ranges (per-shard aggregates + completion heaps, probed in index order so decisions are byte-identical at any shard count), caches single-task workflow profiles, and backs all per-arrival output with arena/freelist storage; the streaming path bounds memory with a ring-buffered event log spilled as JSONL. The parallel_probe section adds the probe-worker gang on top: shard scans fanned over persistent workers with a serial index-order merge, byte-identical at any worker count. Decision identity is pinned by TestShardCountIdentity, TestProbeWorkerIdentity, TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata, generated pre-rewrite).",
+  "description": "Scheduling decision path before/after for the arena-backed dispatcher rewrite. 'before' is the PR-5 incremental-aggregate dispatcher (commit b152169: O(1) admission sums and an eventq completion heap, but per-arrival workflow-profile construction, per-event name-list slices, and an append-grown dispatch log). 'after' caches single-task workflow profiles and backs all per-arrival output with arena/freelist storage; the streaming path bounds memory with a ring-buffered event log spilled as JSONL. Decision identity is pinned by TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata, generated pre-rewrite).",
   "host": "$host",
   "generated_by": "scripts/bench_dispatcher.sh (make bench-dispatcher), -benchtime=$benchtime",
   "methodology": {
@@ -112,24 +91,11 @@ EOF
 	cat <<EOF
     }
   },
-  "parallel_probe": {
-    "note": "parallel decision plane (-probe-workers / Scheduler.ProbeWorkers): shard scans fanned over a persistent worker gang, decisions byte-identical at any width (TestProbeWorkerIdentity, TestClusterProbeWorkerIdentity). Measured on a ${ncpu}-core host (GOMAXPROCS=$ncpu): with a single core the w8 column bounds the fan-out overhead — speculation past the winner is capped by the scanBest cooperative early-exit, so the gap is the per-round cost of waking and draining seven helper goroutines on one P. projected_8core_speedup = w1 / (w8/8): on one core w8's wall time equals the summed worker time, so dividing it over eight cores models perfect spreading; re-run this script on a multi-core host for measured speedups. Small shapes are unaffected: the pool only arms when ProbeWorkers > 1 and shards >= 2, and the default (0) scans serially.",
-    "200k_1024gpu_32shards": {
-EOF
-	emit_probe '200k-1024gpu'
-	cat <<EOF
-    },
-    "500k_2048gpu_64shards": {
-EOF
-	emit_probe '500k-2048gpu'
-	cat <<EOF
-    }
-  },
   "streaming": {
-    "note": "bounded-memory soak: 1M arrivals x 1024 GPUs x 16 shards through core.Streamer with a 4096-entry ring and a counting spill sink peaks under 5 MiB of live heap (TestStreamBoundedMemory, skipped under -short and -race); snapshot at 2/3 and resume reproduces the uninterrupted digest (TestStreamSnapshotResume)"
+    "note": "bounded-memory soak: 1M arrivals x 1024 GPUs through core.Streamer with a 4096-entry ring and a counting spill sink peaks under 5 MiB of live heap (TestStreamBoundedMemory, skipped under -short and -race); snapshot at 2/3 and resume reproduces the uninterrupted digest (TestStreamSnapshotResume)"
   },
   "notes": "Remaining allocations are the retained dispatch-event log and its alongside name lists (plan output, arena-backed but necessarily live until the plan is returned) plus profile-cache warming; the admission probe itself is allocation-free, pinned by TestAggregateAdmitAllocs and TestDispatcherAdmitAllocs (testing.AllocsPerRun == 0), and the steady-state planOnline floor is pinned by TestPlanOnlineSteadyAllocs (<= 0.5 allocs/arrival warm). Bit-identity of the aggregate sums against interference.Predict is pinned by FuzzAggregateMatchesPredict.",
-  "regression_net": "TestGoldenPlans / TestGoldenDispatchLogs / TestGoldenOnlineOutcome (byte-diff against pre-rewrite testdata), TestShardCountIdentity, TestProbeWorkerIdentity / TestStreamProbeWorkerIdentity / TestClusterProbeWorkerIdentity (byte-identical outcomes, flight trails, and metrics at worker counts 1/2/4/8/NumCPU), TestWhatIfLeavesAggregateUntouched (preemption what-ifs provably read-only), TestStreamDigestMatchesPlan, TestStreamSnapshotResume, TestDispatcherAdmitAllocs + TestDispatcherAdmitAllocsParallel, TestPlanOnlineSteadyAllocs, FuzzAggregateMatchesPredict / FuzzRing / FuzzArena (make fuzz), and the CI bench-smoke step (make bench-smoke, which diffs the -shards 1 vs -shards 8 -stream dispatch digests and the -probe-workers 1 vs 8 digests)"
+  "regression_net": "TestGoldenPlans / TestGoldenDispatchLogs / TestGoldenOnlineOutcome (byte-diff against pre-rewrite testdata), TestWhatIfLeavesAggregateUntouched (preemption what-ifs provably read-only), TestStreamDigestMatchesPlan, TestStreamSnapshotResume, TestDispatcherAdmitAllocs, TestPlanOnlineSteadyAllocs, FuzzAggregateMatchesPredict / FuzzRing / FuzzArena (make fuzz), and the CI bench-smoke step (make bench-smoke, which diffs the batch vs -stream dispatch digests)"
 }
 EOF
 } >"$out"
