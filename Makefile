@@ -7,7 +7,7 @@ FUZZTIME ?= 15s
 # Experiment driven by `make profile`; override e.g. PROFILE_RUN=fig1,fig5.
 PROFILE_RUN ?= fig4
 
-.PHONY: all build test test-race race vet lint-baseline fmt fuzz check clean profile bench-smoke bench-dispatcher obs-smoke
+.PHONY: all build test test-race race vet lint-baseline fmt fuzz check clean profile bench-smoke bench-dispatcher bench-test obs-smoke
 
 all: build
 
@@ -49,13 +49,15 @@ fmt:
 
 # Short fuzzing sessions over the properties the simulator depends on:
 # predictor symmetry/no-panic, aggregate/Predict bit-identity (the
-# dispatcher's O(1) admission probes), event-queue pop ordering, the
+# dispatcher's O(1) admission probes), the admission pool against a
+# reference model, event-queue pop ordering, the
 # cluster planner's all-or-nothing gang accounting, and the arena
 # ring/slab invariants the streaming dispatcher's memory bounds rest on.
 # Native Go fuzzing takes one target per invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
 	$(GO) test -run='^$$' -fuzz=FuzzAggregateMatchesPredict -fuzztime=$(FUZZTIME) ./internal/interference
+	$(GO) test -run='^$$' -fuzz=FuzzPool -fuzztime=$(FUZZTIME) ./internal/admission
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRing -fuzztime=$(FUZZTIME) ./internal/arena
@@ -96,7 +98,12 @@ bench-dispatcher:
 obs-smoke:
 	bash scripts/obs_smoke.sh
 
-check: fmt build vet test race
+# The benchmark harness is its own module (bench/go.mod), so the root
+# `go test ./...` never builds it; -short skips its served-path smoke.
+bench-test:
+	cd bench && $(GO) test -short ./...
+
+check: fmt build vet test bench-test race
 
 clean:
 	$(GO) clean ./...

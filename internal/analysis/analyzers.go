@@ -6,6 +6,7 @@ import "strings"
 // results: any wall-clock or math/rand use here breaks run-to-run
 // reproducibility.
 var simulatorPackages = []string{
+	"internal/admission",
 	"internal/arena",
 	"internal/cluster",
 	"internal/core",
@@ -21,6 +22,7 @@ var simulatorPackages = []string{
 // metricPackages carry float64 utilization/energy arithmetic where exact
 // ==/!= comparison is a correctness hazard.
 var metricPackages = []string{
+	"internal/admission",
 	"internal/cluster",
 	"internal/core",
 	"internal/interference",

@@ -10,9 +10,9 @@
 // KAI-Scheduler (podgroup gang admission, fair-share queues, preempt
 // actions); per-node partition modes echo contention-aware partition
 // allocation (Zahaf et al., arXiv:2105.10312). Admission itself stays
-// the paper's §IV-B additive rules: every GPU carries one
-// interference.Aggregate, so a probe is O(1) and a preemption what-if is
-// a snapshot/restore round trip over the same sums (DESIGN.md §13).
+// the paper's §IV-B additive rules over the admission pool's per-GPU
+// sums: a probe is O(1) and a preemption what-if is a read-only masked
+// fold over the same sums (DESIGN.md §13).
 //
 // Everything is a deterministic function of the spec and the submission
 // stream: tenants are picked with explicit tie-breaks (deficit, then

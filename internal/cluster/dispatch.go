@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"gpushare/internal/eventq"
@@ -13,7 +14,7 @@ import (
 // The cluster admission loop. One event loop advances simulated time
 // over arrivals and completions; at every instant a dispatch round
 // drains as many queued gangs as fit. Gang placement is a journal
-// transaction over per-GPU aggregates: members place one by one
+// transaction over the admission pool: members place one by one
 // (evicting lower-priority gangs when preemption is on), and the first
 // member that cannot be placed rolls the whole attempt back — admission
 // is all-or-nothing by construction.
@@ -90,18 +91,6 @@ func (st *planner) queuedAny() bool {
 	return false
 }
 
-// clusterIdle reports whether no resident is placed anywhere.
-func (st *planner) clusterIdle() bool {
-	for i := range st.nodes {
-		for g := range st.nodes[i].gpus {
-			if len(st.nodes[i].gpus[g].res) > 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 // retire removes one completed member. The event payload is the
 // resident pointer, so retirement is identity-based: a cancelled
 // (evicted) resident can never be confused with a survivor that happens
@@ -109,8 +98,11 @@ func (st *planner) clusterIdle() bool {
 func (st *planner) retire(ev *eventq.Event, now simtime.Time) {
 	r := ev.Data.(*resident)
 	st.completions.Free(ev)
-	g := &r.node.gpus[r.gpuIx]
-	st.removeResident(g, r)
+	i := slices.Index(st.pool.Residents(r.gpu), r)
+	if i < 0 {
+		panic("cluster: resident missing from its GPU")
+	}
+	st.pool.RemoveAt(r.gpu, i)
 	st.stats.Completions++
 
 	j := r.job
@@ -141,19 +133,6 @@ func (st *planner) retire(ev *eventq.Event, now simtime.Time) {
 	j.tenant.serviceHist.Observe(int64((sum.MakespanS - sum.WaitedS) * 1000))
 }
 
-// removeResident unlinks r from its GPU, keeping the aggregate's fold
-// sequence parallel to the resident slice.
-func (st *planner) removeResident(g *gpuState, r *resident) {
-	for i := range g.res {
-		if g.res[i] == r {
-			g.agg.RemoveAt(i)
-			g.res = append(g.res[:i], g.res[i+1:]...)
-			return
-		}
-	}
-	panic("cluster: resident missing from its GPU")
-}
-
 // dispatchRound places queued gangs until no eligible tenant's head
 // fits. A tenant whose head fails placement is blocked for the round
 // (head-of-line order within a tenant is strict), but other tenants keep
@@ -175,7 +154,7 @@ func (st *planner) dispatchRound(now simtime.Time) {
 		if st.tryPlaceGang(j, now) {
 			continue
 		}
-		if st.clusterIdle() {
+		if st.pool.Total() == 0 {
 			// The gang fails against a fully idle cluster: it can never
 			// be admitted. Fail it permanently instead of wedging the
 			// tenant's queue forever.
@@ -253,19 +232,19 @@ func (st *planner) pickTenant() *tenantState {
 }
 
 // tryPlaceGang attempts an all-or-nothing placement of j's members at
-// now. It runs as a journal transaction: GPU aggregates and resident
-// lists mutate in place behind lazy per-GPU snapshots, and failure
-// restores every touched GPU bit-for-bit (interference.Snapshot restores
-// the fold sums, not a recomputation). Completion events are only
+// now. It runs as a journal transaction: pool GPUs mutate in place
+// behind lazy per-GPU snapshots, and failure restores every touched GPU
+// bit-for-bit (admission.Snapshot restores the fold sums, not a
+// recomputation). Completion events are only
 // scheduled — and victim events only cancelled — at commit, so an
 // aborted what-if leaves the event queue untouched.
 func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	for i := range j.members {
 		g := st.findFit(j, &j.members[i], now)
-		if g == nil && st.spec.Preemption {
+		if g < 0 && st.spec.Preemption {
 			g = st.evictForMember(j, &j.members[i], now)
 		}
-		if g == nil {
+		if g < 0 {
 			st.rollback()
 			return false
 		}
@@ -275,123 +254,90 @@ func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	return true
 }
 
-// findFit scans nodes in spec order and GPUs in index order for the
-// first device that admits the member under the node's sharing mode.
-// Every probe — hit or miss — lands in the flight recorder with its
-// per-rule verdict when telemetry is on.
+// findFit scans the pool — nodes in spec order, GPUs in index order —
+// for the first device that admits the member under the node's sharing
+// mode, returning its pool index or -1. Every probe — hit or miss —
+// lands in the flight recorder with its per-rule verdict when telemetry
+// is on. It walks node by node, keeping each node's mode at hand.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) findFit(j *job, m *member, now simtime.Time) *gpuState {
+func (st *planner) findFit(j *job, m *member, now simtime.Time) int {
 	for n := range st.nodes {
 		node := &st.nodes[n]
-		for g := range node.gpus {
-			gs := &node.gpus[g]
+		for g := node.first; g < node.first+node.spec.GPUs; g++ {
 			st.stats.Probes++
-			ok, reason := st.probeReason(gs, m, len(gs.res))
+			ok, reason := st.probe(node, g, m, st.pool.Len(g), nil)
 			if st.fl != nil {
-				st.fl.Record(obs.FlightRecord{
-					Seq:           int64(j.seq),
-					Kind:          obs.FlightProbe,
-					AtNS:          int64(now),
-					Tenant:        j.tenant.spec.Name,
-					Workflow:      m.profile.Workflow.Name,
-					Node:          node.spec.Name,
-					GPU:           int32(g),
-					Clients:       int32(len(gs.res)),
-					Rules:         uint8(reason.Rules),
-					SMExcessMilli: reason.SMExcessMilli,
-					BWExcessMilli: reason.BWExcessMilli,
-					MemExcessMiB:  reason.MemExcessMiB,
-				})
+				rec := st.gpuRecord(obs.FlightProbe, j, m, g, now)
+				rec.Rules = uint8(reason.Rules)
+				rec.SMExcessMilli = reason.SMExcessMilli
+				rec.BWExcessMilli = reason.BWExcessMilli
+				rec.MemExcessMiB = reason.MemExcessMiB
+				st.fl.Record(rec)
 			}
 			if ok {
-				return gs
+				return g
 			}
 		}
 	}
-	return nil
+	return -1
+}
+
+// gpuRecord starts a flight record about member m of j on pool GPU g,
+// locating the GPU by node name and node-local index.
+//
+//repro:hotpath pinned by TestClusterAdmitAllocs
+func (st *planner) gpuRecord(kind obs.FlightKind, j *job, m *member, g int, now simtime.Time) obs.FlightRecord {
+	gs := &st.gpus[g]
+	return obs.FlightRecord{
+		Seq: int64(j.seq), Kind: kind, AtNS: int64(now),
+		Tenant: j.tenant.spec.Name, Workflow: m.profile.Workflow.Name,
+		Node: gs.node.spec.Name, GPU: int32(gs.index), Clients: int32(st.pool.Len(g)),
+	}
 }
 
 // findEvictionFit is the preemption counterpart of findFit: the first
-// GPU (node spec order, then index order) where a read-only what-if
-// shows the member would fit with every strictly-lower-priority resident
-// gone. With telemetry on, each what-if leaves a provenance record whose
-// digest pair proves the probe left the aggregate untouched.
+// GPU in pool order where a read-only what-if shows the member would
+// fit with every strictly-lower-priority resident gone, or -1. With
+// telemetry on, each what-if leaves a provenance record whose digest
+// pair proves the probe left the aggregate untouched.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) *gpuState {
-	for n := range st.nodes {
-		node := &st.nodes[n]
-		for g := range node.gpus {
-			gs := &node.gpus[g]
-			var fits bool
-			if st.fl == nil {
-				fits = st.canFitAfterEviction(gs, j, m)
-			} else {
-				// `restored` must equal `digest`: with the read-only fold
-				// there is no mutation to restore from in the first place.
-				digest := gs.agg.Digest()
-				fits = st.canFitAfterEviction(gs, j, m)
-				restored := gs.agg.Digest()
-				//repro:allow:hotpathalloc what-if provenance formats the digest pair; telemetry-off scans never reach this branch
-				detail := fmt.Sprintf("fit=%t digest=%016x restored=%016x", fits, digest, restored)
-				st.fl.Record(obs.FlightRecord{
-					Seq:      int64(j.seq),
-					Kind:     obs.FlightWhatIf,
-					AtNS:     int64(now),
-					Tenant:   j.tenant.spec.Name,
-					Workflow: m.profile.Workflow.Name,
-					Node:     node.spec.Name,
-					GPU:      int32(g),
-					Clients:  int32(len(gs.res)),
-					Detail:   detail,
-				})
-			}
-			if fits {
-				return gs
-			}
+func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
+	for g := range st.gpus {
+		var fits bool
+		if st.fl == nil {
+			fits = st.canFitAfterEviction(g, j, m)
+		} else {
+			// `restored` must equal `digest`: with the read-only fold
+			// there is no mutation to restore from in the first place.
+			digest := st.pool.Digest(g)
+			fits = st.canFitAfterEviction(g, j, m)
+			restored := st.pool.Digest(g)
+			rec := st.gpuRecord(obs.FlightWhatIf, j, m, g, now)
+			//repro:allow:hotpathalloc what-if provenance formats the digest pair; telemetry-off scans never reach this branch
+			rec.Detail = fmt.Sprintf("fit=%t digest=%016x restored=%016x", fits, digest, restored)
+			st.fl.Record(rec)
+		}
+		if fits {
+			return g
 		}
 	}
-	return nil
+	return -1
 }
 
-// admits probes one GPU under its node's sharing mode.
+// probe is the single source of per-mode admission semantics: it probes
+// pool GPU g of node with an explicit resident count and a victim mask,
+// and returns both the verdict and the typed per-rule rejection reason.
+// The count and mask let a preemption what-if ask "would the member fit
+// with the victims gone" while the GPU still holds them: skip[i] true
+// folds resident i out of the spatial sums, and a nil mask is the O(1)
+// cached-sum probe. Only the rules the mode actually consults are
+// reported — a time-sliced node may "interfere" spatially, but only
+// capacity decides there, so only capacity shows.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) admits(g *gpuState, m *member) bool {
-	return st.admitsAt(g, m, len(g.res))
-}
-
-// admitsAt probes with an explicit resident count, so a preemption
-// what-if can ask "would the member fit with the victims gone" while the
-// resident list still holds them.
-//
-//repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) admitsAt(g *gpuState, m *member, residents int) bool {
-	ok, _ := st.probeReason(g, m, residents)
-	return ok
-}
-
-// probeReason is the single source of per-mode admission semantics: it
-// probes with an explicit resident count and returns both the verdict
-// and the typed per-rule rejection reason. Only the rules the mode
-// actually consults are reported — a time-sliced node may "interfere"
-// spatially, but only capacity decides there, so only capacity shows.
-//
-//repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) probeReason(g *gpuState, m *member, residents int) (bool, interference.Reason) {
-	return st.probeReasonExcluding(g, m, residents, nil)
-}
-
-// probeReasonExcluding is probeReason with a victim mask: skip[i] true
-// folds resident i out of the spatial admission sums, so a preemption
-// what-if can probe the post-eviction state without mutating the live
-// aggregate. A nil mask is exactly probeReason (AdmitExcluding(nil)
-// degenerates to Admit's O(1) cached-sum path).
-//
-//repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) probeReasonExcluding(g *gpuState, m *member, residents int, skip []bool) (bool, interference.Reason) {
-	node := g.node
+func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip []bool) (bool, interference.Reason) {
 	if residents >= node.cap {
 		return false, interference.Reason{Rules: interference.MaskClientCap}
 	}
@@ -409,7 +355,7 @@ func (st *planner) probeReasonExcluding(g *gpuState, m *member, residents int, s
 	case ModeTimeSlice:
 		// Temporal sharing: no spatial interference rules, but the
 		// residents still share device memory.
-		out := g.agg.AdmitExcluding(m.load, skip)
+		out := st.pool.AdmitExcluding(g, m.load, skip)
 		if !out.Capacity {
 			return true, interference.Reason{}
 		}
@@ -425,7 +371,7 @@ func (st *planner) probeReasonExcluding(g *gpuState, m *member, residents int, s
 			// can exert; bandwidth and memory are not partitioned.
 			l.SMPct = node.threadCapPct
 		}
-		out := g.agg.AdmitExcluding(l, skip)
+		out := st.pool.AdmitExcluding(g, l, skip)
 		if !out.Interferes() {
 			return true, interference.Reason{}
 		}
@@ -434,35 +380,34 @@ func (st *planner) probeReasonExcluding(g *gpuState, m *member, residents int, s
 }
 
 // placeMember commits one member to a GPU inside the transaction.
-func (st *planner) placeMember(j *job, memberIx int, g *gpuState, now simtime.Time) {
+func (st *planner) placeMember(j *job, memberIx int, g int, now simtime.Time) {
 	st.saveGPU(g)
 	m := &j.members[memberIx]
 	r := st.acquireResident()
 	r.job = j
 	r.memberIx = memberIx
-	r.node = g.node
-	r.gpuIx = g.index
+	r.gpu = g
 	r.start = now
 
+	node := st.gpus[g].node
 	durS := m.profile.TotalDurationS + j.penaltyS/float64(len(j.members))
 	load := m.load
-	if g.node.spec.Mode == ModeTimeSlice {
+	if node.spec.Mode == ModeTimeSlice {
 		// Predicted duration dilates with the co-resident count at
 		// dispatch (including this member). Earlier residents keep
 		// their original predictions — the model charges slowdown to
 		// the arriving member, which keeps completions immutable once
 		// scheduled.
-		durS *= float64(len(g.res) + 1)
-	} else if g.node.spec.Mode == ModeMPS && g.node.threadCapPct < 100 && load.SMPct > g.node.threadCapPct {
+		durS *= float64(st.pool.Len(g) + 1)
+	} else if node.spec.Mode == ModeMPS && node.threadCapPct < 100 && load.SMPct > node.threadCapPct {
 		// The SM cap throttles the member: it runs at threadCap/SMPct
 		// of its solo speed, and contributes only the capped pressure.
-		durS *= load.SMPct / g.node.threadCapPct
-		load.SMPct = g.node.threadCapPct
+		durS *= load.SMPct / node.threadCapPct
+		load.SMPct = node.threadCapPct
 	}
 	r.end = now.Add(simtime.FromSeconds(durS))
 
-	g.res = append(g.res, r)
-	g.agg.Add(load)
+	st.pool.Add(g, load, r)
 	st.txPlaced = append(st.txPlaced, r)
 }
 
@@ -473,18 +418,21 @@ func (st *planner) placeMember(j *job, memberIx int, g *gpuState, now simtime.Ti
 // proceeds to the eviction loop: whole victim gangs — lowest priority first,
 // youngest placement first (least lost work), latest arrival last-resort
 // tie-break — are evicted until the member actually fits, and the GPU is
-// returned; nil when no GPU's victim set suffices. Targeting one GPU
+// returned; -1 when no GPU's victim set suffices. Targeting one GPU
 // keeps preemption minimal: a commit never strands an eviction that did
 // not make room for the preemptor (victim gangs may still lose members
 // on other GPUs — gang eviction is all-or-nothing, mirroring gang
 // admission).
-func (st *planner) evictForMember(j *job, m *member, now simtime.Time) *gpuState {
-	gs := st.findEvictionFit(j, m, now)
-	if gs == nil {
-		return nil
+func (st *planner) evictForMember(j *job, m *member, now simtime.Time) int {
+	g := st.findEvictionFit(j, m, now)
+	if g < 0 {
+		return -1
 	}
-	for !st.admits(gs, m) {
-		v := st.pickVictimOn(gs, j)
+	for {
+		if ok, _ := st.probe(st.gpus[g].node, g, m, st.pool.Len(g), nil); ok {
+			return g
+		}
+		v := st.pickVictimOn(g, j)
 		if v == nil {
 			// Unreachable: the what-if removed exactly the gangs
 			// pickVictimOn iterates.
@@ -492,7 +440,6 @@ func (st *planner) evictForMember(j *job, m *member, now simtime.Time) *gpuState
 		}
 		st.evictGang(v)
 	}
-	return gs
 }
 
 // victimable reports whether v may be evicted for preemptor: strictly
@@ -514,12 +461,13 @@ func victimable(v, preemptor *job) bool {
 // pair in findEvictionFit's provenance record proves it trivially.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) canFitAfterEviction(g *gpuState, preemptor *job, m *member) bool {
+func (st *planner) canFitAfterEviction(g int, preemptor *job, m *member) bool {
 	st.stats.Probes++
 	mask := st.skip[:0]
 	removed := 0
-	for i := range g.res {
-		v := victimable(g.res[i].job, preemptor)
+	res := st.pool.Residents(g)
+	for i := range res {
+		v := victimable(res[i].job, preemptor)
 		//repro:allow:hotpathalloc mask growth is bounded by the GPU's resident count; capacity is retained
 		mask = append(mask, v)
 		if v {
@@ -530,17 +478,17 @@ func (st *planner) canFitAfterEviction(g *gpuState, preemptor *job, m *member) b
 	if removed == 0 {
 		return false
 	}
-	ok, _ := st.probeReasonExcluding(g, m, len(g.res)-removed, mask)
+	ok, _ := st.probe(st.gpus[g].node, g, m, len(res)-removed, mask)
 	return ok
 }
 
 // pickVictimOn selects the next victim gang resident on g: strictly
 // lower priority than the preemptor, lowest priority first, then
 // youngest placement, then latest arrival.
-func (st *planner) pickVictimOn(g *gpuState, preemptor *job) *job {
+func (st *planner) pickVictimOn(g int, preemptor *job) *job {
 	var best *job
 	var bestStart simtime.Time
-	for _, r := range g.res {
+	for _, r := range st.pool.Residents(g) {
 		v := r.job
 		if !victimable(v, preemptor) {
 			continue
@@ -561,34 +509,29 @@ func (st *planner) pickVictimOn(g *gpuState, preemptor *job) *job {
 // happen at commit; rollback simply restores the GPUs.
 func (st *planner) evictGang(v *job) {
 	v.evicting = true
-	for n := range st.nodes {
-		node := &st.nodes[n]
-		for g := range node.gpus {
-			gs := &node.gpus[g]
-			for i := 0; i < len(gs.res); {
-				r := gs.res[i]
-				if r.job != v {
-					i++
-					continue
-				}
-				st.saveGPU(gs)
-				gs.agg.RemoveAt(i)
-				gs.res = append(gs.res[:i], gs.res[i+1:]...)
-				st.txEvicted = append(st.txEvicted, r)
+	for g := range st.gpus {
+		for i := 0; i < st.pool.Len(g); {
+			r := st.pool.Residents(g)[i]
+			if r.job != v {
+				i++
+				continue
 			}
+			st.saveGPU(g)
+			st.pool.RemoveAt(g, i)
+			st.txEvicted = append(st.txEvicted, r)
 		}
 	}
 }
 
-// saveGPU lazily snapshots a GPU the first time the transaction touches
-// it.
-func (st *planner) saveGPU(g *gpuState) {
-	if g.saved {
+// saveGPU lazily snapshots pool GPU g the first time the transaction
+// touches it.
+func (st *planner) saveGPU(g int) {
+	gs := &st.gpus[g]
+	if gs.saved {
 		return
 	}
-	g.agg.Save(&g.savedAgg)
-	g.savedRes = append(g.savedRes[:0], g.res...)
-	g.saved = true
+	st.pool.Save(g, &gs.snap)
+	gs.saved = true
 	st.txTouched = append(st.txTouched, g)
 }
 
@@ -599,9 +542,8 @@ func (st *planner) saveGPU(g *gpuState) {
 // scan would skip them while the what-if still counts them.
 func (st *planner) rollback() {
 	for _, g := range st.txTouched {
-		g.agg.Restore(&g.savedAgg)
-		g.res = append(g.res[:0], g.savedRes...)
-		g.saved = false
+		st.pool.Restore(g, &st.gpus[g].snap)
+		st.gpus[g].saved = false
 	}
 	for _, r := range st.txPlaced {
 		st.releaseResident(r)
@@ -618,7 +560,7 @@ func (st *planner) rollback() {
 // deficit counter is charged.
 func (st *planner) commit(j *job, now simtime.Time) {
 	for _, g := range st.txTouched {
-		g.saved = false
+		st.gpus[g].saved = false
 	}
 
 	// Victims: whole gangs, requeued at the front of their tenant queue
@@ -627,14 +569,15 @@ func (st *planner) commit(j *job, now simtime.Time) {
 		victims := make(map[*job]bool, 2)
 		for _, r := range st.txEvicted {
 			v := r.job
+			gs := &st.gpus[r.gpu]
 			st.completions.Cancel(r.ev)
 			st.out.Evictions = append(st.out.Evictions, Eviction{
 				At:        now,
 				Tenant:    v.tenant.spec.Name,
 				Gang:      v.sub.Gang.Name,
 				Workflow:  v.members[r.memberIx].profile.Workflow.Name,
-				Node:      r.node.spec.Name,
-				GPU:       r.gpuIx,
+				Node:      gs.node.spec.Name,
+				GPU:       gs.index,
 				Preemptor: j.sub.Gang.Name,
 				LostS:     now.Sub(r.start).Seconds(),
 				OverheadS: st.overheadS(),
@@ -647,8 +590,8 @@ func (st *planner) commit(j *job, now simtime.Time) {
 					AtNS:     int64(now),
 					Tenant:   v.tenant.spec.Name,
 					Workflow: v.members[r.memberIx].profile.Workflow.Name,
-					Node:     r.node.spec.Name,
-					GPU:      int32(r.gpuIx),
+					Node:     gs.node.spec.Name,
+					GPU:      int32(gs.index),
 					Detail:   "preempted by " + j.sub.Gang.Name,
 				})
 			}
@@ -685,6 +628,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 	j.lastWaitS = waited
 	j.tenant.waitHist.Observe(int64(waited * 1000))
 	for _, r := range st.txPlaced {
+		gs := &st.gpus[r.gpu]
 		r.ev = st.completions.Schedule(r.end, 0, r)
 		j.liveCount++
 		st.out.Dispatches = append(st.out.Dispatches, Dispatch{
@@ -692,24 +636,15 @@ func (st *planner) commit(j *job, now simtime.Time) {
 			Tenant:      j.tenant.spec.Name,
 			Gang:        j.sub.Gang.Name,
 			Workflow:    j.members[r.memberIx].profile.Workflow.Name,
-			Node:        r.node.spec.Name,
-			GPU:         r.gpuIx,
+			Node:        gs.node.spec.Name,
+			GPU:         gs.index,
 			WaitedS:     waited,
 			Preemptions: j.preemptions,
 		})
 		if st.fl != nil {
-			g := &r.node.gpus[r.gpuIx]
-			st.fl.Record(obs.FlightRecord{
-				Seq:      int64(j.seq),
-				Kind:     obs.FlightDispatch,
-				AtNS:     int64(now),
-				Tenant:   j.tenant.spec.Name,
-				Workflow: j.members[r.memberIx].profile.Workflow.Name,
-				Node:     r.node.spec.Name,
-				GPU:      int32(r.gpuIx),
-				Clients:  int32(len(g.res)),
-				WaitNS:   int64(now.Sub(j.at)),
-			})
+			rec := st.gpuRecord(obs.FlightDispatch, j, &j.members[r.memberIx], r.gpu, now)
+			rec.WaitNS = int64(now.Sub(j.at))
+			st.fl.Record(rec)
 		}
 	}
 	// Deficit charge: the predicted work dispatched, including the

@@ -16,6 +16,7 @@ import (
 //     and its eviction count is members x preemptions — no partial
 //     placement or partial eviction can satisfy both
 //   - sane accounting: no negative or NaN waits/makespans
+//   - drained: once the loop ends, the admission pool holds no resident
 //
 // The planner must also never panic or wedge, whatever the shape of the
 // cluster or the stream.
@@ -61,9 +62,16 @@ func FuzzGangAdmission(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := p.Plan(subs)
+		// Plan's own steps, so the drained planner stays inspectable.
+		st, err := p.newPlanner(subs)
 		if err != nil {
 			t.Fatal(err)
+		}
+		st.run()
+		st.finish()
+		out := st.out
+		if n := st.pool.Total(); n != 0 {
+			t.Fatalf("admission pool holds %d residents after the plan drained", n)
 		}
 
 		members := map[string]int{}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gpushare/internal/admission"
 	"gpushare/internal/core"
 	"gpushare/internal/eventq"
 	"gpushare/internal/interference"
@@ -209,31 +210,26 @@ type tenantState struct {
 type resident struct {
 	job      *job
 	memberIx int
-	node     *nodeState
-	gpuIx    int
+	gpu      int // pool index
 	start    simtime.Time
 	end      simtime.Time
 	ev       *eventq.Event
 }
 
-// gpuState is one device's admission state.
+// gpuState locates one pool GPU in the spec and holds its transaction
+// save slot; the pool holds the GPU's residents and aggregate.
 type gpuState struct {
 	node  *nodeState
-	index int
-	agg   interference.Aggregate
-	res   []*resident
+	index int // node-local
 
-	// Transaction save slots (valid while saved is true).
-	saved    bool
-	savedAgg interference.Snapshot
-	savedRes []*resident
+	saved bool // snap is valid: the transaction has touched this GPU
+	snap  admission.Snapshot[*resident]
 }
 
 // nodeState is one node's resolved capacities.
 type nodeState struct {
 	spec           NodeSpec
-	index          int
-	gpus           []gpuState
+	first          int     // pool index of the node's GPU 0
 	cap            int     // residents per GPU under the node's mode
 	instanceMemMiB int64   // per-instance memory under ModeMIG
 	threadCapPct   float64 // per-client SM cap under ModeMPS (100 = uncapped)
@@ -244,9 +240,12 @@ type planner struct {
 	spec     Spec
 	profiles *profile.Store
 	nodes    []nodeState
-	tenants  []*tenantState // sorted by name
-	byName   map[string]*tenantState
-	jobs     []*job
+	// pool holds every node's GPUs in spec order; gpus runs parallel.
+	pool    admission.Pool[*resident]
+	gpus    []gpuState
+	tenants []*tenantState // sorted by name
+	byName  map[string]*tenantState
+	jobs    []*job
 
 	completions eventq.Queue
 	resFree     []*resident
@@ -254,7 +253,7 @@ type planner struct {
 	// Transaction journal (one gang attempt).
 	txPlaced  []*resident
 	txEvicted []*resident
-	txTouched []*gpuState
+	txTouched []int // pool indices
 
 	// skip is the read-only what-if's victim-mask scratch (see
 	// canFitAfterEviction).
@@ -335,7 +334,6 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	for i, ns := range p.spec.Nodes {
 		n := &st.nodes[i]
 		n.spec = ns
-		n.index = i
 		n.threadCapPct = 100
 		switch ns.Mode {
 		case ModeMPS:
@@ -358,9 +356,10 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 				n.cap = 4
 			}
 		}
-		n.gpus = make([]gpuState, ns.GPUs)
-		for g := range n.gpus {
-			n.gpus[g] = gpuState{node: n, index: g, agg: interference.NewAggregate(ns.Device)}
+		n.first = st.pool.GPUs()
+		st.pool.AddGPUs(ns.Device, ns.GPUs)
+		for g := 0; g < ns.GPUs; g++ {
+			st.gpus = append(st.gpus, gpuState{node: n, index: g})
 		}
 	}
 

@@ -635,7 +635,7 @@ func TestClusterAdmitAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.run() // warm pools, snapshot buffers, and tx journals
-	g := &st.nodes[0].gpus[0]
+	g := 0
 	m := &st.jobs[0].members[0]
 	warm := func() {
 		_ = st.findFit(st.jobs[0], m, simtime.Zero)
@@ -678,32 +678,32 @@ func TestWhatIfLeavesAggregateUntouched(t *testing.T) {
 	now := simtime.Zero
 	for _, j := range st.jobs[:2] {
 		g := st.findFit(j, &j.members[0], now)
-		if g == nil {
+		if g < 0 {
 			t.Fatal("setup job did not fit")
 		}
 		st.placeMember(j, 0, g, now)
 		st.commit(j, now)
 	}
-	g := &st.nodes[0].gpus[0]
-	before := g.agg.Digest()
+	g := 0
+	before := st.pool.Digest(g)
 
 	high, low := st.jobs[2], st.jobs[0]
 	if !st.canFitAfterEviction(g, high, &high.members[0]) {
 		t.Fatal("high-priority member should fit once the victims are gone")
 	}
-	if got := g.agg.Digest(); got != before {
+	if got := st.pool.Digest(g); got != before {
 		t.Fatalf("fitting what-if mutated the aggregate: digest %016x, want %016x", got, before)
 	}
 	// No strictly-lower-priority residents for the low job: no victims.
 	if st.canFitAfterEviction(g, low, &low.members[0]) {
 		t.Fatal("what-if with no victims must report no fit")
 	}
-	if got := g.agg.Digest(); got != before {
+	if got := st.pool.Digest(g); got != before {
 		t.Fatalf("victimless what-if mutated the aggregate: digest %016x, want %016x", got, before)
 	}
 	// The resident list is untouched too — the what-if is mask-based.
-	if len(g.res) != 2 {
-		t.Fatalf("what-if disturbed the resident list: %d residents, want 2", len(g.res))
+	if st.pool.Len(g) != 2 {
+		t.Fatalf("what-if disturbed the resident list: %d residents, want 2", st.pool.Len(g))
 	}
 }
 

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"sort"
 
+	"gpushare/internal/admission"
 	"gpushare/internal/arena"
 	"gpushare/internal/eventq"
-	"gpushare/internal/gpu"
 	"gpushare/internal/gpusim"
 	"gpushare/internal/interference"
 	"gpushare/internal/metrics"
@@ -68,25 +68,15 @@ type OnlineOutcome struct {
 	MaxWaitS  float64
 }
 
-// onlineResident tracks a dispatched workflow during planning. The
-// per-GPU resident slice stays in dispatch order, parallel to the GPU's
-// interference aggregate, so aggregate member i is resident i. seq is
-// the placement serial — the identity completion events retire by, so a
+// onlineResident tracks a dispatched workflow during planning; the
+// admission pool keeps it by value beside its load. seq is the
+// placement serial — the identity completion events retire by, so a
 // completion can never remove a different resident that happens to share
 // its (quantized) finish instant.
 type onlineResident struct {
 	name string
 	end  simtime.Time
 	seq  uint64
-}
-
-// onlineGPU is one device's admission state: the resident list, its
-// running interference sums, and a dirty mark set when a retirement
-// changes the resident set mid-wait (see dispatchArrivals).
-type onlineGPU struct {
-	agg   interference.Aggregate
-	res   []onlineResident
-	dirty bool
 }
 
 // planArena backs the per-arrival allocations of one plan (or one
@@ -249,14 +239,17 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 }
 
 // onlineDispatcher is the admission state the decision loop drives: the
-// GPU fleet's resident sets with their interference aggregates, the
-// predicted-completion min-heap, the pooled completion payloads, the
-// dirty set for wait-round re-probing, and single-owner telemetry
-// histograms. The decision kernel (admit/retire/scan) is the production
-// dispatcher's per-arrival work and is held to the hot-path contract;
-// dispatchOne keeps the per-dispatch record building outside it.
+// admission pool (each GPU's residents, interference aggregate and
+// change generation), the predicted-completion min-heap, the pooled
+// completion payloads, and single-owner telemetry histograms. The
+// decision kernel (admit/retire/scan) is the production dispatcher's
+// per-arrival work and is held to the hot-path contract; dispatchOne
+// keeps the per-dispatch record building outside it.
 type onlineDispatcher struct {
-	gpus []onlineGPU
+	pool admission.Pool[onlineResident]
+	// empty is a GPU that never gains residents: sums only grow as
+	// residents join, so a load it rejects every GPU rejects.
+	empty interference.Aggregate
 	// completions orders predicted retirements by (end, schedule seq);
 	// payloads are pooled *completionKey values naming the exact resident
 	// each event was scheduled for, so the steady state allocates nothing
@@ -264,15 +257,14 @@ type onlineDispatcher struct {
 	// identity-based even when several residents on a GPU share a
 	// quantized finish instant.
 	completions eventq.Queue
-	dirtied     []*onlineGPU     // GPUs retired into during the current wait round
 	keyFree     []*completionKey // recycled completion payloads
 
 	nextSeq uint64 // next resident placement serial
 
-	clientCap        int
-	allowInterfering bool
-	stats            *DispatchStats
-	waitedNS         int64 // total queueing delay, sim ns
+	clientCap int
+	policy    Policy
+	stats     *DispatchStats
+	waitedNS  int64 // total queueing delay, sim ns
 
 	// Single-owner histograms: the decision loop is serial, so each
 	// observation is an unsynchronized int bump; mergeObs folds them into
@@ -297,7 +289,7 @@ type onlineDispatcher struct {
 // (acquireKey/releaseKey) so scheduling stays allocation-free in steady
 // state.
 type completionKey struct {
-	gpu *onlineGPU
+	gpu int
 	seq uint64
 }
 
@@ -306,18 +298,16 @@ type completionKey struct {
 // admit reports the arrival unadmittable.
 func newOnlineDispatcher(s *Scheduler, stats *DispatchStats) *onlineDispatcher {
 	d := &onlineDispatcher{
-		gpus:             make([]onlineGPU, s.GPUs),
-		clientCap:        s.Policy.clientCap(s.Device.MaxMPSClients),
-		allowInterfering: s.Policy.AllowInterferingPairs,
-		stats:            stats,
-		waitHist:         obs.NewLocalHistogram(queueWaitBoundsMs),
-		depthHist:        obs.NewLocalHistogram(groupOccupancyBounds),
-		serviceHist:      obs.NewLocalHistogram(serviceBoundsMs),
-		fl:               obs.Active().FlightRecorder(),
+		empty:       interference.NewAggregate(s.Device),
+		clientCap:   s.Policy.clientCap(s.Device.MaxMPSClients),
+		policy:      s.Policy,
+		stats:       stats,
+		waitHist:    obs.NewLocalHistogram(queueWaitBoundsMs),
+		depthHist:   obs.NewLocalHistogram(groupOccupancyBounds),
+		serviceHist: obs.NewLocalHistogram(serviceBoundsMs),
+		fl:          obs.Active().FlightRecorder(),
 	}
-	for g := range d.gpus {
-		d.gpus[g].agg = interference.NewAggregate(s.Device)
-	}
+	d.pool.AddGPUs(s.Device, s.GPUs)
 	return d
 }
 
@@ -340,50 +330,50 @@ func (d *onlineDispatcher) acquireKey() *completionKey {
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) releaseKey(k *completionKey) {
-	k.gpu = nil
 	//repro:allow:hotpathalloc key-pool growth is amortized; capacity is retained for the run's lifetime
 	d.keyFree = append(d.keyFree, k)
 }
 
 // scan probes the GPUs in index order for the first that admits the
-// load, stopping there, and returns its index or -1. On retry rounds
-// (first false) only dirty GPUs are probed: the rest rejected this same
-// candidate against an unchanged resident set, and an unchanged group
-// and the same candidate yield the same sums, hence the same rejection.
+// load, stopping there, and returns its index or -1. A first round
+// passes since 0 and probes every GPU. A retry round passes the pool
+// clock read after the previous scan and probes only GPUs changed
+// since: the rest rejected this same candidate against an unchanged
+// resident set, and an unchanged group and the same candidate yield the
+// same sums, hence the same rejection. (A retry needs a pending
+// completion, so the pool has changed and its clock is above 0.)
 // Every evaluated GPU (including client-cap skips) leaves a flight
 // record carrying the typed rule verdict.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) scan(load interference.Load, first bool, seq int64, now simtime.Time) int {
+func (d *onlineDispatcher) scan(load interference.Load, since uint64, seq int64, now simtime.Time) int {
 	fl := d.fl
+	pool := &d.pool
 	placed := -1
 	var probes int64
-	for g := range d.gpus {
-		gd := &d.gpus[g]
-		if !first && !gd.dirty {
+	for g := 0; g < pool.GPUs(); g++ {
+		if since > 0 && pool.Gen(g) <= since {
 			continue
 		}
-		if len(gd.res)+1 > d.clientCap {
+		clients := pool.Len(g)
+		if clients+1 > d.clientCap {
 			if fl != nil {
 				fl.Record(obs.FlightRecord{
 					Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
-					GPU: int32(g), Clients: int32(len(gd.res)),
+					GPU: int32(g), Clients: int32(clients),
 					Rules: uint8(interference.MaskClientCap),
 				})
 			}
 			continue
 		}
 		probes++
-		out := gd.agg.Admit(load)
-		admit := !out.Interferes()
-		if d.allowInterfering && !out.Capacity {
-			admit = true
-		}
+		out := pool.Admit(g, load)
+		admit := d.policy.admits(&out)
 		if fl != nil {
 			r := out.Reason()
 			fl.Record(obs.FlightRecord{
 				Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
-				GPU: int32(g), Clients: int32(len(gd.res)),
+				GPU: int32(g), Clients: int32(clients),
 				Rules:         uint8(r.Rules),
 				SMExcessMilli: r.SMExcessMilli,
 				BWExcessMilli: r.BWExcessMilli,
@@ -399,8 +389,8 @@ func (d *onlineDispatcher) scan(load interference.Load, first bool, seq int64, n
 	return placed
 }
 
-// retire removes the residents predicted to have finished by now,
-// marking their GPUs dirty for the next probe round. Removal is
+// retire removes the residents predicted to have finished by now; the
+// pool advances each touched GPU's generation. Removal is
 // identity-based: each completion event names the resident it was
 // scheduled for (by placement serial), so colliding finish instants on
 // one GPU can never retire the wrong resident — an index scan for
@@ -416,49 +406,42 @@ func (d *onlineDispatcher) retire(now simtime.Time) {
 		}
 		ev, _ := d.completions.Pop()
 		k := ev.Data.(*completionKey)
-		gd := k.gpu
 		d.completions.Free(ev)
-		for j := range gd.res {
-			if gd.res[j].seq == k.seq {
-				copy(gd.res[j:], gd.res[j+1:])
-				gd.res = gd.res[:len(gd.res)-1]
-				gd.agg.RemoveAt(j)
+		res := d.pool.Residents(k.gpu)
+		for j := range res {
+			if res[j].seq == k.seq {
+				d.pool.RemoveAt(k.gpu, j)
 				break
 			}
 		}
 		d.releaseKey(k)
 		d.stats.Completions++
-		if !gd.dirty {
-			gd.dirty = true
-			//repro:allow:hotpathalloc dirty-set growth is bounded by the GPU count; capacity is retained
-			d.dirtied = append(d.dirtied, gd)
-		}
 	}
 }
 
 // admit runs the wait loop for one arrival: first-fit over GPUs in index
 // order, waiting on predicted completions when no GPU admits. It returns
 // the dispatch instant and target, or ok=false when no GPU can ever
-// admit the load. Resident sets are only mutated by retirement; the
-// caller commits the chosen placement with place.
+// admit the load. A load an empty GPU rejects is refused before any
+// retirement, so a refusal leaves the fleet as it found it. Resident
+// sets are only mutated by retirement; the caller commits the chosen
+// placement with place.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, seq int64) (at simtime.Time, gpu int, ok bool) {
+	if d.refuses(load) {
+		return 0, -1, false
+	}
 	now := arrival
-	first := true
+	var since uint64
 	for {
 		d.retire(now)
-		placed := d.scan(load, first, seq, now)
-		// Clear every dirty mark, including those past an early exit: the
-		// next arrival scans every GPU anyway, and the next retry round
-		// must only see GPUs retired into after this one.
-		for _, gd := range d.dirtied {
-			gd.dirty = false
-		}
-		d.dirtied = d.dirtied[:0]
+		placed := d.scan(load, since, seq, now)
 		if placed >= 0 {
 			return now, placed, true
 		}
+		// The next round probes only GPUs changed after this scan.
+		since = d.pool.Clock()
 		// Wait for the next predicted completion (every remaining resident
 		// ends after now).
 		next, okNext := d.completions.PeekTime()
@@ -473,8 +456,17 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 			})
 		}
 		now = next
-		first = false
 	}
+}
+
+// refuses reports that no GPU can ever admit load. It stays out of line:
+// inlined, its temporaries put scan 112 bytes deeper in the stack, where
+// serve -stream measured 15% slower on a 2-core Xeon VM.
+//
+//go:noinline
+func (d *onlineDispatcher) refuses(load interference.Load) bool {
+	out := d.empty.Admit(load)
+	return !d.policy.admits(&out)
 }
 
 // place commits an admitted load: the resident joins GPU g's set and
@@ -483,14 +475,11 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) place(g int, load interference.Load, name string, end simtime.Time) {
-	gd := &d.gpus[g]
 	seq := d.nextSeq
 	d.nextSeq++
-	//repro:allow:hotpathalloc resident-list growth is bounded by the client cap; capacity is retained
-	gd.res = append(gd.res, onlineResident{name: name, end: end, seq: seq})
-	gd.agg.Add(load)
+	d.pool.Add(g, load, onlineResident{name: name, end: end, seq: seq})
 	k := d.acquireKey()
-	k.gpu = gd
+	k.gpu = g
 	k.seq = seq
 	d.completions.Schedule(end, 0, k)
 }
@@ -522,12 +511,11 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *a
 		return DispatchEvent{}, fmt.Errorf("core: workflow %s cannot be admitted on any GPU (needs %d MiB)",
 			a.Workflow.Name, wp.MaxMemMiB)
 	}
-	gd := &d.gpus[placed]
 	var alongside []string
-	if n := len(gd.res); n > 0 {
-		alongside = names.Make(n)
-		for j := range gd.res {
-			alongside[j] = gd.res[j].name
+	if res := d.pool.Residents(placed); len(res) > 0 {
+		alongside = names.Make(len(res))
+		for j := range res {
+			alongside[j] = res[j].name
 		}
 	}
 	end := now.Add(simtime.FromSeconds(wp.TotalDurationS))
@@ -572,7 +560,7 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 // the goldens in testdata/), but each probe is O(1) against the GPU's
 // interference aggregate, retirements come off a completion-time
 // min-heap instead of an every-iteration sweep, and wait-loop retries
-// re-probe only GPUs whose resident set changed.
+// re-probe only GPUs whose pool generation advanced.
 func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
 	d := newOnlineDispatcher(s, &plan.Stats)
 	for i := range plan.arrivals {
@@ -644,11 +632,39 @@ func (s *Scheduler) ScheduleOnline(arrivals []Arrival, simCfg gpusim.Config) (*O
 
 // runOnlinePlacement executes the dispatch plan.
 func (s *Scheduler) runOnlinePlacement(arrivals []Arrival, at []simtime.Time, gpuOf []int, simCfg gpusim.Config) (metrics.RunSummary, error) {
+	return s.runPlacement(arrivals, at, gpuOf, simCfg, "online", 104729, 0)
+}
+
+// runOnlineSequential executes the arrival-respecting no-collocation
+// baseline: FIFO, one workflow at a time per GPU.
+func (s *Scheduler) runOnlineSequential(arrivals []Arrival, profiles []*WorkflowProfile, simCfg gpusim.Config) (metrics.RunSummary, error) {
+	free := make([]simtime.Time, s.GPUs)
+	start := make([]simtime.Time, len(arrivals))
+	gpuOf := make([]int, len(arrivals))
+	for i, a := range arrivals {
+		best := 0
+		for g := 1; g < s.GPUs; g++ {
+			if free[g] < free[best] {
+				best = g
+			}
+		}
+		start[i] = simtime.Max(a.At, free[best])
+		free[best] = start[i].Add(simtime.FromSeconds(profiles[i].TotalDurationS))
+		gpuOf[i] = best
+	}
+	return s.runPlacement(arrivals, start, gpuOf, simCfg, "seq", 7877, 1)
+}
+
+// runPlacement simulates arrival i as client "<prefix>-<i>-<name>" on
+// GPU gpuOf[i] from at[i], one engine per GPU seeded
+// simCfg.Seed + g*stride + offset, and summarizes the pool; an unused
+// GPU idles for the whole makespan.
+func (s *Scheduler) runPlacement(arrivals []Arrival, at []simtime.Time, gpuOf []int, simCfg gpusim.Config, prefix string, stride, offset uint64) (metrics.RunSummary, error) {
 	engines := make([]*gpusim.Engine, s.GPUs)
 	used := make([]bool, s.GPUs)
 	for g := range engines {
 		cfg := simCfg
-		cfg.Seed = simCfg.Seed + uint64(g)*104729
+		cfg.Seed = simCfg.Seed + uint64(g)*stride + offset
 		eng, err := gpusim.New(cfg)
 		if err != nil {
 			return metrics.RunSummary{}, err
@@ -663,7 +679,7 @@ func (s *Scheduler) runOnlinePlacement(arrivals []Arrival, at []simtime.Time, gp
 		g := gpuOf[i]
 		used[g] = true
 		if err := engines[g].AddClient(gpusim.Client{
-			ID:      fmt.Sprintf("online-%02d-%s", i, a.Workflow.Name),
+			ID:      fmt.Sprintf("%s-%02d-%s", prefix, i, a.Workflow.Name),
 			Arrival: at[i],
 			Tasks:   tasks,
 		}); err != nil {
@@ -687,87 +703,5 @@ func (s *Scheduler) runOnlinePlacement(arrivals []Arrival, at []simtime.Time, gp
 		cappedS += res.CappedTime.Seconds()
 		tasks += res.TasksCompleted()
 	}
-	return onlinePoolSummary(s.Device, makespans, energy, cappedS, tasks), nil
-}
-
-// runOnlineSequential executes the arrival-respecting no-collocation
-// baseline: FIFO, one workflow at a time per GPU.
-func (s *Scheduler) runOnlineSequential(arrivals []Arrival, profiles []*WorkflowProfile, simCfg gpusim.Config) (metrics.RunSummary, error) {
-	free := make([]simtime.Time, s.GPUs)
-	engines := make([]*gpusim.Engine, s.GPUs)
-	used := make([]bool, s.GPUs)
-	for g := range engines {
-		cfg := simCfg
-		cfg.Seed = simCfg.Seed + uint64(g)*7877 + 1
-		eng, err := gpusim.New(cfg)
-		if err != nil {
-			return metrics.RunSummary{}, err
-		}
-		engines[g] = eng
-	}
-	for i, a := range arrivals {
-		best := 0
-		for g := 1; g < s.GPUs; g++ {
-			if free[g] < free[best] {
-				best = g
-			}
-		}
-		start := simtime.Max(a.At, free[best])
-		free[best] = start.Add(simtime.FromSeconds(profiles[i].TotalDurationS))
-		tasks, err := a.Workflow.BuildSpecs(s.Device)
-		if err != nil {
-			return metrics.RunSummary{}, err
-		}
-		used[best] = true
-		if err := engines[best].AddClient(gpusim.Client{
-			ID:      fmt.Sprintf("seq-%02d-%s", i, a.Workflow.Name),
-			Arrival: start,
-			Tasks:   tasks,
-		}); err != nil {
-			return metrics.RunSummary{}, err
-		}
-	}
-	var makespans []float64
-	var energy, cappedS float64
-	tasks := 0
-	for g, eng := range engines {
-		if !used[g] {
-			makespans = append(makespans, 0)
-			continue
-		}
-		res, err := eng.Run()
-		if err != nil {
-			return metrics.RunSummary{}, err
-		}
-		makespans = append(makespans, res.Makespan.Seconds())
-		energy += res.EnergyJ
-		cappedS += res.CappedTime.Seconds()
-		tasks += res.TasksCompleted()
-	}
-	return onlinePoolSummary(s.Device, makespans, energy, cappedS, tasks), nil
-}
-
-// onlinePoolSummary mirrors poolSummary for engine-level makespans.
-func onlinePoolSummary(device gpu.DeviceSpec, makespans []float64, energyJ, cappedS float64, tasks int) metrics.RunSummary {
-	var makespan float64
-	for _, m := range makespans {
-		if m > makespan {
-			makespan = m
-		}
-	}
-	for _, m := range makespans {
-		energyJ += device.IdlePowerW * (makespan - m)
-	}
-	capped, avgPower := 0.0, 0.0
-	if makespan > 0 {
-		capped = cappedS / (makespan * float64(len(makespans)))
-		avgPower = energyJ / makespan / float64(len(makespans))
-	}
-	return metrics.RunSummary{
-		MakespanS:      makespan,
-		EnergyJ:        energyJ,
-		Tasks:          tasks,
-		CappedFraction: capped,
-		AvgPowerW:      avgPower,
-	}
+	return poolSummary(s.Device, makespans, energy, cappedS, tasks), nil
 }

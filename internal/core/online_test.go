@@ -130,16 +130,18 @@ func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 	d.place(0, interference.Load{SMPct: 30, BWPct: 3, MemMiB: 300}, "early-b", collide)
 
 	d.retire(collide)
-	gd := &d.gpus[0]
-	if len(gd.res) != 1 || gd.res[0].name != "late" {
-		t.Fatalf("survivors after colliding retirement = %+v, want only %q", gd.res, "late")
+	if res := d.pool.Residents(0); len(res) != 1 || res[0].name != "late" {
+		t.Fatalf("survivors after colliding retirement = %+v, want only %q", res, "late")
 	}
 	if stats.Completions != 2 {
 		t.Fatalf("completions = %d, want 2", stats.Completions)
 	}
 	// The aggregate must hold exactly the survivor's load, re-folded.
-	if gd.agg.Len() != 1 || gd.agg.At(0) != (interference.Load{SMPct: 20, BWPct: 2, MemMiB: 200}) {
-		t.Fatalf("aggregate after retirement holds %d members: %+v", gd.agg.Len(), gd.agg)
+	want := interference.NewAggregate(a100x())
+	want.Add(interference.Load{SMPct: 20, BWPct: 2, MemMiB: 200})
+	if d.pool.Len(0) != 1 || d.pool.Load(0, 0) != want.At(0) || d.pool.Digest(0) != want.Digest() {
+		t.Fatalf("aggregate after retirement holds %d members, digest %016x, want the survivor's fold %016x",
+			d.pool.Len(0), d.pool.Digest(0), want.Digest())
 	}
 	// And the popped events' payload keys must have been recycled.
 	if len(d.keyFree) != 2 {
@@ -147,16 +149,16 @@ func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 	}
 }
 
-// TestDirtyMarksClearedAfterEarlyAdmit is the edge case for the
-// wait-loop dirty-set protocol: one wait round retires residents on GPU
-// 0 and GPU 3, and GPU 0 admits, ending the round before GPU 3 is ever
-// probed. Every dirty mark must still clear, and the cleared mark must
-// not hide GPU 3's freed capacity from the next arrival — fresh arrivals
-// scan every GPU, so the dirty set only narrows retry rounds of the same
+// TestGenerationReprobeAfterEarlyAdmit is the edge case for the
+// wait-loop generation re-probe: one wait round retires residents on
+// GPU 0 and GPU 3, and GPU 0 admits, ending the round before GPU 3 is
+// ever probed. GPU 3's advanced generation must not leak into the next
+// arrival's bookkeeping, nor hide its freed capacity — fresh arrivals
+// scan every GPU, so generations only narrow retry rounds of the same
 // wait loop. Placements must be the ones a full rescan of every GPU
-// would pick, and DispatchStats must count exactly the probes the dirty
-// protocol promises.
-func TestDirtyMarksClearedAfterEarlyAdmit(t *testing.T) {
+// would pick, and DispatchStats must count exactly the probes the
+// generation rule promises.
+func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 	load := interference.Load{SMPct: 60, BWPct: 10, MemMiB: 1024}
 	var stats DispatchStats
 	d := testDispatcher(4, &stats)
@@ -171,32 +173,35 @@ func TestDirtyMarksClearedAfterEarlyAdmit(t *testing.T) {
 	}
 	var got []placement
 	for seq, arrival := range []simtime.Time{simtime.Zero, at(11)} {
+		before := d.pool.Clock()
 		when, g, ok := d.admit(load, arrival, int64(seq))
 		if !ok {
 			t.Fatal("admit failed: a completion always frees capacity")
 		}
-		for i := range d.gpus {
-			if d.gpus[i].dirty {
-				t.Fatalf("arrival %d: GPU %d still marked dirty after its round", seq, i)
+		// Only the wait round's retirements advanced the clock: A's round
+		// retires GPUs 0 and 3, B's retires nothing.
+		changed := 0
+		for i := 0; i < d.pool.GPUs(); i++ {
+			if d.pool.Gen(i) > before {
+				changed++
 			}
 		}
-		if len(d.dirtied) != 0 {
-			t.Fatalf("arrival %d: dirty list holds %d GPUs after its round", seq, len(d.dirtied))
+		if want := []int{2, 0}[seq]; changed != want {
+			t.Fatalf("arrival %d: %d GPUs changed during admit, want %d", seq, changed, want)
 		}
 		d.place(g, load, "w", when.Add(simtime.FromSeconds(1000)))
 		got = append(got, placement{gpu: g, at: when})
 	}
 	// Arrival A at t=0: every GPU rejects, the wait round at t=10 retires
 	// GPU 0 and GPU 3, and GPU 0 admits. Arrival B at t=11: GPU 3 is free
-	// but its dirty mark was cleared by A's round — the full scan finds
-	// it.
+	// and was never re-probed by A's round — the full scan finds it.
 	want := []placement{{gpu: 0, at: at(10)}, {gpu: 3, at: at(11)}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("placements %+v, want %+v", got, want)
 	}
-	// A probes all four GPUs (all reject), then only the dirty GPU 0 on
-	// the retry (admit); B probes GPUs 0..3 (three rejects, then GPU 3
-	// admits).
+	// A probes all four GPUs (all reject), then only the changed GPU 0
+	// on the retry (admit); B probes GPUs 0..3 (three rejects, then GPU
+	// 3 admits).
 	wantStats := DispatchStats{Probes: 4 + 1 + 4, Waits: 1, Completions: 2}
 	if stats != wantStats {
 		t.Fatalf("stats %+v, want %+v", stats, wantStats)

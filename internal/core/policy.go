@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 
+	"gpushare/internal/interference"
 	"gpushare/internal/metrics"
 )
 
@@ -97,6 +98,14 @@ func (p Policy) Validate() error {
 		return fmt.Errorf("core: PartitionHeadroom must be in [0,3], got %g", p.PartitionHeadroom)
 	}
 	return nil
+}
+
+// admits applies criteria 2 and 3 to an O(1) probe outcome: capacity
+// violations (OOM) are never acceptable; other interference is tolerated
+// only under AllowInterferingPairs. The packer and the online
+// dispatcher both decide through it.
+func (p *Policy) admits(out *interference.Outcome) bool {
+	return !out.Interferes() || (p.AllowInterferingPairs && !out.Capacity)
 }
 
 // clientCap resolves the per-GPU client limit for the policy given the

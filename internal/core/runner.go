@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"gpushare/internal/gpu"
 	"gpushare/internal/gpusim"
 	"gpushare/internal/metrics"
 	"gpushare/internal/mps"
@@ -96,7 +97,7 @@ func (s *Scheduler) Execute(plan *Plan, simCfg gpusim.Config) (*Outcome, error) 
 		totalTasks += o.tasks
 	}
 
-	out.Sharing = poolSummary(plan, gpuMakespans, totalEnergy, totalCappedS, totalTasks)
+	out.Sharing = poolSummary(plan.Device, gpuMakespans, totalEnergy, totalCappedS, totalTasks)
 
 	seq, err := s.runSequentialBaseline(plan, simCfg)
 	if err != nil {
@@ -221,13 +222,13 @@ func (s *Scheduler) runSequentialBaseline(plan *Plan, simCfg gpusim.Config) (met
 		totalCappedS += res.CappedTime.Seconds()
 		totalTasks += res.TasksCompleted()
 	}
-	return poolSummary(plan, gpuMakespans, totalEnergy, totalCappedS, totalTasks), nil
+	return poolSummary(plan.Device, gpuMakespans, totalEnergy, totalCappedS, totalTasks), nil
 }
 
 // poolSummary folds per-GPU makespans into a cluster-level summary: the
 // pool finishes when its slowest GPU does, and GPUs idling after their
 // last wave still draw idle power until then.
-func poolSummary(plan *Plan, gpuMakespans []float64, energyJ, cappedS float64, tasks int) metrics.RunSummary {
+func poolSummary(device gpu.DeviceSpec, gpuMakespans []float64, energyJ, cappedS float64, tasks int) metrics.RunSummary {
 	var makespan float64
 	for _, m := range gpuMakespans {
 		if m > makespan {
@@ -235,14 +236,11 @@ func poolSummary(plan *Plan, gpuMakespans []float64, energyJ, cappedS float64, t
 		}
 	}
 	for _, m := range gpuMakespans {
-		energyJ += plan.Device.IdlePowerW * (makespan - m)
+		energyJ += device.IdlePowerW * (makespan - m)
 	}
-	capped := 0.0
+	capped, avgPower := 0.0, 0.0
 	if makespan > 0 {
 		capped = cappedS / (makespan * float64(len(gpuMakespans)))
-	}
-	avgPower := 0.0
-	if makespan > 0 {
 		avgPower = energyJ / makespan / float64(len(gpuMakespans))
 	}
 	return metrics.RunSummary{

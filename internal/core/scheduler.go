@@ -237,20 +237,6 @@ func (s *Scheduler) BuildPlan(q *workflow.Queue) (*Plan, error) {
 // client limit is 48 on the paper's device).
 var groupOccupancyBounds = []int64{1, 2, 3, 4, 6, 8, 16, 32}
 
-// admits applies criteria 2 and 3 to an O(1) probe outcome: capacity
-// violations (OOM) are never acceptable; other interference is tolerated
-// only under AllowInterferingPairs. Identical to the retired fits()
-// check, which recomputed the same sums with a full Predict rescan.
-func (s *Scheduler) admits(out interference.Outcome) bool {
-	if out.Capacity {
-		return false // OOM is never acceptable
-	}
-	if s.Policy.AllowInterferingPairs {
-		return true
-	}
-	return !out.Interferes()
-}
-
 // pickFirstFit selects the first (lowest-utilization) candidate the
 // group's aggregate admits, resuming from cursor: rejections are final
 // within a group (sums only grow), so each group scans the candidate
@@ -260,7 +246,7 @@ func (s *Scheduler) pickFirstFit(loads []interference.Load, assigned []bool, agg
 		if assigned[j] {
 			continue
 		}
-		if s.admits(agg.Admit(loads[j])) {
+		if out := agg.Admit(loads[j]); s.Policy.admits(&out) {
 			*cursor = j + 1
 			return j
 		}
@@ -286,7 +272,7 @@ func (s *Scheduler) pickOpposingPower(order []*WorkflowProfile, loads []interfer
 		if assigned[j] || rejectedIn[j] == groupID {
 			continue
 		}
-		if !s.admits(agg.Admit(loads[j])) {
+		if out := agg.Admit(loads[j]); !s.Policy.admits(&out) {
 			rejectedIn[j] = groupID
 			continue
 		}

@@ -280,15 +280,14 @@ func (st *Streamer) SaveState() (*StreamState, error) {
 			Service: st.d.serviceHist.Snapshot(),
 		},
 	}
-	for g := range st.d.gpus {
-		gd := &st.d.gpus[g]
-		for j := range gd.res {
+	for g := 0; g < st.d.pool.GPUs(); g++ {
+		for j, r := range st.d.pool.Residents(g) {
 			state.Resident = append(state.Resident, residentSave{
 				GPU:  g,
-				Name: gd.res[j].name,
-				End:  gd.res[j].end,
-				Seq:  gd.res[j].seq,
-				Load: gd.agg.At(j),
+				Name: r.name,
+				End:  r.end,
+				Seq:  r.seq,
+				Load: st.d.pool.Load(g, j),
 			})
 		}
 	}

@@ -326,6 +326,75 @@ func TestStreamMisuse(t *testing.T) {
 	}
 }
 
+// TestRefusedArrivalLeavesFleet is the regression test for a refusal
+// draining the fleet: a load no GPU can ever take (1 TiB) used to wait
+// through every predicted completion, retiring all residents, before
+// admit reported it. It must now be refused with the four residents in
+// place and no wait or retirement counted, and the next admittable
+// arrival must dispatch exactly as in a replay that never saw the
+// refused one.
+func TestRefusedArrivalLeavesFleet(t *testing.T) {
+	store := profile.NewStore()
+	for _, p := range []*profile.TaskProfile{
+		{Workload: "half", MaxMemMiB: 1024, AvgSMUtilPct: 40, AvgBWUtilPct: 10},
+		{Workload: "huge", MaxMemMiB: 1 << 20, AvgSMUtilPct: 10, AvgBWUtilPct: 10},
+	} {
+		p.Size, p.Device, p.DurationS, p.SizeFactor = "1x", a100x().Name, 100, 1
+		if err := store.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := fleetScheduler(t, store, 2)
+	var fill []Arrival
+	for i := 0; i < 4; i++ { // two per GPU: a third would push SM past 100%
+		fill = append(fill, Arrival{At: at(0), Workflow: wfOne(fmt.Sprintf("fill-%d", i), "half", "1x", 1)})
+	}
+	next := Arrival{At: at(2), Workflow: wfOne("next", "half", "1x", 1)}
+
+	run := func(refuse bool) (DispatchEvent, string) {
+		st, err := s.NewStreamer(StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range fill {
+			if _, err := st.Ingest(a); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if refuse {
+			before := st.Stats()
+			_, err := st.Ingest(Arrival{At: at(1), Workflow: wfOne("huge", "huge", "1x", 1)})
+			if err == nil || !strings.Contains(err.Error(), "cannot be admitted") {
+				t.Fatalf("1 TiB arrival: err = %v", err)
+			}
+			if n := st.d.pool.Total(); n != 4 {
+				t.Fatalf("refusal left %d residents, want 4", n)
+			}
+			if got := st.Stats(); got.Waits != 0 || got != before {
+				t.Fatalf("refusal changed the stats %+v -> %+v, want no waits or retirements", before, got)
+			}
+		}
+		ev, err := st.Ingest(next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev.RunningAlongside = append([]string(nil), ev.RunningAlongside...)
+		digest, err := st.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ev, digest
+	}
+	got, gotDigest := run(true)
+	want, wantDigest := run(false)
+	if !reflect.DeepEqual(got, want) || gotDigest != wantDigest {
+		t.Fatalf("after a refusal: %+v digest %s, fresh replay %+v digest %s", got, gotDigest, want, wantDigest)
+	}
+	if want.WaitedS == 0 {
+		t.Fatal("scenario too loose: the next arrival should wait for a completion")
+	}
+}
+
 // TestStreamEmptyDigest pins the zero-event digest to the marshaled
 // empty slice, matching a plan with no dispatches.
 func TestStreamEmptyDigest(t *testing.T) {
