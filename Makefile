@@ -52,7 +52,7 @@ fmt:
 # dispatcher's O(1) admission probes), the admission pool against a
 # reference model, event-queue pop ordering, the
 # cluster planner's all-or-nothing gang accounting, and the arena
-# ring/slab invariants the streaming dispatcher's memory bounds rest on.
+# ring the streaming dispatcher's memory bound rests on.
 # Native Go fuzzing takes one target per invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
@@ -61,7 +61,6 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRing -fuzztime=$(FUZZTIME) ./internal/arena
-	$(GO) test -run='^$$' -fuzz=FuzzArena -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run='^$$' -fuzz=FuzzFlightRing -fuzztime=$(FUZZTIME) ./internal/obs
 
 # One-command pprof workflow for perf PRs: profile a real experiment run

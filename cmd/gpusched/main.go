@@ -196,7 +196,8 @@ func main() {
 		if streamSrv != nil {
 			handler = streamSrv.wrap(handler)
 		}
-		srv = &http.Server{Handler: handler}
+		// No WriteTimeout: /debug/pprof/profile streams for 30 s.
+		srv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 		go func() {
 			// ErrServerClosed is the orderly-shutdown sentinel, not a
 			// failure; anything else is surfaced on exit or, mid-run,

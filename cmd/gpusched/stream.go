@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -24,6 +25,10 @@ type streamServer struct {
 	mu sync.Mutex
 	st *core.Streamer
 }
+
+// maxIngestBytes bounds one /ingest request body. At about 100 bytes
+// per arrival it still admits batches of some 80,000 arrivals.
+const maxIngestBytes = 8 << 20
 
 // ingestArrival is the wire form of one arrival: a non-decreasing
 // timestamp in seconds plus the workflow to place.
@@ -74,17 +79,24 @@ func (ss *streamServer) wrap(fallback http.Handler) http.Handler {
 }
 
 // handleIngest dispatches a JSON array of arrivals in order and returns
-// the resulting dispatch events. Timestamps are validated for the whole
-// batch before anything is dispatched; on a later mid-batch failure the
-// earlier arrivals stay dispatched (the stream has no rollback) and the
-// error reports how far the batch got.
+// the resulting dispatch events. A body over maxIngestBytes gets 413,
+// and timestamps are validated for the whole batch, before anything is
+// dispatched; on a later mid-batch failure the earlier arrivals stay
+// dispatched (the stream has no rollback) and the error reports how far
+// the batch got.
 func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON array of arrivals", http.StatusMethodNotAllowed)
 		return
 	}
 	var batch []ingestArrival
-	if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&batch); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			http.Error(w, fmt.Sprintf("arrival batch exceeds %d bytes (nothing dispatched)", tooBig.Limit),
+				http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, fmt.Sprintf("bad arrival batch: %v", err), http.StatusBadRequest)
 		return
 	}

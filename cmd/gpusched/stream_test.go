@@ -199,6 +199,46 @@ func TestStreamServerRejections(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsOversizedBatch pins the /ingest body bound: a batch
+// of well-formed arrivals whose body exceeds maxIngestBytes gets 413 and
+// nothing is dispatched, while a small batch still goes through.
+func TestIngestRejectsOversizedBatch(t *testing.T) {
+	spec := gpu.MustLookup("A100X")
+	ss, err := newStreamServer(spec, core.ThroughputPolicy(), "100x8", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(ss.wrap(http.NotFoundHandler()))
+	defer srv.Close()
+
+	const arrival = `{"at_s":0,"name":"x","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":1}]}`
+	var body strings.Builder
+	body.WriteString("[" + arrival)
+	for body.Len() <= maxIngestBytes {
+		body.WriteString("," + arrival)
+	}
+	body.WriteString("]")
+	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(body.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("%d-byte batch: status = %d, want %d", body.Len(), resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+	if n := ss.st.Events(); n != 0 {
+		t.Fatalf("%d arrivals dispatched from an oversized batch", n)
+	}
+	resp, err = http.Post(srv.URL+"/ingest", "application/json", strings.NewReader("["+arrival+"]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || ss.st.Events() != 1 {
+		t.Fatalf("small batch after the oversized one: status %d, %d dispatched", resp.StatusCode, ss.st.Events())
+	}
+}
+
 // wireBatch encodes arrivals in the /ingest wire form.
 func wireBatch(t *testing.T, arrivals []core.Arrival) string {
 	t.Helper()

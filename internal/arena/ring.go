@@ -1,3 +1,6 @@
+// Package arena provides Ring, a fixed-capacity FIFO with an eviction
+// seam. The streaming dispatcher's event log (core.Streamer) and the
+// flight recorder (obs.Flight) each keep their newest records in one.
 package arena
 
 // Ring is a fixed-capacity FIFO ring buffer: Push appends a value and,

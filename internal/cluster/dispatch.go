@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -299,8 +298,8 @@ func (st *planner) gpuRecord(kind obs.FlightKind, j *job, m *member, g int, now 
 // findEvictionFit is the preemption counterpart of findFit: the first
 // GPU in pool order where a read-only what-if shows the member would
 // fit with every strictly-lower-priority resident gone, or -1. With
-// telemetry on, each what-if leaves a provenance record whose digest
-// pair proves the probe left the aggregate untouched.
+// telemetry on, each what-if leaves a provenance record whose Detail
+// is "fit=true" or "fit=false".
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
@@ -309,14 +308,12 @@ func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
 		if st.fl == nil {
 			fits = st.canFitAfterEviction(g, j, m)
 		} else {
-			// `restored` must equal `digest`: with the read-only fold
-			// there is no mutation to restore from in the first place.
-			digest := st.pool.Digest(g)
 			fits = st.canFitAfterEviction(g, j, m)
-			restored := st.pool.Digest(g)
 			rec := st.gpuRecord(obs.FlightWhatIf, j, m, g, now)
-			//repro:allow:hotpathalloc what-if provenance formats the digest pair; telemetry-off scans never reach this branch
-			rec.Detail = fmt.Sprintf("fit=%t digest=%016x restored=%016x", fits, digest, restored)
+			rec.Detail = "fit=false"
+			if fits {
+				rec.Detail = "fit=true"
+			}
 			st.fl.Record(rec)
 		}
 		if fits {

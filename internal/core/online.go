@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"gpushare/internal/admission"
-	"gpushare/internal/arena"
 	"gpushare/internal/eventq"
 	"gpushare/internal/gpusim"
 	"gpushare/internal/interference"
@@ -79,18 +78,6 @@ type onlineResident struct {
 	seq  uint64
 }
 
-// planArena backs the per-arrival allocations of one plan (or one
-// streaming run): workflow profiles come from a slab, dispatch-event
-// name lists from a slice arena. Everything handed out stays valid
-// until the arena's owner resets it — OnlinePlan never resets (its
-// Dispatches reference the name lists for the plan's lifetime), while
-// the Streamer resets the name scratch after each event is framed
-// (DESIGN.md §14).
-type planArena struct {
-	profiles arena.Slab[WorkflowProfile]
-	names    arena.Slice[string]
-}
-
 // profileBuilder resolves arrivals to workflow profiles with a
 // memoization layer: fleet streams draw millions of arrivals from a
 // handful of archetypes, and a profile is a pure function of the task
@@ -101,7 +88,6 @@ type planArena struct {
 // never the profile.
 type profileBuilder struct {
 	store *profile.Store
-	mem   *planArena
 	cache map[workflow.Task]*WorkflowProfile
 }
 
@@ -110,14 +96,15 @@ type profileBuilder struct {
 // path promises bounded steady-state memory).
 const profileCacheCap = 4096
 
-func newProfileBuilder(store *profile.Store, mem *planArena) *profileBuilder {
-	return &profileBuilder{store: store, mem: mem, cache: make(map[workflow.Task]*WorkflowProfile)}
+func newProfileBuilder(store *profile.Store) *profileBuilder {
+	return &profileBuilder{store: store, cache: make(map[workflow.Task]*WorkflowProfile)}
 }
 
 // build returns the arrival's profile, from cache when possible. Shape
 // validation always runs against the submitted workflow — a cache hit
 // must not let an ill-formed workflow ride on a well-formed twin's
-// profile.
+// profile. An uncached profile (multi-task workflow, or the cache is
+// full) is a plain heap object the GC reclaims once its holder drops it.
 func (b *profileBuilder) build(w workflow.Workflow) (*WorkflowProfile, error) {
 	if err := w.ValidateShape(); err != nil {
 		return nil, err
@@ -128,25 +115,14 @@ func (b *profileBuilder) build(w workflow.Workflow) (*WorkflowProfile, error) {
 			return wp, nil
 		}
 	}
-	wp := b.mem.profiles.Get()
-	if err := buildWorkflowProfileInto(b.store, w, wp); err != nil {
+	wp, err := BuildWorkflowProfile(b.store, w)
+	if err != nil {
 		return nil, err
 	}
 	if single && len(b.cache) < profileCacheCap {
 		b.cache[w.Tasks[0]] = wp
 	}
 	return wp, nil
-}
-
-// putUncached recycles a profile the cache did not retain (multi-task
-// workflow, or the cache hit its cap). The streaming path calls it once
-// the arrival's event is framed, so the slab's live set tracks the
-// cache, not the arrival count.
-func (b *profileBuilder) putUncached(w workflow.Workflow, wp *WorkflowProfile) {
-	if len(w.Tasks) == 1 && b.cache[w.Tasks[0]] == wp {
-		return
-	}
-	b.mem.profiles.Put(wp)
 }
 
 // queueWaitBoundsMs bucket online queueing delay in simulated
@@ -167,16 +143,9 @@ type OnlinePlan struct {
 	Stats DispatchStats
 
 	arrivals []Arrival          // sorted by arrival time
-	profiles []*WorkflowProfile // parallel to arrivals, arena-backed
+	profiles []*WorkflowProfile // parallel to arrivals
 	at       []simtime.Time     // dispatch instants, parallel to arrivals
 	gpu      []int              // dispatch targets, parallel to arrivals
-
-	// mem owns every per-arrival allocation the plan references:
-	// profiles and the Dispatches' RunningAlongside name lists point into
-	// it. Tying the arena to the plan (never the scheduler) means the
-	// data lives exactly as long as the plan and later runs cannot
-	// corrupt it.
-	mem *planArena
 }
 
 // DispatchStats counts the admission path's work. Probe counts are an
@@ -213,8 +182,7 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 	copy(sorted, arrivals)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 
-	mem := &planArena{}
-	builder := newProfileBuilder(s.Profiles, mem)
+	builder := newProfileBuilder(s.Profiles)
 	profiles := make([]*WorkflowProfile, len(sorted))
 	for i, a := range sorted {
 		wp, err := builder.build(a.Workflow)
@@ -230,7 +198,6 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 		profiles:   profiles,
 		at:         make([]simtime.Time, len(sorted)),
 		gpu:        make([]int, len(sorted)),
-		mem:        mem,
 	}
 	if err := s.dispatchArrivals(plan); err != nil {
 		return nil, err
@@ -484,13 +451,21 @@ func (d *onlineDispatcher) place(g int, load interference.Load, name string, end
 	d.completions.Schedule(end, 0, k)
 }
 
+// nameChunk is the smallest backing array dispatchOne starts when the
+// caller's name buffer runs out of room: one allocation serves
+// thousands of short co-resident lists.
+const nameChunk = 4096
+
 // dispatchOne runs one arrival end to end: admit, record, place. The
-// returned event's RunningAlongside is carved from names (nil when the
-// GPU was empty, preserving the log's JSON shape) and stays valid until
-// the arena's owner resets it. Everything name-dependent reads the
-// arrival, not the profile — cached profiles carry another arrival's
-// name.
-func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *arena.Slice[string]) (DispatchEvent, error) {
+// returned event's RunningAlongside (nil when the GPU was empty,
+// preserving the log's JSON shape) is appended to the caller-owned
+// *names buffer and capped at its own length, so a caller's append
+// cannot overwrite the next event's list. When the buffer lacks room
+// a fresh chunk replaces it and earlier lists keep the old one; the
+// list stays valid until the caller reuses the buffer's space.
+// Everything name-dependent reads the arrival, not the profile —
+// cached profiles carry another arrival's name.
+func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *[]string) (DispatchEvent, error) {
 	load := wp.load()
 	seq := d.arrivalSeq
 	d.arrivalSeq++
@@ -513,10 +488,16 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *a
 	}
 	var alongside []string
 	if res := d.pool.Residents(placed); len(res) > 0 {
-		alongside = names.Make(len(res))
-		for j := range res {
-			alongside[j] = res[j].name
+		buf := *names
+		if cap(buf)-len(buf) < len(res) {
+			buf = make([]string, 0, max(nameChunk, len(res)))
 		}
+		start := len(buf)
+		for j := range res {
+			buf = append(buf, res[j].name)
+		}
+		alongside = buf[start:len(buf):len(buf)]
+		*names = buf
 	}
 	end := now.Add(simtime.FromSeconds(wp.TotalDurationS))
 	d.place(placed, load, a.Workflow.Name, end)
@@ -563,8 +544,11 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 // re-probe only GPUs whose pool generation advanced.
 func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
 	d := newOnlineDispatcher(s, &plan.Stats)
+	// The plan never reuses names' space: every chunk stays referenced
+	// by the Dispatches carved from it.
+	var names []string
 	for i := range plan.arrivals {
-		ev, err := d.dispatchOne(&plan.arrivals[i], plan.profiles[i], &plan.mem.names)
+		ev, err := d.dispatchOne(&plan.arrivals[i], plan.profiles[i], &names)
 		if err != nil {
 			return err
 		}

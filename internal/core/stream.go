@@ -19,8 +19,8 @@ import (
 // Streaming ingest: the dispatcher's decision kernel applied to an
 // unbounded, time-ordered arrival stream with bounded steady-state
 // memory. PlanOnline materializes every arrival, profile, and dispatch
-// record for the plan's lifetime; the Streamer instead recycles
-// per-arrival storage the moment an event is framed, keeps only a
+// record for the plan's lifetime; the Streamer instead reuses its
+// co-resident name buffer once an event is framed, keeps only a
 // fixed-capacity ring of recent events (older ones spill to a JSONL
 // sink), and folds the log into a running SHA-256 digest framed exactly
 // like json.Marshal of the full event slice — so a streamed run and a
@@ -57,9 +57,11 @@ type Streamer struct {
 	sched   *Scheduler
 	d       *onlineDispatcher
 	builder *profileBuilder
-	mem     *planArena
-	ring    *arena.Ring[string]
-	spill   io.Writer
+	// names backs the current event's RunningAlongside; it is truncated
+	// after each event is framed, so its space is reused, not grown.
+	names []string
+	ring  *arena.Ring[string]
+	spill io.Writer
 
 	digest hash.Hash
 	n      int64 // events framed into the digest
@@ -67,6 +69,9 @@ type Streamer struct {
 	stats  DispatchStats
 
 	finished bool
+	// err is the first spill failure, returned by every later Ingest,
+	// SaveState and Finish: the spilled log has a hole nothing can fill.
+	err error
 }
 
 // NewStreamer returns a streaming ingest session against the
@@ -81,13 +86,12 @@ func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 	}
 	st := &Streamer{
 		sched:  s,
-		mem:    &planArena{},
 		ring:   arena.NewRing[string](capacity),
 		spill:  cfg.Spill,
 		digest: sha256.New(),
 	}
 	st.d = newOnlineDispatcher(s, &st.stats)
-	st.builder = newProfileBuilder(s.Profiles, st.mem)
+	st.builder = newProfileBuilder(s.Profiles)
 	return st, nil
 }
 
@@ -100,7 +104,14 @@ func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 // The returned event's RunningAlongside is carved from the streamer's
 // name scratch and is valid only until the next Ingest, which reuses
 // it; a caller that keeps events across calls must copy the slice.
+//
+// A failed spill write is returned for the arrival whose event evicted
+// the record; that event still counts in Events(). From then on the
+// streamer is stuck: Ingest, SaveState and Finish return the same error.
 func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
+	if st.err != nil {
+		return DispatchEvent{}, st.err
+	}
 	if st.finished {
 		return DispatchEvent{}, fmt.Errorf("core: ingest after Finish")
 	}
@@ -112,7 +123,7 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	if err != nil {
 		return DispatchEvent{}, err
 	}
-	ev, err := st.d.dispatchOne(&a, wp, &st.mem.names)
+	ev, err := st.d.dispatchOne(&a, wp, &st.names)
 	if err != nil {
 		return DispatchEvent{}, err
 	}
@@ -120,11 +131,10 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	if err != nil {
 		return DispatchEvent{}, err
 	}
-	// The event is framed; its name list and (uncached) profile are dead.
-	// Recycling them here is what keeps steady-state memory independent
-	// of the arrival count.
-	st.builder.putUncached(a.Workflow, wp)
-	st.mem.names.Reset()
+	// The event is framed: the next arrival may reuse the name buffer's
+	// space, which keeps steady-state memory independent of the arrival
+	// count.
+	st.names = st.names[:0]
 
 	// Digest framing matches json.Marshal over the full event slice:
 	// '[' e1 ',' e2 ... ']' (Finish writes the close bracket).
@@ -134,14 +144,14 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 		st.digest.Write([]byte{','})
 	}
 	st.digest.Write(line)
+	st.n++
+	st.lastAt = a.At
 
 	if old, evicted := st.ring.Push(string(line)); evicted {
 		if err := st.spillLine(old); err != nil {
 			return DispatchEvent{}, err
 		}
 	}
-	st.n++
-	st.lastAt = a.At
 	return ev, nil
 }
 
@@ -161,15 +171,20 @@ func (st *Streamer) IngestAll(src ArrivalSource) (int, error) {
 	}
 }
 
+// spillLine writes one record to the spill sink, storing the first
+// failure as the streamer's sticky error.
 func (st *Streamer) spillLine(line string) error {
 	if st.spill == nil {
 		return nil
 	}
-	if _, err := io.WriteString(st.spill, line); err != nil {
-		return err
+	_, err := io.WriteString(st.spill, line)
+	if err == nil {
+		_, err = io.WriteString(st.spill, "\n")
 	}
-	_, err := io.WriteString(st.spill, "\n")
-	return err
+	if err != nil {
+		st.err = fmt.Errorf("core: stream spill: %w", err)
+	}
+	return st.err
 }
 
 // Events reports how many arrivals have been dispatched.
@@ -184,16 +199,15 @@ func (st *Streamer) Stats() DispatchStats { return st.stats }
 // no longer hold.
 func (st *Streamer) WaitedS() float64 { return simtime.Time(st.d.waitedNS).Seconds() }
 
-// Recent appends the retained tail of the event log (marshaled records,
-// oldest first) to dst.
-func (st *Streamer) Recent(dst []string) []string { return st.ring.Snapshot(dst) }
-
 // Finish closes the stream: the ring's retained events drain to the
 // spill sink, the dispatcher's telemetry folds into the shared
 // registry, and the digest is finalized and returned as hex. The digest equals
 // sha256(json.Marshal(events)) over the full dispatch log — the same
 // value digestDispatches computes for a materialized plan.
 func (st *Streamer) Finish() (string, error) {
+	if st.err != nil {
+		return "", st.err
+	}
 	if st.finished {
 		return "", fmt.Errorf("core: Finish called twice")
 	}
@@ -258,6 +272,9 @@ type streamHists struct {
 // SaveState snapshots the run. The streamer stays usable; a snapshot is
 // a point-in-time copy, not a handoff.
 func (st *Streamer) SaveState() (*StreamState, error) {
+	if st.err != nil {
+		return nil, st.err
+	}
 	if st.finished {
 		return nil, fmt.Errorf("core: SaveState after Finish")
 	}

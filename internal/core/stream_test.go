@@ -3,9 +3,11 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,6 +115,52 @@ func TestStreamDigestMatchesPlan(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ev, plan.Dispatches[i]) {
 			t.Fatalf("spill line %d = %+v, want %+v", i, ev, plan.Dispatches[i])
+		}
+	}
+}
+
+// TestPlanNameChunks pins the plan's co-resident lists across name
+// chunks: with more names than one chunk holds, every event's
+// RunningAlongside equals a streamed replay's (cloned per event, since
+// the streamer reuses its buffer), and every list is capped at its
+// length, so a caller's append cannot overwrite the next event's list.
+func TestPlanNameChunks(t *testing.T) {
+	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 3000, TargetGPUs: 8, Seed: 23})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fleetScheduler(t, store, 8)
+	plan, err := s.PlanOnline(arrivals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for i, d := range plan.Dispatches {
+		if cap(d.RunningAlongside) != len(d.RunningAlongside) {
+			t.Fatalf("event %d: RunningAlongside len %d cap %d, want cap == len",
+				i, len(d.RunningAlongside), cap(d.RunningAlongside))
+		}
+		total += len(d.RunningAlongside)
+	}
+	if total <= nameChunk {
+		t.Fatalf("plan holds %d co-resident names, want more than one %d-name chunk", total, nameChunk)
+	}
+
+	st, err := s.NewStreamer(StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := make([][]string, len(arrivals))
+	for i, a := range arrivals {
+		ev, err := st.Ingest(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay[i] = slices.Clone(ev.RunningAlongside)
+	}
+	for i, d := range plan.Dispatches {
+		if !slices.Equal(d.RunningAlongside, replay[i]) {
+			t.Fatalf("event %d: plan lists %v, stream replay %v", i, d.RunningAlongside, replay[i])
 		}
 	}
 }
@@ -326,6 +374,70 @@ func TestStreamMisuse(t *testing.T) {
 	}
 }
 
+// errSpillFull is the failure failingWriter injects.
+var errSpillFull = errors.New("spill device full")
+
+// failingWriter accepts writes until its k-th (1-based), which fails,
+// as does every write after it.
+type failingWriter struct{ k, writes int }
+
+func (w *failingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes >= w.k {
+		return 0, errSpillFull
+	}
+	return len(p), nil
+}
+
+// TestStreamSpillErrorSticky pins the spill failure contract: the
+// first failed spill write is returned by the Ingest that evicted the
+// record, which still counts that event, and from then on Ingest,
+// SaveState and Finish return the same error without dispatching,
+// counting or spilling anything.
+func TestStreamSpillErrorSticky(t *testing.T) {
+	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 64, TargetGPUs: 4, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := fleetScheduler(t, store, 4)
+	// Each spilled record is two writes (line, newline), so with an
+	// 8-event ring the 10th arrival evicts the second record and its
+	// newline write, the 4th write, fails.
+	w := &failingWriter{k: 4}
+	st, err := s.NewStreamer(StreamConfig{RingCapacity: 8, Spill: w})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := -1
+	var first error
+	for i, a := range arrivals {
+		if _, err := st.Ingest(a); err != nil {
+			failed, first = i, err
+			break
+		}
+	}
+	if failed != 9 || !errors.Is(first, errSpillFull) {
+		t.Fatalf("arrival %d failed with %v, want arrival 9 with %v", failed, first, errSpillFull)
+	}
+	events, stats, writes := st.Events(), st.Stats(), w.writes
+	if events != int64(failed+1) {
+		t.Fatalf("Events() = %d after the failed spill, want %d (the evicting event counts)", events, failed+1)
+	}
+	if _, err := st.Ingest(arrivals[failed+1]); err != first {
+		t.Fatalf("next Ingest: err = %v, want the first spill error %v", err, first)
+	}
+	if _, err := st.SaveState(); err != first {
+		t.Fatalf("SaveState: err = %v, want %v", err, first)
+	}
+	if _, err := st.Finish(); err != first {
+		t.Fatalf("Finish: err = %v, want %v", err, first)
+	}
+	if st.Events() != events || st.Stats() != stats || w.writes != writes {
+		t.Fatalf("after the spill error: events %d stats %+v writes %d, want %d %+v %d",
+			st.Events(), st.Stats(), w.writes, events, stats, writes)
+	}
+}
+
 // TestRefusedArrivalLeavesFleet is the regression test for a refusal
 // draining the fleet: a load no GPU can ever take (1 TiB) used to wait
 // through every predicted completion, retiring all residents, before
@@ -453,10 +565,10 @@ func TestPlanOnlineDuplicateArrivalTimes(t *testing.T) {
 	}
 }
 
-// TestStreamProfileRecycling pins the bounded-slab property: a stream
-// drawing from a fixed archetype set keeps the profile slab's live set
-// at the cache size, not the arrival count, and multi-task (uncached)
-// profiles recycle through Put.
+// TestStreamProfileRecycling pins what the streamer retains of its
+// profiles: a stream drawing from a fixed archetype set caches only the
+// single-task profile, while multi-task (uncached) profiles are left to
+// the GC once their event is framed.
 func TestStreamProfileRecycling(t *testing.T) {
 	store := suiteStore(t)
 	s := fleetScheduler(t, store, 2)
@@ -479,10 +591,9 @@ func TestStreamProfileRecycling(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Live profiles: the one cached single-task profile; every multi-task
-	// profile went back through Put.
-	if live := st.mem.profiles.Len(); live != 1 {
-		t.Fatalf("profile slab live set = %d, want 1", live)
+	single := workflow.Task{Benchmark: "AthenaPK", Size: "1x", Iterations: 1}
+	if len(st.builder.cache) != 1 || st.builder.cache[single] == nil {
+		t.Fatalf("profile cache holds %d entries, want only the single-task %v", len(st.builder.cache), single)
 	}
 }
 
@@ -571,9 +682,9 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 }
 
 // TestPlanOnlineSteadyAllocs pins the full planning path's allocation
-// budget per arrival: profile cache plus arena-backed outputs hold the
+// budget per arrival: the profile cache and chunked name lists hold the
 // whole decision-and-record pipeline to a small constant, two orders of
-// magnitude under the pre-arena dispatcher (see BENCH_dispatcher.json).
+// magnitude under a per-event allocation (see BENCH_dispatcher.json).
 func TestPlanOnlineSteadyAllocs(t *testing.T) {
 	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 4000, TargetGPUs: 16, Seed: 5})
 	if err != nil {
@@ -587,7 +698,7 @@ func TestPlanOnlineSteadyAllocs(t *testing.T) {
 	})
 	perArrival := allocs / float64(len(arrivals))
 	// The remaining per-arrival cost is the sorted copy plus amortized
-	// arena chunk refills — well under one heap object per arrival.
+	// name-chunk refills — well under one heap object per arrival.
 	if perArrival > 0.5 {
 		t.Fatalf("planOnline allocates %.2f objects per arrival, want <= 0.5", perArrival)
 	}

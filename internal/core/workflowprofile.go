@@ -75,33 +75,20 @@ func (wp *WorkflowProfile) load() interference.Load {
 // BuildWorkflowProfile aggregates the store's task profiles over a
 // workflow, inferring missing sizes by scaling.
 func BuildWorkflowProfile(store *profile.Store, w workflow.Workflow) (*WorkflowProfile, error) {
-	wp := &WorkflowProfile{}
-	if err := buildWorkflowProfileInto(store, w, wp); err != nil {
-		return nil, err
-	}
-	return wp, nil
-}
-
-// buildWorkflowProfileInto is BuildWorkflowProfile writing into
-// caller-owned storage — the dispatcher hands in slab-allocated
-// structs so fleet-scale planning does not pay one heap object per
-// arrival. Every field is written unconditionally (the slab re-zeroes
-// on reuse, and the folds below start from the zero value).
-func buildWorkflowProfileInto(store *profile.Store, w workflow.Workflow, wp *WorkflowProfile) error {
 	// Shape-only validation: planning resolves benchmarks through the
 	// profile store, so store-only benchmarks (fleet archetypes) are
 	// legal here; the store lookup below rejects anything it lacks.
 	if err := w.ValidateShape(); err != nil {
-		return err
+		return nil, err
 	}
 	if store == nil {
-		return fmt.Errorf("core: nil profile store")
+		return nil, fmt.Errorf("core: nil profile store")
 	}
-	wp.Workflow = w
+	wp := &WorkflowProfile{Workflow: w}
 	for _, t := range w.Tasks {
 		p, err := store.Lookup(canonicalName(t.Benchmark), t.Size)
 		if err != nil {
-			return fmt.Errorf("core: workflow %s: %w", w.Name, err)
+			return nil, fmt.Errorf("core: workflow %s: %w", w.Name, err)
 		}
 		dur := p.DurationS * float64(t.Iterations)
 		wp.TotalDurationS += dur
@@ -125,11 +112,11 @@ func buildWorkflowProfileInto(store *profile.Store, w workflow.Workflow, wp *Wor
 		}
 	}
 	if wp.TotalDurationS <= 0 {
-		return fmt.Errorf("core: workflow %s has zero predicted duration", w.Name)
+		return nil, fmt.Errorf("core: workflow %s has zero predicted duration", w.Name)
 	}
 	wp.AvgSMUtilPct /= wp.TotalDurationS
 	wp.AvgBWUtilPct /= wp.TotalDurationS
-	return nil
+	return wp, nil
 }
 
 // canonicalName resolves paper aliases ("MHD") to suite names so store

@@ -42,9 +42,9 @@ const (
 	// round (cluster gangs held for a later round record FlightHold
 	// instead).
 	FlightReject
-	// FlightWhatIf is a preemption feasibility probe: victims removed
-	// under a snapshot, candidate probed, state restored. Detail carries
-	// the pre/post aggregate digests proving the restore.
+	// FlightWhatIf is a preemption feasibility probe: a read-only fold
+	// over the GPU's residents with the would-be victims left out.
+	// Detail is "fit=true" or "fit=false".
 	FlightWhatIf
 	// FlightEvict marks a committed preemption (the victim gang's view).
 	FlightEvict

@@ -50,12 +50,12 @@ emit_size() { # emit_size BENCH_REGEX PER_UNIT BEFORE_NS BEFORE_B BEFORE_A
 }
 
 host="$(awk -F': ' '/model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)"
-host="${host:-unknown CPU}, $(go env GOOS)/$(go env GOARCH), $(go version | awk '{print $3}')"
+host="${host:-unknown CPU}, $(getconf _NPROCESSORS_ONLN) cores, $(go env GOOS)/$(go env GOARCH), $(go version | awk '{print $3}')"
 
 {
 	cat <<EOF
 {
-  "description": "Scheduling decision path before/after for the arena-backed dispatcher rewrite. 'before' is the PR-5 incremental-aggregate dispatcher (commit b152169: O(1) admission sums and an eventq completion heap, but per-arrival workflow-profile construction, per-event name-list slices, and an append-grown dispatch log). 'after' caches single-task workflow profiles and backs all per-arrival output with arena/freelist storage; the streaming path bounds memory with a ring-buffered event log spilled as JSONL. Decision identity is pinned by TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata, generated pre-rewrite).",
+  "description": "Scheduling decision path before/after the per-arrival output rewrite. 'before' is the incremental-aggregate dispatcher at commit b152169 (O(1) admission sums and an eventq completion heap, but per-arrival workflow-profile construction, per-event name-list slices, and an append-grown dispatch log). 'after' is the current dispatcher: single-task workflow profiles are cached, co-resident name lists are carved from 4096-name chunks the caller owns, and the streaming path bounds memory with a ring-buffered event log spilled as JSONL. Decision identity is pinned by TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata, generated pre-rewrite).",
   "host": "$host",
   "generated_by": "scripts/bench_dispatcher.sh (make bench-dispatcher), -benchtime=$benchtime",
   "methodology": {
@@ -94,8 +94,8 @@ EOF
   "streaming": {
     "note": "bounded-memory soak: 1M arrivals x 1024 GPUs through core.Streamer with a 4096-entry ring and a counting spill sink peaks under 5 MiB of live heap (TestStreamBoundedMemory, skipped under -short and -race); snapshot at 2/3 and resume reproduces the uninterrupted digest (TestStreamSnapshotResume)"
   },
-  "notes": "Remaining allocations are the retained dispatch-event log and its alongside name lists (plan output, arena-backed but necessarily live until the plan is returned) plus profile-cache warming; the admission probe itself is allocation-free, pinned by TestAggregateAdmitAllocs and TestDispatcherAdmitAllocs (testing.AllocsPerRun == 0), and the steady-state planOnline floor is pinned by TestPlanOnlineSteadyAllocs (<= 0.5 allocs/arrival warm). Bit-identity of the aggregate sums against interference.Predict is pinned by FuzzAggregateMatchesPredict.",
-  "regression_net": "TestGoldenPlans / TestGoldenDispatchLogs / TestGoldenOnlineOutcome (byte-diff against pre-rewrite testdata), TestWhatIfLeavesAggregateUntouched (preemption what-ifs provably read-only), TestStreamDigestMatchesPlan, TestStreamSnapshotResume, TestDispatcherAdmitAllocs, TestPlanOnlineSteadyAllocs, FuzzAggregateMatchesPredict / FuzzRing / FuzzArena (make fuzz), and the CI bench-smoke step (make bench-smoke, which diffs the batch vs -stream dispatch digests)"
+  "notes": "Remaining allocations are the retained dispatch-event log and its alongside name lists (plan output, carved from 4096-name chunks and necessarily live until the plan is returned) plus profile-cache warming; the admission probe itself is allocation-free, pinned by TestAggregateAdmitAllocs and TestDispatcherAdmitAllocs (testing.AllocsPerRun == 0), and the steady-state planOnline floor is pinned by TestPlanOnlineSteadyAllocs (<= 0.5 allocs/arrival warm). Bit-identity of the aggregate sums against interference.Predict is pinned by FuzzAggregateMatchesPredict.",
+  "regression_net": "TestGoldenPlans / TestGoldenDispatchLogs / TestGoldenOnlineOutcome (byte-diff against pre-rewrite testdata), TestWhatIfLeavesAggregateUntouched (preemption what-ifs provably read-only), TestStreamDigestMatchesPlan, TestStreamSnapshotResume, TestDispatcherAdmitAllocs, TestPlanOnlineSteadyAllocs, FuzzAggregateMatchesPredict / FuzzRing (make fuzz), and the CI bench-smoke step (make bench-smoke, which diffs the batch vs -stream dispatch digests)"
 }
 EOF
 } >"$out"
