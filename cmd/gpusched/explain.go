@@ -83,9 +83,9 @@ func explainDump(w io.Writer, snap *obs.FlightSnapshot, seq int64, tenant string
 	return nil
 }
 
-// formatFlightRecord renders one decision-trail line. Probe records get
-// the typed rule verdict back through interference.Reason, so the text
-// trail names the same rules the dispatcher consulted.
+// formatFlightRecord renders one decision-trail line. Scan records
+// name each rule that fired through interference.RuleMask, so the text
+// trail uses the same rule names as the dispatcher.
 func formatFlightRecord(r obs.FlightRecord) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seq %6d  @%14.6fs  %-8s", r.Seq, float64(r.AtNS)/1e9, r.Kind)
@@ -101,17 +101,11 @@ func formatFlightRecord(r obs.FlightRecord) string {
 	if r.GPU >= 0 {
 		fmt.Fprintf(&b, "  gpu=%d", r.GPU)
 	}
-	if r.Clients > 0 {
+	switch {
+	case r.Kind == obs.FlightScan:
+		writeScanSummary(&b, r)
+	case r.Clients > 0:
 		fmt.Fprintf(&b, "  clients=%d", r.Clients)
-	}
-	if r.Kind == obs.FlightProbe {
-		reason := interference.Reason{
-			Rules:         interference.RuleMask(r.Rules),
-			SMExcessMilli: r.SMExcessMilli,
-			BWExcessMilli: r.BWExcessMilli,
-			MemExcessMiB:  r.MemExcessMiB,
-		}
-		fmt.Fprintf(&b, "  %s", reason)
 	}
 	if r.WaitNS > 0 {
 		fmt.Fprintf(&b, "  wait=%.3fs", float64(r.WaitNS)/1e9)
@@ -120,6 +114,26 @@ func formatFlightRecord(r obs.FlightRecord) string {
 		fmt.Fprintf(&b, "  %s", r.Detail)
 	}
 	return b.String()
+}
+
+// writeScanSummary renders a scan record's counts: no-fit when no GPU
+// admitted, the GPUs visited, and for each rule that fired the number
+// of GPUs it rejected.
+func writeScanSummary(b *strings.Builder, r obs.FlightRecord) {
+	if r.GPU < 0 {
+		b.WriteString("  no-fit")
+	}
+	fmt.Fprintf(b, "  visited=%d", r.Clients)
+	counts := [...]int64{r.SMExcessMilli, r.BWExcessMilli, r.MemExcessMiB, int64(r.CapSkips)}
+	sep := "  rejected "
+	for i, n := range counts {
+		rule := interference.RuleMask(1 << i)
+		if interference.RuleMask(r.Rules)&rule == 0 {
+			continue
+		}
+		fmt.Fprintf(b, "%s%s=%d", sep, rule, n)
+		sep = " "
+	}
 }
 
 // writeFlightDump saves the hub's decision trail plus metrics snapshot

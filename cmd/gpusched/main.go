@@ -473,8 +473,8 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		workflows, gpus, policy.Objective, map[bool]string{true: ", streamed", false: ""}[stream],
 		dispatched, elapsed.Round(time.Millisecond),
 		float64(elapsed.Nanoseconds())/float64(dispatched))
-	fmt.Printf("  admission probes %d  wait events %d  retirements %d  mean wait %.1fs\n",
-		stats.Probes, stats.Waits, stats.Completions, meanWait)
+	fmt.Printf("  admission probes %d  GPUs visited %d  wait events %d  retirements %d  mean wait %.1fs\n",
+		stats.Probes, stats.Visits, stats.Waits, stats.Completions, meanWait)
 	fmt.Printf("  dispatch digest sha256:%s\n", digest)
 	return nil
 }

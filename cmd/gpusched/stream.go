@@ -114,20 +114,10 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	events := make([]core.DispatchEvent, 0, len(batch))
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	for i, a := range arrivals {
-		ev, err := ss.st.Ingest(a)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("arrival %d (%d dispatched): %v", i, i, err),
-				http.StatusUnprocessableEntity)
-			return
-		}
-		// RunningAlongside points into the streamer's name scratch, which
-		// the next Ingest reuses: the response must own its copy.
-		ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
-		events = append(events, ev)
+	events, err := ss.ingest(arrivals)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(events); err != nil {
@@ -135,6 +125,27 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		// but note it for the operator.
 		fmt.Fprintf(os.Stderr, "gpusched: /ingest response: %v\n", err)
 	}
+}
+
+// ingest dispatches arrivals in order under the stream mutex and
+// returns their events, which own their RunningAlongside copies so the
+// caller can encode them after the lock is released. It stops at the
+// first failure, reporting how many arrivals were dispatched.
+func (ss *streamServer) ingest(arrivals []core.Arrival) ([]core.DispatchEvent, error) {
+	events := make([]core.DispatchEvent, 0, len(arrivals))
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	for i, a := range arrivals {
+		ev, err := ss.st.Ingest(a)
+		if err != nil {
+			return nil, fmt.Errorf("arrival %d (%d dispatched): %w", i, i, err)
+		}
+		// RunningAlongside points into the streamer's name scratch, which
+		// the next Ingest reuses: the response must own its copy.
+		ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
+		events = append(events, ev)
+	}
+	return events, nil
 }
 
 // arrivalInstant converts a wire timestamp to a simulated instant,

@@ -255,31 +255,52 @@ func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 
 // findFit scans the pool — nodes in spec order, GPUs in index order —
 // for the first device that admits the member under the node's sharing
-// mode, returning its pool index or -1. Every probe — hit or miss —
-// lands in the flight recorder with its per-rule verdict when telemetry
-// is on. It walks node by node, keeping each node's mode at hand.
+// mode, returning its pool index or -1. With telemetry on, the scan
+// leaves one flight record: the winner, the GPUs visited and the
+// rejections per rule. It walks node by node, keeping each node's mode
+// at hand.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) findFit(j *job, m *member, now simtime.Time) int {
+	var tally obs.ScanTally
 	for n := range st.nodes {
 		node := &st.nodes[n]
 		for g := node.first; g < node.first+node.spec.GPUs; g++ {
 			st.stats.Probes++
 			ok, reason := st.probe(node, g, m, st.pool.Len(g), nil)
-			if st.fl != nil {
-				rec := st.gpuRecord(obs.FlightProbe, j, m, g, now)
-				rec.Rules = uint8(reason.Rules)
-				rec.SMExcessMilli = reason.SMExcessMilli
-				rec.BWExcessMilli = reason.BWExcessMilli
-				rec.MemExcessMiB = reason.MemExcessMiB
-				st.fl.Record(rec)
-			}
 			if ok {
+				if st.fl != nil {
+					st.recordScan(&tally, j, m, g, now)
+				}
 				return g
+			}
+			if st.fl != nil {
+				tally.Reject(uint8(reason.Rules))
 			}
 		}
 	}
+	if st.fl != nil {
+		st.recordScan(&tally, j, m, -1, now)
+	}
 	return -1
+}
+
+// recordScan records findFit's summary for member m of j: the winner
+// g by node name and node-local index, or -1 when no GPU admitted.
+//
+//repro:hotpath pinned by TestClusterAdmitAllocs
+func (st *planner) recordScan(tally *obs.ScanTally, j *job, m *member, g int, now simtime.Time) {
+	local := int32(-1)
+	if g >= 0 {
+		local = int32(st.gpus[g].index)
+	}
+	rec := tally.Summary(int64(j.seq), int64(now), local)
+	rec.Tenant = j.tenant.spec.Name
+	rec.Workflow = m.profile.Workflow.Name
+	if g >= 0 {
+		rec.Node = st.gpus[g].node.spec.Name
+	}
+	st.fl.Record(rec)
 }
 
 // gpuRecord starts a flight record about member m of j on pool GPU g,
@@ -304,11 +325,8 @@ func (st *planner) gpuRecord(kind obs.FlightKind, j *job, m *member, g int, now 
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
 	for g := range st.gpus {
-		var fits bool
-		if st.fl == nil {
-			fits = st.canFitAfterEviction(g, j, m)
-		} else {
-			fits = st.canFitAfterEviction(g, j, m)
+		fits := st.canFitAfterEviction(g, j, m)
+		if st.fl != nil {
 			rec := st.gpuRecord(obs.FlightWhatIf, j, m, g, now)
 			rec.Detail = "fit=false"
 			if fits {
@@ -454,8 +472,7 @@ func victimable(v, preemptor *job) bool {
 // victim mask marks the hypothetical evictees and AdmitExcluding folds
 // the survivors without touching the live aggregate — the cached sums
 // are always the left-fold over the member list, so the masked fold is
-// bit-identical to a save/remove/probe/restore sequence, and the digest
-// pair in findEvictionFit's provenance record proves it trivially.
+// bit-identical to a save/remove/probe/restore sequence.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) canFitAfterEviction(g int, preemptor *job, m *member) bool {

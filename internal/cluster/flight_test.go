@@ -5,12 +5,13 @@ import (
 	"encoding/json"
 	"testing"
 
+	"gpushare/internal/interference"
 	"gpushare/internal/obs"
 	"gpushare/internal/workflow"
 )
 
 // flightScenario is a stream engineered to exercise every record kind:
-// a preemption (probe, what-if, evict), a post-eviction hold, and a
+// a preemption (scan, what-if, evict), a post-eviction hold, and a
 // two-member gang that can never fit the one-slot node (reject).
 func flightScenario() (Spec, []Submission) {
 	spec := oneNode(1, "batch", "prod")
@@ -24,20 +25,20 @@ func flightScenario() (Spec, []Submission) {
 }
 
 // TestClusterFlightProvenance pins the planner's decision trail: every
-// arrival, probe (with its per-rule verdict), preemption what-if (with
-// the restored-state digest), eviction, hold, reject, and dispatch
-// lands in the flight recorder, and the trail is byte-identical across
-// identical runs.
+// arrival, fit scan (with its per-rule rejection counts), preemption
+// what-if, eviction, hold, reject, and dispatch lands in the flight
+// recorder, and the trail is byte-identical across identical runs.
 func TestClusterFlightProvenance(t *testing.T) {
 	store := testStore(t)
 	spec, subs := flightScenario()
 	prev := obs.Active()
 	defer obs.SetActive(prev)
 
+	var out *Outcome
 	run := func() obs.FlightSnapshot {
 		hub := obs.NewHub(nil)
 		obs.SetActive(hub)
-		mustPlan(t, spec, store, subs)
+		out = mustPlan(t, spec, store, subs)
 		return hub.Flight.Snapshot()
 	}
 	snap := run()
@@ -50,7 +51,7 @@ func TestClusterFlightProvenance(t *testing.T) {
 		counts[r.Kind]++
 	}
 	for _, k := range []obs.FlightKind{
-		obs.FlightArrival, obs.FlightProbe, obs.FlightDispatch,
+		obs.FlightArrival, obs.FlightScan, obs.FlightDispatch,
 		obs.FlightWhatIf, obs.FlightEvict, obs.FlightHold, obs.FlightReject,
 	} {
 		if counts[k] == 0 {
@@ -85,16 +86,42 @@ func TestClusterFlightProvenance(t *testing.T) {
 		t.Fatal("trail missing eviction provenance")
 	}
 
-	// The client-cap rule shows up typed: urgent's arrival probes a full
-	// GPU before preempting.
-	var sawCap bool
+	// Every findFit leaves exactly one scan record, and nothing is
+	// recorded per probe: the one-GPU node means one visit per scan.
+	// Urgent's first scan meets the victim holding the node's one
+	// client slot, so the scan fails with one client-cap rejection
+	// before the what-if justifies the preemption.
+	var urgentMiss bool
 	for _, r := range snap.Records {
-		if r.Kind == obs.FlightProbe && r.Rules != 0 && r.Workflow == "urgent" {
-			sawCap = true
+		if r.Kind == 1 {
+			t.Fatalf("retired per-probe record in the trail: %+v", r)
+		}
+		if r.Kind != obs.FlightScan {
+			continue
+		}
+		if r.Clients != 1 {
+			t.Fatalf("scan record visited %d GPUs on a one-GPU cluster: %+v", r.Clients, r)
+		}
+		if r.Rules == 0 && (r.GPU != 0 || r.Node != "n0") {
+			t.Fatalf("clean scan does not name its winner: %+v", r)
+		}
+		if r.Workflow == "urgent" && r.GPU == -1 {
+			if r.Rules != uint8(interference.MaskClientCap) || r.CapSkips != 1 ||
+				r.SMExcessMilli != 0 || r.BWExcessMilli != 0 || r.MemExcessMiB != 0 || r.Node != "" {
+				t.Fatalf("urgent's failed scan = %+v, want one client-cap rejection", r)
+			}
+			urgentMiss = true
 		}
 	}
-	if !sawCap {
-		t.Fatal("no typed rejection probe for the preemptor")
+	if !urgentMiss {
+		t.Fatal("no failed scan with per-rule counts for the preemptor")
+	}
+	// On one GPU every scan and every what-if is one probe.
+	if snap.Total != int64(len(snap.Records)) {
+		t.Fatalf("trail overflowed the ring: %d of %d records kept", len(snap.Records), snap.Total)
+	}
+	if got := int64(counts[obs.FlightScan] + counts[obs.FlightWhatIf]); got != out.Stats.Probes {
+		t.Fatalf("%d scan and what-if records for %d probes, want one each", got, out.Stats.Probes)
 	}
 
 	// Determinism: an identical run yields a byte-identical trail.

@@ -617,7 +617,8 @@ func TestGangStarvationResolves(t *testing.T) {
 
 // TestClusterAdmitAllocs pins the admit/preempt hot path at zero
 // steady-state allocations: probes, what-ifs, and the resident pool must
-// not allocate once warm.
+// not allocate once warm, with telemetry off and with a live flight
+// recorder taking the scan and what-if records.
 func TestClusterAdmitAllocs(t *testing.T) {
 	store := testStore(t)
 	spec := oneNode(4, "a", "b")
@@ -630,24 +631,33 @@ func TestClusterAdmitAllocs(t *testing.T) {
 		sub(0, "a", 0, workflow.Single(wf("w0", "small"))),
 		sub(0, "a", 1, workflow.Single(wf("w1", "small"))),
 	}
-	st, err := p.newPlanner(subs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.run() // warm pools, snapshot buffers, and tx journals
-	g := 0
-	m := &st.jobs[0].members[0]
-	warm := func() {
-		_ = st.findFit(st.jobs[0], m, simtime.Zero)
-		_ = st.canFitAfterEviction(g, st.jobs[1], m)
-		st.saveGPU(g)
-		r := st.acquireResident()
-		st.releaseResident(r)
-		st.rollback()
-	}
-	warm()
-	if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
-		t.Fatalf("admit/preempt hot path allocates %v per cycle, want 0", allocs)
+	prev := obs.Active()
+	defer obs.SetActive(prev)
+	for _, hub := range []*obs.Hub{nil, obs.NewHub(nil)} {
+		obs.SetActive(hub)
+		st, err := p.newPlanner(subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.run() // warm pools, snapshot buffers, and tx journals
+		g := 0
+		m := &st.jobs[0].members[0]
+		warm := func() {
+			_ = st.findFit(st.jobs[0], m, simtime.Zero)
+			_ = st.findEvictionFit(st.jobs[1], m, simtime.Zero)
+			_ = st.canFitAfterEviction(g, st.jobs[1], m)
+			st.saveGPU(g)
+			r := st.acquireResident()
+			st.releaseResident(r)
+			st.rollback()
+		}
+		warm()
+		if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
+			t.Fatalf("admit/preempt hot path (telemetry %v) allocates %v per cycle, want 0", hub != nil, allocs)
+		}
+		if hub != nil && hub.Flight.Snapshot().Total == 0 {
+			t.Fatal("pin never recorded a flight record")
+		}
 	}
 }
 

@@ -3,9 +3,12 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
+	"gpushare/internal/gpu"
 	"gpushare/internal/obs"
+	"gpushare/internal/profile"
 )
 
 // flightBytes marshals a hub's flight snapshot for byte-level diffs.
@@ -148,5 +151,93 @@ func TestStreamFlightDisabled(t *testing.T) {
 	}
 	if _, err := resumed.Finish(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitStore profiles a "big" workload two of which exceed device memory
+// and a "small" one that fits beside a big, for building fleets where
+// an arrival waits a chosen number of times.
+func waitStore(t *testing.T, device gpu.DeviceSpec) *profile.Store {
+	t.Helper()
+	store := profile.NewStore()
+	for _, p := range []*profile.TaskProfile{
+		{Workload: "big", Size: "1x", AvgSMUtilPct: 20, AvgBWUtilPct: 10,
+			MaxMemMiB: device.MemoryMiB/2 + 1024, DurationS: 100, EnergyJ: 3000},
+		{Workload: "small", Size: "1x", AvgSMUtilPct: 20, AvgBWUtilPct: 10,
+			MaxMemMiB: 1024, DurationS: 10, EnergyJ: 3000},
+	} {
+		if err := store.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+// TestScanRecordsPerWait pins the trail's size per arrival: on a
+// throughput-policy fleet (two clients per GPU) an arrival that waits k
+// times writes exactly 2k+3 records — arrival, k+1 scans, k waits and
+// the dispatch — however many GPUs each scan walks. Every GPU holds a
+// big resident (ending at 100s) beside a small one; waits-1 smalls end
+// one millisecond apart before 100s, the rest after it. A
+// late big arrival finds every GPU full, and each small retirement
+// leaves a GPU it cannot join beside the remaining big, so it waits
+// through those retirements and once more for the bigs to end.
+func TestScanRecordsPerWait(t *testing.T) {
+	const waits = 6
+	device := a100x()
+	store := waitStore(t, device)
+	prev := obs.Active()
+	defer obs.SetActive(prev)
+
+	for _, gpus := range []int{2000, 200} {
+		var arrivals []Arrival
+		for i := 0; i < gpus; i++ {
+			arrivals = append(arrivals, Arrival{At: at(0), Workflow: wfOne(fmt.Sprintf("big-%d", i), "big", "1x", 1)})
+		}
+		early := waits - 1 // smalls retiring before the bigs
+		for i := 0; i < gpus; i++ {
+			start := 90 + 0.001*float64(i-early+1)
+			if i < early {
+				start = 90 - 0.001*float64(early-i)
+			}
+			arrivals = append(arrivals, Arrival{At: at(start), Workflow: wfOne(fmt.Sprintf("small-%d", i), "small", "1x", 1)})
+		}
+		arrivals = append(arrivals, Arrival{At: at(95), Workflow: wfOne("late", "big", "1x", 1)})
+
+		hub := obs.NewHub(nil)
+		obs.SetActive(hub)
+		s, err := NewScheduler(device, gpus, store, ThroughputPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := s.PlanOnline(arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := plan.Dispatches[len(plan.Dispatches)-1]
+		if last.Workflow != "late" || last.GPU != 0 || last.At != at(100) {
+			t.Fatalf("%d GPUs: late arrival dispatched as %+v, want GPU 0 at 100s", gpus, last)
+		}
+
+		seq := int64(len(arrivals) - 1)
+		counts := map[obs.FlightKind]int{}
+		var n int
+		for _, r := range hub.Flight.Snapshot().Records {
+			if r.Seq != seq {
+				continue
+			}
+			// The first scan walks the whole full fleet; it is still
+			// one record.
+			if r.Kind == obs.FlightScan && counts[obs.FlightScan] == 0 &&
+				(r.GPU != -1 || r.Clients != int32(gpus) || r.CapSkips != int32(gpus)) {
+				t.Fatalf("%d GPUs: first scan = %+v, want %d client-cap skips and no winner", gpus, r, gpus)
+			}
+			counts[r.Kind]++
+			n++
+		}
+		if n != 2*waits+3 || counts[obs.FlightScan] != waits+1 || counts[obs.FlightWait] != waits ||
+			counts[obs.FlightArrival] != 1 || counts[obs.FlightDispatch] != 1 {
+			t.Fatalf("%d GPUs: late arrival wrote %d records %v, want %d (%d waits)", gpus, n, counts, 2*waits+3, waits)
+		}
 	}
 }

@@ -154,6 +154,10 @@ type OnlinePlan struct {
 type DispatchStats struct {
 	// Probes is the number of per-GPU admission checks evaluated.
 	Probes int64
+	// Visits is the number of GPUs the scans walked: the probes plus
+	// the GPUs skipped at their client cap. Snapshots from before the
+	// counter existed restore it as 0.
+	Visits int64
 	// Waits is the number of predicted completions waited for.
 	Waits int64
 	// Completions is the number of resident retirements processed.
@@ -247,7 +251,8 @@ type onlineDispatcher struct {
 	arrivalSeq int64
 	// fl is the decision-provenance recorder, captured once at
 	// construction (nil when telemetry is disabled — the hot path then
-	// pays one predictable branch per probe and allocates nothing).
+	// pays one predictable branch per visited GPU and allocates
+	// nothing).
 	fl *obs.Flight
 }
 
@@ -309,50 +314,42 @@ func (d *onlineDispatcher) releaseKey(k *completionKey) {
 // resident set, and an unchanged group and the same candidate yield the
 // same sums, hence the same rejection. (A retry needs a pending
 // completion, so the pool has changed and its clock is above 0.)
-// Every evaluated GPU (including client-cap skips) leaves a flight
-// record carrying the typed rule verdict.
+// With telemetry on, the scan leaves one flight record: the winner,
+// the GPUs visited and the rejections per rule.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) scan(load interference.Load, since uint64, seq int64, now simtime.Time) int {
 	fl := d.fl
 	pool := &d.pool
 	placed := -1
-	var probes int64
+	var probes, visits int64
+	var tally obs.ScanTally
 	for g := 0; g < pool.GPUs(); g++ {
 		if since > 0 && pool.Gen(g) <= since {
 			continue
 		}
-		clients := pool.Len(g)
-		if clients+1 > d.clientCap {
+		visits++
+		if pool.Len(g)+1 > d.clientCap {
 			if fl != nil {
-				fl.Record(obs.FlightRecord{
-					Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
-					GPU: int32(g), Clients: int32(clients),
-					Rules: uint8(interference.MaskClientCap),
-				})
+				tally.Reject(uint8(interference.MaskClientCap))
 			}
 			continue
 		}
 		probes++
 		out := pool.Admit(g, load)
-		admit := d.policy.admits(&out)
-		if fl != nil {
-			r := out.Reason()
-			fl.Record(obs.FlightRecord{
-				Seq: seq, Kind: obs.FlightProbe, AtNS: int64(now),
-				GPU: int32(g), Clients: int32(clients),
-				Rules:         uint8(r.Rules),
-				SMExcessMilli: r.SMExcessMilli,
-				BWExcessMilli: r.BWExcessMilli,
-				MemExcessMiB:  r.MemExcessMiB,
-			})
-		}
-		if admit {
+		if d.policy.admits(&out) {
 			placed = g
 			break
 		}
+		if fl != nil {
+			tally.Reject(uint8(out.Rules()))
+		}
 	}
 	d.stats.Probes += probes
+	d.stats.Visits += visits
+	if fl != nil {
+		fl.Record(tally.Summary(seq, int64(now), int32(placed)))
+	}
 	return placed
 }
 

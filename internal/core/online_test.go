@@ -201,8 +201,8 @@ func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 	}
 	// A probes all four GPUs (all reject), then only the changed GPU 0
 	// on the retry (admit); B probes GPUs 0..3 (three rejects, then GPU
-	// 3 admits).
-	wantStats := DispatchStats{Probes: 4 + 1 + 4, Waits: 1, Completions: 2}
+	// 3 admits). No GPU reaches the client cap, so every visit probes.
+	wantStats := DispatchStats{Probes: 4 + 1 + 4, Visits: 4 + 1 + 4, Waits: 1, Completions: 2}
 	if stats != wantStats {
 		t.Fatalf("stats %+v, want %+v", stats, wantStats)
 	}

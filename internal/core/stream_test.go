@@ -254,6 +254,65 @@ func TestStreamSnapshotResume(t *testing.T) {
 	}
 }
 
+// TestStreamStateVisits pins the Visits counter's trip through a stream
+// snapshot: it is saved and restored with the other stats, and a
+// snapshot from before the counter existed restores it as 0. Under the
+// throughput policy's two-client cap the scans walk past full GPUs, so
+// visits exceed probes.
+func TestStreamStateVisits(t *testing.T) {
+	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 200, TargetGPUs: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := NewScheduler(a100x(), 4, store, ThroughputPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := sched.NewStreamer(StreamConfig{RingCapacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arrivals[:100] {
+		if _, err := st.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	state, err := st.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if state.Stats.Visits <= state.Stats.Probes {
+		t.Fatalf("stats %+v: client-cap skips missing from Visits", state.Stats)
+	}
+	blob, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	older := bytes.Replace(blob, []byte(fmt.Sprintf(`"Visits":%d,`, state.Stats.Visits)), nil, 1)
+	if bytes.Equal(older, blob) {
+		t.Fatal("snapshot JSON carries no Visits field to strip")
+	}
+	for _, c := range []struct {
+		name string
+		blob []byte
+		want int64
+	}{{"current", blob, state.Stats.Visits}, {"older", older, 0}} {
+		var saved StreamState
+		if err := json.Unmarshal(c.blob, &saved); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := sched.RestoreStreamer(StreamConfig{RingCapacity: 16}, &saved)
+		if err != nil {
+			t.Fatalf("%s snapshot: %v", c.name, err)
+		}
+		want := state.Stats
+		want.Visits = c.want
+		if got := resumed.Stats(); got != want {
+			t.Fatalf("%s snapshot restored stats %+v, want %+v", c.name, got, want)
+		}
+	}
+}
+
 // TestStreamRestoreValidation exercises the snapshot compatibility
 // checks: fleet shape, snapshot format, ring capacity, and serial order
 // all gate a restore.

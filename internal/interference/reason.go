@@ -116,6 +116,22 @@ func excessMilli(pct float64) int64 {
 	return int64(math.Round(pct * 1000))
 }
 
+// Rules returns the outcome's violated-rule bitmask: Reason's Rules
+// without the magnitudes.
+func (o Outcome) Rules() RuleMask {
+	var m RuleMask
+	if o.Compute {
+		m |= MaskCompute
+	}
+	if o.Bandwidth {
+		m |= MaskBandwidth
+	}
+	if o.Capacity {
+		m |= MaskCapacity
+	}
+	return m
+}
+
 // Reason derives the typed rejection reason from a probe outcome,
 // evaluated with exactly the outcome's own rule verdicts. It allocates
 // nothing.

@@ -72,8 +72,8 @@ func TestReasonString(t *testing.T) {
 
 // TestOutcomeReasonAllocs is the runtime half of Reason's
 // //repro:hotpath annotation: deriving a typed reason from a probe
-// outcome allocates nothing, so dispatchers can record provenance for
-// every probe.
+// outcome allocates nothing, so the cluster planner can derive one for
+// every rejected probe.
 func TestOutcomeReasonAllocs(t *testing.T) {
 	a := NewAggregate(reasonDevice())
 	a.Add(Load{SMPct: 80, BWPct: 90, MemMiB: 1024})

@@ -10,11 +10,11 @@ import (
 )
 
 // Flight is the decision-provenance recorder: an arena-backed ring of
-// the last N scheduling decisions (arrivals, per-GPU probes with typed
-// rejection reasons, wait spans, dispatches, preemption what-ifs). It
-// answers "why was this gang rejected on GPU 12?" after the fact,
-// without re-running the dispatch — the `gpusched explain` subcommand
-// and GET /debug/flight read its snapshot.
+// the last N scheduling decisions (arrivals, first-fit scan summaries
+// with per-rule rejection counts, wait spans, dispatches, preemption
+// what-ifs). It answers "which rules kept this gang off every GPU?"
+// after the fact, without re-running the dispatch — the `gpusched
+// explain` subcommand and GET /debug/flight read its snapshot.
 //
 // The recorder lives under the same determinism contract as the metrics
 // registry (DESIGN.md §10/§15): records carry sim-time and integer-
@@ -30,9 +30,10 @@ const (
 	// FlightArrival marks a workload entering the dispatcher or a tenant
 	// queue.
 	FlightArrival FlightKind = iota
-	// FlightProbe is one admission probe against one GPU, with the typed
-	// rule verdict.
-	FlightProbe
+	// Wire number 1 was the retired per-GPU probe record; FlightScan
+	// summarizes a whole scan instead. The slot stays reserved so every
+	// other kind keeps its number in dumps and stream states.
+	_
 	// FlightWait marks the dispatcher blocking an arrival until the next
 	// completion frees capacity.
 	FlightWait
@@ -51,11 +52,16 @@ const (
 	// FlightHold marks a gang parked in its tenant queue after a failed
 	// placement round.
 	FlightHold
+	// FlightScan summarizes one first-fit scan: the winner, the GPUs
+	// visited and the rejections per rule (field mapping on
+	// FlightRecord).
+	FlightScan
 )
 
-// flightKindNames orders the kinds for rendering.
+// flightKindNames orders the kinds for rendering. The retired kind 1
+// keeps its name so older dumps still render.
 var flightKindNames = [...]string{
-	"arrival", "probe", "wait", "dispatch", "reject", "what-if", "evict", "hold",
+	"arrival", "probe", "wait", "dispatch", "reject", "what-if", "evict", "hold", "scan",
 }
 
 // String renders the kind for decision-trail output.
@@ -69,6 +75,13 @@ func (k FlightKind) String() string {
 // FlightRecord is one decision-trail entry. Every field is a fixed-
 // layout integer or a small string, so records compare and marshal
 // deterministically; the JSON field order is the struct order.
+//
+// A FlightScan record reuses the GPU-verdict fields as counts: GPU is
+// the winner (-1 when no GPU admitted), Clients the GPUs visited
+// (client-cap skips included), Rules the union of the rejection masks,
+// SMExcessMilli / BWExcessMilli / MemExcessMiB the compute, bandwidth
+// and capacity rejection counts, and CapSkips the client-cap rejections.
+// A GPU that breaks several rules counts once under each.
 type FlightRecord struct {
 	// Seq is the decision's arrival sequence number — the key `explain
 	// -seq` groups a trail by. Cluster records use the gang sequence.
@@ -81,28 +94,77 @@ type FlightRecord struct {
 	// layer / when not applicable).
 	Tenant   string `json:"tenant,omitempty"`
 	Workflow string `json:"workflow,omitempty"`
-	// Node names the cluster node probed; empty on the single-pool path.
+	// Node names the cluster node of GPU; empty on the single-pool path.
 	Node string `json:"node,omitempty"`
-	// GPU is the global GPU index probed or placed on; -1 when the
-	// record is not about one GPU.
+	// GPU is the GPU index placed on, evicted from or checked by a
+	// what-if (node-local in the cluster), or a scan's winner; -1 when
+	// the record is not about one GPU.
 	GPU int32 `json:"gpu"`
-	// Clients is the resident client count on the probed GPU at decision
-	// time.
+	// Clients is the resident client count on GPU at decision time; a
+	// scan's GPUs visited.
 	Clients int32 `json:"clients,omitempty"`
-	// Rules is the violated-rule bitmask (interference.RuleMask); zero
-	// means the probe admitted.
+	// Rules is a scan's union of rejection masks (interference.RuleMask).
 	Rules uint8 `json:"rules,omitempty"`
-	// SMExcessMilli / BWExcessMilli / MemExcessMiB are the integer-scaled
-	// violation magnitudes from interference.Reason.
+	// CapSkips counts a scan's client-cap rejections. It sits in the
+	// padding after Rules, so the record stays 136 bytes.
+	CapSkips int32 `json:"cap_skips,omitempty"`
+	// SMExcessMilli / BWExcessMilli / MemExcessMiB count a scan's
+	// compute, bandwidth and capacity rejections. The names and JSON
+	// keys date from the retired per-GPU probe record, which carried
+	// the violation magnitudes here.
 	SMExcessMilli int64 `json:"sm_excess_milli,omitempty"`
 	BWExcessMilli int64 `json:"bw_excess_milli,omitempty"`
 	MemExcessMiB  int64 `json:"mem_excess_mib,omitempty"`
 	// WaitNS is the span covered by a wait record, or the total queue
 	// wait carried on a dispatch record, in sim nanoseconds.
 	WaitNS int64 `json:"wait_ns,omitempty"`
-	// Detail carries kind-specific context (what-if digests, victim gang
-	// ids). Producers must build it deterministically.
+	// Detail carries kind-specific context (what-if verdicts, the
+	// preemptor an evicted gang names). Producers must build it
+	// deterministically.
 	Detail string `json:"detail,omitempty"`
+}
+
+// ScanTally accumulates one first-fit scan's FlightScan summary. A
+// dispatcher feeds it only while recording, so a scan with telemetry
+// off pays nothing for it. Rule bits follow interference.RuleMask:
+// compute, bandwidth, capacity, client cap. The zero value is an empty
+// scan.
+type ScanTally struct {
+	visits int32
+	rules  uint8
+	counts [4]int32
+}
+
+// Reject tallies one visited GPU that rejected the candidate with the
+// rule mask rules.
+//
+//repro:hotpath pinned by TestFlightRecordAllocs
+func (t *ScanTally) Reject(rules uint8) {
+	t.visits++
+	t.rules |= rules
+	t.counts[0] += int32(rules & 1)
+	t.counts[1] += int32(rules >> 1 & 1)
+	t.counts[2] += int32(rules >> 2 & 1)
+	t.counts[3] += int32(rules >> 3 & 1)
+}
+
+// Summary returns the tallied scan's FlightScan record. gpu is the
+// winner, which counts as one more visit, or -1 when none admitted.
+//
+//repro:hotpath pinned by TestFlightRecordAllocs
+func (t *ScanTally) Summary(seq, atNS int64, gpu int32) FlightRecord {
+	visits := t.visits
+	if gpu >= 0 {
+		visits++
+	}
+	return FlightRecord{
+		Seq: seq, Kind: FlightScan, AtNS: atNS, GPU: gpu,
+		Clients: visits, Rules: t.rules,
+		SMExcessMilli: int64(t.counts[0]),
+		BWExcessMilli: int64(t.counts[1]),
+		MemExcessMiB:  int64(t.counts[2]),
+		CapSkips:      t.counts[3],
+	}
 }
 
 // Flight records FlightRecords into a fixed-capacity ring; once full,

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func flightRec(seq int64, kind FlightKind, gpu int32) FlightRecord {
@@ -15,7 +16,7 @@ func flightRec(seq int64, kind FlightKind, gpu int32) FlightRecord {
 
 func TestFlightNilSafety(t *testing.T) {
 	var f *Flight
-	f.Record(flightRec(1, FlightProbe, 0))
+	f.Record(flightRec(1, FlightScan, 0))
 	f.SetSpill(&bytes.Buffer{})
 	if err := f.SpillErr(); err != nil {
 		t.Fatalf("nil flight spill err: %v", err)
@@ -41,7 +42,7 @@ func TestFlightNilSafety(t *testing.T) {
 func TestFlightRecordAndSnapshot(t *testing.T) {
 	f := NewFlight(3)
 	for seq := int64(1); seq <= 5; seq++ {
-		f.Record(flightRec(seq, FlightProbe, int32(seq)))
+		f.Record(flightRec(seq, FlightScan, int32(seq)))
 	}
 	s := f.Snapshot()
 	if s.Capacity != 3 || s.Total != 5 || s.Dropped != 2 || s.Spilled != 0 {
@@ -88,9 +89,9 @@ func (failWriter) Write(p []byte) (int, error) { return 0, errors.New("write ref
 func TestFlightSpillError(t *testing.T) {
 	f := NewFlight(1)
 	f.SetSpill(failWriter{})
-	f.Record(flightRec(1, FlightProbe, 0))
-	f.Record(flightRec(2, FlightProbe, 0)) // evicts 1, spill fails
-	f.Record(flightRec(3, FlightProbe, 0)) // evicts 2, spill disabled
+	f.Record(flightRec(1, FlightScan, 0))
+	f.Record(flightRec(2, FlightScan, 0)) // evicts 1, spill fails
+	f.Record(flightRec(3, FlightScan, 0)) // evicts 2, spill disabled
 	if err := f.SpillErr(); err == nil {
 		t.Fatal("spill error not surfaced")
 	}
@@ -103,7 +104,7 @@ func TestFlightSpillError(t *testing.T) {
 func TestFlightRestoreRoundTrip(t *testing.T) {
 	f := NewFlight(4)
 	for seq := int64(1); seq <= 6; seq++ {
-		r := flightRec(seq, FlightProbe, int32(seq%3))
+		r := flightRec(seq, FlightScan, int32(seq%3))
 		r.Tenant = "tenant-a"
 		r.Rules = 0x5
 		r.SMExcessMilli = seq * 100
@@ -132,7 +133,7 @@ func TestFlightSnapshotBytesStable(t *testing.T) {
 	build := func() []byte {
 		f := NewFlight(8)
 		f.Record(FlightRecord{Seq: 1, Kind: FlightArrival, GPU: -1, Workflow: "cfd"})
-		f.Record(FlightRecord{Seq: 1, Kind: FlightProbe, GPU: 0, Clients: 2, Rules: 1, SMExcessMilli: 1500})
+		f.Record(FlightRecord{Seq: 1, Kind: FlightScan, GPU: 0, Clients: 2, Rules: 1, SMExcessMilli: 1500})
 		f.Record(FlightRecord{Seq: 1, Kind: FlightDispatch, GPU: 1, WaitNS: 250})
 		data, err := json.Marshal(f.Snapshot())
 		if err != nil {
@@ -152,13 +153,14 @@ func TestFlightSnapshotBytesStable(t *testing.T) {
 func TestFlightKindString(t *testing.T) {
 	cases := map[FlightKind]string{
 		FlightArrival:  "arrival",
-		FlightProbe:    "probe",
+		FlightKind(1):  "probe",
 		FlightWait:     "wait",
 		FlightDispatch: "dispatch",
 		FlightReject:   "reject",
 		FlightWhatIf:   "what-if",
 		FlightEvict:    "evict",
 		FlightHold:     "hold",
+		FlightScan:     "scan",
 		FlightKind(99): "kind(99)",
 	}
 	for k, want := range cases {
@@ -168,12 +170,64 @@ func TestFlightKindString(t *testing.T) {
 	}
 }
 
-// TestFlightRecordAllocs is the runtime half of Record's //repro:hotpath
-// annotation: recording on a nil recorder (telemetry disabled) and on a
-// live recorder without a spill writer both allocate nothing — even
-// while the full ring is evicting on every push.
+// TestFlightKindWireNumbers pins the kinds' wire numbers: dumps and
+// stream states carry them, so retiring a kind must not renumber the
+// rest.
+func TestFlightKindWireNumbers(t *testing.T) {
+	got := []FlightKind{FlightArrival, FlightWait, FlightDispatch, FlightReject,
+		FlightWhatIf, FlightEvict, FlightHold, FlightScan}
+	want := []FlightKind{0, 2, 3, 4, 5, 6, 7, 8}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("flight kind wire numbers = %v, want %v", got, want)
+	}
+}
+
+// TestFlightRecordSize pins the record at 136 bytes or less: every
+// scan copies one into the ring under the recorder's mutex.
+func TestFlightRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(FlightRecord{}); size > 136 {
+		t.Fatalf("FlightRecord is %d bytes, want <= 136", size)
+	}
+}
+
+// TestScanTallySummary pins the scan record's field mapping: visits
+// count the winner, each rule counts the GPUs it rejected, and a GPU
+// breaking two rules counts under both.
+func TestScanTallySummary(t *testing.T) {
+	var tally ScanTally
+	tally.Reject(8)     // client cap
+	tally.Reject(1 | 2) // compute and bandwidth
+	tally.Reject(4)     // capacity
+	tally.Reject(8)
+	got := tally.Summary(5, 1000, 4)
+	want := FlightRecord{Seq: 5, Kind: FlightScan, AtNS: 1000, GPU: 4, Clients: 5, Rules: 15,
+		SMExcessMilli: 1, BWExcessMilli: 1, MemExcessMiB: 1, CapSkips: 2}
+	if got != want {
+		t.Fatalf("summary = %+v, want %+v", got, want)
+	}
+	if none := tally.Summary(5, 1000, -1); none.Clients != 4 || none.GPU != -1 {
+		t.Fatalf("no-winner summary = %+v, want 4 visits and GPU -1", none)
+	}
+	var empty ScanTally
+	if got := empty.Summary(1, 0, 0); got.Clients != 1 || got.Rules != 0 {
+		t.Fatalf("first-GPU win = %+v, want 1 visit and no rules", got)
+	}
+}
+
+// TestFlightRecordAllocs is the runtime half of the //repro:hotpath
+// annotations on Record and ScanTally: recording on a nil recorder
+// (telemetry disabled) and on a live recorder without a spill writer
+// both allocate nothing — even while the full ring is evicting on every
+// push — and neither does tallying a scan.
 func TestFlightRecordAllocs(t *testing.T) {
-	rec := flightRec(7, FlightProbe, 3)
+	rec := flightRec(7, FlightScan, 3)
+	var tally ScanTally
+	if allocs := testing.AllocsPerRun(200, func() {
+		tally.Reject(8)
+		rec = tally.Summary(7, 0, 3)
+	}); allocs != 0 {
+		t.Fatalf("ScanTally allocated %.1f objects, want 0", allocs)
+	}
 
 	var disabled *Flight
 	if allocs := testing.AllocsPerRun(200, func() { disabled.Record(rec) }); allocs != 0 {

@@ -7,7 +7,7 @@
 #   - /metrics serves Prometheus text when asked for it,
 #   - /debug/pprof and /debug/flight are mounted,
 #   - a gpusched flight-recorder dump answers `explain` for its last
-#     arrival.
+#     arrival and for an older one, each with a scan and a dispatch line.
 # CI runs this via `make obs-smoke`.
 set -euo pipefail
 
@@ -65,9 +65,15 @@ curl -sf "http://$ADDR/metrics?format=prometheus" | grep -q '^# TYPE '
 curl -sf "http://$ADDR/debug/flight" | grep -q '"flight"'
 
 # Decision provenance end to end: plan a fleet with the flight recorder
-# on and explain its last arrival from the dump.
+# on and explain its last arrival and an older one from the dump. One
+# scan record per first-fit scan keeps 500 arrivals' trails in the
+# default window.
 go build -o "$TMP/gpusched" ./cmd/gpusched
 "$TMP/gpusched" bench-online -fleet 2000x16 -flight-out "$TMP/flight.json" >/dev/null
-"$TMP/gpusched" explain -flight "$TMP/flight.json" -seq 1999 >/dev/null
+for seq in 1999 1500; do
+    "$TMP/gpusched" explain -flight "$TMP/flight.json" -seq "$seq" >"$TMP/explain.txt"
+    grep -q ' scan ' "$TMP/explain.txt"
+    grep -q ' dispatch ' "$TMP/explain.txt"
+done
 
 echo "obs_smoke: ok"
