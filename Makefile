@@ -57,6 +57,7 @@ fmt:
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
 	$(GO) test -run='^$$' -fuzz=FuzzAggregateMatchesPredict -fuzztime=$(FUZZTIME) ./internal/interference
+	$(GO) test -run='^$$' -fuzz=FuzzAdmitExcludingMatchesRemove -fuzztime=$(FUZZTIME) ./internal/interference
 	$(GO) test -run='^$$' -fuzz=FuzzPool -fuzztime=$(FUZZTIME) ./internal/admission
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
@@ -86,8 +87,8 @@ bench-smoke:
 	fi; \
 	echo "batch+streamed dispatch identity OK ($$d1)"
 
-# Regenerate BENCH_dispatcher.json from the live tree (the historical
-# "before" columns stay pinned in the script; see its header).
+# Regenerate BENCH_dispatcher.json: the working tree against BASE
+# (default HEAD), both measured here; see the script's header.
 bench-dispatcher:
 	bash scripts/bench_dispatcher.sh
 

@@ -364,7 +364,7 @@ func BenchmarkAblationInterferenceAwareness(b *testing.B) {
 // The steady-state hot path itself — pop, advance, dispatch, recompute —
 // is measured in isolation by BenchmarkEngineSteadyState in
 // internal/gpusim (white-box, step-driven), which must report 0 allocs/op;
-// before/after numbers are recorded in BENCH_engine.json.
+// measured numbers are recorded in BENCH_engine.json.
 
 // BenchmarkEngineSoloLAMMPS measures raw engine speed on one calibrated
 // task (≈114 simulated seconds).

@@ -181,6 +181,16 @@ func main() {
 			fatal(err)
 		}
 	}
+	// Streaming serve mode runs until interrupted. Its handler goes in
+	// before the listener answers a first request: a process started
+	// with SIGINT ignored, as a background job of a non-interactive
+	// shell is, would otherwise drop an interrupt that lands between
+	// the first /healthz answer and signal.Notify, and keep serving.
+	var sig chan os.Signal
+	if streamSrv != nil {
+		sig = make(chan os.Signal, 1)
+		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	}
 	var srv *http.Server
 	serveErr := make(chan error, 1)
 	if *htaddr != "" {
@@ -226,8 +236,6 @@ func main() {
 		// Streaming-ingest serve mode: no batch pipeline to run, just
 		// hold the endpoints open until interrupted.
 		fmt.Println("streaming ingest on POST /ingest; snapshot on GET /stream/state")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 		select {
 		case err := <-serveErr:
 			if err != nil {
@@ -473,7 +481,7 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		workflows, gpus, policy.Objective, map[bool]string{true: ", streamed", false: ""}[stream],
 		dispatched, elapsed.Round(time.Millisecond),
 		float64(elapsed.Nanoseconds())/float64(dispatched))
-	fmt.Printf("  admission probes %d  GPUs visited %d  wait events %d  retirements %d  mean wait %.1fs\n",
+	fmt.Printf("  admission probes %d  index nodes visited %d  wait events %d  retirements %d  mean wait %.1fs\n",
 		stats.Probes, stats.Visits, stats.Waits, stats.Completions, meanWait)
 	fmt.Printf("  dispatch digest sha256:%s\n", digest)
 	return nil

@@ -267,15 +267,16 @@ func (st *planner) findFit(j *job, m *member, now simtime.Time) int {
 		node := &st.nodes[n]
 		for g := node.first; g < node.first+node.spec.GPUs; g++ {
 			st.stats.Probes++
-			ok, reason := st.probe(node, g, m, st.pool.Len(g), nil)
-			if ok {
+			rules := st.probe(node, g, m, st.pool.Len(g), nil)
+			if rules == 0 {
 				if st.fl != nil {
+					tally.Visit(1)
 					st.recordScan(&tally, j, m, g, now)
 				}
 				return g
 			}
 			if st.fl != nil {
-				tally.Reject(uint8(reason.Rules))
+				tally.Reject(uint8(rules))
 			}
 		}
 	}
@@ -343,7 +344,7 @@ func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
 
 // probe is the single source of per-mode admission semantics: it probes
 // pool GPU g of node with an explicit resident count and a victim mask,
-// and returns both the verdict and the typed per-rule rejection reason.
+// and returns the rules that reject the member there (zero admits).
 // The count and mask let a preemption what-if ask "would the member fit
 // with the victims gone" while the GPU still holds them: skip[i] true
 // folds resident i out of the spatial sums, and a nil mask is the O(1)
@@ -352,33 +353,23 @@ func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
 // capacity decides there, so only capacity shows.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
-func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip []bool) (bool, interference.Reason) {
+func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip []bool) interference.RuleMask {
 	if residents >= node.cap {
-		return false, interference.Reason{Rules: interference.MaskClientCap}
+		return interference.MaskClientCap
 	}
 	switch node.spec.Mode {
 	case ModeMIG:
 		// Isolated equal instances: capacity is per-instance memory;
 		// no cross-instance interference.
 		if m.load.MemMiB <= node.instanceMemMiB {
-			return true, interference.Reason{}
+			return 0
 		}
-		return false, interference.Reason{
-			Rules:        interference.MaskCapacity,
-			MemExcessMiB: m.load.MemMiB - node.instanceMemMiB,
-		}
+		return interference.MaskCapacity
 	case ModeTimeSlice:
 		// Temporal sharing: no spatial interference rules, but the
 		// residents still share device memory.
 		out := st.pool.AdmitExcluding(g, m.load, skip)
-		if !out.Capacity {
-			return true, interference.Reason{}
-		}
-		r := out.Reason()
-		return false, interference.Reason{
-			Rules:        interference.MaskCapacity,
-			MemExcessMiB: r.MemExcessMiB,
-		}
+		return out.Rules() & interference.MaskCapacity
 	default: // ModeMPS
 		l := m.load
 		if node.threadCapPct < 100 && l.SMPct > node.threadCapPct {
@@ -387,10 +378,7 @@ func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip 
 			l.SMPct = node.threadCapPct
 		}
 		out := st.pool.AdmitExcluding(g, l, skip)
-		if !out.Interferes() {
-			return true, interference.Reason{}
-		}
-		return false, out.Reason()
+		return out.Rules()
 	}
 }
 
@@ -444,7 +432,7 @@ func (st *planner) evictForMember(j *job, m *member, now simtime.Time) int {
 		return -1
 	}
 	for {
-		if ok, _ := st.probe(st.gpus[g].node, g, m, st.pool.Len(g), nil); ok {
+		if st.probe(st.gpus[g].node, g, m, st.pool.Len(g), nil) == 0 {
 			return g
 		}
 		v := st.pickVictimOn(g, j)
@@ -492,8 +480,7 @@ func (st *planner) canFitAfterEviction(g int, preemptor *job, m *member) bool {
 	if removed == 0 {
 		return false
 	}
-	ok, _ := st.probe(st.gpus[g].node, g, m, len(res)-removed, mask)
-	return ok
+	return st.probe(st.gpus[g].node, g, m, len(res)-removed, mask) == 0
 }
 
 // pickVictimOn selects the next victim gang resident on g: strictly

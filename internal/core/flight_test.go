@@ -176,7 +176,7 @@ func waitStore(t *testing.T, device gpu.DeviceSpec) *profile.Store {
 // TestScanRecordsPerWait pins the trail's size per arrival: on a
 // throughput-policy fleet (two clients per GPU) an arrival that waits k
 // times writes exactly 2k+3 records — arrival, k+1 scans, k waits and
-// the dispatch — however many GPUs each scan walks. Every GPU holds a
+// the dispatch — however many GPUs each scan rules out. Every GPU holds a
 // big resident (ending at 100s) beside a small one; waits-1 smalls end
 // one millisecond apart before 100s, the rest after it. A
 // late big arrival finds every GPU full, and each small retirement
@@ -226,11 +226,11 @@ func TestScanRecordsPerWait(t *testing.T) {
 			if r.Seq != seq {
 				continue
 			}
-			// The first scan walks the whole full fleet; it is still
-			// one record.
+			// The first scan finds the whole full fleet rejected at the
+			// index root: one visit, every GPU at its client cap.
 			if r.Kind == obs.FlightScan && counts[obs.FlightScan] == 0 &&
-				(r.GPU != -1 || r.Clients != int32(gpus) || r.CapSkips != int32(gpus)) {
-				t.Fatalf("%d GPUs: first scan = %+v, want %d client-cap skips and no winner", gpus, r, gpus)
+				(r.GPU != -1 || r.Clients != 1 || r.CapSkips != int32(gpus)) {
+				t.Fatalf("%d GPUs: first scan = %+v, want 1 visit, %d client-cap rejections and no winner", gpus, r, gpus)
 			}
 			counts[r.Kind]++
 			n++

@@ -152,11 +152,12 @@ type OnlinePlan struct {
 // implementation property (the incremental dispatcher skips probes a
 // rescan would repeat), not part of the plan identity.
 type DispatchStats struct {
-	// Probes is the number of per-GPU admission checks evaluated.
+	// Probes is the number of GPUs the first-fit index confirmed with
+	// an admission check.
 	Probes int64
-	// Visits is the number of GPUs the scans walked: the probes plus
-	// the GPUs skipped at their client cap. Snapshots from before the
-	// counter existed restore it as 0.
+	// Visits is the number of index nodes the scans examined, the
+	// confirmed GPUs and those found at their client cap included.
+	// Snapshots from before the counter existed restore it as 0.
 	Visits int64
 	// Waits is the number of predicted completions waited for.
 	Waits int64
@@ -251,8 +252,7 @@ type onlineDispatcher struct {
 	arrivalSeq int64
 	// fl is the decision-provenance recorder, captured once at
 	// construction (nil when telemetry is disabled — the hot path then
-	// pays one predictable branch per visited GPU and allocates
-	// nothing).
+	// pays one predictable branch per rejection and allocates nothing).
 	fl *obs.Flight
 }
 
@@ -306,49 +306,26 @@ func (d *onlineDispatcher) releaseKey(k *completionKey) {
 	d.keyFree = append(d.keyFree, k)
 }
 
-// scan probes the GPUs in index order for the first that admits the
-// load, stopping there, and returns its index or -1. A first round
-// passes since 0 and probes every GPU. A retry round passes the pool
-// clock read after the previous scan and probes only GPUs changed
-// since: the rest rejected this same candidate against an unchanged
-// resident set, and an unchanged group and the same candidate yield the
-// same sums, hence the same rejection. (A retry needs a pending
-// completion, so the pool has changed and its clock is above 0.)
-// With telemetry on, the scan leaves one flight record: the winner,
-// the GPUs visited and the rejections per rule.
+// scan asks the pool's first-fit index for the lowest-index GPU that
+// admits the load and returns it, or -1. Every round is the same
+// query: a retry round after a completion needs no narrowing, because
+// GPUs unchanged since the failed round still reject, so the leftmost
+// admitting GPU is the leftmost changed one either way. With telemetry
+// on, the scan leaves one flight record: the winner, the index nodes
+// visited and the GPUs rejected per rule.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) scan(load interference.Load, since uint64, seq int64, now simtime.Time) int {
-	fl := d.fl
-	pool := &d.pool
-	placed := -1
-	var probes, visits int64
+func (d *onlineDispatcher) scan(load interference.Load, seq int64, now simtime.Time) int {
 	var tally obs.ScanTally
-	for g := 0; g < pool.GPUs(); g++ {
-		if since > 0 && pool.Gen(g) <= since {
-			continue
-		}
-		visits++
-		if pool.Len(g)+1 > d.clientCap {
-			if fl != nil {
-				tally.Reject(uint8(interference.MaskClientCap))
-			}
-			continue
-		}
-		probes++
-		out := pool.Admit(g, load)
-		if d.policy.admits(&out) {
-			placed = g
-			break
-		}
-		if fl != nil {
-			tally.Reject(uint8(out.Rules()))
-		}
+	var t *obs.ScanTally
+	if d.fl != nil {
+		t = &tally
 	}
-	d.stats.Probes += probes
-	d.stats.Visits += visits
-	if fl != nil {
-		fl.Record(tally.Summary(seq, int64(now), int32(placed)))
+	placed, visits, probes := d.pool.FirstFit(load, d.clientCap, d.policy.rules(), t)
+	d.stats.Probes += int64(probes)
+	d.stats.Visits += int64(visits)
+	if t != nil {
+		d.fl.Record(tally.Summary(seq, int64(now), int32(placed)))
 	}
 	return placed
 }
@@ -397,15 +374,12 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 		return 0, -1, false
 	}
 	now := arrival
-	var since uint64
 	for {
 		d.retire(now)
-		placed := d.scan(load, since, seq, now)
+		placed := d.scan(load, seq, now)
 		if placed >= 0 {
 			return now, placed, true
 		}
-		// The next round probes only GPUs changed after this scan.
-		since = d.pool.Clock()
 		// Wait for the next predicted completion (every remaining resident
 		// ends after now).
 		next, okNext := d.completions.PeekTime()
@@ -529,6 +503,7 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 	hub.Counter("dispatch_total").Add(dispatched)
 	hub.Counter("dispatch_waited_simns_total").Add(d.waitedNS)
 	hub.Counter("dispatch_probe_total").Add(d.stats.Probes)
+	hub.Counter("dispatch_visit_total").Add(d.stats.Visits)
 	hub.Counter("dispatch_wait_events_total").Add(d.stats.Waits)
 	hub.Counter("dispatch_completions_total").Add(d.stats.Completions)
 }
@@ -536,9 +511,9 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 // dispatchArrivals is the admission loop over all arrivals. Its
 // decisions are byte-identical to a full per-arrival rescan (pinned by
 // the goldens in testdata/), but each probe is O(1) against the GPU's
-// interference aggregate, retirements come off a completion-time
-// min-heap instead of an every-iteration sweep, and wait-loop retries
-// re-probe only GPUs whose pool generation advanced.
+// interference aggregate, a scan descends the pool's first-fit index
+// instead of walking every GPU, and retirements come off a
+// completion-time min-heap instead of an every-iteration sweep.
 func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
 	d := newOnlineDispatcher(s, &plan.Stats)
 	// The plan never reuses names' space: every chunk stays referenced

@@ -11,8 +11,8 @@ import (
 // TestDispatcherAdmitAllocs pins the dispatcher wait loop — admit and
 // retire — at zero allocations per arrival in steady state: the runtime
 // half of their //repro:hotpath annotations. The stream saturates four
-// GPUs so every arrival exercises retirement, dirty-set re-probing and
-// completion waits, not just the empty-fleet fast path.
+// GPUs so every arrival exercises retirement, index updates, retry
+// scans and completion waits, not just the empty-fleet fast path.
 func TestDispatcherAdmitAllocs(t *testing.T) {
 	var stats DispatchStats
 	d := testDispatcher(4, &stats)
@@ -29,7 +29,7 @@ func TestDispatcherAdmitAllocs(t *testing.T) {
 		d.place(g, load, "w", at.Add(hold))
 		now = now.Add(simtime.FromSeconds(1))
 	}
-	for i := 0; i < 64; i++ { // warm freelist, heap, dirty-set capacity
+	for i := 0; i < 64; i++ { // warm freelist, heap and index
 		place()
 	}
 	allocs := testing.AllocsPerRun(200, func() { place() })
@@ -43,7 +43,7 @@ func TestDispatcherAdmitAllocs(t *testing.T) {
 
 // TestDispatcherAdmitAllocsFlightEnabled extends the pin to the
 // telemetry-on path: with a live flight recorder (no spill writer) the
-// wait loop still allocates nothing — every probe/wait record lands in
+// wait loop still allocates nothing — every scan/wait record lands in
 // the preallocated ring.
 func TestDispatcherAdmitAllocsFlightEnabled(t *testing.T) {
 	prev := obs.SetActive(obs.NewHub(nil))

@@ -149,15 +149,14 @@ func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 	}
 }
 
-// TestGenerationReprobeAfterEarlyAdmit is the edge case for the
-// wait-loop generation re-probe: one wait round retires residents on
-// GPU 0 and GPU 3, and GPU 0 admits, ending the round before GPU 3 is
-// ever probed. GPU 3's advanced generation must not leak into the next
-// arrival's bookkeeping, nor hide its freed capacity — fresh arrivals
-// scan every GPU, so generations only narrow retry rounds of the same
-// wait loop. Placements must be the ones a full rescan of every GPU
-// would pick, and DispatchStats must count exactly the probes the
-// generation rule promises.
+// TestGenerationReprobeAfterEarlyAdmit is the edge case for wait-loop
+// retry rounds: one wait round retires residents on GPU 0 and GPU 3,
+// and GPU 0 admits, ending the round before GPU 3 is ever probed. The
+// index must not hide GPU 3's freed capacity from the next arrival,
+// and the pool's generations must stamp exactly the retired GPUs.
+// Placements must be the ones a full rescan of every GPU
+// would pick, and DispatchStats must count exactly the index nodes and
+// probes the first-fit index visits.
 func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 	load := interference.Load{SMPct: 60, BWPct: 10, MemMiB: 1024}
 	var stats DispatchStats
@@ -199,10 +198,13 @@ func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("placements %+v, want %+v", got, want)
 	}
-	// A probes all four GPUs (all reject), then only the changed GPU 0
-	// on the retry (admit); B probes GPUs 0..3 (three rejects, then GPU
-	// 3 admits). No GPU reaches the client cap, so every visit probes.
-	wantStats := DispatchStats{Probes: 4 + 1 + 4, Visits: 4 + 1 + 4, Waits: 1, Completions: 2}
+	// The index has root 1 over nodes 2 (GPUs 0-1) and 3 (GPUs 2-3).
+	// A's first scan stops at the root, whose minimum SM sum (60) plus
+	// the load's 60 breaks the compute rule: 1 visit. Its retry visits
+	// the root, node 2 and GPU 0, which admits: 3 visits, 1 probe. B
+	// visits the root, node 2 (all residents again at 60: pruned), node
+	// 3, GPU 2 (rejects) and GPU 3 (admits): 5 visits, 2 probes.
+	wantStats := DispatchStats{Probes: 1 + 2, Visits: 1 + 3 + 5, Waits: 1, Completions: 2}
 	if stats != wantStats {
 		t.Fatalf("stats %+v, want %+v", stats, wantStats)
 	}

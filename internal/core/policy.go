@@ -105,7 +105,16 @@ func (p Policy) Validate() error {
 // only under AllowInterferingPairs. The packer and the online
 // dispatcher both decide through it.
 func (p *Policy) admits(out *interference.Outcome) bool {
-	return !out.Interferes() || (p.AllowInterferingPairs && !out.Capacity)
+	return out.Rules()&p.rules() == 0
+}
+
+// rules is the mask admits checks: every rule, or capacity alone under
+// AllowInterferingPairs.
+func (p *Policy) rules() interference.RuleMask {
+	if p.AllowInterferingPairs {
+		return interference.MaskCapacity
+	}
+	return interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
 }
 
 // clientCap resolves the per-GPU client limit for the policy given the

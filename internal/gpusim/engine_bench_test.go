@@ -70,7 +70,7 @@ func steadyEngine(tb testing.TB, nClients, cycles int, seed uint64) *Engine {
 // BenchmarkEngineSteadyState measures the per-event cost of the hot path
 // under an 8-client MPS co-schedule with a long cycle count. Each
 // iteration is one event, so ns/op is ns/event; allocs/op must be 0 in
-// steady state (see BENCH_engine.json for the recorded before/after).
+// steady state (see BENCH_engine.json for the recorded numbers).
 func BenchmarkEngineSteadyState(b *testing.B) {
 	const nClients, cycles = 8, 4000
 	seed := uint64(1)

@@ -94,6 +94,12 @@ func (a *Aggregate) Len() int { return len(a.loads) }
 // At returns member i's load.
 func (a *Aggregate) At(i int) Load { return a.loads[i] }
 
+// Sums returns the running folds Admit extends by the candidate's term.
+func (a *Aggregate) Sums() (sm, bw float64, mem int64) { return a.smSum, a.bwSum, a.memSum }
+
+// DeviceMemMiB returns the capacity the memory rule checks against.
+func (a *Aggregate) DeviceMemMiB() int64 { return a.deviceMemMiB }
+
 // outcome evaluates the rules for explicit combined sums.
 func (a *Aggregate) outcome(sm, bw float64, mem int64) Outcome {
 	return Outcome{

@@ -77,11 +77,13 @@ func (k FlightKind) String() string {
 // deterministically; the JSON field order is the struct order.
 //
 // A FlightScan record reuses the GPU-verdict fields as counts: GPU is
-// the winner (-1 when no GPU admitted), Clients the GPUs visited
-// (client-cap skips included), Rules the union of the rejection masks,
-// SMExcessMilli / BWExcessMilli / MemExcessMiB the compute, bandwidth
-// and capacity rejection counts, and CapSkips the client-cap rejections.
-// A GPU that breaks several rules counts once under each.
+// the winner (-1 when no GPU admitted), Clients the visits (GPUs
+// walked, client-cap skips included, in the cluster; index nodes
+// examined in core), Rules the union of the rejection masks,
+// SMExcessMilli / BWExcessMilli / MemExcessMiB the GPUs rejected by
+// compute, bandwidth and capacity, and CapSkips those rejected at the
+// client cap. A GPU rejected under an index node counts like a visited
+// one, and a GPU that breaks several rules counts once under each.
 type FlightRecord struct {
 	// Seq is the decision's arrival sequence number — the key `explain
 	// -seq` groups a trail by. Cluster records use the gang sequence.
@@ -101,7 +103,7 @@ type FlightRecord struct {
 	// the record is not about one GPU.
 	GPU int32 `json:"gpu"`
 	// Clients is the resident client count on GPU at decision time; a
-	// scan's GPUs visited.
+	// scan's visits.
 	Clients int32 `json:"clients,omitempty"`
 	// Rules is a scan's union of rejection masks (interference.RuleMask).
 	Rules uint8 `json:"rules,omitempty"`
@@ -135,31 +137,43 @@ type ScanTally struct {
 	counts [4]int32
 }
 
+// Visit tallies n visits: GPUs walked one by one, or the nodes an
+// indexed scan examined.
+//
+//repro:hotpath pinned by TestFlightRecordAllocs
+func (t *ScanTally) Visit(n int32) { t.visits += n }
+
 // Reject tallies one visited GPU that rejected the candidate with the
 // rule mask rules.
 //
 //repro:hotpath pinned by TestFlightRecordAllocs
 func (t *ScanTally) Reject(rules uint8) {
 	t.visits++
-	t.rules |= rules
-	t.counts[0] += int32(rules & 1)
-	t.counts[1] += int32(rules >> 1 & 1)
-	t.counts[2] += int32(rules >> 2 & 1)
-	t.counts[3] += int32(rules >> 3 & 1)
+	t.RejectRange(rules, 1)
 }
 
-// Summary returns the tallied scan's FlightScan record. gpu is the
-// winner, which counts as one more visit, or -1 when none admitted.
+// RejectRange tallies gpus GPUs that reject the candidate with the
+// rule mask rules without a visit each: the GPUs under an index node
+// whose bound already breaks those rules.
+//
+//repro:hotpath pinned by TestFlightRecordAllocs
+func (t *ScanTally) RejectRange(rules uint8, gpus int32) {
+	t.rules |= rules
+	t.counts[0] += gpus * int32(rules&1)
+	t.counts[1] += gpus * int32(rules>>1&1)
+	t.counts[2] += gpus * int32(rules>>2&1)
+	t.counts[3] += gpus * int32(rules>>3&1)
+}
+
+// Summary returns the tallied scan's FlightScan record with winner gpu,
+// or -1 when none admitted. The winner's visit is tallied like any
+// other.
 //
 //repro:hotpath pinned by TestFlightRecordAllocs
 func (t *ScanTally) Summary(seq, atNS int64, gpu int32) FlightRecord {
-	visits := t.visits
-	if gpu >= 0 {
-		visits++
-	}
 	return FlightRecord{
 		Seq: seq, Kind: FlightScan, AtNS: atNS, GPU: gpu,
-		Clients: visits, Rules: t.rules,
+		Clients: t.visits, Rules: t.rules,
 		SMExcessMilli: int64(t.counts[0]),
 		BWExcessMilli: int64(t.counts[1]),
 		MemExcessMiB:  int64(t.counts[2]),

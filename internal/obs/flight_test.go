@@ -191,26 +191,30 @@ func TestFlightRecordSize(t *testing.T) {
 }
 
 // TestScanTallySummary pins the scan record's field mapping: visits
-// count the winner, each rule counts the GPUs it rejected, and a GPU
-// breaking two rules counts under both.
+// are what was tallied, the winner's included, each rule counts the
+// GPUs it rejected, a GPU breaking two rules counts under both, and a
+// range rejection counts its GPUs without visits.
 func TestScanTallySummary(t *testing.T) {
 	var tally ScanTally
 	tally.Reject(8)     // client cap
 	tally.Reject(1 | 2) // compute and bandwidth
 	tally.Reject(4)     // capacity
 	tally.Reject(8)
+	tally.Visit(1) // the winner
 	got := tally.Summary(5, 1000, 4)
 	want := FlightRecord{Seq: 5, Kind: FlightScan, AtNS: 1000, GPU: 4, Clients: 5, Rules: 15,
 		SMExcessMilli: 1, BWExcessMilli: 1, MemExcessMiB: 1, CapSkips: 2}
 	if got != want {
 		t.Fatalf("summary = %+v, want %+v", got, want)
 	}
-	if none := tally.Summary(5, 1000, -1); none.Clients != 4 || none.GPU != -1 {
-		t.Fatalf("no-winner summary = %+v, want 4 visits and GPU -1", none)
+	tally.RejectRange(4|8, 6)
+	want.Rules, want.MemExcessMiB, want.CapSkips, want.GPU = 15, 7, 8, -1
+	if got := tally.Summary(5, 1000, -1); got != want {
+		t.Fatalf("after a range rejection: summary = %+v, want %+v", got, want)
 	}
 	var empty ScanTally
-	if got := empty.Summary(1, 0, 0); got.Clients != 1 || got.Rules != 0 {
-		t.Fatalf("first-GPU win = %+v, want 1 visit and no rules", got)
+	if got := empty.Summary(1, 0, -1); got.Clients != 0 || got.Rules != 0 {
+		t.Fatalf("empty scan = %+v, want no visits and no rules", got)
 	}
 }
 
@@ -224,6 +228,8 @@ func TestFlightRecordAllocs(t *testing.T) {
 	var tally ScanTally
 	if allocs := testing.AllocsPerRun(200, func() {
 		tally.Reject(8)
+		tally.RejectRange(3, 2)
+		tally.Visit(1)
 		rec = tally.Summary(7, 0, 3)
 	}); allocs != 0 {
 		t.Fatalf("ScanTally allocated %.1f objects, want 0", allocs)
