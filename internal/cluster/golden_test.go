@@ -13,8 +13,11 @@ import (
 )
 
 // Golden pins for the cluster decision path: small scenarios embed the
-// full dispatch and eviction logs; fleet-scale scenarios pin counts plus
-// a SHA-256 over the marshalled outcome, keeping testdata reviewable.
+// full dispatch and eviction logs; fleet-scale scenarios pin counts, the
+// work counters in the clear, and a SHA-256 over the marshalled outcome
+// with its Stats zeroed, keeping testdata reviewable: a change to the
+// planner's work (probes) shows as a readable counter diff, while the
+// digest still pins every decision.
 // Every admission, preemption, and fair-share decision is a pure
 // function of (spec, stream), so these files also double as the
 // byte-identity contract the determinism suite re-checks at every -j.
@@ -30,6 +33,7 @@ type goldenClusterCase struct {
 	Dispatches int    `json:"dispatches,omitempty"`
 	Evictions  int    `json:"evictions,omitempty"`
 	Failed     int    `json:"failed,omitempty"`
+	Stats      *Stats `json:"stats,omitempty"`
 	SHA256     string `json:"sha256,omitempty"`
 }
 
@@ -132,12 +136,15 @@ func TestGoldenClusterLogs(t *testing.T) {
 		got = append(got, goldenClusterCase{Name: c.name, Outcome: out})
 	}
 
-	// Fleet scale: thousands of submissions; pin a digest.
+	// Fleet scale: thousands of submissions; pin the counters and a
+	// digest of the decisions.
 	subs, mk := goldenStream(t, 3000, 0.15, 51)
 	out, err := mk(goldenSpec(FairShare, true)).Plan(subs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := out.Stats
+	out.Stats = Stats{}
 	data, err := json.Marshal(out)
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +155,7 @@ func TestGoldenClusterLogs(t *testing.T) {
 		Dispatches: len(out.Dispatches),
 		Evictions:  len(out.Evictions),
 		Failed:     len(out.Failed),
+		Stats:      &stats,
 		SHA256:     hex.EncodeToString(sum[:]),
 	})
 
