@@ -571,9 +571,9 @@ func runClusterBench(device gpu.DeviceSpec, shape, modeStr, disciplineStr string
 	fmt.Printf("cluster %dx%d (%s, %s, preempt=%v): planned %d submissions in %v (%.0f ns/submission)\n",
 		nodes, gpusPerNode, modeStr, disciplineStr, preempt, len(subs),
 		elapsed.Round(time.Millisecond), float64(elapsed.Nanoseconds())/float64(len(subs)))
-	fmt.Printf("  dispatches %d  evictions %d  failed %d  probes %d  holds %d  makespan %.0fs\n",
+	fmt.Printf("  dispatches %d  evictions %d  failed %d  probes %d  holds %d  skipped retries %d  makespan %.0fs\n",
 		len(out.Dispatches), len(out.Evictions), len(out.Failed),
-		out.Stats.Probes, out.Stats.GangHolds, out.MakespanS)
+		out.Stats.Probes, out.Stats.GangHolds, out.Stats.HoldSkips, out.MakespanS)
 	for _, ts := range out.Tenants {
 		fmt.Printf("  %-10s w%d  jobs %5d  mean wait %8.1fs  service %10.0fs  preempted %d\n",
 			ts.Tenant, ts.Weight, ts.Jobs, ts.MeanWaitS, ts.ServiceS, ts.Preemptions)

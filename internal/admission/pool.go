@@ -2,9 +2,12 @@
 // share: each GPU's interference aggregate, its residents in the
 // aggregate's fold order, and a change generation that one changed(g)
 // path stamps on every mutation. FirstFit answers a first-fit query
-// from an index over those GPUs. Policy — which rules apply, client
-// caps, completion heaps, flight records, transaction journals — stays
-// with the caller (DESIGN.md "Admission pool", "First-fit index").
+// from an index over those GPUs; Gen and Clock let a caller tell which
+// GPUs changed since it last looked (the cluster planner's held gangs
+// do). Policy — which rules apply, client caps, completion heaps,
+// flight records, transaction journals — stays with the caller
+// (DESIGN.md "Admission pool", "First-fit index", "Change-driven
+// rounds").
 package admission
 
 import (
@@ -51,11 +54,12 @@ type slot[R any] struct {
 	gen uint64
 }
 
-// Snapshot is one GPU's saved aggregate and residents. The zero value
-// is ready; Save reuses its capacity.
+// Snapshot is one GPU's saved aggregate, residents and generation. The
+// zero value is ready; Save reuses its capacity.
 type Snapshot[R any] struct {
 	agg interference.Snapshot
 	res []R
+	gen uint64
 }
 
 // AddGPUs appends n empty GPUs of the given device, at generation 0.
@@ -71,12 +75,20 @@ func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int) {
 
 // changed is the single hook every mutation runs: it advances the
 // pool's clock, stamps GPU g with it, and refreshes g's path in the
-// index once a query has built it (O(log GPUs)).
+// index.
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) changed(g int) {
 	p.clock++
 	p.gpus[g].gen = p.clock
+	p.refresh(g)
+}
+
+// refresh recomputes GPU g's path in the index once a query has built
+// it (O(log GPUs)).
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) refresh(g int) {
 	if p.tree != nil {
 		for i := (p.leaves + g) >> 1; i > 0; i >>= 1 {
 			p.pull(i)
@@ -249,7 +261,8 @@ func (p *Pool[R]) RemoveAt(g, i int) {
 	p.changed(g)
 }
 
-// Save copies GPU g's state into snap. It changes nothing.
+// Save copies GPU g's state, generation included, into snap. It
+// changes nothing.
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) Save(g int, snap *Snapshot[R]) {
@@ -257,10 +270,16 @@ func (p *Pool[R]) Save(g int, snap *Snapshot[R]) {
 	s.agg.Save(&snap.agg)
 	//repro:allow:hotpathalloc snapshot growth is amortized; a retained snapshot saves allocation-free
 	snap.res = append(snap.res[:0], s.res...)
+	snap.gen = s.gen
 }
 
 // Restore puts GPU g back to snap. The sums are copied, not re-folded,
-// so a rolled-back attempt is bit-identical to the state Save saw.
+// so a rolled-back attempt is bit-identical to the state Save saw, and
+// g gets back the generation Save saw too: the clock does not advance,
+// and a reader comparing Gen with an earlier Clock sees no change. That
+// is exact for an undo nobody observed in between, such as a rolled-back
+// transaction; a reader that took Clock while g was changed must not
+// rely on Gen(g) after the Restore.
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) Restore(g int, snap *Snapshot[R]) {
@@ -269,8 +288,17 @@ func (p *Pool[R]) Restore(g int, snap *Snapshot[R]) {
 	s.agg.Restore(&snap.agg)
 	//repro:allow:hotpathalloc resident-list growth is amortized; restoring into a sized list is allocation-free
 	s.res = append(s.res[:0], snap.res...)
-	p.changed(g)
+	s.gen = snap.gen
+	p.refresh(g)
 }
+
+// Touch stamps GPU g with a fresh generation without changing its
+// state, for a caller whose admission verdicts on g also read state the
+// pool does not hold (the cluster planner's victim rule reads a gang's
+// members on other GPUs).
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) Touch(g int) { p.changed(g) }
 
 // GPUs returns the GPU count.
 func (p *Pool[R]) GPUs() int { return len(p.gpus) }
@@ -299,11 +327,13 @@ func (p *Pool[R]) AdmitExcluding(g int, l interference.Load, skip []bool) interf
 // Digest fingerprints GPU g's aggregate.
 func (p *Pool[R]) Digest(g int) uint64 { return p.gpus[g].agg.Digest() }
 
-// Gen returns the clock value of GPU g's last change.
+// Gen returns the clock value of GPU g's last change (Add, RemoveAt or
+// Touch), or the generation Restore put back.
 func (p *Pool[R]) Gen(g int) uint64 { return p.gpus[g].gen }
 
-// Clock returns the pool's latest generation: GPU g changed after a
-// reading c exactly when Gen(g) > c.
+// Clock returns the pool's latest generation: after a reading c, GPU g
+// differs from its state at c only if Gen(g) > c (Restore's caveat
+// aside), and every later change stamps a value above c.
 func (p *Pool[R]) Clock() uint64 { return p.clock }
 
 // Total returns the resident count over every GPU.

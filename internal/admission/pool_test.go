@@ -32,6 +32,7 @@ func TestPoolAllocs(t *testing.T) {
 		_ = p.AdmitExcluding(0, l, skip).Interferes()
 		_, _, _ = p.FirstFit(l, 9, all, nil)
 		_, _, _ = p.FirstFit(l, 8, all, &tally)
+		p.Touch(1)
 		p.Restore(0, &snap)
 	}
 	cycle() // the first FirstFit builds the index
@@ -41,8 +42,9 @@ func TestPoolAllocs(t *testing.T) {
 }
 
 // TestPoolGenerations pins the change clock: new GPUs start at
-// generation 0, every mutation stamps only its GPU with a fresh clock
-// value, and Save is not a mutation.
+// generation 0, every mutation and Touch stamps only its GPU with a
+// fresh clock value, Save is not a mutation, and Restore puts back the
+// generation Save saw without advancing the clock.
 func TestPoolGenerations(t *testing.T) {
 	var p Pool[string]
 	p.AddGPUs(gpu.MustLookup("A100X"), 3)
@@ -62,17 +64,25 @@ func TestPoolGenerations(t *testing.T) {
 	}
 	var snap Snapshot[string]
 	c = p.Clock()
+	saved := p.Gen(1)
 	p.Save(1, &snap)
 	if p.Clock() != c {
 		t.Fatal("Save advanced the clock")
 	}
 	p.RemoveAt(1, 0)
+	p.Add(1, interference.Load{SMPct: 20}, "b")
 	p.Restore(1, &snap)
-	if p.Gen(1) != p.Clock() || p.Clock() != c+2 {
-		t.Fatalf("RemoveAt+Restore: gen %d clock %d, want both %d", p.Gen(1), p.Clock(), c+2)
+	if p.Gen(1) != saved || p.Clock() != c+2 {
+		t.Fatalf("RemoveAt+Add+Restore: gen %d clock %d, want the saved gen %d and clock %d", p.Gen(1), p.Clock(), saved, c+2)
 	}
 	if p.Total() != 1 || !reflect.DeepEqual(p.Residents(1), []string{"a"}) {
 		t.Fatalf("restore left total %d residents %v, want 1 [a]", p.Total(), p.Residents(1))
+	}
+	c = p.Clock()
+	digest := p.Digest(2)
+	p.Touch(2)
+	if p.Gen(2) != c+1 || p.Clock() != c+1 || p.Gen(1) != saved || p.Digest(2) != digest || p.Len(2) != 0 {
+		t.Fatalf("Touch(2): gens %d %d clock %d, want GPU 2 alone stamped %d and unchanged", p.Gen(1), p.Gen(2), p.Clock(), c+1)
 	}
 }
 
@@ -116,13 +126,14 @@ func fuzzLoad(arg byte, device gpu.DeviceSpec, signed bool) interference.Load {
 	}
 }
 
-// FuzzPool drives random Add/RemoveAt/Save/Restore/AddGPUs sequences
-// against a slice-of-structs model. After every step each GPU's
-// residents and loads match the model, its digest equals a fresh Add
-// fold of the model's loads (which pins the aggregate's member count
+// FuzzPool drives random Add/RemoveAt/Save/Restore/AddGPUs/Touch
+// sequences against a slice-of-structs model. After every step each
+// GPU's residents and loads match the model, its digest equals a fresh
+// Add fold of the model's loads (which pins the aggregate's member count
 // too), the pool-wide count is the sum of the per-GPU counts, the
-// mutated GPU — and only it — gets a fresh generation, and a Restore
-// gives back the exact digest and count its Save saw. FirstFit, under
+// mutated or touched GPU — and only it — gets a fresh generation, and a
+// Restore gives back the exact digest, count and generation its Save
+// saw without advancing the clock. FirstFit, under
 // varied client caps and rule masks, names the GPU a serial probe of
 // every GPU names, and every index node is the minimum of its
 // children.
@@ -139,11 +150,12 @@ func FuzzPool(f *testing.F) {
 		snaps := make([]Snapshot[int], n)
 		saved := make([][]modelResident, n)
 		savedDigest := make([]uint64, n)
+		savedGen := make([]uint64, n)
 		hasSave := make([]bool, n)
 		nextID := 0
 
 		for k := 0; k+2 < len(ops); k += 3 {
-			op, g, arg := ops[k]%5, int(ops[k+1])%n, ops[k+2]
+			op, g, arg := ops[k]%6, int(ops[k+1])%n, ops[k+2]
 			clock := p.Clock()
 			gens := make([]uint64, n)
 			for i := range gens {
@@ -167,6 +179,7 @@ func FuzzPool(f *testing.F) {
 				p.Save(g, &snaps[g])
 				saved[g] = append([]modelResident(nil), model[g]...)
 				savedDigest[g] = p.Digest(g)
+				savedGen[g] = p.Gen(g)
 				hasSave[g] = true
 				mutated = false
 			case 3:
@@ -178,6 +191,11 @@ func FuzzPool(f *testing.F) {
 				if got := p.Digest(g); got != savedDigest[g] {
 					t.Fatalf("restore of GPU %d: digest %016x, want the saved %016x", g, got, savedDigest[g])
 				}
+				if p.Gen(g) != savedGen[g] {
+					t.Fatalf("restore of GPU %d: generation %d, want the saved %d", g, p.Gen(g), savedGen[g])
+				}
+				gens[g] = savedGen[g]
+				mutated = false
 			case 4:
 				if n >= 24 {
 					continue
@@ -188,9 +206,12 @@ func FuzzPool(f *testing.F) {
 				snaps = append(snaps, Snapshot[int]{})
 				saved = append(saved, nil)
 				savedDigest = append(savedDigest, 0)
+				savedGen = append(savedGen, 0)
 				hasSave = append(hasSave, false)
 				gens = append(gens, 0)
 				g, mutated = n-1, false
+			case 5:
+				p.Touch(g)
 			}
 
 			if mutated {

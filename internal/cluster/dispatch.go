@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -16,7 +18,9 @@ import (
 // transaction over the admission pool: members place one by one
 // (evicting lower-priority gangs when preemption is on), and the first
 // member that cannot be placed rolls the whole attempt back — admission
-// is all-or-nothing by construction.
+// is all-or-nothing by construction. A held gang keeps the shape of its
+// failed attempt, and a later round reruns the transaction only when a
+// GPU the gang could use has changed since (holdStands).
 
 // run drives the event loop to completion.
 func (st *planner) run() {
@@ -105,8 +109,19 @@ func (st *planner) retire(ev *eventq.Event, now simtime.Time) {
 	st.stats.Completions++
 
 	j := r.job
+	first := j.liveCount == len(j.members)
 	j.liveCount--
+	k := slices.Index(j.residents, r)
+	j.residents = slices.Delete(j.residents, k, k+1)
 	st.releaseResident(r)
+	if first {
+		// The gang stops being victimable (liveCount < members), which
+		// can turn a what-if on any GPU it still occupies: stamp them,
+		// so held gangs re-check those GPUs.
+		for _, o := range j.residents {
+			st.pool.Touch(o.gpu)
+		}
+	}
 	if j.liveCount > 0 {
 		return
 	}
@@ -150,7 +165,13 @@ func (st *planner) dispatchRound(now simtime.Time) {
 		// pop afterwards could remove the wrong job.
 		j := t.queue[0]
 		t.queue = t.queue[:copy(t.queue, t.queue[1:])]
-		if st.tryPlaceGang(j, now) {
+		stands, rechecked := st.holdStands(j)
+		if stands {
+			if shadowSkips {
+				st.shadowRetry(j, now)
+			}
+			j.hold.clock = st.pool.Clock()
+		} else if st.tryPlaceGang(j, now) {
 			continue
 		}
 		if st.pool.Total() == 0 {
@@ -183,16 +204,133 @@ func (st *planner) dispatchRound(now simtime.Time) {
 		t.queue[0] = j
 		t.blocked = true
 		st.stats.GangHolds++
-		if st.fl != nil {
-			st.fl.Record(obs.FlightRecord{
-				Seq:      int64(j.seq),
-				Kind:     obs.FlightHold,
-				AtNS:     int64(now),
-				Tenant:   t.spec.Name,
-				Workflow: j.sub.Gang.Name,
-				GPU:      -1,
-			})
+		if stands {
+			st.stats.HoldSkips++
 		}
+		if st.fl != nil {
+			st.recordHold(j, now, stands, rechecked)
+		}
+	}
+}
+
+// recordHold records that gang j stays queued at now. A skipped retry
+// says so in Detail ("unchanged") and counts the changed GPUs it
+// re-checked in Clients.
+//
+//repro:hotpath pinned by TestClusterAdmitAllocs
+func (st *planner) recordHold(j *job, now simtime.Time, skipped bool, rechecked int) {
+	rec := obs.FlightRecord{
+		Seq:      int64(j.seq),
+		Kind:     obs.FlightHold,
+		AtNS:     int64(now),
+		Tenant:   j.tenant.spec.Name,
+		Workflow: j.sub.Gang.Name,
+		GPU:      -1,
+	}
+	if skipped {
+		rec.Detail = "unchanged"
+		rec.Clients = int32(rechecked)
+	}
+	st.fl.Record(rec)
+}
+
+// holdStands reports whether gang j's last failed attempt would fail
+// again, at the same member with the same earlier placements, against
+// the pool as it stands, so the round can hold j without rerunning the
+// transaction; it also returns how many changed GPUs it re-checked. The
+// attempt stands unless a GPU it touched has changed since, or a
+// changed GPU z could alter one of its verdicts: it admits the failed
+// member directly or (with preemption) after evictions; it admits an
+// earlier member directly that was placed directly on a later GPU; or
+// it admits an earlier member that was placed by eviction, directly
+// or, before that member's GPU, after evictions. DESIGN.md §13
+// ("Change-driven rounds") proves that nothing else can change the
+// attempt's course.
+//
+//repro:hotpath pinned by TestClusterAdmitAllocs
+func (st *planner) holdStands(j *job) (stands bool, rechecked int) {
+	h := &j.hold
+	if !h.valid {
+		return false, 0
+	}
+	for _, g := range h.touched {
+		if st.pool.Gen(g) > h.clock {
+			return false, 0
+		}
+	}
+	probes := st.stats.Probes
+	stands = true
+	for z := range st.gpus {
+		if st.pool.Gen(z) <= h.clock {
+			continue
+		}
+		rechecked++
+		if st.changedAdmits(j, z) {
+			stands = false
+			break
+		}
+	}
+	st.rechecks += st.stats.Probes - probes
+	return stands, rechecked
+}
+
+// changedAdmits re-checks changed GPU z against held gang j's failed
+// attempt: whether z, as it stands, admits a member where the attempt
+// saw or could have seen it (holdStands).
+//
+//repro:hotpath pinned by TestClusterAdmitAllocs
+func (st *planner) changedAdmits(j *job, z int) bool {
+	h := &j.hold
+	if st.directAdmits(j, z, h.failed) ||
+		st.spec.Preemption && st.canFitAfterEviction(z, j, &j.members[h.failed]) {
+		return true
+	}
+	for i, p := range h.placed {
+		switch {
+		case p.evicted:
+			if st.directAdmits(j, z, i) || z < p.gpu && st.canFitAfterEviction(z, j, &j.members[i]) {
+				return true
+			}
+		case z < p.gpu:
+			if st.directAdmits(j, z, i) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// directAdmits probes GPU z for member i of j as findFit would.
+//
+//repro:hotpath pinned by TestClusterAdmitAllocs
+func (st *planner) directAdmits(j *job, z, i int) bool {
+	st.stats.Probes++
+	return st.probe(st.gpus[z].node, z, &j.members[i], st.pool.Len(z), nil) == 0
+}
+
+// shadowSkips, set only by tests, makes every skipped retry run its
+// transaction anyway (shadowRetry).
+var shadowSkips bool
+
+// shadowRetry runs the transaction holdStands skipped and panics unless
+// it fails exactly as the held attempt did: same failed member, same
+// earlier placements, same touched GPUs. The failed attempt restores
+// every GPU with its generation, so the pool is left as it was found;
+// the retry's probes and flight records are not kept.
+func (st *planner) shadowRetry(j *job, now simtime.Time) {
+	want := holdState{
+		failed:  j.hold.failed,
+		placed:  slices.Clone(j.hold.placed),
+		touched: slices.Clone(j.hold.touched),
+	}
+	stats, fl := *st.stats, st.fl
+	st.fl = nil
+	placed := st.tryPlaceGang(j, now)
+	*st.stats, st.fl = stats, fl
+	if placed || j.hold.failed != want.failed ||
+		!slices.Equal(j.hold.placed, want.placed) || !slices.Equal(j.hold.touched, want.touched) {
+		panic(fmt.Sprintf("cluster: skipped retry of %s at %v differs: placed %v, failed member %d placements %v touched %v, held %d %v %v",
+			j.sub.Gang.Name, now, placed, j.hold.failed, j.hold.placed, j.hold.touched, want.failed, want.placed, want.touched))
 	}
 }
 
@@ -237,18 +375,30 @@ func (st *planner) pickTenant() *tenantState {
 // recomputation). Completion events are only
 // scheduled — and victim events only cancelled — at commit, so an
 // aborted what-if leaves the event queue untouched.
+//
+// A failed attempt leaves j.hold: the failed member, each earlier
+// member's GPU and whether it got there by eviction, the touched GPUs,
+// and the pool clock after the rollback.
 func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
+	h := &j.hold
+	h.placed = h.placed[:0]
 	for i := range j.members {
 		g := st.findFit(j, &j.members[i], now)
+		evicted := false
 		if g < 0 && st.spec.Preemption {
-			g = st.evictForMember(j, &j.members[i], now)
+			g, evicted = st.evictForMember(j, &j.members[i], now), true
 		}
 		if g < 0 {
+			h.valid, h.failed = true, i
+			h.touched = append(h.touched[:0], st.txTouched...)
 			st.rollback()
+			h.clock = st.pool.Clock()
 			return false
 		}
+		h.placed = append(h.placed, placement{gpu: g, evicted: evicted})
 		st.placeMember(j, i, g, now)
 	}
+	h.valid = false
 	st.commit(j, now)
 	return true
 }
@@ -507,20 +657,14 @@ func (st *planner) pickVictimOn(g int, preemptor *job) *job {
 
 // evictGang removes every resident of v from the transaction's view of
 // the cluster and marks it evicting. Event cancellation and requeueing
-// happen at commit; rollback simply restores the GPUs.
+// happen at commit; rollback simply restores the GPUs, which still hold
+// v.residents.
 func (st *planner) evictGang(v *job) {
 	v.evicting = true
-	for g := range st.gpus {
-		for i := 0; i < st.pool.Len(g); {
-			r := st.pool.Residents(g)[i]
-			if r.job != v {
-				i++
-				continue
-			}
-			st.saveGPU(g)
-			st.pool.RemoveAt(g, i)
-			st.txEvicted = append(st.txEvicted, r)
-		}
+	for _, r := range v.residents {
+		st.saveGPU(r.gpu)
+		st.pool.RemoveAt(r.gpu, slices.Index(st.pool.Residents(r.gpu), r))
+		st.txEvicted = append(st.txEvicted, r)
 	}
 }
 
@@ -615,6 +759,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 			v.preemptions++
 			v.penaltyS += st.overheadS()
 			v.tenant.stat.Preemptions++
+			v.residents = v.residents[:0]
 			st.stats.GangsPreempted++
 			v.tenant.queue = append(v.tenant.queue, nil)
 			copy(v.tenant.queue[1:], v.tenant.queue)
@@ -632,6 +777,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 		gs := &st.gpus[r.gpu]
 		r.ev = st.completions.Schedule(r.end, 0, r)
 		j.liveCount++
+		j.residents = append(j.residents, r)
 		st.out.Dispatches = append(st.out.Dispatches, Dispatch{
 			At:          now,
 			Tenant:      j.tenant.spec.Name,
@@ -648,6 +794,9 @@ func (st *planner) commit(j *job, now simtime.Time) {
 			st.fl.Record(rec)
 		}
 	}
+	// Members on one GPU were placed in member order, so a stable sort
+	// by GPU is pool order.
+	slices.SortStableFunc(j.residents, func(a, b *resident) int { return cmp.Compare(a.gpu, b.gpu) })
 	// Deficit charge: the predicted work dispatched, including the
 	// restart penalty a re-dispatched victim repays.
 	j.tenant.servedUS += int64((j.durationS + j.penaltyS) * 1e6)

@@ -26,19 +26,21 @@ func flightScenario() (Spec, []Submission) {
 
 // TestClusterFlightProvenance pins the planner's decision trail: every
 // arrival, fit scan (with its per-rule rejection counts), preemption
-// what-if, eviction, hold, reject, and dispatch lands in the flight
-// recorder, and the trail is byte-identical across identical runs.
+// what-if, eviction, hold (skipped retries included), reject, and
+// dispatch lands in the flight recorder, and the trail is
+// byte-identical across identical runs.
 func TestClusterFlightProvenance(t *testing.T) {
+	shadow(t)
 	store := testStore(t)
 	spec, subs := flightScenario()
 	prev := obs.Active()
 	defer obs.SetActive(prev)
 
-	var out *Outcome
+	var st *planner
 	run := func() obs.FlightSnapshot {
 		hub := obs.NewHub(nil)
 		obs.SetActive(hub)
-		out = mustPlan(t, spec, store, subs)
+		st = runPlanner(t, spec, store, subs)
 		return hub.Flight.Snapshot()
 	}
 	snap := run()
@@ -116,12 +118,33 @@ func TestClusterFlightProvenance(t *testing.T) {
 	if !urgentMiss {
 		t.Fatal("no failed scan with per-rule counts for the preemptor")
 	}
-	// On one GPU every scan and every what-if is one probe.
+	// On one GPU every scan and every what-if is one probe; the other
+	// probes are the re-checks of held gangs, which leave no per-GPU
+	// record. A skipped retry's hold record says "unchanged" and counts
+	// the changed GPUs it re-checked: here none or the one GPU.
 	if snap.Total != int64(len(snap.Records)) {
 		t.Fatalf("trail overflowed the ring: %d of %d records kept", len(snap.Records), snap.Total)
 	}
-	if got := int64(counts[obs.FlightScan] + counts[obs.FlightWhatIf]); got != out.Stats.Probes {
-		t.Fatalf("%d scan and what-if records for %d probes, want one each", got, out.Stats.Probes)
+	out := st.out
+	if got := int64(counts[obs.FlightScan]+counts[obs.FlightWhatIf]) + st.rechecks; got != out.Stats.Probes {
+		t.Fatalf("%d scan and what-if records and %d re-check probes for %d probes, want one each",
+			counts[obs.FlightScan]+counts[obs.FlightWhatIf], st.rechecks, out.Stats.Probes)
+	}
+	var skipped int64
+	for _, r := range snap.Records {
+		if r.Kind != obs.FlightHold {
+			continue
+		}
+		switch {
+		case r.Detail == "unchanged" && r.Clients <= 1:
+			skipped++
+		case r.Detail != "" || r.Clients != 0:
+			t.Fatalf("hold record = %+v, want a plain hold or Detail unchanged with at most one GPU re-checked", r)
+		}
+	}
+	if skipped == 0 || skipped != out.Stats.HoldSkips || st.rechecks == 0 {
+		t.Fatalf("%d unchanged hold records, %d skipped holds, %d re-check probes: want the first two equal and all non-zero",
+			skipped, out.Stats.HoldSkips, st.rechecks)
 	}
 
 	// Determinism: an identical run yields a byte-identical trail.

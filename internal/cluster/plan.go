@@ -98,7 +98,9 @@ type TenantStat struct {
 
 // Stats counts the planner's work.
 type Stats struct {
-	// Probes counts per-GPU admission checks.
+	// Probes counts per-GPU admission checks: fit-scan probes,
+	// preemption what-ifs, and the re-check probes a held gang's retry
+	// makes on changed GPUs before it is skipped or run.
 	Probes int64 `json:"probes"`
 	// Waits counts event-time advances with jobs still queued.
 	Waits int64 `json:"waits"`
@@ -109,8 +111,13 @@ type Stats struct {
 	Preemptions    int64 `json:"preemptions"`
 	GangsPreempted int64 `json:"gangs_preempted"`
 	// GangHolds counts failed placement attempts (the gang stayed
-	// queued).
+	// queued), skipped retries included.
 	GangHolds int64 `json:"gang_holds"`
+	// HoldSkips counts the holds whose retry was skipped because no GPU
+	// the gang could use had changed since its last failed attempt
+	// (DESIGN.md §13, "Change-driven rounds"). It is work, not a
+	// decision, and stays out of the Outcome's JSON.
+	HoldSkips int64 `json:"-"`
 }
 
 // Outcome is a cluster plan: the full decision history plus accounting.
@@ -164,6 +171,34 @@ type job struct {
 	lastWaitS   float64 // queueing delay of the latest dispatch
 	evicting    bool    // transaction mark: already chosen as victim
 	durationS   float64 // sum of member predicted durations (service charge)
+
+	// residents are the members placed now, in pool order: GPU, then
+	// position on the GPU.
+	residents []*resident
+	// hold is the last failed placement attempt, while the gang waits.
+	hold holdState
+}
+
+// holdState is what a held gang's failed attempt leaves for its next
+// round: enough to tell whether a retry can end any differently
+// (DESIGN.md §13, "Change-driven rounds").
+type holdState struct {
+	valid bool
+	// clock is the pool clock read after the attempt's rollback.
+	clock uint64
+	// failed is the member no GPU admitted.
+	failed int
+	// placed holds each earlier member's GPU and how it got there.
+	placed []placement
+	// touched are the GPUs the attempt saved and rolled back.
+	touched []int
+}
+
+// placement is one member's GPU in a failed attempt, and whether the
+// member got there by evicting lower-priority gangs.
+type placement struct {
+	gpu     int
+	evicted bool
 }
 
 // Per-tenant SLO histogram buckets, in milliseconds. Wait buckets skew
@@ -266,6 +301,9 @@ type planner struct {
 
 	out   *Outcome
 	stats *Stats
+	// rechecks counts the probes holdStands spent, which Stats.Probes
+	// includes.
+	rechecks int64
 }
 
 // Plan runs the cluster admission loop over the submission stream and
@@ -289,6 +327,7 @@ func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 	hub.Counter("cluster_dispatch_total").Add(int64(len(st.out.Dispatches)))
 	hub.Counter("cluster_evictions_total").Add(int64(len(st.out.Evictions)))
 	hub.Counter("cluster_gang_holds_total").Add(st.stats.GangHolds)
+	hub.Counter("cluster_hold_skip_total").Add(st.stats.HoldSkips)
 	hub.Counter("cluster_probe_total").Add(st.stats.Probes)
 	for _, t := range st.tenants {
 		hub.Gauge(obs.MetricName("cluster_tenant_queue_depth_max", t.spec.Name)).SetMax(int64(t.maxDepth))

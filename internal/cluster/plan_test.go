@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"gpushare/internal/core"
 	"gpushare/internal/gpu"
+	"gpushare/internal/gpusim"
 	"gpushare/internal/obs"
 	"gpushare/internal/profile"
 	"gpushare/internal/simtime"
@@ -81,6 +83,32 @@ func mustPlan(t *testing.T, spec Spec, store *profile.Store, subs []Submission) 
 		t.Fatal(err)
 	}
 	return out
+}
+
+// runPlanner runs Plan's own steps and returns the drained planner, so
+// a test can inspect its pool and counters.
+func runPlanner(t *testing.T, spec Spec, store *profile.Store, subs []Submission) *planner {
+	t.Helper()
+	p, err := NewPlanner(spec, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := p.newPlanner(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.run()
+	st.finish()
+	return st
+}
+
+// shadow turns on the shadow check of skipped retries for the rest of
+// the test: every skipped retry also runs its transaction, and the
+// planner panics unless it fails exactly as the held attempt did.
+func shadow(t testing.TB) {
+	prev := shadowSkips
+	shadowSkips = true
+	t.Cleanup(func() { shadowSkips = prev })
 }
 
 func approx(t *testing.T, what string, got, want float64) {
@@ -616,9 +644,10 @@ func TestGangStarvationResolves(t *testing.T) {
 }
 
 // TestClusterAdmitAllocs pins the admit/preempt hot path at zero
-// steady-state allocations: probes, what-ifs, and the resident pool must
-// not allocate once warm, with telemetry off and with a live flight
-// recorder taking the scan and what-if records.
+// steady-state allocations: probes, what-ifs, the resident pool, a
+// failed gang attempt and the re-check of its hold must not allocate
+// once warm, with telemetry off and with a live flight recorder taking
+// the scan, what-if and hold records.
 func TestClusterAdmitAllocs(t *testing.T) {
 	store := testStore(t)
 	spec := oneNode(4, "a", "b")
@@ -642,6 +671,14 @@ func TestClusterAdmitAllocs(t *testing.T) {
 		st.run() // warm pools, snapshot buffers, and tx journals
 		g := 0
 		m := &st.jobs[0].members[0]
+		// Fill the GPU to its client cap with residents of a completed
+		// job, which no gang may evict: every attempt of w1 fails.
+		for i := 0; i < 4; i++ {
+			r := st.acquireResident()
+			r.job, r.gpu = st.jobs[0], g
+			st.pool.Add(g, m.load, r)
+		}
+		held := st.jobs[1]
 		warm := func() {
 			_ = st.findFit(st.jobs[0], m, simtime.Zero)
 			_ = st.findEvictionFit(st.jobs[1], m, simtime.Zero)
@@ -650,6 +687,20 @@ func TestClusterAdmitAllocs(t *testing.T) {
 			r := st.acquireResident()
 			st.releaseResident(r)
 			st.rollback()
+			if st.tryPlaceGang(held, simtime.Zero) {
+				t.Fatal("attempt on a full GPU placed")
+			}
+			// Re-check every GPU as changed, with a member placed by
+			// eviction on a later GPU, so every rule runs.
+			held.hold.clock = 0
+			held.hold.placed = append(held.hold.placed, placement{gpu: g + 1, evicted: true})
+			if stands, rechecked := st.holdStands(held); !stands || rechecked != 1 {
+				t.Fatalf("hold re-check = %v over %d GPUs, want it to stand over 1", stands, rechecked)
+			}
+			if st.fl != nil {
+				st.recordHold(held, simtime.Zero, true, 1)
+			}
+			st.pool.Touch(g)
 		}
 		warm()
 		if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
@@ -720,4 +771,51 @@ func TestWhatIfLeavesAggregateUntouched(t *testing.T) {
 // coreFleet builds the FleetSpec the stream tests share.
 func coreFleet(workflows int, seed uint64) core.FleetSpec {
 	return core.FleetSpec{Workflows: workflows, TargetGPUs: 8, Seed: seed}
+}
+
+// TestNonFiniteProfilesRejected builds profile stores in code with a
+// NaN, an infinite or a negative utilization, or a negative memory
+// peak (JSON cannot carry the first two; a store built in code can),
+// and checks that both dispatchers refuse them where they build
+// workflow profiles: the cluster's Plan and core's ScheduleOnline.
+func TestNonFiniteProfilesRejected(t *testing.T) {
+	cases := []struct {
+		name    string
+		sm, bw  float64
+		mem     int64
+		wantErr string
+	}{
+		{"nan-sm", math.NaN(), 10, 1024, "utilization"},
+		{"inf-sm", math.Inf(1), 10, 1024, "utilization"},
+		{"neg-inf-bw", 20, math.Inf(-1), 1024, "utilization"},
+		{"neg-bw", 20, -5, 1024, "utilization"},
+		{"neg-mem", 20, 10, -1, "negative memory"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			store := profile.NewStore()
+			if err := store.Add(&profile.TaskProfile{
+				Workload: "bad", Size: "1x", Device: "NVIDIA A100X",
+				DurationS: 100, MaxMemMiB: c.mem, AvgSMUtilPct: c.sm, AvgBWUtilPct: c.bw,
+				AvgPowerW: 100, EnergyJ: 1e4, GPUIdlePct: 5, SizeFactor: 1,
+			}); err != nil {
+				t.Fatal(err)
+			}
+			w := wf("w", "bad")
+			p, err := NewPlanner(oneNode(4, "a"), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Plan([]Submission{sub(0, "a", 0, workflow.Single(w))}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("Plan: err = %v, want one naming %q", err, c.wantErr)
+			}
+			s, err := core.NewScheduler(a100x(), 1, store, core.EnergyPolicy())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.ScheduleOnline([]core.Arrival{{At: simtime.Zero, Workflow: w}}, gpusim.Config{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Fatalf("ScheduleOnline: err = %v, want one naming %q", err, c.wantErr)
+			}
+		})
+	}
 }

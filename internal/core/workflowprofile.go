@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gpushare/internal/interference"
 	"gpushare/internal/profile"
@@ -90,6 +91,11 @@ func BuildWorkflowProfile(store *profile.Store, w workflow.Workflow) (*WorkflowP
 		if err != nil {
 			return nil, fmt.Errorf("core: workflow %s: %w", w.Name, err)
 		}
+		if p.MaxMemMiB < 0 {
+			// The workflow's peak starts at zero, so it would hide this.
+			return nil, fmt.Errorf("core: workflow %s: task %s/%s has negative memory %d MiB",
+				w.Name, t.Benchmark, t.Size, p.MaxMemMiB)
+		}
 		dur := p.DurationS * float64(t.Iterations)
 		wp.TotalDurationS += dur
 		wp.EnergyJ += p.EnergyJ * float64(t.Iterations)
@@ -116,8 +122,20 @@ func BuildWorkflowProfile(store *profile.Store, w workflow.Workflow) (*WorkflowP
 	}
 	wp.AvgSMUtilPct /= wp.TotalDurationS
 	wp.AvgBWUtilPct /= wp.TotalDurationS
+	// Admission folds these loads into per-GPU sums and compares the
+	// sums with limits: a NaN or infinite load makes the fold's bits
+	// depend on operand order, and a negative one lets a sum shrink as
+	// residents arrive. Both dispatchers build profiles here, so this is
+	// where such inputs stop.
+	if !nonNegFinite(wp.AvgSMUtilPct) || !nonNegFinite(wp.AvgBWUtilPct) {
+		return nil, fmt.Errorf("core: workflow %s: averaged SM/BW utilization %g/%g %%, want finite and non-negative",
+			w.Name, wp.AvgSMUtilPct, wp.AvgBWUtilPct)
+	}
 	return wp, nil
 }
+
+// nonNegFinite reports whether x is a finite number at or above zero.
+func nonNegFinite(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // canonicalName resolves paper aliases ("MHD") to suite names so store
 // keys are stable regardless of which alias a workflow used. Store-only

@@ -50,7 +50,9 @@ const (
 	// FlightEvict marks a committed preemption (the victim gang's view).
 	FlightEvict
 	// FlightHold marks a gang parked in its tenant queue after a failed
-	// placement round.
+	// placement round. A retry skipped because no GPU the gang could
+	// use changed carries Detail "unchanged" and, in Clients, the
+	// changed GPUs it re-checked.
 	FlightHold
 	// FlightScan summarizes one first-fit scan: the winner, the GPUs
 	// visited and the rejections per rule (field mapping on
@@ -103,7 +105,7 @@ type FlightRecord struct {
 	// the record is not about one GPU.
 	GPU int32 `json:"gpu"`
 	// Clients is the resident client count on GPU at decision time; a
-	// scan's visits.
+	// scan's visits; a skipped hold's re-checked GPUs.
 	Clients int32 `json:"clients,omitempty"`
 	// Rules is a scan's union of rejection masks (interference.RuleMask).
 	Rules uint8 `json:"rules,omitempty"`

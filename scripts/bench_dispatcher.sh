@@ -5,11 +5,14 @@
 # base is exported with `git archive` into a temporary directory, and
 # this tree's internal/core/online_bench_test.go is copied over it, so
 # both sides run the same configurations, the energy-policy fleet sweep
-# from 256 to 16,384 GPUs included.
+# from 256 to 16,384 GPUs included. The cluster planner row times
+# `gpusched bench-cluster -cluster 64x8` built from each side, the runs
+# alternating, and keeps each side's median.
 #
 # Usage: scripts/bench_dispatcher.sh [out.json]
 # BASE=<rev> scripts/bench_dispatcher.sh      # base revision (default HEAD)
 # BENCHTIME=5x scripts/bench_dispatcher.sh    # more samples
+# CLUSTER_RUNS=5 scripts/bench_dispatcher.sh  # more bench-cluster runs (default 3)
 #
 # With the default BASE, run it on an uncommitted change to compare the
 # change against the commit it sits on.
@@ -18,6 +21,8 @@ cd "$(dirname "$0")/.."
 out=${1:-BENCH_dispatcher.json}
 base=${BASE:-HEAD}
 benchtime=${BENCHTIME:-3x}
+cluster_runs=${CLUSTER_RUNS:-3}
+cluster_args=(bench-cluster -cluster 64x8)
 base_sha=$(git rev-parse --short "$base")
 
 tmp=$(mktemp -d)
@@ -36,6 +41,16 @@ echo "$base_out" >&2
 echo "running dispatcher benchmarks on the working tree (-benchtime=$benchtime)..." >&2
 head_out=$(run .)
 echo "$head_out" >&2
+
+echo "running gpusched ${cluster_args[*]} $cluster_runs times on each side..." >&2
+(cd "$tmp" && go build -o "$tmp/gpusched-base" ./cmd/gpusched)
+go build -o "$tmp/gpusched-head" ./cmd/gpusched
+base_cluster="" head_cluster=""
+for _ in $(seq "$cluster_runs"); do
+	base_cluster+="$("$tmp/gpusched-base" "${cluster_args[@]}")"$'\n'
+	head_cluster+="$("$tmp/gpusched-head" "${cluster_args[@]}")"$'\n'
+done
+echo "$base_cluster$head_cluster" >&2
 
 # metric OUTPUT BENCH_REGEX UNIT -> the value reported for that unit.
 metric() {
@@ -74,13 +89,37 @@ emit() {
 	}'
 }
 
+# cluster_side OUTPUT -> one JSON object of a side's bench-cluster
+# numbers: the median ns/submission over its runs and the work counters
+# (the same in every run). A side that predates skipped retries prints
+# none and reports 0.
+cluster_side() {
+	echo "$1" | awk '
+		/ns\/submission/ { s = $0; sub(/.*\(/, "", s); sub(/ ns\/submission.*/, "", s); ns[n++] = s + 0 }
+		/ probes / {
+			for (i = 1; i < NF; i++) {
+				if ($i == "probes") p = $(i+1)
+				if ($i == "holds") h = $(i+1)
+				if ($i == "retries") k = $(i+1)
+			}
+		}
+		END {
+			if (n == 0 || p == "") { print "bench_dispatcher: incomplete bench-cluster sample" > "/dev/stderr"; exit 1 }
+			for (i = 0; i < n; i++) for (j = i + 1; j < n; j++) if (ns[j] < ns[i]) { t = ns[i]; ns[i] = ns[j]; ns[j] = t }
+			printf "{ \"ns_per_submission\": %d, \"probes\": %d, \"holds\": %d, \"skipped_retries\": %d }", ns[int((n-1)/2)], p, h, k
+		}'
+}
+
+# cluster_ns SIDE_JSON -> its ns_per_submission.
+cluster_ns() { echo "$1" | sed 's/.*"ns_per_submission": \([0-9]*\).*/\1/'; }
+
 host="$(awk -F': ' '/model name/ { print $2; exit }' /proc/cpuinfo 2>/dev/null || true)"
 host="${host:-unknown CPU}, $(getconf _NPROCESSORS_ONLN) cores, $(go env GOOS)/$(go env GOARCH), $(go version | awk '{print $3}')"
 
 {
 	cat <<EOF
 {
-  "description": "Scheduling decision path (planOnline and BuildPlan) at base commit $base_sha and on the tree that wrote this file, measured back to back on the same host. Decision identity between the two is pinned by TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata).",
+  "description": "Scheduling decision path (planOnline, BuildPlan and the cluster planner's Plan) at base commit $base_sha and on the tree that wrote this file, measured back to back on the same host. Decision identity between the two is pinned by TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata, internal/cluster/testdata).",
   "host": "$host",
   "generated_by": "scripts/bench_dispatcher.sh (make bench-dispatcher), BASE=$base_sha, -benchtime=$benchtime",
   "methodology": {
@@ -102,7 +141,17 @@ EOF
 EOF
 	emit 2k_16gpu 'BenchmarkBuildPlan/2k-16gpu' ns/workflow 0
 	emit 10k_64gpu 'BenchmarkBuildPlan/10k-64gpu' ns/workflow 1
+	bc=$(cluster_side "$base_cluster")
+	hc=$(cluster_side "$head_cluster")
 	cat <<EOF
+  },
+  "cluster_plan": {
+    "64x8": {
+      "command": "gpusched ${cluster_args[*]}: 64 nodes of 8 GPUs cycling MPS, MIG and time-slicing, 3 fair-share tenants, preemption, 20,000 seed-42 workflows bundled into gang submissions; median of $cluster_runs runs per side, the sides alternating",
+      "base": $bc,
+      "head": $hc,
+      "speedup": $(awk -v b="$(cluster_ns "$bc")" -v h="$(cluster_ns "$hc")" 'BEGIN { printf "%.2f", b/h }')
+    }
   },
   "streaming": {
     "note": "bounded-memory soak: 1M arrivals x 1024 GPUs through core.Streamer with a 4096-entry ring and a counting spill sink peaks under 5 MiB of live heap (TestStreamBoundedMemory, skipped under -short and -race); snapshot at 2/3 and resume reproduces the uninterrupted digest (TestStreamSnapshotResume)"
