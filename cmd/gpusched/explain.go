@@ -104,6 +104,9 @@ func formatFlightRecord(r obs.FlightRecord) string {
 	switch {
 	case r.Kind == obs.FlightScan:
 		writeScanSummary(&b, r)
+	case r.Kind == obs.FlightHold && r.Clients > 0:
+		// A skipped retry counts the changed GPUs it re-checked.
+		fmt.Fprintf(&b, "  rechecked=%d", r.Clients)
 	case r.Clients > 0:
 		fmt.Fprintf(&b, "  clients=%d", r.Clients)
 	}

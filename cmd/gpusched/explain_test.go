@@ -18,7 +18,7 @@ import (
 // the renderer handles, with fixed values so the output is pinnable.
 func explainGoldenSnapshot() *obs.FlightSnapshot {
 	return &obs.FlightSnapshot{
-		Capacity: 16, Total: 9, Spilled: 1, Dropped: 0,
+		Capacity: 16, Total: 10, Spilled: 1, Dropped: 0,
 		Records: []obs.FlightRecord{
 			{Seq: 3, Kind: obs.FlightArrival, AtNS: 1_500_000_000, Workflow: "wf-3", GPU: -1},
 			{Seq: 3, Kind: obs.FlightScan, AtNS: 1_500_000_000, GPU: -1, Clients: 2,
@@ -34,6 +34,8 @@ func explainGoldenSnapshot() *obs.FlightSnapshot {
 			{Seq: 2, Kind: obs.FlightEvict, AtNS: 9_000_000_000, Tenant: "batch", Workflow: "victim", Node: "n0", GPU: 0,
 				Detail: "preempted by urgent"},
 			{Seq: 8, Kind: obs.FlightHold, AtNS: 9_000_000_000, Tenant: "batch", Workflow: "stalled", GPU: -1},
+			{Seq: 8, Kind: obs.FlightHold, AtNS: 12_000_000_000, Tenant: "batch", Workflow: "stalled", GPU: -1,
+				Clients: 2, Detail: "unchanged"},
 		},
 	}
 }

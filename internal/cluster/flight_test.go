@@ -30,7 +30,6 @@ func flightScenario() (Spec, []Submission) {
 // dispatch lands in the flight recorder, and the trail is
 // byte-identical across identical runs.
 func TestClusterFlightProvenance(t *testing.T) {
-	shadow(t)
 	store := testStore(t)
 	spec, subs := flightScenario()
 	prev := obs.Active()

@@ -58,17 +58,8 @@ func FuzzGangAdmission(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := NewPlanner(spec, store)
-		if err != nil {
-			t.Fatal(err)
-		}
 		// Plan's own steps, so the drained planner stays inspectable.
-		st, err := p.newPlanner(subs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		st.run()
-		st.finish()
+		st := runPlanner(t, spec, store, subs)
 		out := st.out
 		if n := st.pool.Total(); n != 0 {
 			t.Fatalf("admission pool holds %d residents after the plan drained", n)

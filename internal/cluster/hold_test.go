@@ -45,22 +45,16 @@ func mpsNode(name, device string) NodeSpec {
 	return NodeSpec{Name: name, Device: gpu.MustLookup(device), GPUs: 1, Mode: ModeMPS}
 }
 
-// dispatchedAt returns the instants gang's members were dispatched.
-func dispatchedAt(out *Outcome, gang string) []simtime.Time {
+// wantAdmittedAt fails unless every dispatch of gang happened at atS
+// seconds and there are n of them.
+func wantAdmittedAt(t *testing.T, out *Outcome, gang string, n int, atS float64) {
+	t.Helper()
 	var at []simtime.Time
 	for _, d := range out.Dispatches {
 		if d.Gang == gang {
 			at = append(at, d.At)
 		}
 	}
-	return at
-}
-
-// wantAdmittedAt fails unless every dispatch of gang happened at atS
-// seconds and there are n of them.
-func wantAdmittedAt(t *testing.T, out *Outcome, gang string, n int, atS float64) {
-	t.Helper()
-	at := dispatchedAt(out, gang)
 	want := simtime.Zero.Add(simtime.FromSeconds(atS))
 	if len(at) != n {
 		t.Fatalf("gang %s dispatched %d times (%v), want %d", gang, len(at), at, n)

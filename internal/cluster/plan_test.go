@@ -102,15 +102,6 @@ func runPlanner(t *testing.T, spec Spec, store *profile.Store, subs []Submission
 	return st
 }
 
-// shadow turns on the shadow check of skipped retries for the rest of
-// the test: every skipped retry also runs its transaction, and the
-// planner panics unless it fails exactly as the held attempt did.
-func shadow(t testing.TB) {
-	prev := shadowSkips
-	shadowSkips = true
-	t.Cleanup(func() { shadowSkips = prev })
-}
-
 func approx(t *testing.T, what string, got, want float64) {
 	t.Helper()
 	if math.Abs(got-want) > 1e-9 {
