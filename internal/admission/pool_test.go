@@ -86,6 +86,33 @@ func TestPoolGenerations(t *testing.T) {
 	}
 }
 
+// TestRestoreOutrunsInsideClock pins Restore's caveat: a Clock read
+// between Save and Restore is later than the generation Restore puts
+// back, so Gen no longer shows that the GPU differs from what that
+// reader saw. Callers read Clock only with no GPU saved (the cluster
+// planner's holds read it after the rollback).
+func TestRestoreOutrunsInsideClock(t *testing.T) {
+	var p Pool[string]
+	p.AddGPUs(gpu.MustLookup("A100X"), 1)
+	p.Add(0, interference.Load{SMPct: 10}, "a")
+	var snap Snapshot[string]
+	p.Save(0, &snap)
+	p.Add(0, interference.Load{SMPct: 20}, "b")
+	inside := p.Clock()
+	p.Restore(0, &snap)
+	if p.Len(0) == 2 {
+		t.Fatal("Restore kept the resident added after Save")
+	}
+	if p.Gen(0) > inside {
+		t.Fatalf("Restore stamped gen %d above the inside clock %d; update the caveat on Restore and holdState.clock", p.Gen(0), inside)
+	}
+	after := p.Clock()
+	p.Add(0, interference.Load{SMPct: 30}, "c")
+	if p.Gen(0) <= after {
+		t.Fatalf("a change after the rollback has gen %d, not above the clock %d read after it", p.Gen(0), after)
+	}
+}
+
 // modelResident is the reference model's view of one resident.
 type modelResident struct {
 	load interference.Load

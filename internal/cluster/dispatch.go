@@ -378,7 +378,9 @@ func (st *planner) pickTenant() *tenantState {
 //
 // A failed attempt leaves j.hold: the failed member, each earlier
 // member's GPU and whether it got there by eviction, the touched GPUs,
-// and the pool clock after the rollback.
+// and the pool clock after the rollback. The clock must be read after
+// the rollback, never inside the transaction: the rollback restores
+// saved generations, which a clock read in between would outrun.
 func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	h := &j.hold
 	h.placed = h.placed[:0]

@@ -184,7 +184,11 @@ type job struct {
 // (DESIGN.md §13, "Change-driven rounds").
 type holdState struct {
 	valid bool
-	// clock is the pool clock read after the attempt's rollback.
+	// clock is the pool clock read after the attempt's rollback. It is
+	// read, and compared with Gen, only between transactions: Restore
+	// gives a rolled-back GPU its saved generation back, so a clock
+	// taken while a transaction had GPUs saved would miss the changes
+	// the rollback undid (admission.Pool.Restore).
 	clock uint64
 	// failed is the member no GPU admitted.
 	failed int

@@ -1,18 +1,18 @@
 #!/usr/bin/env bash
 # Regenerates BENCH_dispatcher.json: runs the dispatcher benchmarks
-# (decision path only) on a base revision and on this working tree, one
-# after the other on the same host, and records both side by side. The
-# base is exported with `git archive` into a temporary directory, and
-# this tree's internal/core/online_bench_test.go is copied over it, so
-# both sides run the same configurations, the energy-policy fleet sweep
-# from 256 to 16,384 GPUs included. The cluster planner row times
-# `gpusched bench-cluster -cluster 64x8` built from each side, the runs
-# alternating, and keeps each side's median.
+# (decision path only) on a base revision and on this working tree on
+# the same host, and records both side by side. The base is exported
+# with `git archive` into a temporary directory, and this tree's
+# internal/core/online_bench_test.go is copied over it, so both sides
+# run the same configurations, the energy-policy fleet sweep from 256
+# to 16,384 GPUs included. The cluster planner row times
+# `gpusched bench-cluster -cluster 64x8` built from each side. Every
+# row is the median of several runs per side, the sides alternating,
+# so a row's speedup is not one sample of host noise.
 #
 # Usage: scripts/bench_dispatcher.sh [out.json]
 # BASE=<rev> scripts/bench_dispatcher.sh      # base revision (default HEAD)
-# BENCHTIME=5x scripts/bench_dispatcher.sh    # more samples
-# CLUSTER_RUNS=5 scripts/bench_dispatcher.sh  # more bench-cluster runs (default 3)
+# BENCHTIME=3s scripts/bench_dispatcher.sh    # longer samples (default 1s)
 #
 # With the default BASE, run it on an uncommitted change to compare the
 # change against the commit it sits on.
@@ -20,8 +20,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 out=${1:-BENCH_dispatcher.json}
 base=${BASE:-HEAD}
-benchtime=${BENCHTIME:-3x}
-cluster_runs=${CLUSTER_RUNS:-3}
+benchtime=${BENCHTIME:-1s}
+runs=9 # samples per side and row; each row keeps the median
 cluster_args=(bench-cluster -cluster 64x8)
 base_sha=$(git rev-parse --short "$base")
 
@@ -30,32 +30,36 @@ trap 'rm -rf "$tmp"' EXIT
 git archive "$base" | tar -x -C "$tmp"
 cp internal/core/online_bench_test.go "$tmp/internal/core/"
 
-run() { # run DIR -> benchmark output
-	(cd "$1" && go test -run '^$' -bench 'BenchmarkScheduleOnline|BenchmarkBuildPlan' \
-		-benchtime="$benchtime" -count=1 -timeout 60m ./internal/core)
+echo "building both sides at $base_sha and on the working tree..." >&2
+(cd "$tmp" && go test -c -o "$tmp/core-base.test" ./internal/core && go build -o "$tmp/gpusched-base" ./cmd/gpusched)
+go test -c -o "$tmp/core-head.test" ./internal/core
+go build -o "$tmp/gpusched-head" ./cmd/gpusched
+
+bench() { # bench DIR BINARY -> benchmark output
+	(cd "$1/internal/core" && "$2" -test.run '^$' -test.bench 'BenchmarkScheduleOnline|BenchmarkBuildPlan' \
+		-test.benchtime="$benchtime" -test.count=1 -test.timeout 60m)
 }
 
-echo "running dispatcher benchmarks at $base_sha (-benchtime=$benchtime)..." >&2
-base_out=$(run "$tmp")
-echo "$base_out" >&2
-echo "running dispatcher benchmarks on the working tree (-benchtime=$benchtime)..." >&2
-head_out=$(run .)
-echo "$head_out" >&2
-
-echo "running gpusched ${cluster_args[*]} $cluster_runs times on each side..." >&2
-(cd "$tmp" && go build -o "$tmp/gpusched-base" ./cmd/gpusched)
-go build -o "$tmp/gpusched-head" ./cmd/gpusched
-base_cluster="" head_cluster=""
-for _ in $(seq "$cluster_runs"); do
+base_out="" head_out="" base_cluster="" head_cluster=""
+for i in $(seq "$runs"); do
+	echo "run $i of $runs: dispatcher benchmarks (-benchtime=$benchtime) and gpusched ${cluster_args[*]}, base then head..." >&2
+	base_out+="$(bench "$tmp" "$tmp/core-base.test")"$'\n'
+	head_out+="$(bench . "$tmp/core-head.test")"$'\n'
 	base_cluster+="$("$tmp/gpusched-base" "${cluster_args[@]}")"$'\n'
 	head_cluster+="$("$tmp/gpusched-head" "${cluster_args[@]}")"$'\n'
 done
-echo "$base_cluster$head_cluster" >&2
+echo "$base_out$head_out$base_cluster$head_cluster" >&2
 
-# metric OUTPUT BENCH_REGEX UNIT -> the value reported for that unit.
+# metric OUTPUT BENCH_REGEX UNIT -> the median over the runs of the
+# value reported for that unit.
 metric() {
 	echo "$1" | awk -v pat="$2" -v unit="$3" '
-		$1 ~ "^"pat"-[0-9]+$" { for (i = 2; i < NF; i++) if ($(i+1) == unit) { print $i; exit } }'
+		$1 ~ "^"pat"-[0-9]+$" { for (i = 2; i < NF; i++) if ($(i+1) == unit) v[n++] = $i + 0 }
+		END {
+			if (n == 0) exit
+			for (i = 0; i < n; i++) for (j = i + 1; j < n; j++) if (v[j] < v[i]) { t = v[i]; v[i] = v[j]; v[j] = t }
+			printf "%.15g\n", v[int((n-1)/2)]
+		}'
 }
 
 # side OUTPUT BENCH_REGEX PER_UNIT -> one JSON object of that side's numbers.
@@ -90,7 +94,7 @@ emit() {
 }
 
 # cluster_side OUTPUT -> one JSON object of a side's bench-cluster
-# numbers: the median ns/submission over its runs and the work counters
+# numbers: the median ns/submission over the runs and the work counters
 # (the same in every run). A side that predates skipped retries prints
 # none and reports 0.
 cluster_side() {
@@ -121,10 +125,10 @@ host="${host:-unknown CPU}, $(getconf _NPROCESSORS_ONLN) cores, $(go env GOOS)/$
 {
   "description": "Scheduling decision path (planOnline, BuildPlan and the cluster planner's Plan) at base commit $base_sha and on the tree that wrote this file, measured back to back on the same host. Decision identity between the two is pinned by TestStreamDigestMatchesPlan and the golden dispatch logs (internal/core/testdata, internal/cluster/testdata).",
   "host": "$host",
-  "generated_by": "scripts/bench_dispatcher.sh (make bench-dispatcher), BASE=$base_sha, -benchtime=$benchtime",
+  "generated_by": "scripts/bench_dispatcher.sh (make bench-dispatcher), BASE=$base_sha, -benchtime=$benchtime, median of $runs runs per side",
   "methodology": {
     "workload": "synthetic fleet arrival streams from core.GenerateFleet (16 archetypes, exponential inter-arrival gaps sized to ~80% pool utilization, seeded xrand), energy policy; see BenchmarkScheduleOnline / BenchmarkBuildPlan in internal/core/online_bench_test.go. The sweep-* configurations hold 16 arrivals per GPU from 256 to 16,384 GPUs.",
-    "measurement": "planOnline (decision path only, no simulated execution) and BuildPlan over a pre-built queue; profiles warmed by one untimed run; base exported with git archive and given this tree's benchmark file; speedup is base ns over head ns"
+    "measurement": "planOnline (decision path only, no simulated execution) and BuildPlan over a pre-built queue; profiles warmed by one untimed run; base exported with git archive and given this tree's benchmark file; every figure is the median of $runs runs per side, base and head alternating; speedup is base ns over head ns"
   },
   "schedule_online": {
 EOF
@@ -147,7 +151,7 @@ EOF
   },
   "cluster_plan": {
     "64x8": {
-      "command": "gpusched ${cluster_args[*]}: 64 nodes of 8 GPUs cycling MPS, MIG and time-slicing, 3 fair-share tenants, preemption, 20,000 seed-42 workflows bundled into gang submissions; median of $cluster_runs runs per side, the sides alternating",
+      "command": "gpusched ${cluster_args[*]}: 64 nodes of 8 GPUs cycling MPS, MIG and time-slicing, 3 fair-share tenants, preemption, 20,000 seed-42 workflows bundled into gang submissions; median of $runs runs per side, the sides alternating",
       "base": $bc,
       "head": $hc,
       "speedup": $(awk -v b="$(cluster_ns "$bc")" -v h="$(cluster_ns "$hc")" 'BEGIN { printf "%.2f", b/h }')
