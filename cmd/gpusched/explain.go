@@ -120,9 +120,8 @@ func formatFlightRecord(r obs.FlightRecord) string {
 }
 
 // writeScanSummary renders a scan record's counts: no-fit when no GPU
-// admitted, the visits (index nodes for a core scan, GPUs for a
-// cluster scan), and for each rule that fired the number of GPUs it
-// rejected, pruned index ranges included.
+// admitted, the index nodes visited, and for each rule that fired the
+// number of GPUs it rejected, pruned index ranges included.
 func writeScanSummary(b *strings.Builder, r obs.FlightRecord) {
 	if r.GPU < 0 {
 		b.WriteString("  no-fit")

@@ -371,7 +371,7 @@ func shutdownServer(srv *http.Server, serveErr chan error) {
 }
 
 // parseShape validates an AxB shape string, shared by every flag that
-// takes one (-fleet, -cluster). Sscanf-style parsing is too forgiving
+// takes one (-fleet, -cluster, -uniform). Sscanf-style parsing is too forgiving
 // here (it accepts trailing garbage and negative counts), so the two
 // fields are cut and converted explicitly.
 func parseShape(flagName, form, example, shape string) (int, int, error) {
@@ -632,9 +632,9 @@ func buildQueue(comboID int, uniform, queueFile string) (*workflow.Queue, error)
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("-uniform wants BENCH:SIZE:NxM, got %q", uniform)
 		}
-		var n, m int
-		if _, err := fmt.Sscanf(parts[2], "%dx%d", &n, &m); err != nil {
-			return nil, fmt.Errorf("-uniform config %q: %w", parts[2], err)
+		n, m, err := parseShape("-uniform", "NxM", "2x8", parts[2])
+		if err != nil {
+			return nil, err
 		}
 		wfs, err := workflow.Uniform(parts[0], parts[1], n, m)
 		if err != nil {

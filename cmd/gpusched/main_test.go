@@ -53,8 +53,10 @@ func TestBuildQueueSelectors(t *testing.T) {
 	if _, err := buildQueue(0, "AthenaPK:4x", ""); err == nil {
 		t.Fatal("malformed uniform spec accepted")
 	}
-	if _, err := buildQueue(0, "AthenaPK:4x:banana", ""); err == nil {
-		t.Fatal("malformed NxM accepted")
+	for _, nxm := range []string{"banana", "2x8junk", "2x8x9"} {
+		if _, err := buildQueue(0, "AthenaPK:4x:"+nxm, ""); err == nil {
+			t.Fatalf("malformed NxM %q accepted", nxm)
+		}
 	}
 	if _, err := buildQueue(99, "", ""); err == nil {
 		t.Fatal("out-of-range combo accepted")

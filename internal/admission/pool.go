@@ -2,10 +2,10 @@
 // share: each GPU's interference aggregate, its residents in the
 // aggregate's fold order, and a change generation that one changed(g)
 // path stamps on every mutation. FirstFit answers a first-fit query
-// from an index over those GPUs; Gen and Clock let a caller tell which
-// GPUs changed since it last looked (the cluster planner's held gangs
-// do). Policy — which rules apply, client caps, completion heaps,
-// flight records, transaction journals — stays with the caller
+// over a range of those GPUs from an index; Gen and Clock let a caller
+// tell which GPUs changed since it last looked (the cluster planner's
+// held gangs do). Policy — which rules apply, client caps, completion
+// heaps, flight records, transaction journals — stays with the caller
 // (DESIGN.md "Admission pool", "First-fit index", "Change-driven
 // rounds").
 package admission
@@ -134,17 +134,21 @@ func (p *Pool[R]) build() {
 	}
 }
 
-// FirstFit returns the lowest-index GPU that holds fewer than
-// maxResidents residents and where Admit(l) breaks none of the rules
-// in rules (compute, bandwidth, capacity), or -1: the answer of
-// probing every GPU in index order. It descends the index to the
-// leftmost subtree whose bound passes the client cap and every rule in
-// rules, and confirms each leaf it reaches with Admit.
+// FirstFit returns the lowest-index GPU in [lo, hi), where 0 <= lo and
+// hi <= GPUs(), that holds fewer than maxResidents residents and where
+// Admit(l) breaks none of the rules in rules (compute, bandwidth,
+// capacity), or -1: the answer of probing every GPU of the range in
+// index order. It descends the index to the leftmost subtree meeting
+// the range whose bound passes the client cap and every rule in rules,
+// and confirms each leaf it reaches with Admit; a subtree wholly left
+// of lo is stepped over unexamined.
 //
 // A bound is exact: its float fields are single GPUs' sums, so bound +
 // l is the addition Admit does for that GPU, and IEEE rounding is
 // monotone, so a bound that breaks a rule proves every GPU under it
-// breaks it. A NaN sum propagates into its ancestors' bounds, whose
+// breaks it, those in the range included: a subtree reaching past the
+// range bounds a superset, whose minimum is no greater than the
+// range's. A NaN sum propagates into its ancestors' bounds, whose
 // comparisons then fail, so a NaN GPU is never pruned; it is reached
 // and judged by Admit. The memory bound is exact integer arithmetic
 // while sums stay far from the int64 limits, which holds when every
@@ -152,13 +156,13 @@ func (p *Pool[R]) build() {
 //
 // visits counts the nodes examined, leaves included; probes the leaves
 // confirmed with Admit. A non-nil tally also receives the visits and,
-// per rule, the GPUs each rejection covered: a pruned subtree's GPUs,
-// or one rejected leaf. The index is built on the first call.
+// per rule, the range's GPUs each rejection covered: those under a
+// pruned subtree, or one rejected leaf. The index is built on the
+// first call.
 //
 //repro:hotpath pinned by TestPoolAllocs
-func (p *Pool[R]) FirstFit(l interference.Load, maxResidents int, rules interference.RuleMask, tally *obs.ScanTally) (g, visits, probes int) {
-	n := len(p.gpus)
-	if n == 0 {
+func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask, tally *obs.ScanTally) (g, visits, probes int) {
+	if lo >= hi {
 		return -1, 0, 0
 	}
 	if p.tree == nil {
@@ -176,45 +180,46 @@ func (p *Pool[R]) FirstFit(l interference.Load, maxResidents int, rules interfer
 		limOver = 0
 	}
 	g = -1
-	// Node i covers GPUs [i*span-leaves, +span).
+	// Node i covers GPUs [first, first+span), first = i*span-leaves.
 	i, span := 1, p.leaves
 	for {
-		visits++
-		var rej interference.RuleMask
-		if i >= p.leaves {
-			s := &p.gpus[i-p.leaves]
-			if len(s.res) >= maxResidents {
-				rej = interference.MaskClientCap
+		if first := i*span - p.leaves; first+span > lo {
+			visits++
+			var rej interference.RuleMask
+			if i >= p.leaves {
+				s := &p.gpus[first]
+				if len(s.res) >= maxResidents {
+					rej = interference.MaskClientCap
+				} else {
+					probes++
+					out := s.agg.Admit(l)
+					if rej = out.Rules() & rules; rej == 0 {
+						g = first
+						break
+					}
+				}
 			} else {
-				probes++
-				out := s.agg.Admit(l)
-				if rej = out.Rules() & rules; rej == 0 {
-					g = i - p.leaves
-					break
+				nd := &p.tree[i]
+				if int(nd.n) >= maxResidents {
+					rej |= interference.MaskClientCap
+				}
+				if nd.sm+l.SMPct > limSM {
+					rej |= interference.MaskCompute
+				}
+				if nd.bw+l.BWPct > limBW {
+					rej |= interference.MaskBandwidth
+				}
+				if nd.over+l.MemMiB > limOver {
+					rej |= interference.MaskCapacity
+				}
+				if rej == 0 {
+					i, span = 2*i, span>>1
+					continue
 				}
 			}
-		} else {
-			nd := &p.tree[i]
-			if int(nd.n) >= maxResidents {
-				rej |= interference.MaskClientCap
+			if tally != nil {
+				tally.RejectRange(uint8(rej), int32(min(first+span, hi)-max(first, lo)))
 			}
-			if nd.sm+l.SMPct > limSM {
-				rej |= interference.MaskCompute
-			}
-			if nd.bw+l.BWPct > limBW {
-				rej |= interference.MaskBandwidth
-			}
-			if nd.over+l.MemMiB > limOver {
-				rej |= interference.MaskCapacity
-			}
-			if rej == 0 {
-				i, span = 2*i, span>>1
-				continue
-			}
-		}
-		if tally != nil {
-			lo := i*span - p.leaves
-			tally.RejectRange(uint8(rej), int32(min(lo+span, n)-lo))
 		}
 		// Move to the next subtree to the right: climb while i is a
 		// right child, then step to the sibling.
@@ -225,7 +230,7 @@ func (p *Pool[R]) FirstFit(l interference.Load, maxResidents int, rules interfer
 			break
 		}
 		i++
-		if i*span-p.leaves >= n {
+		if i*span-p.leaves >= hi {
 			break
 		}
 	}

@@ -30,8 +30,8 @@ func TestPoolAllocs(t *testing.T) {
 		p.RemoveAt(0, 2)
 		_ = p.Admit(0, l).Interferes()
 		_ = p.AdmitExcluding(0, l, skip).Interferes()
-		_, _, _ = p.FirstFit(l, 9, all, nil)
-		_, _, _ = p.FirstFit(l, 8, all, &tally)
+		_, _, _ = p.FirstFit(0, 2, l, 9, all, nil)
+		_, _, _ = p.FirstFit(1, 2, l, 8, all, &tally)
 		p.Touch(1)
 		p.Restore(0, &snap)
 	}
@@ -160,10 +160,10 @@ func fuzzLoad(arg byte, device gpu.DeviceSpec, signed bool) interference.Load {
 // too), the pool-wide count is the sum of the per-GPU counts, the
 // mutated or touched GPU — and only it — gets a fresh generation, and a
 // Restore gives back the exact digest, count and generation its Save
-// saw without advancing the clock. FirstFit, under
-// varied client caps and rule masks, names the GPU a serial probe of
-// every GPU names, and every index node is the minimum of its
-// children.
+// saw without advancing the clock. FirstFit, over random GPU ranges
+// (empty and single-GPU ones included) under varied client caps and
+// rule masks, names the GPU a serial probe of the range names, and
+// every index node is the minimum of its children.
 func FuzzPool(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 10, 0, 0, 20, 2, 0, 0, 1, 0, 0, 3, 0, 0})
 	f.Add(uint8(3), []byte{0, 2, 255, 0, 2, 7, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 2, 0, 1, 0, 0})
@@ -262,7 +262,12 @@ func FuzzPool(f *testing.F) {
 				t.Fatalf("pool count %d, per-GPU counts sum to %d", p.Total(), total)
 			}
 			for q := byte(0); q < 4; q++ {
-				checkFirstFit(t, &p, fuzzLoad(arg+q*37, device, true), int(arg+q)%6, interference.RuleMask(arg>>2+q)&7)
+				lo := int(arg+q*53) % (n + 1)
+				hi := lo + int(arg>>3+q*29)%(n+1-lo)
+				if q == 0 {
+					lo, hi = 0, n
+				}
+				checkFirstFit(t, &p, lo, hi, fuzzLoad(arg+q*37, device, true), int(arg+q)%6, interference.RuleMask(arg>>2+q)&7)
 			}
 			checkIndex(t, &p)
 		}
@@ -270,9 +275,9 @@ func FuzzPool(f *testing.F) {
 }
 
 // refFirstFit is the serial first-fit FirstFit must reproduce: probe
-// every GPU in index order.
-func refFirstFit(p *Pool[int], l interference.Load, maxResidents int, rules interference.RuleMask) int {
-	for g := 0; g < p.GPUs(); g++ {
+// every GPU of [lo, hi) in index order.
+func refFirstFit(p *Pool[int], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) int {
+	for g := lo; g < hi; g++ {
 		if p.Len(g) < maxResidents && p.Admit(g, l).Rules()&rules == 0 {
 			return g
 		}
@@ -280,31 +285,32 @@ func refFirstFit(p *Pool[int], l interference.Load, maxResidents int, rules inte
 	return -1
 }
 
-// checkFirstFit compares one query against the serial reference, with
-// and without a tally. The tally's visits are the query's, and its
-// rejections cover exactly the GPUs left of the winner: at least as
-// many as the busiest rule counted, at most the sum over rules.
-func checkFirstFit(t *testing.T, p *Pool[int], l interference.Load, maxResidents int, rules interference.RuleMask) {
+// checkFirstFit compares one query over [lo, hi) against the serial
+// reference, with and without a tally. The tally's visits are the
+// query's, and its rejections cover exactly the range's GPUs left of
+// the winner: at least as many as the busiest rule counted, at most the
+// sum over rules.
+func checkFirstFit(t *testing.T, p *Pool[int], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) {
 	t.Helper()
-	want := refFirstFit(p, l, maxResidents, rules)
-	g, visits, probes := p.FirstFit(l, maxResidents, rules, nil)
+	want := refFirstFit(p, lo, hi, l, maxResidents, rules)
+	g, visits, probes := p.FirstFit(lo, hi, l, maxResidents, rules, nil)
 	if g != want {
-		t.Fatalf("FirstFit(%+v, cap %d, rules %v) = %d, serial first-fit %d", l, maxResidents, rules, g, want)
+		t.Fatalf("FirstFit([%d,%d), %+v, cap %d, rules %v) = %d, serial first-fit %d", lo, hi, l, maxResidents, rules, g, want)
 	}
 	if probes > visits {
 		t.Fatalf("FirstFit probed %d GPUs in %d visits", probes, visits)
 	}
 	var tally obs.ScanTally
-	if g2, v2, p2 := p.FirstFit(l, maxResidents, rules, &tally); g2 != g || v2 != visits || p2 != probes {
+	if g2, v2, p2 := p.FirstFit(lo, hi, l, maxResidents, rules, &tally); g2 != g || v2 != visits || p2 != probes {
 		t.Fatalf("tallied FirstFit = %d %d %d, untallied %d %d %d", g2, v2, p2, g, visits, probes)
 	}
 	rec := tally.Summary(0, 0, int32(g))
 	if rec.Clients != int32(visits) {
 		t.Fatalf("tally visits %d, query visits %d", rec.Clients, visits)
 	}
-	covered := int64(g)
+	covered := int64(g - lo)
 	if g < 0 {
-		covered = int64(p.GPUs())
+		covered = int64(hi - lo)
 	}
 	counts := []int64{rec.SMExcessMilli, rec.BWExcessMilli, rec.MemExcessMiB, int64(rec.CapSkips)}
 	var most, sum int64
@@ -315,7 +321,7 @@ func checkFirstFit(t *testing.T, p *Pool[int], l interference.Load, maxResidents
 		most, sum = max(most, c), sum+c
 	}
 	if most > covered || sum < covered {
-		t.Fatalf("tally counts %v for %d GPUs left of winner %d", counts, covered, g)
+		t.Fatalf("tally counts %v for the %d GPUs of [%d,%d) left of winner %d", counts, covered, lo, hi, g)
 	}
 }
 

@@ -11,8 +11,9 @@
 // actions); per-node partition modes echo contention-aware partition
 // allocation (Zahaf et al., arXiv:2105.10312). Admission itself stays
 // the paper's §IV-B additive rules over the admission pool's per-GPU
-// sums: a probe is O(1) and a preemption what-if is a read-only masked
-// fold over the same sums (DESIGN.md §13).
+// sums: the fit scan is one first-fit index query per node, a probe is
+// O(1) and a preemption what-if is a read-only masked fold over the
+// same sums (DESIGN.md §13).
 //
 // Everything is a deterministic function of the spec and the submission
 // stream: tenants are picked with explicit tie-breaks (deficit, then
@@ -24,6 +25,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"gpushare/internal/gpu"
 	"gpushare/internal/simtime"
@@ -89,7 +91,7 @@ type NodeSpec struct {
 	// Mode is the sharing mechanism for every GPU on the node.
 	Mode Mode
 	// MPSActiveThreadPct caps each MPS client's active-thread share in
-	// percent; zero (or >= 100) leaves clients uncapped. Only meaningful
+	// percent, within [0,100]; zero (or 100) leaves clients uncapped. Only meaningful
 	// under ModeMPS. The cap bounds the SM pressure one client can exert,
 	// which is how it enters the additive admission rule.
 	MPSActiveThreadPct float64
@@ -155,7 +157,7 @@ type Spec struct {
 	Preemption bool
 	// PreemptionOverheadS is the restart penalty in predicted seconds
 	// charged to each evicted member's next run (checkpoint/requeue
-	// cost); zero selects 10 s. The victim's makespan grows by the lost
+	// cost), finite and non-negative; zero selects 10 s. The victim's makespan grows by the lost
 	// partial run plus this charge — the accounting the ext-cluster
 	// experiment reports.
 	PreemptionOverheadS float64
@@ -196,7 +198,7 @@ func (s Spec) Validate() error {
 		if n.GPUs < 1 {
 			return fmt.Errorf("cluster: node %s needs at least one GPU, got %d", n.Name, n.GPUs)
 		}
-		if n.MPSActiveThreadPct < 0 || n.MPSActiveThreadPct > 100 {
+		if math.IsNaN(n.MPSActiveThreadPct) || n.MPSActiveThreadPct < 0 || n.MPSActiveThreadPct > 100 {
 			return fmt.Errorf("cluster: node %s: MPSActiveThreadPct %g outside [0,100]", n.Name, n.MPSActiveThreadPct)
 		}
 		if n.Mode == ModeMIG {
@@ -225,8 +227,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: tenant %s: negative weight %d", t.Name, t.Weight)
 		}
 	}
-	if s.PreemptionOverheadS < 0 {
-		return fmt.Errorf("cluster: negative preemption overhead %g", s.PreemptionOverheadS)
+	if math.IsNaN(s.PreemptionOverheadS) || math.IsInf(s.PreemptionOverheadS, 0) || s.PreemptionOverheadS < 0 {
+		return fmt.Errorf("cluster: preemption overhead %g is not a finite non-negative number", s.PreemptionOverheadS)
 	}
 	return nil
 }

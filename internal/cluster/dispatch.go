@@ -405,37 +405,40 @@ func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	return true
 }
 
-// findFit scans the pool — nodes in spec order, GPUs in index order —
-// for the first device that admits the member under the node's sharing
-// mode, returning its pool index or -1. With telemetry on, the scan
-// leaves one flight record: the winner, the GPUs visited and the
-// rejections per rule. It walks node by node, keeping each node's mode
-// at hand.
+// findFit asks the pool's first-fit index once per node, in spec
+// order, for the first GPU that admits the member under the node's
+// resolved semantics, and returns its pool index or -1. A MIG node
+// whose instances are smaller than the member rejects it whole, without
+// a query. With telemetry on, the scan leaves one flight record: the
+// winner, the index nodes visited and the GPUs rejected per rule.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) findFit(j *job, m *member, now simtime.Time) int {
 	var tally obs.ScanTally
+	var t *obs.ScanTally
+	if st.fl != nil {
+		t = &tally
+	}
+	g := -1
 	for n := range st.nodes {
 		node := &st.nodes[n]
-		for g := node.first; g < node.first+node.spec.GPUs; g++ {
-			st.stats.Probes++
-			rules := st.probe(node, g, m, st.pool.Len(g), nil)
-			if rules == 0 {
-				if st.fl != nil {
-					tally.Visit(1)
-					st.recordScan(&tally, j, m, g, now)
-				}
-				return g
+		if m.load.MemMiB > node.memMiB {
+			if t != nil {
+				t.RejectRange(uint8(interference.MaskCapacity), int32(node.spec.GPUs))
 			}
-			if st.fl != nil {
-				tally.Reject(uint8(rules))
-			}
+			continue
+		}
+		var probes int
+		g, _, probes = st.pool.FirstFit(node.first, node.first+node.spec.GPUs, node.load(m), node.cap, node.rules, t)
+		st.stats.Probes += int64(probes)
+		if g >= 0 {
+			break
 		}
 	}
-	if st.fl != nil {
-		st.recordScan(&tally, j, m, -1, now)
+	if t != nil {
+		st.recordScan(t, j, m, g, now)
 	}
-	return -1
+	return g
 }
 
 // recordScan records findFit's summary for member m of j: the winner
@@ -494,44 +497,26 @@ func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
 	return -1
 }
 
-// probe is the single source of per-mode admission semantics: it probes
-// pool GPU g of node with an explicit resident count and a victim mask,
-// and returns the rules that reject the member there (zero admits).
-// The count and mask let a preemption what-if ask "would the member fit
+// probe is the single-GPU check behind the what-ifs, the eviction loop
+// and the hold re-checks: it judges pool GPU g of node as findFit's
+// query would, with an explicit resident count and a victim mask, and
+// returns the rules that reject the member there (zero admits). The
+// count and mask let a preemption what-if ask "would the member fit
 // with the victims gone" while the GPU still holds them: skip[i] true
 // folds resident i out of the spatial sums, and a nil mask is the O(1)
-// cached-sum probe. Only the rules the mode actually consults are
-// reported — a time-sliced node may "interfere" spatially, but only
-// capacity decides there, so only capacity shows.
+// cached-sum probe. Only the node's rules are reported — a time-sliced
+// node may "interfere" spatially, but only capacity decides there, so
+// only capacity shows.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip []bool) interference.RuleMask {
 	if residents >= node.cap {
 		return interference.MaskClientCap
 	}
-	switch node.spec.Mode {
-	case ModeMIG:
-		// Isolated equal instances: capacity is per-instance memory;
-		// no cross-instance interference.
-		if m.load.MemMiB <= node.instanceMemMiB {
-			return 0
-		}
+	if m.load.MemMiB > node.memMiB {
 		return interference.MaskCapacity
-	case ModeTimeSlice:
-		// Temporal sharing: no spatial interference rules, but the
-		// residents still share device memory.
-		out := st.pool.AdmitExcluding(g, m.load, skip)
-		return out.Rules() & interference.MaskCapacity
-	default: // ModeMPS
-		l := m.load
-		if node.threadCapPct < 100 && l.SMPct > node.threadCapPct {
-			// The active-thread cap bounds the SM pressure one client
-			// can exert; bandwidth and memory are not partitioned.
-			l.SMPct = node.threadCapPct
-		}
-		out := st.pool.AdmitExcluding(g, l, skip)
-		return out.Rules()
 	}
+	return st.pool.AdmitExcluding(g, node.load(m), skip).Rules() & node.rules
 }
 
 // placeMember commits one member to a GPU inside the transaction.
@@ -546,7 +531,7 @@ func (st *planner) placeMember(j *job, memberIx int, g int, now simtime.Time) {
 
 	node := st.gpus[g].node
 	durS := m.profile.TotalDurationS + j.penaltyS/float64(len(j.members))
-	load := m.load
+	load := node.load(m)
 	if node.spec.Mode == ModeTimeSlice {
 		// Predicted duration dilates with the co-resident count at
 		// dispatch (including this member). Earlier residents keep
@@ -554,11 +539,11 @@ func (st *planner) placeMember(j *job, memberIx int, g int, now simtime.Time) {
 		// the arriving member, which keeps completions immutable once
 		// scheduled.
 		durS *= float64(st.pool.Len(g) + 1)
-	} else if node.spec.Mode == ModeMPS && node.threadCapPct < 100 && load.SMPct > node.threadCapPct {
-		// The SM cap throttles the member: it runs at threadCap/SMPct
-		// of its solo speed, and contributes only the capped pressure.
-		durS *= load.SMPct / node.threadCapPct
-		load.SMPct = node.threadCapPct
+	}
+	if load.SMPct < m.load.SMPct {
+		// The SM cap throttles the member: it runs at cap/SMPct of its
+		// solo speed, and contributes only the capped pressure.
+		durS *= m.load.SMPct / load.SMPct
 	}
 	r.end = now.Add(simtime.FromSeconds(durS))
 

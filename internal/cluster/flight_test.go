@@ -117,17 +117,25 @@ func TestClusterFlightProvenance(t *testing.T) {
 	if !urgentMiss {
 		t.Fatal("no failed scan with per-rule counts for the preemptor")
 	}
-	// On one GPU every scan and every what-if is one probe; the other
-	// probes are the re-checks of held gangs, which leave no per-GPU
-	// record. A skipped retry's hold record says "unchanged" and counts
-	// the changed GPUs it re-checked: here none or the one GPU.
+	// On one GPU every scan visits the one leaf, which it confirms with
+	// a probe unless the GPU is at its client cap, and every what-if is
+	// one probe; the other probes are the re-checks of held gangs, which
+	// leave no per-GPU record. A skipped retry's hold record says
+	// "unchanged" and counts the changed GPUs it re-checked: here none
+	// or the one GPU.
 	if snap.Total != int64(len(snap.Records)) {
 		t.Fatalf("trail overflowed the ring: %d of %d records kept", len(snap.Records), snap.Total)
 	}
 	out := st.out
-	if got := int64(counts[obs.FlightScan]+counts[obs.FlightWhatIf]) + st.rechecks; got != out.Stats.Probes {
-		t.Fatalf("%d scan and what-if records and %d re-check probes for %d probes, want one each",
-			counts[obs.FlightScan]+counts[obs.FlightWhatIf], st.rechecks, out.Stats.Probes)
+	var confirmed int64
+	for _, r := range snap.Records {
+		if r.Kind == obs.FlightScan {
+			confirmed += int64(r.Clients - r.CapSkips)
+		}
+	}
+	if got := confirmed + int64(counts[obs.FlightWhatIf]) + st.rechecks; got != out.Stats.Probes {
+		t.Fatalf("%d confirmed scan leaves, %d what-if records and %d re-check probes for %d probes, want one each",
+			confirmed, counts[obs.FlightWhatIf], st.rechecks, out.Stats.Probes)
 	}
 	var skipped int64
 	for _, r := range snap.Records {

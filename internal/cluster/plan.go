@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"sort"
 
 	"gpushare/internal/admission"
@@ -98,9 +100,12 @@ type TenantStat struct {
 
 // Stats counts the planner's work.
 type Stats struct {
-	// Probes counts per-GPU admission checks: fit-scan probes,
-	// preemption what-ifs, and the re-check probes a held gang's retry
-	// makes on changed GPUs before it is skipped or run.
+	// Probes counts single-GPU admission checks, as core's
+	// DispatchStats.Probes does: the GPUs a fit scan's index queries
+	// confirm with Admit (a GPU at its client cap, or under a pruned
+	// index node, is not probed), the preemption what-ifs, and the
+	// re-check probes a held gang's retry makes on changed GPUs before
+	// it is skipped or run.
 	Probes int64 `json:"probes"`
 	// Waits counts event-time advances with jobs still queued.
 	Waits int64 `json:"waits"`
@@ -265,13 +270,29 @@ type gpuState struct {
 	snap  admission.Snapshot[*resident]
 }
 
-// nodeState is one node's resolved capacities.
+// nodeState is one node's admission semantics, resolved from its mode
+// once in newPlanner: admission reads these fields, never the mode
+// (placeMember still reads it for time-slice dilation, a duration).
 type nodeState struct {
-	spec           NodeSpec
-	first          int     // pool index of the node's GPU 0
-	cap            int     // residents per GPU under the node's mode
-	instanceMemMiB int64   // per-instance memory under ModeMIG
-	threadCapPct   float64 // per-client SM cap under ModeMPS (100 = uncapped)
+	spec  NodeSpec
+	first int                   // pool index of the node's GPU 0
+	cap   int                   // residents per GPU
+	rules interference.RuleMask // rules a GPU applies: all (MPS), capacity (time-slice), none (MIG)
+	smCap float64               // per-client SM cap: the MPS active-thread cap, or +Inf
+	// memMiB bounds one resident's memory: the MIG instance size, or
+	// math.MaxInt64.
+	memMiB int64
+}
+
+// load is member m's load as the node admits and places it: SM demand
+// clamped to the node's cap, which bounds the pressure one client can
+// exert (bandwidth and memory are not partitioned).
+func (n *nodeState) load(m *member) interference.Load {
+	l := m.load
+	if l.SMPct > n.smCap {
+		l.SMPct = n.smCap
+	}
+	return l
 }
 
 // planner is the mutable planning state for one Plan call.
@@ -372,32 +393,28 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		st.byName[ts.Name] = t
 	}
 
-	// Nodes with resolved capacities.
+	// Nodes with resolved admission semantics.
 	st.nodes = make([]nodeState, len(p.spec.Nodes))
 	for i, ns := range p.spec.Nodes {
 		n := &st.nodes[i]
-		n.spec = ns
-		n.threadCapPct = 100
+		n.spec, n.smCap, n.memMiB = ns, math.Inf(1), math.MaxInt64
 		switch ns.Mode {
 		case ModeMPS:
-			n.cap = ns.ClientCap
-			if n.cap == 0 {
-				n.cap = ns.Device.MaxMPSClients
-			}
+			n.cap = cmp.Or(ns.ClientCap, ns.Device.MaxMPSClients)
+			n.rules = interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
 			if ns.MPSActiveThreadPct > 0 && ns.MPSActiveThreadPct < 100 {
-				n.threadCapPct = ns.MPSActiveThreadPct
+				n.smCap = ns.MPSActiveThreadPct
 			}
 		case ModeMIG:
-			n.cap = ns.MIGInstances
-			if n.cap == 0 {
-				n.cap = ns.Device.MaxMIGInstances
-			}
-			n.instanceMemMiB = ns.Device.MemoryMiB / int64(n.cap)
+			// Isolated equal instances: per-instance memory, no
+			// cross-instance interference.
+			n.cap = cmp.Or(ns.MIGInstances, ns.Device.MaxMIGInstances)
+			n.memMiB = ns.Device.MemoryMiB / int64(n.cap)
 		case ModeTimeSlice:
-			n.cap = ns.TimeSliceCap
-			if n.cap == 0 {
-				n.cap = 4
-			}
+			// Temporal sharing: no spatial interference rules, but the
+			// residents still share device memory.
+			n.cap = cmp.Or(ns.TimeSliceCap, 4)
+			n.rules = interference.MaskCapacity
 		}
 		n.first = st.pool.GPUs()
 		st.pool.AddGPUs(ns.Device, ns.GPUs)

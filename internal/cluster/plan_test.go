@@ -124,6 +124,38 @@ func TestPlanRejectsEmptyAndUnknown(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsNonFinite pins the spec boundary: a NaN thread cap
+// would leave its node silently uncapped, a NaN preemption overhead
+// would silently become the 10 s default, and an infinite one would
+// turn a victim's restart into an undefined float-to-int conversion.
+func TestSpecRejectsNonFinite(t *testing.T) {
+	store := testStore(t)
+	for _, c := range []struct {
+		name string
+		edit func(*Spec)
+	}{
+		{"thread cap NaN", func(s *Spec) { s.Nodes[0].MPSActiveThreadPct = math.NaN() }},
+		{"thread cap +Inf", func(s *Spec) { s.Nodes[0].MPSActiveThreadPct = math.Inf(1) }},
+		{"thread cap -Inf", func(s *Spec) { s.Nodes[0].MPSActiveThreadPct = math.Inf(-1) }},
+		{"overhead NaN", func(s *Spec) { s.PreemptionOverheadS = math.NaN() }},
+		{"overhead +Inf", func(s *Spec) { s.PreemptionOverheadS = math.Inf(1) }},
+		{"overhead -Inf", func(s *Spec) { s.PreemptionOverheadS = math.Inf(-1) }},
+		{"overhead negative", func(s *Spec) { s.PreemptionOverheadS = -1 }},
+	} {
+		spec := oneNode(2, "a")
+		spec.Preemption = true
+		c.edit(&spec)
+		if _, err := NewPlanner(spec, store); err == nil {
+			t.Errorf("%s: spec accepted", c.name)
+		}
+	}
+	spec := oneNode(2, "a")
+	spec.Nodes[0].MPSActiveThreadPct, spec.PreemptionOverheadS = 100, 0
+	if _, err := NewPlanner(spec, store); err != nil {
+		t.Fatalf("boundary spec rejected: %v", err)
+	}
+}
+
 // TestGangWaitsForFullFit pins all-or-nothing admission under
 // contention: a two-member gang with one free slot waits whole, then
 // places both members at the same instant.

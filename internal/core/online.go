@@ -321,7 +321,7 @@ func (d *onlineDispatcher) scan(load interference.Load, seq int64, now simtime.T
 	if d.fl != nil {
 		t = &tally
 	}
-	placed, visits, probes := d.pool.FirstFit(load, d.clientCap, d.policy.rules(), t)
+	placed, visits, probes := d.pool.FirstFit(0, d.pool.GPUs(), load, d.clientCap, d.policy.rules(), t)
 	d.stats.Probes += int64(probes)
 	d.stats.Visits += int64(visits)
 	if t != nil {

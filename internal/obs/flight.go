@@ -54,8 +54,8 @@ const (
 	// use changed carries Detail "unchanged" and, in Clients, the
 	// changed GPUs it re-checked.
 	FlightHold
-	// FlightScan summarizes one first-fit scan: the winner, the GPUs
-	// visited and the rejections per rule (field mapping on
+	// FlightScan summarizes one first-fit scan: the winner, the index
+	// nodes visited and the rejections per rule (field mapping on
 	// FlightRecord).
 	FlightScan
 )
@@ -79,13 +79,13 @@ func (k FlightKind) String() string {
 // deterministically; the JSON field order is the struct order.
 //
 // A FlightScan record reuses the GPU-verdict fields as counts: GPU is
-// the winner (-1 when no GPU admitted), Clients the visits (GPUs
-// walked, client-cap skips included, in the cluster; index nodes
-// examined in core), Rules the union of the rejection masks,
-// SMExcessMilli / BWExcessMilli / MemExcessMiB the GPUs rejected by
-// compute, bandwidth and capacity, and CapSkips those rejected at the
-// client cap. A GPU rejected under an index node counts like a visited
-// one, and a GPU that breaks several rules counts once under each.
+// the winner (-1 when no GPU admitted), Clients the visits (index
+// nodes examined, leaves included, summed over a cluster scan's
+// nodes), Rules the union of the rejection masks, SMExcessMilli /
+// BWExcessMilli / MemExcessMiB the GPUs rejected by compute, bandwidth
+// and capacity, and CapSkips those rejected at the client cap. A GPU
+// rejected under an index node counts like a visited one, and a GPU
+// that breaks several rules counts once under each.
 type FlightRecord struct {
 	// Seq is the decision's arrival sequence number — the key `explain
 	// -seq` groups a trail by. Cluster records use the gang sequence.
@@ -139,24 +139,16 @@ type ScanTally struct {
 	counts [4]int32
 }
 
-// Visit tallies n visits: GPUs walked one by one, or the nodes an
-// indexed scan examined.
+// Visit tallies n visits: the index nodes a scan examined, leaves
+// included.
 //
 //repro:hotpath pinned by TestFlightRecordAllocs
 func (t *ScanTally) Visit(n int32) { t.visits += n }
 
-// Reject tallies one visited GPU that rejected the candidate with the
-// rule mask rules.
-//
-//repro:hotpath pinned by TestFlightRecordAllocs
-func (t *ScanTally) Reject(rules uint8) {
-	t.visits++
-	t.RejectRange(rules, 1)
-}
-
 // RejectRange tallies gpus GPUs that reject the candidate with the
 // rule mask rules without a visit each: the GPUs under an index node
-// whose bound already breaks those rules.
+// whose bound already breaks those rules, one rejected leaf, or a
+// whole cluster node the candidate cannot use.
 //
 //repro:hotpath pinned by TestFlightRecordAllocs
 func (t *ScanTally) RejectRange(rules uint8, gpus int32) {

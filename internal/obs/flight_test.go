@@ -196,10 +196,12 @@ func TestFlightRecordSize(t *testing.T) {
 // range rejection counts its GPUs without visits.
 func TestScanTallySummary(t *testing.T) {
 	var tally ScanTally
-	tally.Reject(8)     // client cap
-	tally.Reject(1 | 2) // compute and bandwidth
-	tally.Reject(4)     // capacity
-	tally.Reject(8)
+	// Visited leaves rejected at the client cap, by compute and
+	// bandwidth, by capacity, and at the client cap again.
+	for _, rules := range []uint8{8, 1 | 2, 4, 8} {
+		tally.Visit(1)
+		tally.RejectRange(rules, 1)
+	}
 	tally.Visit(1) // the winner
 	got := tally.Summary(5, 1000, 4)
 	want := FlightRecord{Seq: 5, Kind: FlightScan, AtNS: 1000, GPU: 4, Clients: 5, Rules: 15,
@@ -227,7 +229,6 @@ func TestFlightRecordAllocs(t *testing.T) {
 	rec := flightRec(7, FlightScan, 3)
 	var tally ScanTally
 	if allocs := testing.AllocsPerRun(200, func() {
-		tally.Reject(8)
 		tally.RejectRange(3, 2)
 		tally.Visit(1)
 		rec = tally.Summary(7, 0, 3)
