@@ -51,8 +51,9 @@ fmt:
 # predictor symmetry/no-panic, aggregate/Predict bit-identity (the
 # dispatcher's O(1) admission probes), the admission pool against a
 # reference model, event-queue pop ordering, the
-# cluster planner's all-or-nothing gang accounting, and the arena
-# ring the streaming dispatcher's memory bound rests on.
+# cluster planner's all-or-nothing gang accounting, the arena ring
+# behind the flight recorder, and the /ingest response bytes against
+# a replayed stream.
 # Native Go fuzzing takes one target per invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRing -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run='^$$' -fuzz=FuzzFlightRing -fuzztime=$(FUZZTIME) ./internal/obs
+	$(GO) test -run='^$$' -fuzz=FuzzIngestResponse -fuzztime=$(FUZZTIME) ./cmd/gpusched
 
 # One-command pprof workflow for perf PRs: profile a real experiment run
 # end to end, then inspect with `go tool pprof cpu.pprof` / `mem.pprof`.

@@ -449,8 +449,8 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		elapsed = time.Since(start)
 		dispatched = int(st.Events())
 		stats = st.Stats()
-		// The full event log is gone (ring-bounded); the mean wait comes
-		// from the streamer's running total instead.
+		// The streamer keeps no event log; the mean wait comes from its
+		// running total instead.
 		if dispatched > 0 {
 			meanWait = st.WaitedS() / float64(dispatched)
 		}

@@ -1,13 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
-	"slices"
 	"sync"
 
 	"gpushare/internal/core"
@@ -24,6 +25,10 @@ import (
 type streamServer struct {
 	mu sync.Mutex
 	st *core.Streamer
+	// spill is the streamer's event log, one line per event. It holds
+	// only the batch being ingested: each request takes its bytes as the
+	// response body and leaves an empty buffer behind.
+	spill bytes.Buffer
 }
 
 // maxIngestBytes bounds one /ingest request body. At about 100 bytes
@@ -61,11 +66,11 @@ func newStreamServer(device gpu.DeviceSpec, policy core.Policy, shape string, se
 	if err != nil {
 		return nil, err
 	}
-	st, err := sched.NewStreamer(core.StreamConfig{})
-	if err != nil {
+	ss := &streamServer{}
+	if ss.st, err = sched.NewStreamer(core.StreamConfig{Spill: &ss.spill}); err != nil {
 		return nil, err
 	}
-	return &streamServer{st: st}, nil
+	return ss, nil
 }
 
 // wrap routes the streaming endpoints and delegates everything else
@@ -79,18 +84,19 @@ func (ss *streamServer) wrap(fallback http.Handler) http.Handler {
 }
 
 // handleIngest dispatches a JSON array of arrivals in order and returns
-// the resulting dispatch events. A body over maxIngestBytes gets 413,
-// and timestamps are validated for the whole batch, before anything is
-// dispatched; on a later mid-batch failure the earlier arrivals stay
-// dispatched (the stream has no rollback) and the error reports how far
-// the batch got.
+// the resulting dispatch events as a JSON array, the streamer's spilled
+// lines byte for byte. A body over maxIngestBytes gets 413; unknown
+// fields, bytes after the array and bad timestamps get 400, all before
+// anything is dispatched. On a later mid-batch failure the earlier
+// arrivals stay dispatched (the stream has no rollback) and the error
+// reports how far the batch got.
 func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON array of arrivals", http.StatusMethodNotAllowed)
 		return
 	}
-	var batch []ingestArrival
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBytes)).Decode(&batch); err != nil {
+	batch, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			http.Error(w, fmt.Sprintf("arrival batch exceeds %d bytes (nothing dispatched)", tooBig.Limit),
@@ -114,38 +120,65 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	events, err := ss.ingest(arrivals)
+	body, err := ss.ingest(arrivals)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(events); err != nil {
+	if _, err := w.Write(body); err != nil {
 		// The response is already partially written; nothing left to do
 		// but note it for the operator.
 		fmt.Fprintf(os.Stderr, "gpusched: /ingest response: %v\n", err)
 	}
 }
 
+// decodeBatch reads one JSON array of arrivals and nothing after it,
+// refusing fields the wire form does not have.
+func decodeBatch(r io.Reader) ([]ingestArrival, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var batch []ingestArrival
+	if err := dec.Decode(&batch); err != nil {
+		return nil, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("data after the arrival array")
+		}
+		return nil, err
+	}
+	return batch, nil
+}
+
 // ingest dispatches arrivals in order under the stream mutex and
-// returns their events, which own their RunningAlongside copies so the
-// caller can encode them after the lock is released. It stops at the
-// first failure, reporting how many arrivals were dispatched.
-func (ss *streamServer) ingest(arrivals []core.Arrival) ([]core.DispatchEvent, error) {
-	events := make([]core.DispatchEvent, 0, len(arrivals))
+// returns the response body: the batch's spilled lines joined into a
+// JSON array plus a newline, which is what json.Encoder writes for the
+// events. The caller owns the body. It stops at the first failure,
+// reporting how many arrivals were dispatched.
+func (ss *streamServer) ingest(arrivals []core.Arrival) ([]byte, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	// Whatever happens, the next batch starts from an empty buffer.
+	defer func() { ss.spill = bytes.Buffer{} }()
+	ss.spill.WriteByte('[')
 	for i, a := range arrivals {
-		ev, err := ss.st.Ingest(a)
-		if err != nil {
+		if _, err := ss.st.Ingest(a); err != nil {
 			return nil, fmt.Errorf("arrival %d (%d dispatched): %w", i, i, err)
 		}
-		// RunningAlongside points into the streamer's name scratch, which
-		// the next Ingest reuses: the response must own its copy.
-		ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
-		events = append(events, ev)
 	}
-	return events, nil
+	// json.Marshal escapes newlines inside strings, so every newline
+	// byte on the spill ends a line.
+	body := ss.spill.Bytes()
+	for i, c := range body {
+		if c == '\n' {
+			body[i] = ','
+		}
+	}
+	if len(arrivals) > 0 {
+		body = body[:len(body)-1]
+	}
+	return append(body, ']', '\n'), nil
 }
 
 // arrivalInstant converts a wire timestamp to a simulated instant,

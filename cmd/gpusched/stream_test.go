@@ -1,15 +1,19 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"gpushare/internal/core"
 	"gpushare/internal/gpu"
+	"gpushare/internal/simtime"
+	"gpushare/internal/workflow"
 )
 
 func TestParseFleetShape(t *testing.T) {
@@ -174,6 +178,16 @@ func TestStreamServerRejections(t *testing.T) {
 	if resp := post("not json"); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("garbage body status = %d", resp.StatusCode)
 	}
+	// Bytes after the array, and a misspelled field that would leave
+	// at_s at 0, are refused before anything is dispatched.
+	for _, bad := range []string{
+		`[{"at_s":0,"name":"x","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":1}]}] junk`,
+		`[{"at":3,"name":"x","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":1}]}]`,
+	} {
+		if resp := post(bad); resp.StatusCode != http.StatusBadRequest || ss.st.Events() != 0 {
+			t.Fatalf("%s: status = %d, %d dispatched", bad, resp.StatusCode, ss.st.Events())
+		}
+	}
 	// Unknown benchmark: no profile in the archetype store.
 	if resp := post(`[{"at_s":0,"name":"x","tasks":[{"benchmark":"nope","size":"1x","iterations":1}]}]`); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown benchmark status = %d", resp.StatusCode)
@@ -266,11 +280,13 @@ func wireBatch(t *testing.T, arrivals []core.Arrival) string {
 	return string(data)
 }
 
-// TestIngestBatchMatchesPlan pins /ingest's events to PlanOnline's for
-// the same arrivals, co-resident lists included: a multi-arrival batch
-// on a two-GPU fleet where arrivals share GPUs, so an event whose
-// RunningAlongside still pointed into the streamer's reused name scratch
-// would name another event's co-residents.
+// TestIngestBatchMatchesPlan pins /ingest's response to the bytes
+// json.Encoder writes for PlanOnline's events over the same arrivals,
+// co-resident lists included: a multi-arrival batch on a two-GPU fleet
+// where arrivals share GPUs, so an event whose RunningAlongside still
+// pointed into the streamer's reused name scratch would name another
+// event's co-residents. The same batch with names JSON must escape, and
+// an empty batch, pin the framing.
 func TestIngestBatchMatchesPlan(t *testing.T) {
 	device := gpu.MustLookup("A100X")
 	const seed = 7
@@ -295,33 +311,122 @@ func TestIngestBatchMatchesPlan(t *testing.T) {
 	if shared < 2 {
 		t.Fatalf("only %d dispatches share a GPU; the batch cannot expose aliasing", shared)
 	}
+	escaped := slices.Clone(arrivals)
+	for i := range escaped {
+		escaped[i].Workflow.Name = fmt.Sprintf("wf\n<%d>&\u2028", i)
+	}
+	escapedPlan, err := sched.PlanOnline(escaped)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	ss, err := newStreamServer(device, core.EnergyPolicy(), "32x2", seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(ss.wrap(http.NotFoundHandler()))
-	defer srv.Close()
-	resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(wireBatch(t, arrivals)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/ingest status = %d", resp.StatusCode)
-	}
-	var got []core.DispatchEvent
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(plan.Dispatches) {
-		t.Fatalf("/ingest returned %d events, want %d", len(got), len(plan.Dispatches))
-	}
-	for i := range got {
-		if !reflect.DeepEqual(got[i], plan.Dispatches[i]) {
-			t.Fatalf("event %d = %+v, want %+v", i, got[i], plan.Dispatches[i])
+	for _, c := range []struct {
+		name     string
+		arrivals []core.Arrival
+		want     []core.DispatchEvent
+	}{
+		{"fleet", arrivals, plan.Dispatches},
+		{"escaped names", escaped, escapedPlan.Dispatches},
+		{"empty", nil, []core.DispatchEvent{}},
+	} {
+		ss, err := newStreamServer(device, core.EnergyPolicy(), "32x2", seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(c.want); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		ss.wrap(http.NotFoundHandler()).ServeHTTP(rec,
+			httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(wireBatch(t, c.arrivals))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: /ingest status = %d: %s", c.name, rec.Code, rec.Body)
+		}
+		if got := rec.Body.Bytes(); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("%s: /ingest body differs from json.Encoder's at byte %d:\n%s\nwant\n%s",
+				c.name, firstDiff(got, want.Bytes()), got, want.Bytes())
 		}
 	}
+}
+
+// FuzzIngestResponse pins /ingest's body to a replay: arrivals with
+// fuzzed workflow names, posted in batches of a fuzzed size, each get a
+// body equal to json.Marshal of the events a separate Streamer returns
+// for the same arrivals, plus a newline.
+func FuzzIngestResponse(f *testing.F) {
+	f.Add("wf", uint8(12), uint8(5))
+	f.Add("a\nb<c>&\u2028\"\\", uint8(9), uint8(0))
+	f.Add("", uint8(0), uint8(3))
+	f.Add("\xff\xfe", uint8(63), uint8(15))
+	device := gpu.MustLookup("A100X")
+	const gpus, seed = 2, 7
+	_, store, err := core.NewFleetSource(device, core.FleetSpec{Workflows: 1, TargetGPUs: gpus, Seed: seed})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, name string, total, batch uint8) {
+		ss, err := newStreamServer(device, core.EnergyPolicy(), fmt.Sprintf("1x%d", gpus), seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handler := ss.wrap(http.NotFoundHandler())
+		sched, err := core.NewScheduler(device, gpus, store, core.EnergyPolicy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		replay, err := sched.NewStreamer(core.StreamConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The wire carries UTF-8: the server sees invalid bytes replaced.
+		name = strings.ToValidUTF8(name, "\uFFFD")
+		arrivals := make([]core.Arrival, total%64)
+		for i := range arrivals {
+			arrivals[i] = core.Arrival{
+				At: simtime.Zero.Add(simtime.FromSeconds(float64(i) / 4)),
+				Workflow: workflow.Workflow{Name: fmt.Sprintf("%s%d", name, i), Tasks: []workflow.Task{
+					{Benchmark: fmt.Sprintf("fleet-a%03d", i%16), Size: "1x", Iterations: 1},
+				}},
+			}
+		}
+		size := int(batch%16) + 1
+		for lo := 0; lo == 0 || lo < len(arrivals); lo += size {
+			part := arrivals[lo:min(lo+size, len(arrivals))]
+			events := []core.DispatchEvent{}
+			for _, a := range part {
+				ev, err := replay.Ingest(a)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
+				events = append(events, ev)
+			}
+			want, err := json.Marshal(events)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, '\n')
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(wireBatch(t, part))))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("batch at %d: /ingest status = %d: %s", lo, rec.Code, rec.Body)
+			}
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("batch at %d: body differs from the replay at byte %d:\n%s\nwant\n%s",
+					lo, firstDiff(got, want), got, want)
+			}
+		}
+	})
+}
+
+// firstDiff returns the first index at which a and b differ.
+func firstDiff(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return i
 }
 
 // TestIngestRejectsUnrepresentableTimestamps pins the /ingest boundary:

@@ -1,14 +1,12 @@
 // Package arena provides Ring, a fixed-capacity FIFO with an eviction
-// seam. The streaming dispatcher's event log (core.Streamer) and the
-// flight recorder (obs.Flight) each keep their newest records in one.
+// seam. The flight recorder (obs.Flight) keeps its newest records in
+// one.
 package arena
 
 // Ring is a fixed-capacity FIFO ring buffer: Push appends a value and,
-// once the buffer is full, evicts and returns the oldest one. The
-// dispatcher uses it to bound the retained dispatch-event log — the
-// newest RingSize events stay inspectable in memory while older ones
-// are spilled through the eviction seam, so steady-state memory is
-// independent of how many arrivals have streamed through.
+// once the buffer is full, evicts and returns the oldest one, which
+// the caller may spill. Memory stays fixed however many values pass
+// through.
 //
 // The buffer is allocated once by NewRing and never grows; Push is
 // allocation-free. Ring is not safe for concurrent use.

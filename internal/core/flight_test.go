@@ -37,7 +37,7 @@ func TestStreamFlightResume(t *testing.T) {
 	refHub := obs.NewHub(nil)
 	obs.SetActive(refHub)
 	s := fleetScheduler(t, store, 8)
-	ref, err := s.NewStreamer(StreamConfig{RingCapacity: 32})
+	ref, err := s.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestStreamFlightResume(t *testing.T) {
 	hubA := obs.NewHub(nil)
 	obs.SetActive(hubA)
 	sA := fleetScheduler(t, store, 8)
-	first, err := sA.NewStreamer(StreamConfig{RingCapacity: 32})
+	first, err := sA.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestStreamFlightResume(t *testing.T) {
 	hubB := obs.NewHub(nil)
 	obs.SetActive(hubB)
 	sB := fleetScheduler(t, store, 8)
-	second, err := sB.RestoreStreamer(StreamConfig{RingCapacity: 32}, &restored)
+	second, err := sB.RestoreStreamer(StreamConfig{}, &restored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestStreamFlightDisabled(t *testing.T) {
 	defer obs.SetActive(prev)
 
 	s := fleetScheduler(t, store, 4)
-	st, err := s.NewStreamer(StreamConfig{RingCapacity: 16})
+	st, err := s.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestStreamFlightDisabled(t *testing.T) {
 	// A state saved with telemetry enabled restores under a disabled hub.
 	state.Flight = &obs.FlightSnapshot{Total: 3, Records: []obs.FlightRecord{{Seq: 0, Kind: obs.FlightArrival, GPU: -1}}}
 	s2 := fleetScheduler(t, store, 4)
-	resumed, err := s2.RestoreStreamer(StreamConfig{RingCapacity: 16}, state)
+	resumed, err := s2.RestoreStreamer(StreamConfig{}, state)
 	if err != nil {
 		t.Fatal(err)
 	}

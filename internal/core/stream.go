@@ -10,7 +10,6 @@ import (
 	"io"
 	"sort"
 
-	"gpushare/internal/arena"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
 	"gpushare/internal/simtime"
@@ -20,9 +19,9 @@ import (
 // unbounded, time-ordered arrival stream with bounded steady-state
 // memory. PlanOnline materializes every arrival, profile, and dispatch
 // record for the plan's lifetime; the Streamer instead reuses its
-// co-resident name buffer once an event is framed, keeps only a
-// fixed-capacity ring of recent events (older ones spill to a JSONL
-// sink), and folds the log into a running SHA-256 digest framed exactly
+// co-resident name buffer once an event is framed, writes each framed
+// event straight to a JSONL spill sink (the stream's log; it retains
+// none), and folds the log into a running SHA-256 digest framed exactly
 // like json.Marshal of the full event slice — so a streamed run and a
 // materialized plan over the same arrivals produce the same digest byte
 // for byte (DESIGN.md §14).
@@ -36,19 +35,12 @@ type ArrivalSource interface {
 
 // StreamConfig parameterizes a streaming ingest run.
 type StreamConfig struct {
-	// RingCapacity bounds the retained tail of the event log; zero
-	// selects 1024.
-	RingCapacity int
-	// Spill receives evicted event records, one JSON object per line,
-	// oldest first; nil discards them. Finish drains the ring through
-	// the same sink, so a run with a spill writer ends with the complete
-	// log on it.
+	// Spill is the stream's event log: each Ingest writes its event's
+	// JSON object and a newline to it before returning, so after k
+	// Ingests it holds exactly k lines, in arrival order. nil discards
+	// the log (the digest still covers it).
 	Spill io.Writer
 }
-
-// defaultRingCapacity is the retained-event bound when the config does
-// not choose one.
-const defaultRingCapacity = 1024
 
 // Streamer ingests arrivals one at a time through the online
 // dispatcher. It is single-owner, like the dispatcher it drives; wrap
@@ -60,7 +52,6 @@ type Streamer struct {
 	// names backs the current event's RunningAlongside; it is truncated
 	// after each event is framed, so its space is reused, not grown.
 	names []string
-	ring  *arena.Ring[string]
 	spill io.Writer
 
 	digest hash.Hash
@@ -75,18 +66,11 @@ type Streamer struct {
 }
 
 // NewStreamer returns a streaming ingest session against the
-// scheduler's fleet (GPUs, policy, profile store).
+// scheduler's fleet (GPUs, policy, profile store). Every StreamConfig
+// is valid, so the error is always nil.
 func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
-	if cfg.RingCapacity < 0 {
-		return nil, fmt.Errorf("core: negative stream ring capacity %d", cfg.RingCapacity)
-	}
-	capacity := cfg.RingCapacity
-	if capacity == 0 {
-		capacity = defaultRingCapacity
-	}
 	st := &Streamer{
 		sched:  s,
-		ring:   arena.NewRing[string](capacity),
 		spill:  cfg.Spill,
 		digest: sha256.New(),
 	}
@@ -95,18 +79,18 @@ func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 	return st, nil
 }
 
-// Ingest dispatches one arrival and frames its event into the digest,
-// ring, and spill path. Arrivals must be non-decreasing in At — the
-// dispatcher's decisions assume a time-ordered stream, and an
-// out-of-order arrival would silently produce a log no sorted plan can
-// reproduce.
+// Ingest dispatches one arrival, frames its event into the digest and
+// writes the framed line to the spill. Arrivals must be non-decreasing
+// in At — the dispatcher's decisions assume a time-ordered stream, and
+// an out-of-order arrival would silently produce a log no sorted plan
+// can reproduce.
 //
 // The returned event's RunningAlongside is carved from the streamer's
 // name scratch and is valid only until the next Ingest, which reuses
 // it; a caller that keeps events across calls must copy the slice.
 //
-// A failed spill write is returned for the arrival whose event evicted
-// the record; that event still counts in Events(). From then on the
+// A failed spill write is returned by the Ingest whose line it was; that
+// event still counts in Events() and in the digest. From then on the
 // streamer is stuck: Ingest, SaveState and Finish return the same error.
 func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	if st.err != nil {
@@ -147,9 +131,10 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	st.n++
 	st.lastAt = a.At
 
-	if old, evicted := st.ring.Push(string(line)); evicted {
-		if err := st.spillLine(old); err != nil {
-			return DispatchEvent{}, err
+	if st.spill != nil {
+		if _, err := st.spill.Write(append(line, '\n')); err != nil {
+			st.err = fmt.Errorf("core: stream spill: %w", err)
+			return DispatchEvent{}, st.err
 		}
 	}
 	return ev, nil
@@ -171,22 +156,6 @@ func (st *Streamer) IngestAll(src ArrivalSource) (int, error) {
 	}
 }
 
-// spillLine writes one record to the spill sink, storing the first
-// failure as the streamer's sticky error.
-func (st *Streamer) spillLine(line string) error {
-	if st.spill == nil {
-		return nil
-	}
-	_, err := io.WriteString(st.spill, line)
-	if err == nil {
-		_, err = io.WriteString(st.spill, "\n")
-	}
-	if err != nil {
-		st.err = fmt.Errorf("core: stream spill: %w", err)
-	}
-	return st.err
-}
-
 // Events reports how many arrivals have been dispatched.
 func (st *Streamer) Events() int64 { return st.n }
 
@@ -195,13 +164,13 @@ func (st *Streamer) Stats() DispatchStats { return st.stats }
 
 // WaitedS reports the total simulated queueing delay across all
 // dispatched arrivals, in seconds — the streaming counterpart of
-// summing DispatchEvent.WaitedS over a plan's log, which the ring may
-// no longer hold.
+// summing DispatchEvent.WaitedS over a plan's log, which the streamer
+// does not keep.
 func (st *Streamer) WaitedS() float64 { return simtime.Time(st.d.waitedNS).Seconds() }
 
-// Finish closes the stream: the ring's retained events drain to the
-// spill sink, the dispatcher's telemetry folds into the shared
-// registry, and the digest is finalized and returned as hex. The digest equals
+// Finish closes the stream: the dispatcher's telemetry folds into the
+// shared registry, and the digest is finalized and returned as hex.
+// Every event is already on the spill. The digest equals
 // sha256(json.Marshal(events)) over the full dispatch log — the same
 // value digestDispatches computes for a materialized plan.
 func (st *Streamer) Finish() (string, error) {
@@ -212,11 +181,6 @@ func (st *Streamer) Finish() (string, error) {
 		return "", fmt.Errorf("core: Finish called twice")
 	}
 	st.finished = true
-	for i := 0; i < st.ring.Len(); i++ {
-		if err := st.spillLine(st.ring.At(i)); err != nil {
-			return "", err
-		}
-	}
 	if st.n == 0 {
 		st.digest.Write([]byte("[]"))
 	} else {
@@ -233,6 +197,12 @@ func (st *Streamer) Finish() (string, error) {
 // fold over; restore re-folds by Add in that order, which reproduces
 // every sum bit for bit (the aggregate invariant: sums equal the
 // left-fold over the member list).
+//
+// The state holds no events: they are on the spill already, and the
+// digest state carries their framing. A snapshot from a build that
+// retained recent events under a "ring" key still restores: encoding/json
+// ignores the key, and the continued digest still matches, though the
+// lines that key held never reach the new spill.
 type StreamState struct {
 	// GPUs pins the fleet shape; restore rejects a scheduler with a
 	// different one.
@@ -244,7 +214,6 @@ type StreamState struct {
 	Stats    DispatchStats  `json:"stats"`
 	WaitedNS int64          `json:"waited_ns"`
 	Digest   []byte         `json:"digest_state"`
-	Ring     []string       `json:"ring"`
 	Resident []residentSave `json:"residents"`
 	Hists    streamHists    `json:"hists"`
 	// Flight carries the decision-provenance ring when telemetry was
@@ -290,7 +259,6 @@ func (st *Streamer) SaveState() (*StreamState, error) {
 		Stats:    st.stats,
 		WaitedNS: st.d.waitedNS,
 		Digest:   digestState,
-		Ring:     st.ring.Snapshot(nil),
 		Hists: streamHists{
 			Wait:    st.d.waitHist.Snapshot(),
 			Depth:   st.d.depthHist.Snapshot(),
@@ -338,9 +306,6 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 	if err != nil {
 		return nil, err
 	}
-	if len(state.Ring) > st.ring.Cap() {
-		return nil, fmt.Errorf("core: stream state retains %d events, ring capacity is %d", len(state.Ring), st.ring.Cap())
-	}
 	// A snapshot without the histogram section (including one saved in
 	// the older per-shard format) fails here rather than resuming with
 	// silently zeroed telemetry.
@@ -367,9 +332,6 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 		if err := st.d.fl.Restore(*state.Flight); err != nil {
 			return nil, fmt.Errorf("core: stream state flight: %w", err)
 		}
-	}
-	for _, line := range state.Ring {
-		st.ring.Push(line)
 	}
 	if err := st.digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(state.Digest); err != nil {
 		return nil, fmt.Errorf("core: stream state digest: %w", err)

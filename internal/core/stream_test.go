@@ -70,7 +70,8 @@ func TestFleetSourceMatchesGenerateFleet(t *testing.T) {
 // TestStreamDigestMatchesPlan pins the streaming frame format: digest
 // over '[' e1 ',' ... ']' streamed one event at a time equals
 // sha256(json.Marshal(dispatches)) of the materialized plan, and the
-// JSONL spill holds exactly the plan's events in order.
+// JSONL spill holds exactly the plan's events in order, each one
+// written by the Ingest that framed it.
 func TestStreamDigestMatchesPlan(t *testing.T) {
 	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 1200, TargetGPUs: 8, Seed: 11})
 	if err != nil {
@@ -84,13 +85,16 @@ func TestStreamDigestMatchesPlan(t *testing.T) {
 	_, wantDigest := digestDispatches(t, plan.Dispatches)
 
 	var spill bytes.Buffer
-	st, err := s.NewStreamer(StreamConfig{RingCapacity: 64, Spill: &spill})
+	st, err := s.NewStreamer(StreamConfig{Spill: &spill})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range arrivals {
+	for k, a := range arrivals {
 		if _, err := st.Ingest(a); err != nil {
 			t.Fatal(err)
+		}
+		if n := bytes.Count(spill.Bytes(), []byte{'\n'}); n != k+1 {
+			t.Fatalf("after %d Ingests the spill holds %d lines", k+1, n)
 		}
 	}
 	if st.Events() != int64(len(arrivals)) {
@@ -178,7 +182,7 @@ func TestStreamSnapshotResume(t *testing.T) {
 
 	// Uninterrupted reference run.
 	var refSpill bytes.Buffer
-	ref, err := s.NewStreamer(StreamConfig{RingCapacity: 32, Spill: &refSpill})
+	ref, err := s.NewStreamer(StreamConfig{Spill: &refSpill})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +199,7 @@ func TestStreamSnapshotResume(t *testing.T) {
 	// Interrupted run: snapshot at an uneven split.
 	cut := len(arrivals)*2/3 + 1
 	var spillA bytes.Buffer
-	first, err := s.NewStreamer(StreamConfig{RingCapacity: 32, Spill: &spillA})
+	first, err := s.NewStreamer(StreamConfig{Spill: &spillA})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +223,7 @@ func TestStreamSnapshotResume(t *testing.T) {
 
 	s2 := fleetScheduler(t, store, 12)
 	var spillB bytes.Buffer
-	second, err := s2.RestoreStreamer(StreamConfig{RingCapacity: 32, Spill: &spillB}, &restored)
+	second, err := s2.RestoreStreamer(StreamConfig{Spill: &spillB}, &restored)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,9 +240,8 @@ func TestStreamSnapshotResume(t *testing.T) {
 		t.Fatalf("resumed digest %s, want uninterrupted %s", digest, refDigest)
 	}
 	// The interrupted run's spill halves concatenate to the reference
-	// spill: pre-snapshot evictions land in the first sink, everything
-	// else (including the ring retained across the snapshot) in the
-	// second.
+	// spill: events before the snapshot land in the first sink, the rest
+	// in the second.
 	if got := spillA.String() + spillB.String(); got != refSpill.String() {
 		t.Fatal("concatenated interrupted spill diverged from uninterrupted spill")
 	}
@@ -267,7 +270,7 @@ func TestStreamStateVisits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sched.NewStreamer(StreamConfig{RingCapacity: 16})
+	st, err := sched.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +305,7 @@ func TestStreamStateVisits(t *testing.T) {
 		if err := json.Unmarshal(c.blob, &saved); err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := sched.RestoreStreamer(StreamConfig{RingCapacity: 16}, &saved)
+		resumed, err := sched.RestoreStreamer(StreamConfig{}, &saved)
 		if err != nil {
 			t.Fatalf("%s snapshot: %v", c.name, err)
 		}
@@ -315,7 +318,7 @@ func TestStreamStateVisits(t *testing.T) {
 }
 
 // TestStreamRestoreValidation exercises the snapshot compatibility
-// checks: fleet shape, snapshot format, ring capacity, and serial order
+// checks: fleet shape, snapshot format, resident GPUs and serial order
 // all gate a restore.
 func TestStreamRestoreValidation(t *testing.T) {
 	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 200, TargetGPUs: 4, Seed: 9})
@@ -323,7 +326,7 @@ func TestStreamRestoreValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := fleetScheduler(t, store, 4)
-	st, err := s.NewStreamer(StreamConfig{RingCapacity: 16})
+	st, err := s.NewStreamer(StreamConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,12 +343,11 @@ func TestStreamRestoreValidation(t *testing.T) {
 	cases := []struct {
 		name   string
 		sched  *Scheduler
-		cfg    StreamConfig
 		mutate func(*StreamState)
 		want   string
 	}{
-		{"gpu mismatch", fleetScheduler(t, store, 8), StreamConfig{RingCapacity: 16}, nil, "saved for 4 GPUs"},
-		{"pre-change snapshot", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
+		{"gpu mismatch", fleetScheduler(t, store, 8), nil, "saved for 4 GPUs"},
+		{"pre-change snapshot", fleetScheduler(t, store, 4), func(ss *StreamState) {
 			// Re-encode in the older format: a "shards" count and per-shard
 			// "shard_hists" list in place of the single "hists" section.
 			blob, err := json.Marshal(ss)
@@ -367,13 +369,12 @@ func TestStreamRestoreValidation(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, "histograms missing"},
-		{"ring too small", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 2}, nil, "ring capacity"},
-		{"resident gpu out of range", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
+		{"resident gpu out of range", fleetScheduler(t, store, 4), func(ss *StreamState) {
 			if len(ss.Resident) > 0 {
 				ss.Resident[0].GPU = 99
 			}
 		}, "on GPU 99"},
-		{"serials not increasing", fleetScheduler(t, store, 4), StreamConfig{RingCapacity: 16}, func(ss *StreamState) {
+		{"serials not increasing", fleetScheduler(t, store, 4), func(ss *StreamState) {
 			if len(ss.Resident) > 1 {
 				ss.Resident[1].Seq = ss.Resident[0].Seq
 			}
@@ -386,7 +387,7 @@ func TestStreamRestoreValidation(t *testing.T) {
 			if c.mutate != nil {
 				c.mutate(&clone)
 			}
-			_, err := c.sched.RestoreStreamer(c.cfg, &clone)
+			_, err := c.sched.RestoreStreamer(StreamConfig{}, &clone)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want containing %q", err, c.want)
 			}
@@ -429,9 +430,6 @@ func TestStreamMisuse(t *testing.T) {
 	if _, err := st.SaveState(); err == nil {
 		t.Fatal("SaveState after Finish accepted")
 	}
-	if _, err := s.NewStreamer(StreamConfig{RingCapacity: -1}); err == nil {
-		t.Fatal("negative ring capacity accepted")
-	}
 }
 
 // errSpillFull is the failure failingWriter injects.
@@ -450,8 +448,8 @@ func (w *failingWriter) Write(p []byte) (int, error) {
 }
 
 // TestStreamSpillErrorSticky pins the spill failure contract: the
-// first failed spill write is returned by the Ingest that evicted the
-// record, which still counts that event, and from then on Ingest,
+// first failed spill write is returned by the Ingest whose own line it
+// was, which still counts that event, and from then on Ingest,
 // SaveState and Finish return the same error without dispatching,
 // counting or spilling anything.
 func TestStreamSpillErrorSticky(t *testing.T) {
@@ -460,11 +458,10 @@ func TestStreamSpillErrorSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := fleetScheduler(t, store, 4)
-	// Each spilled record is two writes (line, newline), so with an
-	// 8-event ring the 10th arrival evicts the second record and its
-	// newline write, the 4th write, fails.
+	// Each Ingest spills its line with one write, so the 4th arrival's
+	// write fails.
 	w := &failingWriter{k: 4}
-	st, err := s.NewStreamer(StreamConfig{RingCapacity: 8, Spill: w})
+	st, err := s.NewStreamer(StreamConfig{Spill: w})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,12 +473,13 @@ func TestStreamSpillErrorSticky(t *testing.T) {
 			break
 		}
 	}
-	if failed != 9 || !errors.Is(first, errSpillFull) {
-		t.Fatalf("arrival %d failed with %v, want arrival 9 with %v", failed, first, errSpillFull)
+	if failed != 3 || !errors.Is(first, errSpillFull) {
+		t.Fatalf("arrival %d failed with %v, want arrival 3 with %v", failed, first, errSpillFull)
 	}
 	events, stats, writes := st.Events(), st.Stats(), w.writes
-	if events != int64(failed+1) {
-		t.Fatalf("Events() = %d after the failed spill, want %d (the evicting event counts)", events, failed+1)
+	if events != int64(failed+1) || writes != failed+1 {
+		t.Fatalf("Events() = %d, %d writes after the failed spill, want %d each (the failing event counts)",
+			events, writes, failed+1)
 	}
 	if _, err := st.Ingest(arrivals[failed+1]); err != first {
 		t.Fatalf("next Ingest: err = %v, want the first spill error %v", err, first)
@@ -683,7 +681,7 @@ func TestStreamBoundedMemory(t *testing.T) {
 	}
 	s := fleetScheduler(t, store, gpus)
 	var spilled countingWriter
-	st, err := s.NewStreamer(StreamConfig{RingCapacity: 4096, Spill: &spilled})
+	st, err := s.NewStreamer(StreamConfig{Spill: &spilled})
 	if err != nil {
 		t.Fatal(err)
 	}
