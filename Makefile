@@ -52,8 +52,9 @@ fmt:
 # dispatcher's O(1) admission probes), the admission pool against a
 # reference model, event-queue pop ordering, the
 # cluster planner's all-or-nothing gang accounting, the arena ring
-# behind the flight recorder, and the /ingest response bytes against
-# a replayed stream.
+# behind the flight recorder, the /ingest response bytes against a
+# replayed stream, and arbitrary /ingest bodies (a refused batch leaves
+# the stream as it was).
 # Native Go fuzzing takes one target per invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzRing -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run='^$$' -fuzz=FuzzFlightRing -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzIngestResponse -fuzztime=$(FUZZTIME) ./cmd/gpusched
+	$(GO) test -run='^$$' -fuzz=FuzzIngestHTTP -fuzztime=$(FUZZTIME) ./cmd/gpusched
 
 # One-command pprof workflow for perf PRs: profile a real experiment run
 # end to end, then inspect with `go tool pprof cpu.pprof` / `mem.pprof`.

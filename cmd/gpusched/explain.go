@@ -142,13 +142,5 @@ func writeScanSummary(b *strings.Builder, r obs.FlightRecord) {
 // writeFlightDump saves the hub's decision trail plus metrics snapshot
 // as the explain subcommand's input format.
 func writeFlightDump(path string, hub *obs.Hub) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	err = hub.Dump().WriteJSON(f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return writeFile(path, hub.Dump().WriteJSON)
 }

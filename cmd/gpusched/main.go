@@ -1,30 +1,32 @@
 // Command gpusched runs the granularity- and interference-aware scheduler
 // over a workflow queue and reports the collocation plan plus simulated
 // throughput/energy metrics against sequential scheduling and baselines.
+// Each form reads only its own flags; any other flag, a stray argument
+// or an unknown subcommand is an error.
 //
-// The queue comes from one of:
+//	gpusched [queue flags] [-queue-schema]   schedule and simulate a queue
+//	gpusched serve [queue flags]             ...then serve /metrics, /healthz
+//	                                         and /debug/pprof until interrupted
+//	gpusched serve -stream [-fleet WxG] [-policy P]
+//	        a live online dispatcher: POST /ingest, GET /stream/state
+//	gpusched bench-online [-fleet WxG] [-policy P] [-stream]
+//	        time the online decision path alone on a synthetic fleet
+//	gpusched bench-cluster [-cluster NxG] [-cluster-mode M] [-discipline D]
+//	        [-tenants N] [-preempt] [-workflows N]
+//	        time the multi-node tenant-queue planner
+//	gpusched explain -flight FILE [-seq N] [-tenant T] [-last N]
+//	        query a recorded decision trail
+//
+// Every form but explain also takes -device, -seed, -http ADDR (serve
+// defaults to 127.0.0.1:8378), -flight-out FILE and -flight-cap N. The
+// queue flags are -policy, -profiles, -rightsize, -gpus, -baselines,
+// -recommend, -trace-dir, -j, and exactly one of
 //
 //	-combo N                 a Table III combination (1-10)
 //	-uniform BENCH:SIZE:NxM  N sequential tasks × M parallel workflows
 //	-queue FILE.json         a JSON queue (see -queue-schema)
 //
-// Examples:
-//
-//	gpusched -combo 6 -policy energy
-//	gpusched -uniform AthenaPK:4x:2x8 -policy throughput -rightsize
-//	gpusched -queue queue.json -profiles profiles.json -gpus 2
-//
-// The serve form runs the same pipeline with telemetry enabled and then
-// keeps serving /metrics, /healthz and /debug/pprof for inspection:
-//
-//	gpusched serve -http 127.0.0.1:8378 -combo 6
-//
-// The bench-online form times the fleet-scale online decision path alone
-// (no simulated execution): a synthetic arrival stream is generated and
-// pushed through PlanOnline, reporting dispatch throughput and admission
-// statistics (see BENCH_dispatcher.json for pinned numbers):
-//
-//	gpusched bench-online -fleet 50000x256 -policy energy
+// for example `gpusched -uniform AthenaPK:4x:2x8 -policy energy -rightsize`.
 package main
 
 import (
@@ -35,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -65,309 +68,361 @@ const queueSchema = `[
   {"name": "wf-2", "tasks": [{"benchmark": "WarpX", "size": "2x", "iterations": 8}]}
 ]`
 
-type queueFileTask struct {
-	Benchmark  string `json:"benchmark"`
-	Size       string `json:"size"`
-	Iterations int    `json:"iterations"`
-}
-
-type queueFileWorkflow struct {
-	Name  string          `json:"name"`
-	Tasks []queueFileTask `json:"tasks"`
-}
-
 func main() {
-	var (
-		comboID   = flag.Int("combo", 0, "schedule a Table III combination (1-10)")
-		uniform   = flag.String("uniform", "", "uniform set BENCH:SIZE:NxM")
-		queueFile = flag.String("queue", "", "JSON workflow queue file")
-		schema    = flag.Bool("queue-schema", false, "print the queue JSON schema and exit")
-		profiles  = flag.String("profiles", "", "profile store JSON (default: profile on the fly)")
-		policyStr = flag.String("policy", "throughput", "throughput | energy | product")
-		rightsize = flag.Bool("rightsize", false, "right-size MPS partitions per workflow")
-		gpus      = flag.Int("gpus", 1, "GPU pool size")
-		device    = flag.String("device", "A100X", "device model")
-		seed      = flag.Uint64("seed", 42, "simulation seed")
-		baselines = flag.Bool("baselines", false, "also run naive-FIFO and time-slicing baselines")
-		recFlag   = flag.Bool("recommend", false, "print the analytic pair recommendations for the queue's tasks")
-		traceDir  = flag.String("trace-dir", "", "write Chrome traces (one per collocation group, plus a combined timeline.json with telemetry spans) into this directory")
-		jobs      = flag.Int("j", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS); output is identical at any value")
-		htaddr    = flag.String("http", "", "serve /metrics, /healthz and /debug/pprof on this address (serve mode defaults to 127.0.0.1:8378)")
-		fleet     = flag.String("fleet", "10000x64", "bench-online fleet shape WORKFLOWSxGPUS")
-		arrivals  = flag.Int("arrivals", 0, "bench-online: override the workflow count from -fleet")
-		stream    = flag.Bool("stream", false, "bench-online: run the bounded-memory streaming ingest path; serve: expose POST /ingest and GET /stream/state")
-		flightOut = flag.String("flight-out", "", "write the flight-recorder decision trail (explain's input) to this file after the run; implies telemetry")
-		flightCap = flag.Int("flight-cap", 0, "flight recorder ring capacity (0 = default 4096)")
+	if err := command(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "gpusched:", err)
+		os.Exit(1)
+	}
+}
 
-		// bench-cluster flags.
-		clusterShape = flag.String("cluster", "4x2", "bench-cluster shape NODESxGPUS")
-		clusterMode  = flag.String("cluster-mode", "mixed", "node sharing mode: mps | mig | time-slice | mixed")
-		discipline   = flag.String("discipline", "fair-share", "cross-tenant queue: fair-share | fifo")
-		tenants      = flag.Int("tenants", 3, "bench-cluster tenant count")
-		preempt      = flag.Bool("preempt", true, "enable priority preemption in bench-cluster")
-		workflows    = flag.Int("workflows", 20000, "bench-cluster submission count")
-	)
-	// "gpusched serve ..." is the inspection form: telemetry on, HTTP
-	// endpoint up, process kept alive after the run. "gpusched
-	// bench-online ..." times the decision path on a synthetic fleet;
-	// "gpusched bench-cluster ..." times the multi-node tenant-queue
-	// planner the same way.
-	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "explain" {
-		// "gpusched explain" reads a recorded flight dump; it never runs
-		// the pipeline, so it parses its own flags and exits.
-		if err := runExplain(args[1:], os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	serveMode := len(args) > 0 && args[0] == "serve"
-	benchMode := len(args) > 0 && args[0] == "bench-online"
-	clusterBench := len(args) > 0 && args[0] == "bench-cluster"
-	if serveMode || benchMode || clusterBench {
-		args = args[1:]
-	}
-	if err := flag.CommandLine.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	if serveMode && *htaddr == "" {
-		*htaddr = "127.0.0.1:8378"
-	}
+// forms maps each subcommand to the form it runs.
+var forms = map[string]func(args []string) error{
+	"serve":         serve,
+	"bench-online":  benchOnline,
+	"bench-cluster": benchCluster,
+	"explain":       func(args []string) error { return runExplain(args, os.Stdout) },
+}
 
-	if *schema {
-		fmt.Println(queueSchema)
-		return
+// command runs a command line: the run form when it is empty or starts
+// with a flag, else the form its subcommand names.
+func command(args []string) error {
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		return runQueue(args)
 	}
-	spec, err := gpu.Lookup(*device)
-	if err != nil {
-		fatal(err)
+	form, ok := forms[args[0]]
+	if !ok {
+		return fmt.Errorf("unknown subcommand %q (want serve, bench-online, bench-cluster or explain)", args[0])
 	}
+	return form(args[1:])
+}
 
-	// Telemetry: on for serve mode, an HTTP endpoint, or trace export
-	// (the combined timeline wants the recorded spans); otherwise the
-	// instrumentation stays on its no-op path. The wall clock is injected
-	// from here — cmd/ is outside the nodeterminism analyzer scope.
-	var hub *obs.Hub
-	if serveMode || *htaddr != "" || *traceDir != "" || *flightOut != "" {
-		hub = obs.NewHub(func() int64 { return time.Now().UnixNano() })
-		if *flightCap > 0 {
-			hub.Flight = obs.NewFlight(*flightCap)
-		}
-		obs.SetActive(hub)
+// session is what every form but explain shares: the flags they all
+// read, and through run the lifecycle around the form's body.
+type session struct {
+	fs        *flag.FlagSet
+	spec      gpu.DeviceSpec
+	seed      uint64
+	addr      string
+	flightOut string
+	flightCap int
+	serve     bool     // keep serving after the body until SIGINT or SIGTERM
+	traceDir  string   // -trace-dir, registered by the queue forms
+	hub       *obs.Hub // set by run; nil while telemetry is off
+}
+
+// newSession starts a form's flag set with the shared flags.
+func newSession(name, defaultAddr string) *session {
+	s := &session{fs: flag.NewFlagSet(name, flag.ContinueOnError), spec: gpu.MustLookup("A100X")}
+	s.fs.Func("device", "device `model` (default A100X)", func(v string) (err error) {
+		s.spec, err = gpu.Lookup(v)
+		return err
+	})
+	s.fs.Uint64Var(&s.seed, "seed", 42, "simulation seed")
+	s.fs.StringVar(&s.addr, "http", defaultAddr, "serve /metrics, /healthz and /debug/pprof on this address")
+	s.fs.StringVar(&s.flightOut, "flight-out", "", "write the flight-recorder decision trail (explain's input) to this file after the run; implies telemetry")
+	s.fs.IntVar(&s.flightCap, "flight-cap", 0, "flight recorder ring capacity (0 = default 4096)")
+	return s
+}
+
+// parse parses args, refusing a positional argument and a negative -flight-cap.
+func (s *session) parse(args []string) error {
+	if err := s.fs.Parse(args); err != nil {
+		return err
 	}
-	// flushFlight saves the decision trail on every exit path that ran
-	// scheduling work; explain reads the file back.
-	flushFlight := func() {
-		if *flightOut == "" {
-			return
-		}
-		if err := writeFlightDump(*flightOut, hub); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *flightOut)
+	if s.fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", s.fs.Arg(0))
 	}
-	// serve -stream exposes a live dispatcher over HTTP: the endpoint is
-	// built before the listener so the mux can route to it from the
-	// first request. It shares the fleet archetype profile store, so
-	// ingested workflows must use those benchmarks.
-	var streamSrv *streamServer
-	if serveMode && *stream {
-		policy, err := parsePolicy(*policyStr)
-		if err != nil {
-			fatal(err)
-		}
-		streamSrv, err = newStreamServer(spec, policy, *fleet, *seed)
-		if err != nil {
-			fatal(err)
-		}
+	if s.flightCap < 0 {
+		return fmt.Errorf("-flight-cap must be >= 0 (0 keeps the default), got %d", s.flightCap)
 	}
-	// Streaming serve mode runs until interrupted. Its handler goes in
-	// before the listener answers a first request: a process started
-	// with SIGINT ignored, as a background job of a non-interactive
-	// shell is, would otherwise drop an interrupt that lands between
-	// the first /healthz answer and signal.Notify, and keep serving.
-	var sig chan os.Signal
-	if streamSrv != nil {
-		sig = make(chan os.Signal, 1)
+	return nil
+}
+
+// policyFlag registers -policy, checked as it is parsed.
+func policyFlag(fs *flag.FlagSet) *core.Policy {
+	policy := core.ThroughputPolicy()
+	fs.Func("policy", "scheduling `objective`: throughput | energy | product (default throughput)", func(v string) (err error) {
+		policy, err = parsePolicy(v)
+		return err
+	})
+	return &policy
+}
+
+// run gives a form's body the shared lifecycle: it turns telemetry on
+// when something reads it, serves -http (through route, if set), runs
+// body, under serve waits for SIGINT or SIGTERM, then writes the flight
+// dump and shuts the server down.
+func (s *session) run(route func(http.Handler) (http.Handler, error), body func() error) (err error) {
+	// Telemetry stays on its no-op path unless an endpoint, a flight dump
+	// or a trace export (its timeline wants the spans) reads it. The wall
+	// clock is injected from here — cmd/ is outside nodeterminism's scope.
+	if s.addr != "" || s.flightOut != "" || s.traceDir != "" {
+		s.hub = obs.NewHub(func() int64 { return time.Now().UnixNano() })
+		if s.flightCap > 0 {
+			s.hub.Flight = obs.NewFlight(s.flightCap)
+		}
+		prev := obs.SetActive(s.hub)
+		defer obs.SetActive(prev)
+	}
+	// A serving process installs its signal handler before the listener
+	// answers a first request: a process started with SIGINT ignored, as
+	// a background job of a non-interactive shell is, would otherwise
+	// drop an interrupt that lands between the first /healthz answer and
+	// signal.Notify, and keep serving.
+	sig := make(chan os.Signal, 1)
+	if s.serve {
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		defer signal.Stop(sig)
 	}
-	var srv *http.Server
-	serveErr := make(chan error, 1)
-	if *htaddr != "" {
-		ln, err := net.Listen("tcp", *htaddr)
+	// served carries the error of a server that failed, then is closed.
+	served := make(chan error, 1)
+	if s.addr != "" {
+		handler := http.Handler(obs.Handler(s.hub))
+		if route != nil {
+			if handler, err = route(handler); err != nil {
+				return err
+			}
+		}
+		ln, err := net.Listen("tcp", s.addr)
 		if err != nil {
 			if errors.Is(err, syscall.EADDRINUSE) {
-				fatal(fmt.Errorf("cannot listen on %s: address already in use (another gpusched serving? pass a different -http address)", *htaddr))
+				return fmt.Errorf("cannot listen on %s: address already in use (another gpusched serving? pass a different -http address)", s.addr)
 			}
-			fatal(fmt.Errorf("cannot listen on %s: %w", *htaddr, err))
+			return fmt.Errorf("cannot listen on %s: %w", s.addr, err)
 		}
 		fmt.Printf("telemetry on http://%s/metrics\n", ln.Addr())
-		handler := http.Handler(obs.Handler(hub))
-		if streamSrv != nil {
-			handler = streamSrv.wrap(handler)
-		}
 		// No WriteTimeout: /debug/pprof/profile streams for 30 s.
-		srv = &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+		srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 		go func() {
-			// ErrServerClosed is the orderly-shutdown sentinel, not a
-			// failure; anything else is surfaced on exit or, mid-run,
-			// fatally.
-			if err := srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				serveErr <- err
-				return
+			// ErrServerClosed is the orderly-shutdown sentinel, not a failure.
+			if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+				served <- err
 			}
-			serveErr <- nil
+			close(served)
+		}()
+		defer func() {
+			if serr := shutdownServer(srv, served); err == nil {
+				err = serr
+			}
 		}()
 	}
 
-	if benchMode {
-		policy, err := parsePolicy(*policyStr)
-		if err != nil {
-			fatal(err)
-		}
-		if err := runFleetBench(spec, policy, *fleet, *seed, *arrivals, *stream); err != nil {
-			fatal(err)
-		}
-		flushFlight()
-		shutdownServer(srv, serveErr)
-		return
+	if err := body(); err != nil {
+		return err
 	}
-	if streamSrv != nil {
-		// Streaming-ingest serve mode: no batch pipeline to run, just
-		// hold the endpoints open until interrupted.
-		fmt.Println("streaming ingest on POST /ingest; snapshot on GET /stream/state")
+	if s.serve {
 		select {
-		case err := <-serveErr:
-			if err != nil {
-				fatal(fmt.Errorf("http server: %w", err))
-			}
-			fatal(fmt.Errorf("http server exited unexpectedly"))
-		case s := <-sig:
-			fmt.Printf("received %v; shutting down\n", s)
-		}
-		flushFlight()
-		shutdownServer(srv, serveErr)
-		return
-	}
-	if clusterBench {
-		if err := runClusterBench(spec, *clusterShape, *clusterMode, *discipline, *tenants, *preempt, *workflows, *seed); err != nil {
-			fatal(err)
-		}
-		flushFlight()
-		shutdownServer(srv, serveErr)
-		return
-	}
-
-	queue, err := buildQueue(*comboID, *uniform, *queueFile)
-	if err != nil {
-		fatal(err)
-	}
-
-	store, err := loadOrProfile(*profiles, queue, spec, *seed)
-	if err != nil {
-		fatal(err)
-	}
-
-	policy, err := parsePolicy(*policyStr)
-	if err != nil {
-		fatal(err)
-	}
-	policy.RightSizePartitions = *rightsize
-
-	sched, err := core.NewScheduler(spec, *gpus, store, policy)
-	if err != nil {
-		fatal(err)
-	}
-	sched.Workers = *jobs
-	// One session-wide cache: with -baselines the naive-FIFO and
-	// time-sliced executions revisit many of the plan's configurations.
-	sched.Cache = parallel.NewCache()
-	if *recFlag {
-		if err := printRecommendations(spec, store); err != nil {
-			fatal(err)
+		case err := <-served:
+			return fmt.Errorf("http server: %w", err)
+		case got := <-sig:
+			fmt.Printf("received %v; shutting down\n", got)
 		}
 	}
-
-	plan, err := sched.BuildPlan(queue)
-	if err != nil {
-		fatal(err)
+	// The decision trail is saved on every exit that ran the form's work;
+	// explain reads the file back.
+	if s.flightOut != "" {
+		return writeFlightDump(s.flightOut, s.hub)
 	}
-	printPlan(plan)
-
-	simCfg := gpusim.Config{Device: spec, Seed: *seed, Mode: gpusim.ShareMPS}
-	outcome, err := sched.Execute(plan, simCfg)
-	if err != nil {
-		fatal(err)
-	}
-	printOutcome("interference-aware MPS", outcome)
-
-	if *baselines {
-		naive, err := sched.NaiveFIFOPlan(queue, policyClientCap(policy, spec))
-		if err != nil {
-			fatal(err)
-		}
-		nOut, err := sched.Execute(naive, simCfg)
-		if err != nil {
-			fatal(err)
-		}
-		printOutcome("naive FIFO MPS", nOut)
-
-		tsOut, err := sched.ExecuteTimeSliced(plan, simCfg)
-		if err != nil {
-			fatal(err)
-		}
-		printOutcome("time-slicing", tsOut)
-	}
-
-	// Traces are written after the baselines so the combined timeline's
-	// telemetry spans cover everything the process simulated.
-	if *traceDir != "" {
-		if err := writeTraces(*traceDir, outcome, hub); err != nil {
-			fatal(err)
-		}
-	}
-
-	if serveMode {
-		hub.Gauge("gpusched_run_complete").Set(1)
-		fmt.Println("run complete; serving telemetry until interrupted")
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		select {
-		case err := <-serveErr:
-			// The server died out from under us; that error is the exit
-			// status, not a silent drop.
-			if err != nil {
-				fatal(fmt.Errorf("http server: %w", err))
-			}
-			fatal(fmt.Errorf("http server exited unexpectedly"))
-		case s := <-sig:
-			fmt.Printf("received %v; shutting down\n", s)
-		}
-	}
-	flushFlight()
-	shutdownServer(srv, serveErr)
+	return nil
 }
 
-// shutdownServer drains the telemetry endpoint and surfaces any error
-// from either the shutdown itself or the server's run. A nil srv (no
-// -http flag) is a no-op.
-func shutdownServer(srv *http.Server, serveErr chan error) {
-	if srv == nil {
-		return
-	}
+// shutdownServer drains the telemetry endpoint and reports an error from
+// either the shutdown itself or the server's run.
+func shutdownServer(srv *http.Server, served <-chan error) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
 		// Graceful drain failed (hung handler); force-close and report
 		// both outcomes rather than leaking the listener.
 		if cerr := srv.Close(); cerr != nil {
-			fatal(fmt.Errorf("http shutdown: %w (force close also failed: %v)", err, cerr))
+			return fmt.Errorf("http shutdown: %w (force close also failed: %v)", err, cerr)
 		}
-		fatal(fmt.Errorf("http shutdown: %w", err))
+		return fmt.Errorf("http shutdown: %w", err)
 	}
-	if err := <-serveErr; err != nil {
-		fatal(fmt.Errorf("http server: %w", err))
+	if err := <-served; err != nil {
+		return fmt.Errorf("http server: %w", err)
 	}
+	return nil
+}
+
+// queueFlags registers the batch pipeline's flags, read by the run form
+// and by serve without -stream, and returns the pipeline: schedule and
+// simulate the queue, then the baselines, then write the traces.
+func queueFlags(s *session, policy *core.Policy) func() error {
+	comboID := s.fs.Int("combo", 0, "schedule a Table III combination (1-10)")
+	uniform := s.fs.String("uniform", "", "uniform set BENCH:SIZE:NxM")
+	queueFile := s.fs.String("queue", "", "JSON workflow queue file")
+	profiles := s.fs.String("profiles", "", "profile store JSON (default: profile on the fly)")
+	rightsize := s.fs.Bool("rightsize", false, "right-size MPS partitions per workflow")
+	gpus := s.fs.Int("gpus", 1, "GPU pool size")
+	baselines := s.fs.Bool("baselines", false, "also run naive-FIFO and time-slicing baselines")
+	recFlag := s.fs.Bool("recommend", false, "print the analytic pair recommendations for the queue's tasks")
+	s.fs.StringVar(&s.traceDir, "trace-dir", "", "write Chrome traces (one per collocation group, plus a combined timeline.json with telemetry spans) into this directory")
+	jobs := s.fs.Int("j", 0, "worker pool size for independent simulation runs (0 = GOMAXPROCS); output is identical at any value")
+	return func() error {
+		queue, err := buildQueue(*comboID, *uniform, *queueFile)
+		if err != nil {
+			return err
+		}
+		store, err := loadOrProfile(*profiles, queue, s.spec, s.seed)
+		if err != nil {
+			return err
+		}
+		policy := *policy
+		policy.RightSizePartitions = *rightsize
+		sched, err := core.NewScheduler(s.spec, *gpus, store, policy)
+		if err != nil {
+			return err
+		}
+		sched.Workers = *jobs
+		// One session-wide cache: with -baselines the naive-FIFO and
+		// time-sliced executions revisit many of the plan's configurations.
+		sched.Cache = parallel.NewCache()
+		if *recFlag {
+			if err := printRecommendations(s.spec, store); err != nil {
+				return err
+			}
+		}
+
+		plan, err := sched.BuildPlan(queue)
+		if err != nil {
+			return err
+		}
+		if err := printPlan(plan); err != nil {
+			return err
+		}
+
+		simCfg := gpusim.Config{Device: s.spec, Seed: s.seed, Mode: gpusim.ShareMPS}
+		outcome, err := sched.Execute(plan, simCfg)
+		if err != nil {
+			return err
+		}
+		printOutcome("interference-aware MPS", outcome)
+
+		if *baselines {
+			// The naive baseline gets the policy's client cap, so the
+			// comparison isolates interference-awareness, not cardinality.
+			naive, err := sched.NaiveFIFOPlan(queue, policy.ClientCap(s.spec.MaxMPSClients))
+			if err != nil {
+				return err
+			}
+			nOut, err := sched.Execute(naive, simCfg)
+			if err != nil {
+				return err
+			}
+			printOutcome("naive FIFO MPS", nOut)
+
+			tsOut, err := sched.ExecuteTimeSliced(plan, simCfg)
+			if err != nil {
+				return err
+			}
+			printOutcome("time-slicing", tsOut)
+		}
+
+		// Traces are written after the baselines so the combined timeline's
+		// telemetry spans cover everything the process simulated.
+		if s.traceDir != "" {
+			if err := writeTraces(s.traceDir, outcome, s.hub); err != nil {
+				return err
+			}
+		}
+		if s.serve {
+			s.hub.Gauge("gpusched_run_complete").Set(1)
+			fmt.Println("run complete; serving telemetry until interrupted")
+		}
+		return nil
+	}
+}
+
+// runQueue is the run form: schedule and simulate one queue.
+func runQueue(args []string) error {
+	s := newSession("gpusched", "")
+	policy := policyFlag(s.fs)
+	pipeline := queueFlags(s, policy)
+	schema := s.fs.Bool("queue-schema", false, "print the queue JSON schema and exit")
+	if err := s.parse(args); err != nil {
+		return err
+	}
+	if *schema {
+		fmt.Println(queueSchema)
+		return nil
+	}
+	return s.run(nil, pipeline)
+}
+
+// serve runs a queue as the run form does and keeps serving, or with
+// -stream serves a live dispatcher and runs no queue.
+func serve(args []string) error {
+	s := newSession("serve", "127.0.0.1:8378")
+	policy := policyFlag(s.fs)
+	pipeline := queueFlags(s, policy)
+	stream := s.fs.Bool("stream", false, "serve a live online dispatcher (POST /ingest, GET /stream/state) instead of running a queue")
+	fleet := s.fs.String("fleet", "10000x64", "with -stream, the fleet shape WORKFLOWSxGPUS whose GPU count is served")
+	if err := s.parse(args); err != nil {
+		return err
+	}
+	// -stream runs no queue, and only -stream sizes a fleet.
+	queue := &session{fs: flag.NewFlagSet("", flag.ContinueOnError)}
+	queueFlags(queue, policy)
+	var unread []string
+	s.fs.Visit(func(f *flag.Flag) {
+		if (*stream && queue.fs.Lookup(f.Name) != nil) || (!*stream && f.Name == "fleet") {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		return fmt.Errorf("serve -stream=%v does not read %s", *stream, strings.Join(unread, " "))
+	}
+	if s.addr == "" {
+		return errors.New("serve needs an -http address")
+	}
+	s.serve = true
+	if !*stream {
+		return s.run(nil, pipeline)
+	}
+	// The stream endpoint is built before the listener, so the mux routes
+	// to it from the first request. It shares the fleet archetype profile
+	// store, so ingested workflows must use those benchmarks.
+	route := func(telemetry http.Handler) (http.Handler, error) {
+		ss, err := newStreamServer(s.spec, *policy, *fleet, s.seed)
+		if err != nil {
+			return nil, err
+		}
+		return ss.wrap(telemetry), nil
+	}
+	return s.run(route, func() error {
+		fmt.Println("streaming ingest on POST /ingest; snapshot on GET /stream/state")
+		return nil
+	})
+}
+
+// benchOnline times the online decision path on a synthetic fleet.
+func benchOnline(args []string) error {
+	s := newSession("bench-online", "")
+	fleet := s.fs.String("fleet", "10000x64", "fleet shape WORKFLOWSxGPUS")
+	policy := policyFlag(s.fs)
+	stream := s.fs.Bool("stream", false, "run the bounded-memory streaming ingest path")
+	if err := s.parse(args); err != nil {
+		return err
+	}
+	return s.run(nil, func() error { return runFleetBench(s.spec, *policy, *fleet, s.seed, *stream) })
+}
+
+// benchCluster times the multi-node tenant-queue planner.
+func benchCluster(args []string) error {
+	s := newSession("bench-cluster", "")
+	shape := s.fs.String("cluster", "4x2", "cluster shape NODESxGPUS")
+	mode := s.fs.String("cluster-mode", "mixed", "node sharing mode: mps | mig | time-slice | mixed")
+	discipline := s.fs.String("discipline", "fair-share", "cross-tenant queue: fair-share | fifo")
+	tenants := s.fs.Int("tenants", 3, "tenant count")
+	preempt := s.fs.Bool("preempt", true, "enable priority preemption")
+	workflows := s.fs.Int("workflows", 20000, "submission count")
+	if err := s.parse(args); err != nil {
+		return err
+	}
+	return s.run(nil, func() error {
+		return runClusterBench(s.spec, *shape, *mode, *discipline, *tenants, *preempt, *workflows, s.seed)
+	})
 }
 
 // parseShape validates an AxB shape string, shared by every flag that
@@ -405,16 +460,10 @@ func parseClusterShape(shape string) (nodes, gpusPerNode int, err error) {
 // timing lives here because cmd/ sits outside the nodeterminism
 // analyzer scope. The dispatch-log digest is printed so plan and stream
 // runs can be diffed.
-func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed uint64, arrivalCount int, stream bool) error {
+func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed uint64, stream bool) error {
 	workflows, gpus, err := parseFleetShape(shape)
 	if err != nil {
 		return err
-	}
-	if arrivalCount < 0 {
-		return fmt.Errorf("-arrivals must be >= 0 (0 keeps the -fleet count), got %d", arrivalCount)
-	}
-	if arrivalCount > 0 {
-		workflows = arrivalCount
 	}
 	fleetSpec := core.FleetSpec{Workflows: workflows, TargetGPUs: gpus, Seed: seed}
 
@@ -422,7 +471,7 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		dispatched int
 		stats      core.DispatchStats
 		digest     string
-		meanWait   float64
+		waitedS    float64 // total queueing delay
 		elapsed    time.Duration
 	)
 	if stream {
@@ -449,11 +498,7 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		elapsed = time.Since(start)
 		dispatched = int(st.Events())
 		stats = st.Stats()
-		// The streamer keeps no event log; the mean wait comes from its
-		// running total instead.
-		if dispatched > 0 {
-			meanWait = st.WaitedS() / float64(dispatched)
-		}
+		waitedS = st.WaitedS()
 	} else {
 		arrivals, store, err := core.GenerateFleet(spec, fleetSpec)
 		if err != nil {
@@ -471,32 +516,27 @@ func runFleetBench(spec gpu.DeviceSpec, policy core.Policy, shape string, seed u
 		elapsed = time.Since(start)
 		dispatched = len(plan.Dispatches)
 		stats = plan.Stats
-		meanWait = meanWaitS(plan.Dispatches)
-		digest, err = dispatchDigest(plan.Dispatches)
+		for _, d := range plan.Dispatches {
+			waitedS += d.WaitedS
+		}
+		// json.Marshal of the log is the framing the streaming path folds
+		// incrementally, so plan and stream digests of identical decisions
+		// are equal.
+		data, err := json.Marshal(plan.Dispatches)
 		if err != nil {
 			return err
 		}
+		sum := sha256.Sum256(data)
+		digest = hex.EncodeToString(sum[:])
 	}
 	fmt.Printf("fleet %dx%d (%s policy%s): planned %d dispatches in %v (%.0f ns/arrival)\n",
 		workflows, gpus, policy.Objective, map[bool]string{true: ", streamed", false: ""}[stream],
 		dispatched, elapsed.Round(time.Millisecond),
 		float64(elapsed.Nanoseconds())/float64(dispatched))
 	fmt.Printf("  admission probes %d  index nodes visited %d  wait events %d  retirements %d  mean wait %.1fs\n",
-		stats.Probes, stats.Visits, stats.Waits, stats.Completions, meanWait)
+		stats.Probes, stats.Visits, stats.Waits, stats.Completions, waitedS/float64(dispatched))
 	fmt.Printf("  dispatch digest sha256:%s\n", digest)
 	return nil
-}
-
-// dispatchDigest hashes the canonical JSON encoding of a dispatch log —
-// the same framing the streaming path folds incrementally, so plan and
-// stream digests of identical decisions are equal.
-func dispatchDigest(events []core.DispatchEvent) (string, error) {
-	data, err := json.Marshal(events)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:]), nil
 }
 
 // runClusterBench times the multi-node tenant-queue planner at fleet
@@ -581,31 +621,6 @@ func runClusterBench(device gpu.DeviceSpec, shape, modeStr, disciplineStr string
 	return nil
 }
 
-// meanWaitS averages the queueing delay over the dispatch log.
-func meanWaitS(dispatches []core.DispatchEvent) float64 {
-	if len(dispatches) == 0 {
-		return 0
-	}
-	var total float64
-	for _, d := range dispatches {
-		total += d.WaitedS
-	}
-	return total / float64(len(dispatches))
-}
-
-// policyClientCap mirrors the policy's cap for the naive baseline so the
-// comparison isolates interference-awareness, not cardinality.
-func policyClientCap(p core.Policy, spec gpu.DeviceSpec) int {
-	switch p.Objective {
-	case core.MaximizeThroughput:
-		return 2
-	case core.MaximizeProduct:
-		return 4
-	default:
-		return spec.MaxMPSClients
-	}
-}
-
 func buildQueue(comboID int, uniform, queueFile string) (*workflow.Queue, error) {
 	selected := 0
 	if comboID > 0 {
@@ -646,19 +661,11 @@ func buildQueue(comboID int, uniform, queueFile string) (*workflow.Queue, error)
 		if err != nil {
 			return nil, err
 		}
-		var raw []queueFileWorkflow
-		if err := json.Unmarshal(data, &raw); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", queueFile, err)
-		}
+		// The schema's keys are workflow.Workflow's and workflow.Task's
+		// field names, which encoding/json matches case-insensitively.
 		var wfs []workflow.Workflow
-		for _, rw := range raw {
-			w := workflow.Workflow{Name: rw.Name}
-			for _, t := range rw.Tasks {
-				w.Tasks = append(w.Tasks, workflow.Task{
-					Benchmark: t.Benchmark, Size: t.Size, Iterations: t.Iterations,
-				})
-			}
-			wfs = append(wfs, w)
+		if err := json.Unmarshal(data, &wfs); err != nil {
+			return nil, fmt.Errorf("parsing %s: %w", queueFile, err)
 		}
 		return workflow.NewQueue(wfs...)
 	}
@@ -712,7 +719,7 @@ func parsePolicy(s string) (core.Policy, error) {
 	}
 }
 
-func printPlan(plan *core.Plan) {
+func printPlan(plan *core.Plan) error {
 	t := report.NewTable(fmt.Sprintf("Plan (%s policy)", plan.Policy.Objective),
 		"GPU", "Wave", "Workflows", "Partitions", "Interference")
 	for g, waves := range plan.PerGPU {
@@ -726,9 +733,10 @@ func printPlan(plan *core.Plan) {
 		}
 	}
 	if err := t.Render(os.Stdout); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Println()
+	return nil
 }
 
 func printOutcome(label string, o *core.Outcome) {
@@ -769,49 +777,37 @@ func writeTraces(dir string, outcome *core.Outcome, hub *obs.Hub) error {
 	}
 	for _, gr := range outcome.Groups {
 		path := filepath.Join(dir, fmt.Sprintf("gpu%d-wave%d.json", gr.GPU, gr.Wave))
-		f, err := os.Create(path)
-		if err != nil {
+		if err := writeFile(path, func(w io.Writer) error { return trace.WriteChrome(w, gr.Result) }); err != nil {
 			return err
 		}
-		err = trace.WriteChrome(f, gr.Result)
-		cerr := f.Close()
-		if err != nil {
-			return err
-		}
-		if cerr != nil {
-			return cerr
-		}
-		fmt.Printf("wrote %s\n", path)
 	}
+	return writeFile(filepath.Join(dir, "timeline.json"), func(w io.Writer) error {
+		tw := trace.NewWriter(w)
+		for i, gr := range outcome.Groups {
+			if err := tw.Result(gr.Result, trace.PidResultBase+2*i,
+				fmt.Sprintf("gpu%d-wave%d", gr.GPU, gr.Wave)); err != nil {
+				break
+			}
+		}
+		if hub != nil {
+			tw.Spans(hub.Spans.Snapshot(), trace.PidObsSim, trace.PidObsWall)
+		}
+		return tw.Close()
+	})
+}
 
-	path := filepath.Join(dir, "timeline.json")
+// writeFile creates path, fills it with write and reports it written.
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	tw := trace.NewWriter(f)
-	for i, gr := range outcome.Groups {
-		if err := tw.Result(gr.Result, trace.PidResultBase+2*i,
-			fmt.Sprintf("gpu%d-wave%d", gr.GPU, gr.Wave)); err != nil {
-			break
-		}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if hub != nil {
-		tw.Spans(hub.Spans.Snapshot(), trace.PidObsSim, trace.PidObsWall)
+	if err == nil {
+		fmt.Printf("wrote %s\n", path)
 	}
-	err = tw.Close()
-	cerr := f.Close()
-	if err != nil {
-		return err
-	}
-	if cerr != nil {
-		return cerr
-	}
-	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "gpusched:", err)
-	os.Exit(1)
+	return err
 }

@@ -85,17 +85,16 @@ func (ss *streamServer) wrap(fallback http.Handler) http.Handler {
 
 // handleIngest dispatches a JSON array of arrivals in order and returns
 // the resulting dispatch events as a JSON array, the streamer's spilled
-// lines byte for byte. A body over maxIngestBytes gets 413; unknown
-// fields, bytes after the array and bad timestamps get 400, all before
-// anything is dispatched. On a later mid-batch failure the earlier
-// arrivals stay dispatched (the stream has no rollback) and the error
-// reports how far the batch got.
+// lines byte for byte. A batch is applied whole or not at all: a body
+// over maxIngestBytes gets 413; unknown fields, bytes after the array
+// and bad timestamps get 400; an arrival the stream would refuse gets
+// 422; each before anything is dispatched.
 func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON array of arrivals", http.StatusMethodNotAllowed)
 		return
 	}
-	batch, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBytes))
+	arrivals, err := decodeBatch(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -103,22 +102,8 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 				http.StatusRequestEntityTooLarge)
 			return
 		}
-		http.Error(w, fmt.Sprintf("bad arrival batch: %v", err), http.StatusBadRequest)
+		http.Error(w, fmt.Sprintf("bad arrival batch: %v (nothing dispatched)", err), http.StatusBadRequest)
 		return
-	}
-	arrivals := make([]core.Arrival, len(batch))
-	for i, wa := range batch {
-		at, err := arrivalInstant(wa.AtS)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("arrival %d: %v (nothing dispatched)", i, err), http.StatusBadRequest)
-			return
-		}
-		arrivals[i] = core.Arrival{At: at, Workflow: workflow.Workflow{Name: wa.Name}}
-		for _, t := range wa.Tasks {
-			arrivals[i].Workflow.Tasks = append(arrivals[i].Workflow.Tasks, workflow.Task{
-				Benchmark: t.Benchmark, Size: t.Size, Iterations: t.Iterations,
-			})
-		}
 	}
 	body, err := ss.ingest(arrivals)
 	if err != nil {
@@ -134,8 +119,9 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeBatch reads one JSON array of arrivals and nothing after it,
-// refusing fields the wire form does not have.
-func decodeBatch(r io.Reader) ([]ingestArrival, error) {
+// refusing fields the wire form does not have and timestamps the
+// simulated clock cannot represent.
+func decodeBatch(r io.Reader) ([]core.Arrival, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var batch []ingestArrival
@@ -148,21 +134,43 @@ func decodeBatch(r io.Reader) ([]ingestArrival, error) {
 		}
 		return nil, err
 	}
-	return batch, nil
+	arrivals := make([]core.Arrival, len(batch))
+	for i, wa := range batch {
+		at, err := arrivalInstant(wa.AtS)
+		if err != nil {
+			return nil, fmt.Errorf("arrival %d: %w", i, err)
+		}
+		arrivals[i] = core.Arrival{At: at, Workflow: workflow.Workflow{Name: wa.Name}}
+		for _, t := range wa.Tasks {
+			arrivals[i].Workflow.Tasks = append(arrivals[i].Workflow.Tasks, workflow.Task{
+				Benchmark: t.Benchmark, Size: t.Size, Iterations: t.Iterations,
+			})
+		}
+	}
+	return arrivals, nil
 }
 
 // ingest dispatches arrivals in order under the stream mutex and
 // returns the response body: the batch's spilled lines joined into a
 // JSON array plus a newline, which is what json.Encoder writes for the
-// events. The caller owns the body. It stops at the first failure,
-// reporting how many arrivals were dispatched.
+// events. The caller owns the body. The whole batch is checked before
+// its first arrival is dispatched, so an error means nothing was.
 func (ss *streamServer) ingest(arrivals []core.Arrival) ([]byte, error) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
+	for i := range arrivals {
+		if i > 0 && arrivals[i].At < arrivals[i-1].At {
+			return nil, fmt.Errorf("arrival %d is earlier than arrival %d (nothing dispatched)", i, i-1)
+		}
+		if err := ss.st.Check(arrivals[i]); err != nil {
+			return nil, fmt.Errorf("arrival %d: %w (nothing dispatched)", i, err)
+		}
+	}
 	// Whatever happens, the next batch starts from an empty buffer.
 	defer func() { ss.spill = bytes.Buffer{} }()
 	ss.spill.WriteByte('[')
 	for i, a := range arrivals {
+		// Only a spill write can fail here, and the spill is a buffer.
 		if _, err := ss.st.Ingest(a); err != nil {
 			return nil, fmt.Errorf("arrival %d (%d dispatched): %w", i, i, err)
 		}

@@ -85,13 +85,10 @@ func TestRunClusterBenchValidation(t *testing.T) {
 func TestRunFleetBenchValidation(t *testing.T) {
 	spec := gpu.MustLookup("A100X")
 	policy := core.ThroughputPolicy()
-	if err := runFleetBench(spec, policy, "10x8junk", 1, 0, false); err == nil {
+	if err := runFleetBench(spec, policy, "10x8junk", 1, false); err == nil {
 		t.Fatal("malformed -fleet accepted")
 	}
-	if err := runFleetBench(spec, policy, "10x8", 1, -5, false); err == nil {
-		t.Fatal("negative -arrivals accepted")
-	}
-	if err := runFleetBench(spec, policy, "200x8", 1, 50, true); err != nil {
+	if err := runFleetBench(spec, policy, "50x8", 1, true); err != nil {
 		t.Fatalf("streamed bench: %v", err)
 	}
 }
@@ -359,26 +356,13 @@ func FuzzIngestResponse(f *testing.F) {
 	f.Add("a\nb<c>&\u2028\"\\", uint8(9), uint8(0))
 	f.Add("", uint8(0), uint8(3))
 	f.Add("\xff\xfe", uint8(63), uint8(15))
-	device := gpu.MustLookup("A100X")
-	const gpus, seed = 2, 7
-	_, store, err := core.NewFleetSource(device, core.FleetSpec{Workflows: 1, TargetGPUs: gpus, Seed: seed})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Fuzz(func(t *testing.T, name string, total, batch uint8) {
-		ss, err := newStreamServer(device, core.EnergyPolicy(), fmt.Sprintf("1x%d", gpus), seed)
+		ss, err := newStreamServer(gpu.MustLookup("A100X"), core.EnergyPolicy(), "1x2", 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		handler := ss.wrap(http.NotFoundHandler())
-		sched, err := core.NewScheduler(device, gpus, store, core.EnergyPolicy())
-		if err != nil {
-			t.Fatal(err)
-		}
-		replay, err := sched.NewStreamer(core.StreamConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		replay := newReplay(t, core.EnergyPolicy(), 2, 7)
 		// The wire carries UTF-8: the server sees invalid bytes replaced.
 		name = strings.ToValidUTF8(name, "\uFFFD")
 		arrivals := make([]core.Arrival, total%64)
@@ -393,22 +377,8 @@ func FuzzIngestResponse(f *testing.F) {
 		size := int(batch%16) + 1
 		for lo := 0; lo == 0 || lo < len(arrivals); lo += size {
 			part := arrivals[lo:min(lo+size, len(arrivals))]
-			events := []core.DispatchEvent{}
-			for _, a := range part {
-				ev, err := replay.Ingest(a)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
-				events = append(events, ev)
-			}
-			want, err := json.Marshal(events)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want = append(want, '\n')
-			rec := httptest.NewRecorder()
-			handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(wireBatch(t, part))))
+			want := replayBody(t, replay, part)
+			rec := postIngest(handler, []byte(wireBatch(t, part)))
 			if rec.Code != http.StatusOK {
 				t.Fatalf("batch at %d: /ingest status = %d: %s", lo, rec.Code, rec.Body)
 			}
@@ -476,4 +446,155 @@ func TestIngestRejectsUnrepresentableTimestamps(t *testing.T) {
 	if len(events) != 2 || events[0].Workflow != "a" || events[1].At.Seconds() != 4 {
 		t.Fatalf("valid batch events = %+v", events)
 	}
+}
+
+// postIngest serves one /ingest request in-process.
+func postIngest(handler http.Handler, body []byte) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", bytes.NewReader(body)))
+	return rec
+}
+
+// savedState is the stream snapshot /stream/state would serve.
+func savedState(t *testing.T, ss *streamServer) string {
+	t.Helper()
+	state, err := ss.st.SaveState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// replayBody is the /ingest body a fresh batch should get: json.Marshal
+// of the events replay returns for arrivals, plus a newline.
+func replayBody(t *testing.T, replay *core.Streamer, arrivals []core.Arrival) []byte {
+	t.Helper()
+	events := []core.DispatchEvent{}
+	for _, a := range arrivals {
+		ev, err := replay.Ingest(a)
+		if err != nil {
+			t.Fatalf("replay refused %s: %v", a.Workflow.Name, err)
+		}
+		ev.RunningAlongside = slices.Clone(ev.RunningAlongside)
+		events = append(events, ev)
+	}
+	want, err := json.Marshal(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(want, '\n')
+}
+
+// newReplay is a Streamer over the same fleet archetypes as
+// newStreamServer(device, policy, shape, seed), which never saw a
+// refused batch.
+func newReplay(t testing.TB, policy core.Policy, gpus int, seed uint64) *core.Streamer {
+	t.Helper()
+	device := gpu.MustLookup("A100X")
+	_, store, err := core.NewFleetSource(device, core.FleetSpec{Workflows: 1, TargetGPUs: gpus, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewScheduler(device, gpus, store, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay, err := sched.NewStreamer(core.StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return replay
+}
+
+// TestIngestBatchIsAtomic pins the all-or-nothing /ingest: a batch whose
+// third arrival names an unknown benchmark, and one out of order within
+// itself, each get 422 saying nothing was dispatched and leave the
+// snapshot unchanged, and the next valid batch is answered exactly as in
+// a replay that never saw them.
+func TestIngestBatchIsAtomic(t *testing.T) {
+	ss, err := newStreamServer(gpu.MustLookup("A100X"), core.ThroughputPolicy(), "100x8", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := ss.wrap(http.NotFoundHandler())
+	replay := newReplay(t, core.ThroughputPolicy(), 8, 7)
+	arrival := func(atS float64, name, bench string) core.Arrival {
+		return core.Arrival{At: simtime.Zero.Add(simtime.FromSeconds(atS)), Workflow: workflow.Workflow{
+			Name: name, Tasks: []workflow.Task{{Benchmark: bench, Size: "1x", Iterations: 1}},
+		}}
+	}
+	first := []core.Arrival{arrival(0, "a", "fleet-a000"), arrival(1, "b", "fleet-a003")}
+	if rec := postIngest(handler, []byte(wireBatch(t, first))); rec.Code != http.StatusOK ||
+		!bytes.Equal(rec.Body.Bytes(), replayBody(t, replay, first)) {
+		t.Fatalf("first batch: %d %s", rec.Code, rec.Body)
+	}
+	before := savedState(t, ss)
+	for _, bad := range [][]core.Arrival{
+		{arrival(2, "c", "fleet-a001"), arrival(3, "d", "fleet-a002"), arrival(4, "e", "nope")},
+		{arrival(5, "f", "fleet-a001"), arrival(3, "g", "fleet-a002")},
+	} {
+		rec := postIngest(handler, []byte(wireBatch(t, bad)))
+		if rec.Code != http.StatusUnprocessableEntity || !strings.Contains(rec.Body.String(), "nothing dispatched") {
+			t.Fatalf("bad batch: %d %s", rec.Code, rec.Body)
+		}
+		if after := savedState(t, ss); after != before {
+			t.Fatalf("refused batch changed the snapshot:\n%s\nto\n%s", before, after)
+		}
+	}
+	next := []core.Arrival{arrival(2, "h", "fleet-a001"), arrival(6, "i", "fleet-a002")}
+	rec := postIngest(handler, []byte(wireBatch(t, next)))
+	if want := replayBody(t, replay, next); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+		t.Fatalf("batch after the refusals: %d\n%s\nwant\n%s", rec.Code, rec.Body, want)
+	}
+}
+
+// FuzzIngestHTTP posts arbitrary bytes to /ingest, twice, after one
+// valid arrival: a refused post leaves the snapshot byte-identical, and
+// an accepted one is answered with json.Marshal of the events a replay
+// Streamer returns for the decoded batch, plus a newline.
+func FuzzIngestHTTP(f *testing.F) {
+	const arrival = `{"at_s":%v,"name":"%s","tasks":[{"benchmark":"%s","size":"1x","iterations":1}]}`
+	for _, seed := range []string{
+		"[" + fmt.Sprintf(arrival, 2, "a", "fleet-a000") + "," + fmt.Sprintf(arrival, 2.5, "b", "fleet-a007") + "]",
+		"[" + fmt.Sprintf(arrival, 2, "a", "fleet-a000") + "," + fmt.Sprintf(arrival, 3, "b", "fleet-a001") +
+			"," + fmt.Sprintf(arrival, 4, "c", "nope") + "]",
+		"[" + fmt.Sprintf(arrival, 3, "a", "fleet-a000") + "," + fmt.Sprintf(arrival, 2, "b", "fleet-a001") + "]",
+		"[" + fmt.Sprintf(arrival, 0.5, "early", "fleet-a000") + "]",
+		"[" + fmt.Sprintf(arrival, 1e300, "far", "fleet-a000") + "]",
+		`[{"at_s":2,"name":"","tasks":[]}]`,
+		"[]", "null", "not json", "[] junk",
+	} {
+		f.Add([]byte(seed))
+	}
+	first := []byte("[" + fmt.Sprintf(arrival, 1, "first", "fleet-a002") + "]")
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ss, err := newStreamServer(gpu.MustLookup("A100X"), core.EnergyPolicy(), "1x2", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handler := ss.wrap(http.NotFoundHandler())
+		replay := newReplay(t, core.EnergyPolicy(), 2, 7)
+		for i, post := range [][]byte{first, body, body} {
+			before := savedState(t, ss)
+			rec := postIngest(handler, post)
+			if rec.Code != http.StatusOK {
+				if after := savedState(t, ss); after != before {
+					t.Fatalf("post %d refused with %d changed the snapshot:\n%s\nto\n%s", i, rec.Code, before, after)
+				}
+				continue
+			}
+			arrivals, err := decodeBatch(bytes.NewReader(post))
+			if err != nil {
+				t.Fatalf("post %d accepted a batch decodeBatch refuses: %v", i, err)
+			}
+			if want := replayBody(t, replay, arrivals); !bytes.Equal(rec.Body.Bytes(), want) {
+				t.Fatalf("post %d: body differs from the replay at byte %d:\n%s\nwant\n%s",
+					i, firstDiff(rec.Body.Bytes(), want), rec.Body, want)
+			}
+		}
+	})
 }

@@ -28,9 +28,6 @@ func NewRing[T any](capacity int) *Ring[T] {
 // Cap returns the fixed capacity.
 func (r *Ring[T]) Cap() int { return len(r.buf) }
 
-// Len returns the number of buffered elements.
-func (r *Ring[T]) Len() int { return r.count }
-
 // Push appends v. When the ring is full the oldest element is evicted
 // and returned with evicted=true; the caller owns spilling it.
 //
@@ -48,7 +45,7 @@ func (r *Ring[T]) Push(v T) (old T, evicted bool) {
 }
 
 // At returns the i-th buffered element, oldest first. It panics when i
-// is out of [0, Len()).
+// is negative or not below the number of buffered elements.
 func (r *Ring[T]) At(i int) T {
 	if i < 0 || i >= r.count {
 		panic("arena: ring index out of range")

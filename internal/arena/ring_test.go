@@ -6,8 +6,8 @@ import (
 
 func TestRingBasics(t *testing.T) {
 	r := NewRing[int](3)
-	if r.Cap() != 3 || r.Len() != 0 {
-		t.Fatalf("fresh ring cap %d len %d", r.Cap(), r.Len())
+	if r.Cap() != 3 || len(r.Snapshot(nil)) != 0 {
+		t.Fatalf("fresh ring cap %d holds %v", r.Cap(), r.Snapshot(nil))
 	}
 	for i := 1; i <= 3; i++ {
 		if _, ev := r.Push(i); ev {
@@ -33,8 +33,8 @@ func TestRingBasics(t *testing.T) {
 		t.Fatalf("Snapshot = %v", snap)
 	}
 	r.Reset()
-	if r.Len() != 0 {
-		t.Fatalf("Len after Reset = %d", r.Len())
+	if snap := r.Snapshot(nil); len(snap) != 0 {
+		t.Fatalf("Snapshot after Reset = %v", snap)
 	}
 }
 
@@ -51,7 +51,7 @@ func TestRingPanics(t *testing.T) {
 	mustPanic("NewRing(0)", func() { NewRing[int](0) })
 	r := NewRing[int](2)
 	r.Push(1)
-	mustPanic("At(1) past Len", func() { r.At(1) })
+	mustPanic("At(1) past the buffered element", func() { r.At(1) })
 	mustPanic("At(-1)", func() { r.At(-1) })
 }
 
@@ -95,8 +95,8 @@ func FuzzRing(f *testing.F) {
 				modelSpilled = append(modelSpilled, model[0])
 				model = model[1:]
 			}
-			if r.Len() != len(model) {
-				t.Fatalf("Len = %d, model %d", r.Len(), len(model))
+			if n := len(r.Snapshot(nil)); n != len(model) {
+				t.Fatalf("ring holds %d, model %d", n, len(model))
 			}
 		}
 		if string(spilled) != string(modelSpilled) {

@@ -271,7 +271,7 @@ type completionKey struct {
 func newOnlineDispatcher(s *Scheduler, stats *DispatchStats) *onlineDispatcher {
 	d := &onlineDispatcher{
 		empty:       interference.NewAggregate(s.Device),
-		clientCap:   s.Policy.clientCap(s.Device.MaxMPSClients),
+		clientCap:   s.Policy.ClientCap(s.Device.MaxMPSClients),
 		policy:      s.Policy,
 		stats:       stats,
 		waitHist:    obs.NewLocalHistogram(queueWaitBoundsMs),
@@ -407,6 +407,18 @@ func (d *onlineDispatcher) refuses(load interference.Load) bool {
 	return !d.policy.admits(&out)
 }
 
+// fits reports that an empty GPU of the fleet admits load, so admit
+// places it sooner or later.
+func (d *onlineDispatcher) fits(load interference.Load) bool {
+	return d.pool.GPUs() > 0 && !d.refuses(load)
+}
+
+// unadmittable is the error for an arrival no GPU can ever admit.
+func unadmittable(a *Arrival, wp *WorkflowProfile) error {
+	return fmt.Errorf("core: workflow %s cannot be admitted on any GPU (needs %d MiB)",
+		a.Workflow.Name, wp.MaxMemMiB)
+}
+
 // place commits an admitted load: the resident joins GPU g's set and
 // fold, and its predicted completion is scheduled against the
 // resident's placement serial.
@@ -454,8 +466,7 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *[
 				Workflow: a.Workflow.Name, GPU: -1,
 			})
 		}
-		return DispatchEvent{}, fmt.Errorf("core: workflow %s cannot be admitted on any GPU (needs %d MiB)",
-			a.Workflow.Name, wp.MaxMemMiB)
+		return DispatchEvent{}, unadmittable(a, wp)
 	}
 	var alongside []string
 	if res := d.pool.Residents(placed); len(res) > 0 {

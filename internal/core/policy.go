@@ -117,9 +117,9 @@ func (p *Policy) rules() interference.RuleMask {
 	return interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
 }
 
-// clientCap resolves the per-GPU client limit for the policy given the
+// ClientCap resolves the per-GPU client limit for the policy given the
 // device's MPS maximum (criterion 4 of §IV-B).
-func (p Policy) clientCap(deviceMax int) int {
+func (p Policy) ClientCap(deviceMax int) int {
 	switch p.Objective {
 	case MaximizeThroughput:
 		if p.ThroughputClientCap > 0 {

@@ -155,7 +155,7 @@ func (s *Scheduler) BuildPlan(q *workflow.Queue) (*Plan, error) {
 	// Candidate index: loads pre-extracted in packing order so every
 	// admission probe is three additions against the group's aggregate
 	// (no per-probe profile views, no Predict rescan).
-	clientCap := s.Policy.clientCap(s.Device.MaxMPSClients)
+	clientCap := s.Policy.ClientCap(s.Device.MaxMPSClients)
 	loads := make([]interference.Load, len(order))
 	for i, wp := range order {
 		loads[i] = wp.load()

@@ -309,15 +309,15 @@ func TestSchedulerValidation(t *testing.T) {
 
 func TestPolicyClientCaps(t *testing.T) {
 	dev := a100x()
-	if got := ThroughputPolicy().clientCap(dev.MaxMPSClients); got != 2 {
+	if got := ThroughputPolicy().ClientCap(dev.MaxMPSClients); got != 2 {
 		t.Fatalf("throughput cap = %d", got)
 	}
-	if got := EnergyPolicy().clientCap(dev.MaxMPSClients); got != 48 {
+	if got := EnergyPolicy().ClientCap(dev.MaxMPSClients); got != 48 {
 		t.Fatalf("energy cap = %d", got)
 	}
 	p := ThroughputPolicy()
 	p.ThroughputClientCap = 3
-	if got := p.clientCap(dev.MaxMPSClients); got != 3 {
+	if got := p.ClientCap(dev.MaxMPSClients); got != 3 {
 		t.Fatalf("override cap = %d", got)
 	}
 }

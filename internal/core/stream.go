@@ -89,21 +89,13 @@ func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 // name scratch and is valid only until the next Ingest, which reuses
 // it; a caller that keeps events across calls must copy the slice.
 //
-// A failed spill write is returned by the Ingest whose line it was; that
-// event still counts in Events() and in the digest. From then on the
-// streamer is stuck: Ingest, SaveState and Finish return the same error.
+// Every error but a spill failure comes from Check's test and leaves
+// the streamer as it was. A failed spill write is returned by the
+// Ingest whose line it was; that event still counts in Events() and in
+// the digest. From then on the streamer is stuck: Ingest, SaveState and
+// Finish return the same error.
 func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
-	if st.err != nil {
-		return DispatchEvent{}, st.err
-	}
-	if st.finished {
-		return DispatchEvent{}, fmt.Errorf("core: ingest after Finish")
-	}
-	if st.n > 0 && a.At < st.lastAt {
-		return DispatchEvent{}, fmt.Errorf("core: out-of-order arrival %s at %v (stream is at %v)",
-			a.Workflow.Name, a.At, st.lastAt)
-	}
-	wp, err := st.builder.build(a.Workflow)
+	wp, err := st.check(&a)
 	if err != nil {
 		return DispatchEvent{}, err
 	}
@@ -138,6 +130,41 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 		}
 	}
 	return ev, nil
+}
+
+// Check reports the error Ingest would return for a, without
+// dispatching it: a stuck or finished stream, an arrival earlier than
+// the stream's last one, an ill-shaped workflow, a benchmark the
+// profile store lacks, or a load no empty GPU admits. Only a failure of
+// a's own spill write escapes it. Dispatching other arrivals changes
+// the answer only through the stream's last instant, so a time-ordered
+// batch whose arrivals each pass Check is ingested whole.
+func (st *Streamer) Check(a Arrival) error {
+	_, err := st.check(&a)
+	return err
+}
+
+// check is Check returning the arrival's profile, so Ingest builds it
+// once.
+func (st *Streamer) check(a *Arrival) (*WorkflowProfile, error) {
+	if st.err != nil {
+		return nil, st.err
+	}
+	if st.finished {
+		return nil, fmt.Errorf("core: ingest after Finish")
+	}
+	if st.n > 0 && a.At < st.lastAt {
+		return nil, fmt.Errorf("core: out-of-order arrival %s at %v (stream is at %v)",
+			a.Workflow.Name, a.At, st.lastAt)
+	}
+	wp, err := st.builder.build(a.Workflow)
+	if err != nil {
+		return nil, err
+	}
+	if !st.d.fits(wp.load()) {
+		return nil, unadmittable(a, wp)
+	}
+	return wp, nil
 }
 
 // IngestAll drains a source through Ingest, returning the number of

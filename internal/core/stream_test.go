@@ -504,17 +504,7 @@ func TestStreamSpillErrorSticky(t *testing.T) {
 // arrival must dispatch exactly as in a replay that never saw the
 // refused one.
 func TestRefusedArrivalLeavesFleet(t *testing.T) {
-	store := profile.NewStore()
-	for _, p := range []*profile.TaskProfile{
-		{Workload: "half", MaxMemMiB: 1024, AvgSMUtilPct: 40, AvgBWUtilPct: 10},
-		{Workload: "huge", MaxMemMiB: 1 << 20, AvgSMUtilPct: 10, AvgBWUtilPct: 10},
-	} {
-		p.Size, p.Device, p.DurationS, p.SizeFactor = "1x", a100x().Name, 100, 1
-		if err := store.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := fleetScheduler(t, store, 2)
+	s := fleetScheduler(t, halfHugeStore(t), 2)
 	var fill []Arrival
 	for i := 0; i < 4; i++ { // two per GPU: a third would push SM past 100%
 		fill = append(fill, Arrival{At: at(0), Workflow: wfOne(fmt.Sprintf("fill-%d", i), "half", "1x", 1)})
@@ -563,6 +553,91 @@ func TestRefusedArrivalLeavesFleet(t *testing.T) {
 	if want.WaitedS == 0 {
 		t.Fatal("scenario too loose: the next arrival should wait for a completion")
 	}
+}
+
+// halfHugeStore holds two 100-s benchmarks: "half" (40% SM, 1 GiB),
+// two of which fill a GPU's SM, and "huge" (1 TiB), which no GPU can
+// ever take.
+func halfHugeStore(t *testing.T) *profile.Store {
+	t.Helper()
+	store := profile.NewStore()
+	for _, p := range []*profile.TaskProfile{
+		{Workload: "half", MaxMemMiB: 1024, AvgSMUtilPct: 40, AvgBWUtilPct: 10},
+		{Workload: "huge", MaxMemMiB: 1 << 20, AvgSMUtilPct: 10, AvgBWUtilPct: 10},
+	} {
+		p.Size, p.Device, p.DurationS, p.SizeFactor = "1x", a100x().Name, 100, 1
+		if err := store.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return store
+}
+
+// TestCheckMatchesIngest pins Check to Ingest: for each way an arrival
+// is refused, Check returns the error Ingest then returns, and neither
+// call changes the saved state; an arrival Check passes is ingested.
+func TestCheckMatchesIngest(t *testing.T) {
+	s := fleetScheduler(t, halfHugeStore(t), 2)
+	st, err := s.NewStreamer(StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Ingest(Arrival{At: at(5), Workflow: wfOne("first", "half", "1x", 1)}); err != nil {
+		t.Fatal(err)
+	}
+	saved := func() string {
+		t.Helper()
+		state, err := st.SaveState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	same := func(name string, a Arrival, on *Streamer) {
+		t.Helper()
+		cerr := on.Check(a)
+		_, ierr := on.Ingest(a)
+		if cerr == nil || ierr == nil || cerr.Error() != ierr.Error() {
+			t.Fatalf("%s: Check = %v, Ingest = %v", name, cerr, ierr)
+		}
+	}
+	for _, c := range []struct {
+		name string
+		a    Arrival
+	}{
+		{"out of order", Arrival{At: at(1), Workflow: wfOne("early", "half", "1x", 1)}},
+		{"bad shape", Arrival{At: at(6), Workflow: workflow.Workflow{Name: "empty"}}},
+		{"unknown benchmark", Arrival{At: at(6), Workflow: wfOne("nope", "nope", "1x", 1)}},
+		{"fits no empty GPU", Arrival{At: at(6), Workflow: wfOne("huge", "huge", "1x", 1)}},
+	} {
+		before := saved()
+		same(c.name, c.a, st)
+		if after := saved(); after != before {
+			t.Fatalf("%s: refusal changed the saved state\n%s\nto\n%s", c.name, before, after)
+		}
+	}
+	ok := Arrival{At: at(6), Workflow: wfOne("ok", "half", "1x", 1)}
+	if err := st.Check(ok); err != nil {
+		t.Fatalf("Check(ok) = %v", err)
+	}
+	if _, err := st.Ingest(ok); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	same("after Finish", ok, st)
+
+	zero := &Scheduler{Device: a100x(), GPUs: 0, Profiles: s.Profiles, Policy: EnergyPolicy()}
+	empty, err := zero.NewStreamer(StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("zero GPUs", ok, empty)
 }
 
 // TestStreamEmptyDigest pins the zero-event digest to the marshaled
