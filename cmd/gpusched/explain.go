@@ -22,8 +22,9 @@ import (
 //	gpusched explain -flight flight.json -seq 42
 //	gpusched explain -flight flight.json -tenant prod -last 20
 func runExplain(args []string, w io.Writer) error {
+	// Flag errors and usage go to stderr, as in every other form: w is
+	// the trail a script reads.
 	fs := flag.NewFlagSet("explain", flag.ContinueOnError)
-	fs.SetOutput(w)
 	var (
 		file   = fs.String("flight", "", `flight dump JSON (from -flight-out or /debug/flight); "-" reads stdin`)
 		seq    = fs.Int64("seq", -1, "only records for this arrival/gang sequence number")

@@ -126,6 +126,38 @@ func TestExplainRunFromFile(t *testing.T) {
 	}
 }
 
+// TestExplainUsageToStderr pins where explain's flag errors and usage
+// land: on stderr, as every other form's do, never in the trail it
+// writes for a script to read.
+func TestExplainUsageToStderr(t *testing.T) {
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stderr.Close()
+	prev := os.Stderr
+	os.Stderr = stderr
+	defer func() { os.Stderr = prev }()
+
+	var buf bytes.Buffer
+	if err := runExplain([]string{"-no-such-flag"}, &buf); err == nil {
+		t.Fatal("unknown flag accepted")
+	}
+	if err := runExplain([]string{"-h"}, &buf); err == nil {
+		t.Fatal("-h ran the query")
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("explain wrote usage into its trail:\n%s", buf.String())
+	}
+	got, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(got), "-no-such-flag") || !strings.Contains(string(got), "-flight") {
+		t.Fatalf("stderr lacks the flag error and usage:\n%s", got)
+	}
+}
+
 // trailShape matches one arrival's whole decision trail as explain
 // prints its kinds: the arrival, a scan per round with a wait between
 // rounds, and the dispatch.

@@ -4,10 +4,14 @@
 // path stamps on every mutation. FirstFit answers a first-fit query
 // over a range of those GPUs from an index; Gen and Clock let a caller
 // tell which GPUs changed since it last looked (the cluster planner's
-// held gangs do). Policy — which rules apply, client caps, completion
-// heaps, flight records, transaction journals — stays with the caller
-// (DESIGN.md "Admission pool", "First-fit index", "Change-driven
-// rounds").
+// held gangs do). Two more summaries ride on the index's layout for a
+// pool that asks for them: NextChanged walks only the GPUs changed
+// since a clock reading, and NextBelow only the GPUs holding a resident
+// whose key (KeyBy) is below a bound, which is how the cluster finds
+// the GPUs a preemptor has victims on. Policy — which rules apply,
+// client caps, completion heaps, flight records, transaction journals
+// — stays with the caller (DESIGN.md "Admission pool", "First-fit
+// index", "Change-driven rounds").
 package admission
 
 import (
@@ -19,7 +23,11 @@ import (
 )
 
 // Pool is a fleet of GPUs' admission state with residents of type R.
-// The zero value holds no GPUs; AddGPUs grows it.
+// The zero value holds no GPUs; AddGPUs grows it. A pool builds only
+// the summaries its queries read: the first-fit index on the first
+// FirstFit, the changed-GPU index on the first NextChanged, and the
+// victim key when KeyBy asks for it. A pool that only runs FirstFit
+// pays one nil check per mutation for the other two.
 type Pool[R any] struct {
 	gpus  []slot[R]
 	clock uint64 // last generation handed out
@@ -31,6 +39,23 @@ type Pool[R any] struct {
 	// internal nodes only; leaf leaves+g is GPU g's own slot.
 	tree   []fitNode
 	leaves int
+
+	// sum holds the summaries on the same layout, nil until KeyBy or
+	// the first NextChanged.
+	sum *summaries[R]
+}
+
+// summaries are the per-node extrema NextChanged and NextBelow descend.
+type summaries[R any] struct {
+	// gens[i] is the maximum generation under internal node i, nil
+	// until the first NextChanged; a leaf reads its slot's gen.
+	gens []uint64
+	// key is KeyBy's function, nil until it is called.
+	key func(R) int
+	// keys[i] is the minimum key under node i, leaves included: leaf
+	// leaves+g is the minimum of key over GPU g's residents, MaxInt for
+	// a GPU without any. Nil while key is.
+	keys []int
 }
 
 // fitNode bounds a subtree of GPUs: the minimum over them of each
@@ -71,6 +96,12 @@ func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int) {
 		p.gpus[g].agg = interference.NewAggregate(device)
 	}
 	p.tree = nil
+	if p.sum != nil {
+		p.sum.gens = nil
+		if p.sum.key != nil {
+			p.buildKeys()
+		}
+	}
 }
 
 // changed is the single hook every mutation runs: it advances the
@@ -92,6 +123,38 @@ func (p *Pool[R]) refresh(g int) {
 	if p.tree != nil {
 		for i := (p.leaves + g) >> 1; i > 0; i >>= 1 {
 			p.pull(i)
+		}
+	}
+	if p.sum != nil {
+		p.refreshSummaries(g)
+	}
+}
+
+// refreshSummaries recomputes GPU g's key from its residents and g's
+// path in both summaries, stopping where a node comes out unchanged:
+// its ancestors depend on nothing else that moved.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) refreshSummaries(g int) {
+	s := p.sum
+	if s.keys != nil {
+		i := p.leaves + g
+		s.keys[i] = p.foldKey(g)
+		for i >>= 1; i > 0; i >>= 1 {
+			k := min(s.keys[2*i], s.keys[2*i+1])
+			if k == s.keys[i] {
+				break
+			}
+			s.keys[i] = k
+		}
+	}
+	if s.gens != nil {
+		for i := (p.leaves + g) >> 1; i > 0; i >>= 1 {
+			c := max(p.genOf(2*i), p.genOf(2*i+1))
+			if c == s.gens[i] {
+				break
+			}
+			s.gens[i] = c
 		}
 	}
 }
@@ -121,12 +184,19 @@ func (p *Pool[R]) pull(i int) {
 	p.tree[i] = fitNode{sm: min(a.sm, b.sm), bw: min(a.bw, b.bw), over: min(a.over, b.over), n: min(a.n, b.n)}
 }
 
-// build sizes the index for the pool's GPUs and fills it bottom up.
-func (p *Pool[R]) build() {
+// size sets leaves to the GPU count rounded up to a power of two: the
+// layout every index array shares. AddGPUs drops or rebuilds every
+// array, so the ones that exist always agree on it.
+func (p *Pool[R]) size() {
 	p.leaves = 1
 	for p.leaves < len(p.gpus) {
 		p.leaves <<= 1
 	}
+}
+
+// build sizes the index for the pool's GPUs and fills it bottom up.
+func (p *Pool[R]) build() {
+	p.size()
 	//repro:allow:hotpathalloc the index is built once, on the pool's first query
 	p.tree = make([]fitNode, p.leaves)
 	for i := p.leaves - 1; i > 0; i-- {
@@ -238,6 +308,155 @@ func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, ru
 		tally.Visit(int32(visits))
 	}
 	return g, visits, probes
+}
+
+// genOf returns the maximum generation under node i: a tree node's,
+// a GPU's own, or 0 for a leaf past the last GPU, which no reading of
+// the clock is below.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) genOf(i int) uint64 {
+	if i < p.leaves {
+		return p.sum.gens[i]
+	}
+	if g := i - p.leaves; g < len(p.gpus) {
+		return p.gpus[g].gen
+	}
+	return 0
+}
+
+// foldKey is the minimum key over GPU g's residents, MaxInt for none.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) foldKey(g int) int {
+	k := math.MaxInt
+	for _, r := range p.gpus[g].res {
+		//repro:allow:hotpathalloc the key reads its resident; TestPoolAllocs and the cluster's TestClusterAdmitAllocs pin the keys in use at zero allocations
+		k = min(k, p.sum.key(r))
+	}
+	return k
+}
+
+// KeyBy makes the pool keep, per GPU, the minimum of key over its
+// residents, and per index node the minimum over its GPUs, for Key and
+// NextBelow. key must be a pure function of the resident: the pool
+// folds it again whenever the GPU changes (Add, RemoveAt, Touch,
+// Restore), and at no other time, so a key that read state outside the
+// resident could go stale. Call it once, at setup.
+func (p *Pool[R]) KeyBy(key func(R) int) {
+	if p.sum == nil {
+		p.sum = &summaries[R]{}
+	}
+	p.sum.key = key
+	p.buildKeys()
+}
+
+// buildKeys sizes the key array for the pool's GPUs and fills it
+// bottom up.
+func (p *Pool[R]) buildKeys() {
+	p.size()
+	s := p.sum
+	s.keys = make([]int, 2*p.leaves)
+	for g := range s.keys[p.leaves:] {
+		k := math.MaxInt
+		if g < len(p.gpus) {
+			k = p.foldKey(g)
+		}
+		s.keys[p.leaves+g] = k
+	}
+	for i := p.leaves - 1; i > 0; i-- {
+		s.keys[i] = min(s.keys[2*i], s.keys[2*i+1])
+	}
+}
+
+// Key returns the minimum key over GPU g's residents (MaxInt for none).
+// The pool must have a key (KeyBy).
+func (p *Pool[R]) Key(g int) int { return p.sum.keys[p.leaves+g] }
+
+// NextBelow returns the first GPU at or after from whose key is below
+// k, or -1: the GPUs holding a resident keyed below k, in index order.
+// Each call costs O(log GPUs) in the distance it skips. The pool must
+// have a key (KeyBy).
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) NextBelow(k, from int) int {
+	if from >= len(p.gpus) {
+		return -1
+	}
+	keys := p.sum.keys
+	i := p.leaves + from
+	if keys[i] < k {
+		return from
+	}
+	for {
+		// Climb while i is a right child, then step to the sibling.
+		for i&1 == 1 {
+			i >>= 1
+		}
+		if i == 0 {
+			return -1
+		}
+		i++
+		if keys[i] < k {
+			for i < p.leaves {
+				if i *= 2; keys[i] >= k {
+					i++
+				}
+			}
+			return i - p.leaves
+		}
+	}
+}
+
+// NextChanged returns the first GPU at or after from with Gen > c, or
+// -1: the GPUs changed since a Clock reading c, in index order, at
+// O(log GPUs) per call. Restore's caveat holds: read c only while no
+// GPU is saved. The changed-GPU index is built on the first call.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) NextChanged(c uint64, from int) int {
+	if from >= len(p.gpus) {
+		return -1
+	}
+	if p.sum == nil || p.sum.gens == nil {
+		p.buildGens()
+	}
+	if p.gpus[from].gen > c {
+		return from
+	}
+	i := p.leaves + from
+	for {
+		for i&1 == 1 {
+			i >>= 1
+		}
+		if i == 0 {
+			return -1
+		}
+		i++
+		if p.genOf(i) > c {
+			for i < p.leaves {
+				if i *= 2; p.genOf(i) <= c {
+					i++
+				}
+			}
+			return i - p.leaves
+		}
+	}
+}
+
+// buildGens sizes the changed-GPU index for the pool's GPUs and fills
+// it bottom up.
+func (p *Pool[R]) buildGens() {
+	if p.sum == nil {
+		//repro:allow:hotpathalloc the summaries are allocated once, on the pool's first changed-GPU query
+		p.sum = &summaries[R]{}
+	}
+	p.size()
+	//repro:allow:hotpathalloc the changed-GPU index is built once, on the pool's first query
+	p.sum.gens = make([]uint64, p.leaves)
+	for i := p.leaves - 1; i > 0; i-- {
+		p.sum.gens[i] = max(p.genOf(2*i), p.genOf(2*i+1))
+	}
 }
 
 // Add places resident r with load l on GPU g, extending its fold.

@@ -16,6 +16,7 @@ import (
 func TestPoolAllocs(t *testing.T) {
 	var p Pool[int]
 	p.AddGPUs(gpu.MustLookup("A100X"), 2)
+	p.KeyBy(fuzzKey)
 	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	for i := 0; i < 8; i++ {
 		p.Add(0, l, i)
@@ -32,12 +33,74 @@ func TestPoolAllocs(t *testing.T) {
 		_ = p.AdmitExcluding(0, l, skip).Interferes()
 		_, _, _ = p.FirstFit(0, 2, l, 9, all, nil)
 		_, _, _ = p.FirstFit(1, 2, l, 8, all, &tally)
+		_ = p.NextChanged(p.Clock()-1, 0)
+		_ = p.NextBelow(2, 1)
 		p.Touch(1)
 		p.Restore(0, &snap)
 	}
-	cycle() // the first FirstFit builds the index
+	cycle() // the first FirstFit and NextChanged build their indexes
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("pool save/add/remove/probe/first-fit/restore allocated %.1f objects per cycle, want 0", allocs)
+		t.Fatalf("pool save/add/remove/probe/first-fit/next-changed/next-below/restore allocated %.1f objects per cycle, want 0", allocs)
+	}
+}
+
+// TestFirstFitOnlyPoolBuildsNoSummaries pins what core's pool pays for
+// the summaries it never queries: a pool that only mutates and runs
+// FirstFit allocates neither the changed-GPU index nor the victim key.
+func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
+	var p Pool[int]
+	p.AddGPUs(gpu.MustLookup("A100X"), 5)
+	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
+	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
+	var snap Snapshot[int]
+	for i := 0; i < 20; i++ {
+		g := i % 5
+		p.Save(g, &snap)
+		p.Add(g, l, i)
+		_, _, _ = p.FirstFit(0, 5, l, 4, all, nil)
+		p.Touch(g)
+		if i%3 == 0 {
+			p.Restore(g, &snap)
+		}
+	}
+	p.AddGPUs(gpu.MustLookup("A100X"), 2)
+	_, _, _ = p.FirstFit(0, 7, l, 4, all, nil)
+	if p.tree == nil || p.sum != nil {
+		t.Fatalf("first-fit-only pool: index built %v, summaries %+v, want the index alone", p.tree != nil, p.sum)
+	}
+}
+
+// TestNextQueries pins both summary queries on a hand-built pool,
+// GPUs without residents and a start past the last GPU included.
+func TestNextQueries(t *testing.T) {
+	var p Pool[int]
+	p.AddGPUs(gpu.MustLookup("A100X"), 6)
+	p.KeyBy(func(r int) int { return r })
+	l := interference.Load{SMPct: 1}
+	c := p.Clock()
+	p.Add(1, l, 5)
+	p.Add(1, l, 3)
+	p.Add(4, l, 3)
+	p.Add(5, l, 9)
+	for _, q := range []struct{ k, from, want int }{
+		{4, 0, 1}, {4, 2, 4}, {4, 5, -1}, {3, 0, -1}, {10, 5, 5}, {10, 6, -1}, {math.MaxInt, 0, 1},
+	} {
+		if got := p.NextBelow(q.k, q.from); got != q.want {
+			t.Errorf("NextBelow(%d, %d) = %d, want %d", q.k, q.from, got, q.want)
+		}
+	}
+	if p.Key(0) != math.MaxInt || p.Key(1) != 3 {
+		t.Errorf("keys %d %d, want MaxInt for an empty GPU and 3", p.Key(0), p.Key(1))
+	}
+	for _, q := range []struct {
+		c          uint64
+		from, want int
+	}{
+		{c, 0, 1}, {c, 2, 4}, {c + 2, 0, 4}, {p.Clock(), 0, -1}, {c, 6, -1},
+	} {
+		if got := p.NextChanged(q.c, q.from); got != q.want {
+			t.Errorf("NextChanged(%d, %d) = %d, want %d", q.c, q.from, got, q.want)
+		}
 	}
 }
 
@@ -153,6 +216,10 @@ func fuzzLoad(arg byte, device gpu.DeviceSpec, signed bool) interference.Load {
 	}
 }
 
+// fuzzKey is the fuzzed pools' victim key: a pure function of the
+// resident that repeats, so GPUs share key values.
+func fuzzKey(r int) int { return r * 7 % 5 }
+
 // FuzzPool drives random Add/RemoveAt/Save/Restore/AddGPUs/Touch
 // sequences against a slice-of-structs model. After every step each
 // GPU's residents and loads match the model, its digest equals a fresh
@@ -162,8 +229,10 @@ func fuzzLoad(arg byte, device gpu.DeviceSpec, signed bool) interference.Load {
 // Restore gives back the exact digest, count and generation its Save
 // saw without advancing the clock. FirstFit, over random GPU ranges
 // (empty and single-GPU ones included) under varied client caps and
-// rule masks, names the GPU a serial probe of the range names, and
-// every index node is the minimum of its children.
+// rule masks, names the GPU a serial probe of the range names;
+// NextChanged and NextBelow, from random GPUs against random clock
+// readings and keys, name the GPU a serial scan names; and every index
+// node is the minimum (the maximum generation) of its children.
 func FuzzPool(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 10, 0, 0, 20, 2, 0, 0, 1, 0, 0, 3, 0, 0})
 	f.Add(uint8(3), []byte{0, 2, 255, 0, 2, 7, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 2, 0, 1, 0, 0})
@@ -172,7 +241,15 @@ func FuzzPool(f *testing.F) {
 		device := gpu.MustLookup("A100X")
 		n := int(gpus)%11 + 1
 		var p Pool[int]
+		// The key is set before or after the first GPUs, so both of
+		// AddGPUs's paths run.
+		if gpus&1 == 0 {
+			p.KeyBy(fuzzKey)
+		}
 		p.AddGPUs(device, n)
+		if gpus&1 == 1 {
+			p.KeyBy(fuzzKey)
+		}
 		model := make([][]modelResident, n)
 		snaps := make([]Snapshot[int], n)
 		saved := make([][]modelResident, n)
@@ -268,6 +345,9 @@ func FuzzPool(f *testing.F) {
 					lo, hi = 0, n
 				}
 				checkFirstFit(t, &p, lo, hi, fuzzLoad(arg+q*37, device, true), int(arg+q)%6, interference.RuleMask(arg>>2+q)&7)
+				from := int(arg+q*71) % (n + 1)
+				checkNextChanged(t, &p, uint64(arg+q*13)%(p.Clock()+2), from)
+				checkNextBelow(t, &p, int(arg>>1+q*3)%7-1, from)
 			}
 			checkIndex(t, &p)
 		}
@@ -325,8 +405,45 @@ func checkFirstFit(t *testing.T, p *Pool[int], lo, hi int, l interference.Load, 
 	}
 }
 
+// checkNextChanged compares NextChanged(c, from) with a serial scan of
+// the generations.
+func checkNextChanged(t *testing.T, p *Pool[int], c uint64, from int) {
+	t.Helper()
+	want := -1
+	for g := from; g < p.GPUs(); g++ {
+		if p.Gen(g) > c {
+			want = g
+			break
+		}
+	}
+	if got := p.NextChanged(c, from); got != want {
+		t.Fatalf("NextChanged(%d, %d) = %d, serial scan %d", c, from, got, want)
+	}
+}
+
+// checkNextBelow compares NextBelow(k, from) with a serial scan of the
+// residents' keys.
+func checkNextBelow(t *testing.T, p *Pool[int], k, from int) {
+	t.Helper()
+	want := -1
+	for g := from; g < p.GPUs() && want < 0; g++ {
+		for _, r := range p.Residents(g) {
+			if fuzzKey(r) < k {
+				want = g
+				break
+			}
+		}
+	}
+	if got := p.NextBelow(k, from); got != want {
+		t.Fatalf("NextBelow(%d, %d) = %d, serial scan %d", k, from, got, want)
+	}
+}
+
 // checkIndex checks every built index node against the minimum of its
-// children, bit for bit, so a NaN minimum must be NaN.
+// children, bit for bit, so a NaN minimum must be NaN; each node of the
+// changed-GPU index against the maximum of its children's generations;
+// and each victim key, a GPU's against a fresh fold of its residents
+// and a node's against the minimum of its children.
 func checkIndex(t *testing.T, p *Pool[int]) {
 	t.Helper()
 	for i := 1; i < len(p.tree); i++ {
@@ -336,6 +453,34 @@ func checkIndex(t *testing.T, p *Pool[int]) {
 			math.Float64bits(got.bw) != math.Float64bits(min(a.bw, b.bw)) ||
 			got.over != min(a.over, b.over) || got.n != min(a.n, b.n) {
 			t.Fatalf("index node %d = %+v, children %+v and %+v", i, got, a, b)
+		}
+	}
+	if p.sum == nil {
+		return
+	}
+	for i := 1; i < len(p.sum.gens); i++ {
+		if got, want := p.sum.gens[i], max(p.genOf(2*i), p.genOf(2*i+1)); got != want {
+			t.Fatalf("changed-GPU node %d = %d, children's maximum %d", i, got, want)
+		}
+	}
+	keys := p.sum.keys
+	if len(keys) != 2*p.leaves {
+		t.Fatalf("%d keys over %d leaves", len(keys), p.leaves)
+	}
+	for g := 0; g < p.leaves; g++ {
+		want := math.MaxInt
+		if g < p.GPUs() {
+			for _, r := range p.Residents(g) {
+				want = min(want, fuzzKey(r))
+			}
+		}
+		if keys[p.leaves+g] != want {
+			t.Fatalf("GPU %d key %d, fresh fold of its residents %d", g, keys[p.leaves+g], want)
+		}
+	}
+	for i := 1; i < p.leaves; i++ {
+		if keys[i] != min(keys[2*i], keys[2*i+1]) {
+			t.Fatalf("key node %d = %d, children %d and %d", i, keys[i], keys[2*i], keys[2*i+1])
 		}
 	}
 }

@@ -260,10 +260,7 @@ func (st *planner) holdStands(j *job) (stands bool, rechecked int) {
 	}
 	probes := st.stats.Probes
 	stands = true
-	for z := range st.gpus {
-		if st.pool.Gen(z) <= h.clock {
-			continue
-		}
+	for z := st.pool.NextChanged(h.clock, 0); z >= 0; z = st.pool.NextChanged(h.clock, z+1) {
 		rechecked++
 		if st.changedAdmits(j, z) {
 			stands = false
@@ -474,13 +471,17 @@ func (st *planner) gpuRecord(kind obs.FlightKind, j *job, m *member, g int, now 
 
 // findEvictionFit is the preemption counterpart of findFit: the first
 // GPU in pool order where a read-only what-if shows the member would
-// fit with every strictly-lower-priority resident gone, or -1. With
-// telemetry on, each what-if leaves a provenance record whose Detail
-// is "fit=true" or "fit=false".
+// fit with every strictly-lower-priority resident gone, or -1. It
+// walks only the GPUs whose victim key (the lowest priority resident
+// there) is below j's: on any other GPU no resident is victimable, and
+// the what-if would say false. Each what-if it runs counts in
+// Stats.WhatIfs and, with telemetry on, leaves a provenance record
+// whose Detail is "fit=true" or "fit=false".
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
-	for g := range st.gpus {
+	for g := st.pool.NextBelow(j.priority, 0); g >= 0; g = st.pool.NextBelow(j.priority, g+1) {
+		st.stats.WhatIfs++
 		fits := st.canFitAfterEviction(g, j, m)
 		if st.fl != nil {
 			rec := st.gpuRecord(obs.FlightWhatIf, j, m, g, now)
@@ -597,10 +598,15 @@ func victimable(v, preemptor *job) bool {
 // victim mask marks the hypothetical evictees and AdmitExcluding folds
 // the survivors without touching the live aggregate — the cached sums
 // are always the left-fold over the member list, so the masked fold is
-// bit-identical to a save/remove/probe/restore sequence.
+// bit-identical to a save/remove/probe/restore sequence. A GPU whose
+// victim key is at or above the preemptor's priority has no victim, so
+// it says false there without a probe.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) canFitAfterEviction(g int, preemptor *job, m *member) bool {
+	if st.pool.Key(g) >= preemptor.priority {
+		return false
+	}
 	st.stats.Probes++
 	mask := st.skip[:0]
 	removed := 0

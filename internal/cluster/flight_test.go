@@ -27,8 +27,8 @@ func flightScenario() (Spec, []Submission) {
 // TestClusterFlightProvenance pins the planner's decision trail: every
 // arrival, fit scan (with its per-rule rejection counts), preemption
 // what-if, eviction, hold (skipped retries included), reject, and
-// dispatch lands in the flight recorder, and the trail is
-// byte-identical across identical runs.
+// dispatch lands in the flight recorder, one what-if record per
+// Stats.WhatIfs, and the trail is byte-identical across identical runs.
 func TestClusterFlightProvenance(t *testing.T) {
 	store := testStore(t)
 	spec, subs := flightScenario()
@@ -136,6 +136,11 @@ func TestClusterFlightProvenance(t *testing.T) {
 	if got := confirmed + int64(counts[obs.FlightWhatIf]) + st.rechecks; got != out.Stats.Probes {
 		t.Fatalf("%d confirmed scan leaves, %d what-if records and %d re-check probes for %d probes, want one each",
 			confirmed, counts[obs.FlightWhatIf], st.rechecks, out.Stats.Probes)
+	}
+	// Each what-if the sweeps ran left one record, so a benchmark can
+	// read the count from Stats.WhatIfs instead of the trail.
+	if int64(counts[obs.FlightWhatIf]) != out.Stats.WhatIfs {
+		t.Fatalf("%d what-if records, Stats.WhatIfs %d, want them equal", counts[obs.FlightWhatIf], out.Stats.WhatIfs)
 	}
 	var skipped int64
 	for _, r := range snap.Records {

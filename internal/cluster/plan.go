@@ -103,7 +103,8 @@ type Stats struct {
 	// Probes counts single-GPU admission checks, as core's
 	// DispatchStats.Probes does: the GPUs a fit scan's index queries
 	// confirm with Admit (a GPU at its client cap, or under a pruned
-	// index node, is not probed), the preemption what-ifs, and the
+	// index node, is not probed), the preemption what-ifs (a GPU whose
+	// victim key rules out every victim is not probed), and the
 	// re-check probes a held gang's retry makes on changed GPUs before
 	// it is skipped or run.
 	Probes int64 `json:"probes"`
@@ -123,6 +124,10 @@ type Stats struct {
 	// (DESIGN.md §13, "Change-driven rounds"). It is work, not a
 	// decision, and stays out of the Outcome's JSON.
 	HoldSkips int64 `json:"-"`
+	// WhatIfs counts the preemption what-ifs the eviction sweeps ran:
+	// one per GPU whose victim key did not skip it. Work, not a
+	// decision, like HoldSkips.
+	WhatIfs int64 `json:"-"`
 }
 
 // Outcome is a cluster plan: the full decision history plus accounting.
@@ -260,6 +265,13 @@ type resident struct {
 	ev       *eventq.Event
 }
 
+// residentPriority is the pool's victim key. It keys every resident,
+// not only victimable ones: victimability also reads the gang's live
+// count, which commit raises after placeMember's Add has stamped the
+// GPU, so a key that read it would stay too high, and the skip it
+// drives would drop real victims. A lower key only costs a what-if.
+func residentPriority(r *resident) int { return r.job.priority }
+
 // gpuState locates one pool GPU in the spec and holds its transaction
 // save slot; the pool holds the GPU's residents and aggregate.
 type gpuState struct {
@@ -353,6 +365,7 @@ func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 	hub.Counter("cluster_evictions_total").Add(int64(len(st.out.Evictions)))
 	hub.Counter("cluster_gang_holds_total").Add(st.stats.GangHolds)
 	hub.Counter("cluster_hold_skip_total").Add(st.stats.HoldSkips)
+	hub.Counter("cluster_whatif_total").Add(st.stats.WhatIfs)
 	hub.Counter("cluster_probe_total").Add(st.stats.Probes)
 	for _, t := range st.tenants {
 		hub.Gauge(obs.MetricName("cluster_tenant_queue_depth_max", t.spec.Name)).SetMax(int64(t.maxDepth))
@@ -422,6 +435,9 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 			st.gpus = append(st.gpus, gpuState{node: n, index: g})
 		}
 	}
+	// The victim key: a GPU's lowest resident priority bounds which
+	// preemptors could find a victim there (findEvictionFit).
+	st.pool.KeyBy(residentPriority)
 
 	// Stable sort by arrival instant; input order breaks ties. The
 	// sorted index is the job's identity for every later tie-break.

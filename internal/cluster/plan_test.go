@@ -667,10 +667,11 @@ func TestGangStarvationResolves(t *testing.T) {
 }
 
 // TestClusterAdmitAllocs pins the admit/preempt hot path at zero
-// steady-state allocations: probes, what-ifs, the resident pool, a
-// failed gang attempt and the re-check of its hold must not allocate
-// once warm, with telemetry off and with a live flight recorder taking
-// the scan, what-if and hold records.
+// steady-state allocations: probes, the victim-key walk and its
+// what-ifs, the resident pool, a failed gang attempt and the
+// changed-GPU walk that re-checks its hold must not allocate once warm,
+// with telemetry off and with a live flight recorder taking the scan,
+// what-if and hold records.
 func TestClusterAdmitAllocs(t *testing.T) {
 	store := testStore(t)
 	spec := oneNode(4, "a", "b")
@@ -726,8 +727,12 @@ func TestClusterAdmitAllocs(t *testing.T) {
 			st.pool.Touch(g)
 		}
 		warm()
+		whatIfs := st.stats.WhatIfs
 		if allocs := testing.AllocsPerRun(200, warm); allocs != 0 {
 			t.Fatalf("admit/preempt hot path (telemetry %v) allocates %v per cycle, want 0", hub != nil, allocs)
+		}
+		if st.stats.WhatIfs == whatIfs {
+			t.Fatal("the victim key skipped every what-if the pin runs")
 		}
 		if hub != nil && hub.Flight.Snapshot().Total == 0 {
 			t.Fatal("pin never recorded a flight record")
