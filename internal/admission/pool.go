@@ -16,6 +16,7 @@ package admission
 
 import (
 	"math"
+	"math/bits"
 
 	"gpushare/internal/gpu"
 	"gpushare/internal/interference"
@@ -208,21 +209,26 @@ func (p *Pool[R]) build() {
 // hi <= GPUs(), that holds fewer than maxResidents residents and where
 // Admit(l) breaks none of the rules in rules (compute, bandwidth,
 // capacity), or -1: the answer of probing every GPU of the range in
-// index order. It descends the index to the leftmost subtree meeting
-// the range whose bound passes the client cap and every rule in rules,
-// and confirms each leaf it reaches with Admit; a subtree wholly left
-// of lo is stepped over unexamined.
+// index order. It starts at the lowest index node covering the range,
+// found in O(1), descends to the leftmost subtree meeting the range
+// whose bound passes the client cap and every rule in rules, and
+// confirms each leaf it reaches with Admit; a subtree wholly left of lo
+// is stepped over unexamined. A range of one aligned subtree starts at
+// that subtree, so a query [0, GPUs()) starts at the root.
 //
 // A bound is exact: its float fields are single GPUs' sums, so bound +
 // l is the addition Admit does for that GPU, and IEEE rounding is
 // monotone, so a bound that breaks a rule proves every GPU under it
 // breaks it, those in the range included: a subtree reaching past the
 // range bounds a superset, whose minimum is no greater than the
-// range's. A NaN sum propagates into its ancestors' bounds, whose
-// comparisons then fail, so a NaN GPU is never pruned; it is reached
-// and judged by Admit. The memory bound is exact integer arithmetic
-// while sums stay far from the int64 limits, which holds when every
-// load is at most a device's memory (DESIGN.md §11, "First-fit index").
+// range's. The walk starting below the root loses no pruning either:
+// an ancestor of the covering node bounds a superset of it, so where
+// the ancestor would prune, the covering node prunes too. A NaN sum
+// propagates into its ancestors' bounds, whose comparisons then fail,
+// so a NaN GPU is never pruned; it is reached and judged by Admit. The
+// memory bound is exact integer arithmetic while sums stay far from the
+// int64 limits, which holds when every load is at most a device's
+// memory (DESIGN.md §11, "First-fit index").
 //
 // visits counts the nodes examined, leaves included; probes the leaves
 // confirmed with Admit. A non-nil tally also receives the visits and,
@@ -250,8 +256,13 @@ func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, ru
 		limOver = 0
 	}
 	g = -1
-	// Node i covers GPUs [first, first+span), first = i*span-leaves.
-	i, span := 1, p.leaves
+	// Node i covers GPUs [first, first+span), first = i*span-leaves. The
+	// walk starts at the lowest node covering [lo, hi): the leaves of lo
+	// and hi-1 share their ancestors above the highest bit where their
+	// indices differ. Stepping right out of that node passes hi, which
+	// ends the walk.
+	h := bits.Len(uint((p.leaves + lo) ^ (p.leaves + hi - 1)))
+	i, span := (p.leaves+lo)>>h, 1<<h
 	for {
 		if first := i*span - p.leaves; first+span > lo {
 			visits++

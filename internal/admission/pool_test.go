@@ -70,6 +70,45 @@ func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
 	}
 }
 
+// TestFirstFitStartsAtCoveringNode pins where a range query starts: at
+// the lowest index node covering the range. On a 512-GPU pool, a query
+// over an aligned 8-GPU range whose subtree rejects makes one visit and
+// no probe, though no ancestor of that subtree prunes; a one-GPU range
+// starts at its leaf and confirms it with Admit; and a query over the
+// whole pool starts at the root.
+func TestFirstFitStartsAtCoveringNode(t *testing.T) {
+	var p Pool[int]
+	p.AddGPUs(gpu.MustLookup("A100X"), 512)
+	heavy := interference.Load{SMPct: 90, BWPct: 10, MemMiB: 1024}
+	for g := 8; g < 16; g++ {
+		p.Add(g, heavy, g)
+	}
+	l := interference.Load{SMPct: 20, BWPct: 10, MemMiB: 1024}
+	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
+	for _, q := range []struct {
+		name                         string
+		lo, hi, maxResidents         int
+		want, wantVisits, wantProbes int
+	}{
+		{"rejecting subtree", 8, 16, 4, -1, 1, 0},
+		{"one GPU over the SM limit", 8, 9, 4, -1, 1, 1},
+		{"one GPU at its client cap", 8, 9, 1, -1, 1, 0},
+		{"one idle GPU", 16, 17, 4, 16, 1, 1},
+		// The root, then eight left children down to GPU 0's leaf.
+		{"whole pool", 0, 512, 4, 0, 10, 1},
+	} {
+		var tally obs.ScanTally
+		g, visits, probes := p.FirstFit(q.lo, q.hi, l, q.maxResidents, all, &tally)
+		if g != q.want || visits != q.wantVisits || probes != q.wantProbes {
+			t.Errorf("%s: FirstFit(%d, %d) = GPU %d, %d visits, %d probes; want %d, %d, %d",
+				q.name, q.lo, q.hi, g, visits, probes, q.want, q.wantVisits, q.wantProbes)
+		}
+		if rec := tally.Summary(0, 0, int32(g)); int(rec.Clients) != visits {
+			t.Errorf("%s: tally holds %d visits, want %d", q.name, rec.Clients, visits)
+		}
+	}
+}
+
 // TestNextQueries pins both summary queries on a hand-built pool,
 // GPUs without residents and a start past the last GPU included.
 func TestNextQueries(t *testing.T) {

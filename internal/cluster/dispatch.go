@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"gpushare/internal/eventq"
 	"gpushare/internal/interference"
@@ -68,10 +67,8 @@ func (st *planner) run() {
 // enqueue appends a job to its tenant's queue.
 func (st *planner) enqueue(j *job) {
 	t := j.tenant
-	t.queue = append(t.queue, j)
-	if len(t.queue) > t.maxDepth {
-		t.maxDepth = len(t.queue)
-	}
+	t.queue.PushBack(j)
+	t.maxDepth = max(t.maxDepth, t.queue.Len())
 	if st.fl != nil {
 		st.fl.Record(obs.FlightRecord{
 			Seq:      int64(j.seq),
@@ -87,7 +84,7 @@ func (st *planner) enqueue(j *job) {
 // queuedAny reports whether any tenant has waiting jobs.
 func (st *planner) queuedAny() bool {
 	for _, t := range st.tenants {
-		if len(t.queue) > 0 {
+		if t.queue.Len() > 0 {
 			return true
 		}
 	}
@@ -163,8 +160,7 @@ func (st *planner) dispatchRound(now simtime.Time) {
 		// Pop the head before attempting: a successful placement may
 		// requeue evicted victims at the front of this same queue, so a
 		// pop afterwards could remove the wrong job.
-		j := t.queue[0]
-		t.queue = t.queue[:copy(t.queue, t.queue[1:])]
+		j := t.queue.PopFront()
 		stands, rechecked := st.holdStands(j)
 		if stands {
 			if shadowSkips {
@@ -197,11 +193,9 @@ func (st *planner) dispatchRound(now simtime.Time) {
 			}
 			continue
 		}
-		// Held: back to the front of the queue, tenant blocked for the
-		// round.
-		t.queue = append(t.queue, nil)
-		copy(t.queue[1:], t.queue)
-		t.queue[0] = j
+		// Held: back to the front of the queue, into the slot its pop
+		// left, tenant blocked for the round.
+		t.queue.PushFront(j)
 		t.blocked = true
 		st.stats.GangHolds++
 		if stands {
@@ -313,13 +307,14 @@ var shadowSkips bool
 // it fails exactly as the held attempt did: same failed member, same
 // earlier placements, same touched GPUs. The failed attempt restores
 // every GPU with its generation, so the pool is left as it was found;
-// the retry's probes and flight records are not kept.
+// the retry's probes and flight records are not kept. The held attempt
+// is copied into planner scratch, so the check allocates nothing once
+// warm and allocation pins hold with it on.
 func (st *planner) shadowRetry(j *job, now simtime.Time) {
-	want := holdState{
-		failed:  j.hold.failed,
-		placed:  slices.Clone(j.hold.placed),
-		touched: slices.Clone(j.hold.touched),
-	}
+	want := &st.shadow
+	want.failed = j.hold.failed
+	want.placed = append(want.placed[:0], j.hold.placed...)
+	want.touched = append(want.touched[:0], j.hold.touched...)
 	stats, fl := *st.stats, st.fl
 	st.fl = nil
 	placed := st.tryPlaceGang(j, now)
@@ -343,7 +338,7 @@ func (st *planner) shadowRetry(j *job, now simtime.Time) {
 func (st *planner) pickTenant() *tenantState {
 	var best *tenantState
 	for _, t := range st.tenants {
-		if len(t.queue) == 0 || t.blocked {
+		if t.queue.Len() == 0 || t.blocked {
 			continue
 		}
 		if best == nil {
@@ -352,7 +347,7 @@ func (st *planner) pickTenant() *tenantState {
 		}
 		switch st.spec.Queue {
 		case FIFO:
-			if t.queue[0].seq < best.queue[0].seq {
+			if t.queue.Front().seq < best.queue.Front().seq {
 				best = t
 			}
 		default: // FairShare
@@ -449,7 +444,7 @@ func (st *planner) recordScan(tally *obs.ScanTally, j *job, m *member, g int, no
 	}
 	rec := tally.Summary(int64(j.seq), int64(now), local)
 	rec.Tenant = j.tenant.spec.Name
-	rec.Workflow = m.profile.Workflow.Name
+	rec.Workflow = m.name
 	if g >= 0 {
 		rec.Node = st.gpus[g].node.spec.Name
 	}
@@ -464,7 +459,7 @@ func (st *planner) gpuRecord(kind obs.FlightKind, j *job, m *member, g int, now 
 	gs := &st.gpus[g]
 	return obs.FlightRecord{
 		Seq: int64(j.seq), Kind: kind, AtNS: int64(now),
-		Tenant: j.tenant.spec.Name, Workflow: m.profile.Workflow.Name,
+		Tenant: j.tenant.spec.Name, Workflow: m.name,
 		Node: gs.node.spec.Name, GPU: int32(gs.index), Clients: int32(st.pool.Len(g)),
 	}
 }
@@ -704,7 +699,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 	// Victims: whole gangs, requeued at the front of their tenant queue
 	// in arrival order with the restart penalty charged.
 	if len(st.txEvicted) > 0 {
-		victims := make(map[*job]bool, 2)
+		victims := st.victims[:0]
 		for _, r := range st.txEvicted {
 			v := r.job
 			gs := &st.gpus[r.gpu]
@@ -713,7 +708,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 				At:        now,
 				Tenant:    v.tenant.spec.Name,
 				Gang:      v.sub.Gang.Name,
-				Workflow:  v.members[r.memberIx].profile.Workflow.Name,
+				Workflow:  v.members[r.memberIx].name,
 				Node:      gs.node.spec.Name,
 				GPU:       gs.index,
 				Preemptor: j.sub.Gang.Name,
@@ -727,40 +722,36 @@ func (st *planner) commit(j *job, now simtime.Time) {
 					Kind:     obs.FlightEvict,
 					AtNS:     int64(now),
 					Tenant:   v.tenant.spec.Name,
-					Workflow: v.members[r.memberIx].profile.Workflow.Name,
+					Workflow: v.members[r.memberIx].name,
 					Node:     gs.node.spec.Name,
 					GPU:      int32(gs.index),
 					Detail:   "preempted by " + j.sub.Gang.Name,
 				})
 			}
-			victims[v] = true
+			if !slices.Contains(victims, v) {
+				victims = append(victims, v)
+			}
 			v.liveCount--
 			st.releaseResident(r)
 		}
 		// Distinct victim gangs in deterministic (arrival) order.
-		order := make([]*job, 0, len(victims))
-		for v := range victims {
-			order = append(order, v)
-		}
-		sort.Slice(order, func(i, k int) bool { return order[i].seq < order[k].seq })
-		// Prepend in reverse so the queue front ends up in ascending
-		// arrival order; a victim predates everything still queued
-		// behind it, so head-of-line order stays consistent.
-		for i := len(order) - 1; i >= 0; i-- {
-			v := order[i]
+		slices.SortFunc(victims, func(a, b *job) int { return cmp.Compare(a.seq, b.seq) })
+		// Push to the front in reverse so the queue front ends up in
+		// ascending arrival order; a victim predates everything still
+		// queued behind it, so head-of-line order stays consistent.
+		for i := len(victims) - 1; i >= 0; i-- {
+			v := victims[i]
 			v.evicting = false
 			v.preemptions++
 			v.penaltyS += st.overheadS()
 			v.tenant.stat.Preemptions++
 			v.residents = v.residents[:0]
 			st.stats.GangsPreempted++
-			v.tenant.queue = append(v.tenant.queue, nil)
-			copy(v.tenant.queue[1:], v.tenant.queue)
-			v.tenant.queue[0] = v
-			if len(v.tenant.queue) > v.tenant.maxDepth {
-				v.tenant.maxDepth = len(v.tenant.queue)
-			}
+			v.tenant.queue.PushFront(v)
+			v.tenant.maxDepth = max(v.tenant.maxDepth, v.tenant.queue.Len())
 		}
+		clear(victims)
+		st.victims = victims
 	}
 
 	waited := now.Sub(j.at).Seconds()
@@ -775,7 +766,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 			At:          now,
 			Tenant:      j.tenant.spec.Name,
 			Gang:        j.sub.Gang.Name,
-			Workflow:    j.members[r.memberIx].profile.Workflow.Name,
+			Workflow:    j.members[r.memberIx].name,
 			Node:        gs.node.spec.Name,
 			GPU:         gs.index,
 			WaitedS:     waited,

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"gpushare/internal/admission"
@@ -160,8 +161,12 @@ func NewPlanner(spec Spec, store *profile.Store) (*Planner, error) {
 	return &Planner{spec: spec, profiles: store}, nil
 }
 
-// member is one gang member's planning view.
+// member is one gang member's planning view. Its profile may be shared
+// with every member running the same task (core.ProfileBuilder), so
+// the profile's Workflow.Name is the first such member's: records name
+// the member by name, never by its profile.
 type member struct {
+	name    string
 	profile *core.WorkflowProfile
 	load    interference.Load
 }
@@ -183,7 +188,8 @@ type job struct {
 	durationS   float64 // sum of member predicted durations (service charge)
 
 	// residents are the members placed now, in pool order: GPU, then
-	// position on the GPU.
+	// position on the GPU. Its capacity is the member count, carved
+	// from a per-plan slab, so it never grows.
 	residents []*resident
 	// hold is the last failed placement attempt, while the gang waits.
 	hold holdState
@@ -202,7 +208,8 @@ type holdState struct {
 	clock uint64
 	// failed is the member no GPU admitted.
 	failed int
-	// placed holds each earlier member's GPU and how it got there.
+	// placed holds each earlier member's GPU and how it got there, at
+	// capacity the member count, carved like job.residents.
 	placed []placement
 	// touched are the GPUs the attempt saved and rolled back.
 	touched []int
@@ -231,7 +238,7 @@ type tenantState struct {
 	// blocking within a tenant; requeued victims re-enter at the front,
 	// which preserves the order because a victim predates everything
 	// still queued behind it).
-	queue []*job
+	queue jobQueue
 	// servedUS is the accumulated dispatched service in microseconds of
 	// predicted duration. Fair share compares weight-normalized service
 	// by cross-multiplication, so the counter stays integer and the
@@ -330,6 +337,11 @@ type planner struct {
 	// skip is the read-only what-if's victim-mask scratch (see
 	// canFitAfterEviction).
 	skip []bool
+	// victims is commit's scratch: the distinct gangs a transaction
+	// evicted.
+	victims []*job
+	// shadow is shadowRetry's copy of the held attempt it reruns.
+	shadow holdState
 
 	// fl is the flight recorder captured at construction; nil when
 	// telemetry is disabled, and every record site is guarded so the
@@ -383,7 +395,7 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		spec:     p.spec,
 		profiles: p.profiles,
 		byName:   make(map[string]*tenantState, len(p.spec.Tenants)),
-		out:      &Outcome{},
+		out:      &Outcome{Jobs: make([]JobSummary, 0, len(subs))},
 		fl:       obs.Active().FlightRecorder(),
 	}
 	st.stats = &st.out.Stats
@@ -447,6 +459,17 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	}
 	sort.SliceStable(order, func(i, j int) bool { return order[i].At < order[j].At })
 
+	// One slab per plan for the jobs, their members, and the residents
+	// and hold placements each job carves at capacity its member count.
+	members := 0
+	for _, sub := range order {
+		members += len(sub.Gang.Members)
+	}
+	jobs := make([]job, len(order))
+	memSlab := make([]member, 0, members)
+	resSlab := make([]*resident, members)
+	placedSlab := make([]placement, members)
+	builder := core.NewProfileBuilder(p.profiles)
 	st.jobs = make([]*job, len(order))
 	for i, sub := range order {
 		t, ok := st.byName[sub.Tenant]
@@ -456,13 +479,16 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		if err := sub.Gang.ValidateShape(); err != nil {
 			return nil, err
 		}
-		j := &job{seq: i, tenant: t, at: sub.At, priority: sub.Priority, sub: sub}
+		j := &jobs[i]
+		*j = job{seq: i, tenant: t, at: sub.At, priority: sub.Priority, sub: sub}
+		first := len(memSlab)
 		for _, wf := range sub.Gang.Members {
-			wp, err := core.BuildWorkflowProfile(p.profiles, wf)
+			wp, err := builder.Build(wf)
 			if err != nil {
 				return nil, err
 			}
-			j.members = append(j.members, member{
+			memSlab = append(memSlab, member{
+				name:    wf.Name,
 				profile: wp,
 				load: interference.Load{
 					SMPct:  wp.AvgSMUtilPct,
@@ -472,8 +498,15 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 			})
 			j.durationS += wp.TotalDurationS
 		}
+		end := len(memSlab)
+		j.members = memSlab[first:end:end]
+		j.residents = resSlab[first:first:end]
+		j.hold.placed = placedSlab[first:first:end]
 		st.jobs[i] = j
 	}
+	// Every member dispatches at least once unless its gang fails;
+	// re-dispatched victims grow the log past this.
+	st.out.Dispatches = make([]Dispatch, 0, members)
 	return st, nil
 }
 
@@ -501,4 +534,21 @@ func (st *planner) finish() {
 			st.out.MakespanS = j.CompletionS
 		}
 	}
+	// A held outcome keeps only what it logged: the logs were presized
+	// or grown by append, and re-dispatched victims outgrow the presize.
+	st.out.Dispatches = trim(st.out.Dispatches)
+	st.out.Evictions = trim(st.out.Evictions)
+	st.out.Jobs = trim(st.out.Jobs)
+}
+
+// trim returns s without spare capacity, and nil when it is empty, as
+// a log that was never appended to reads.
+func trim[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(s) > len(s) {
+		return slices.Clone(s)
+	}
+	return s
 }

@@ -668,10 +668,14 @@ func TestGangStarvationResolves(t *testing.T) {
 
 // TestClusterAdmitAllocs pins the admit/preempt hot path at zero
 // steady-state allocations: probes, the victim-key walk and its
-// what-ifs, the resident pool, a failed gang attempt and the
-// changed-GPU walk that re-checks its hold must not allocate once warm,
-// with telemetry off and with a live flight recorder taking the scan,
-// what-if and hold records.
+// what-ifs, the resident pool, a failed gang attempt, a dispatch round
+// that holds it and requeues it at its tenant's front (with the shadow
+// check rerunning the skipped retry), and the changed-GPU walk that
+// re-checks its hold must not allocate once warm, with telemetry off
+// and with a live flight recorder taking the scan, what-if and hold
+// records. A preemption that requeues its victim at the front must not
+// allocate either, with telemetry off: the eviction record names the
+// preemptor in a concatenated Detail.
 func TestClusterAdmitAllocs(t *testing.T) {
 	store := testStore(t)
 	spec := oneNode(4, "a", "b")
@@ -714,6 +718,14 @@ func TestClusterAdmitAllocs(t *testing.T) {
 			if st.tryPlaceGang(held, simtime.Zero) {
 				t.Fatal("attempt on a full GPU placed")
 			}
+			// A round pops the held gang, skips its retry and pushes it
+			// back to the front.
+			st.enqueue(held)
+			holds := st.stats.GangHolds
+			st.dispatchRound(simtime.Zero)
+			if st.stats.GangHolds != holds+1 || held.tenant.queue.Len() != 1 || held.tenant.queue.PopFront() != held {
+				t.Fatal("the round did not hold the gang at its tenant's front")
+			}
 			// Re-check every GPU as changed, with a member placed by
 			// eviction on a later GPU, so every rule runs.
 			held.hold.clock = 0
@@ -737,6 +749,40 @@ func TestClusterAdmitAllocs(t *testing.T) {
 		if hub != nil && hub.Flight.Snapshot().Total == 0 {
 			t.Fatal("pin never recorded a flight record")
 		}
+	}
+
+	obs.SetActive(nil)
+	vspec := oneNode(1, "a", "b")
+	vspec.Preemption = true
+	vp, err := NewPlanner(vspec, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := vp.newPlanner([]Submission{
+		sub(0, "a", 0, workflow.Single(wf("low", "small"))),
+		sub(0, "b", 1, workflow.Single(wf("high", "small"))),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	low, high := vs.jobs[0], vs.jobs[1]
+	evict := func() {
+		if !vs.tryPlaceGang(low, simtime.Zero) || !vs.tryPlaceGang(high, simtime.Zero) {
+			t.Fatal("the preemptor did not place over its victim")
+		}
+		if low.tenant.queue.Len() != 1 || low.tenant.queue.PopFront() != low {
+			t.Fatal("the victim was not requeued at its tenant's front")
+		}
+		ev, _ := vs.completions.Pop()
+		vs.retire(ev, simtime.Zero)
+		vs.out.Dispatches, vs.out.Evictions, vs.out.Jobs = vs.out.Dispatches[:0], vs.out.Evictions[:0], vs.out.Jobs[:0]
+	}
+	evict()
+	if allocs := testing.AllocsPerRun(200, evict); allocs != 0 {
+		t.Fatalf("preemption with a victim requeue allocates %v per cycle, want 0", allocs)
+	}
+	if vs.stats.GangsPreempted < 200 {
+		t.Fatalf("the victim cycle preempted %d gangs, want one per cycle", vs.stats.GangsPreempted)
 	}
 }
 
@@ -801,49 +847,119 @@ func coreFleet(workflows int, seed uint64) core.FleetSpec {
 	return core.FleetSpec{Workflows: workflows, TargetGPUs: 8, Seed: seed}
 }
 
-// TestNonFiniteProfilesRejected builds profile stores in code with a
-// NaN, an infinite or a negative utilization, or a negative memory
-// peak (JSON cannot carry the first two; a store built in code can),
-// and checks that both dispatchers refuse them where they build
-// workflow profiles: the cluster's Plan and core's ScheduleOnline.
+// TestNonFiniteProfilesRejected checks both ends of the profile
+// boundary for each kind of load admission cannot fold: the store
+// refuses a task profile carrying it (a NaN, an infinite or a negative
+// utilization, or a negative memory peak), and where profiles the store
+// accepts can still fold into it — a utilization or duration so large
+// that the duration-weighted average overflows to +Inf, or to Inf/Inf =
+// NaN — both dispatchers refuse the workflow where they build workflow
+// profiles: the cluster's Plan and core's ScheduleOnline.
 func TestNonFiniteProfilesRejected(t *testing.T) {
+	type fields struct {
+		sm, bw, durS float64
+		mem          int64
+	}
 	cases := []struct {
-		name    string
-		sm, bw  float64
-		mem     int64
-		wantErr string
+		name     string
+		bad      fields
+		storeErr string
+		// folds, when set, is a profile the store accepts whose workflow
+		// of iterations runs still averages to an unfoldable load.
+		folds      *fields
+		iterations int
 	}{
-		{"nan-sm", math.NaN(), 10, 1024, "utilization"},
-		{"inf-sm", math.Inf(1), 10, 1024, "utilization"},
-		{"neg-inf-bw", 20, math.Inf(-1), 1024, "utilization"},
-		{"neg-bw", 20, -5, 1024, "utilization"},
-		{"neg-mem", 20, 10, -1, "negative memory"},
+		{"nan-sm", fields{math.NaN(), 10, 100, 1024}, "SM utilization", &fields{20, 10, 1e308, 1024}, 2},
+		{"inf-sm", fields{math.Inf(1), 10, 100, 1024}, "SM utilization", &fields{1e308, 10, 100, 1024}, 1},
+		{"neg-inf-bw", fields{20, math.Inf(-1), 100, 1024}, "bandwidth utilization", &fields{20, 1e308, 100, 1024}, 1},
+		{"neg-bw", fields{20, -5, 100, 1024}, "bandwidth utilization", nil, 0},
+		{"neg-mem", fields{20, 10, 100, -1}, "negative memory", nil, 0},
+	}
+	profileOf := func(f fields) *profile.TaskProfile {
+		return &profile.TaskProfile{
+			Workload: "bad", Size: "1x", Device: "NVIDIA A100X",
+			DurationS: f.durS, MaxMemMiB: f.mem, AvgSMUtilPct: f.sm, AvgBWUtilPct: f.bw,
+			AvgPowerW: 100, EnergyJ: 1e4, GPUIdlePct: 5, SizeFactor: 1,
+		}
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			store := profile.NewStore()
-			if err := store.Add(&profile.TaskProfile{
-				Workload: "bad", Size: "1x", Device: "NVIDIA A100X",
-				DurationS: 100, MaxMemMiB: c.mem, AvgSMUtilPct: c.sm, AvgBWUtilPct: c.bw,
-				AvgPowerW: 100, EnergyJ: 1e4, GPUIdlePct: 5, SizeFactor: 1,
-			}); err != nil {
+			if err := store.Add(profileOf(c.bad)); err == nil || !strings.Contains(err.Error(), c.storeErr) {
+				t.Fatalf("store.Add: err = %v, want one naming %q", err, c.storeErr)
+			}
+			if c.folds == nil {
+				return
+			}
+			if err := store.Add(profileOf(*c.folds)); err != nil {
 				t.Fatal(err)
 			}
 			w := wf("w", "bad")
+			w.Tasks[0].Iterations = c.iterations
 			p, err := NewPlanner(oneNode(4, "a"), store)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := p.Plan([]Submission{sub(0, "a", 0, workflow.Single(w))}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("Plan: err = %v, want one naming %q", err, c.wantErr)
+			if _, err := p.Plan([]Submission{sub(0, "a", 0, workflow.Single(w))}); err == nil || !strings.Contains(err.Error(), "utilization") {
+				t.Fatalf("Plan: err = %v, want one naming the utilization", err)
 			}
 			s, err := core.NewScheduler(a100x(), 1, store, core.EnergyPolicy())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := s.ScheduleOnline([]core.Arrival{{At: simtime.Zero, Workflow: w}}, gpusim.Config{}); err == nil || !strings.Contains(err.Error(), c.wantErr) {
-				t.Fatalf("ScheduleOnline: err = %v, want one naming %q", err, c.wantErr)
+			if _, err := s.ScheduleOnline([]core.Arrival{{At: simtime.Zero, Workflow: w}}, gpusim.Config{}); err == nil || !strings.Contains(err.Error(), "utilization") {
+				t.Fatalf("ScheduleOnline: err = %v, want one naming the utilization", err)
 			}
 		})
+	}
+}
+
+// TestPlanAllocs pins Plan's allocations per submission on a mixed-mode
+// stream of 2,000 workflows with gangs and preemption, telemetry off:
+// the jobs, members, residents and hold placements come from per-plan
+// slabs, the dispatch and job logs are sized once, profiles come from
+// one memo, and the tenant queues requeue in place. What is left is
+// mostly buffers that grow to the cluster's peak occupancy (residents,
+// completion events, resident lists and snapshots) and the touched-GPU
+// lists of gangs that were held.
+func TestPlanAllocs(t *testing.T) {
+	device := a100x()
+	subs, store, err := GenerateStream(device, StreamSpec{
+		Fleet:          core.FleetSpec{Workflows: 2000, TargetGPUs: 24, Seed: 42},
+		Tenants:        []string{"a", "b", "c"},
+		PriorityLevels: 3,
+		GangFraction:   0.1,
+		GangSize:       4,
+		Seed:           43,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Queue: FairShare, Preemption: true}
+	for n, mode := range []Mode{ModeMPS, ModeMIG, ModeTimeSlice, ModeMPS, ModeMIG, ModeTimeSlice} {
+		spec.Nodes = append(spec.Nodes, NodeSpec{Name: fmt.Sprintf("n%d", n), Device: device, GPUs: 4, Mode: mode})
+	}
+	for i, name := range []string{"a", "b", "c"} {
+		spec.Tenants = append(spec.Tenants, TenantSpec{Name: name, Weight: 1 + i})
+	}
+	prev := obs.SetActive(nil)
+	defer obs.SetActive(prev)
+	p, err := NewPlanner(spec, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out *Outcome
+	allocs := testing.AllocsPerRun(3, func() {
+		if out, err = p.Plan(subs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if out.Stats.Preemptions == 0 || out.Stats.GangHolds == 0 {
+		t.Fatalf("stream exercised no preemption or hold: %+v", out.Stats)
+	}
+	perSub := allocs / float64(len(subs))
+	t.Logf("%d submissions, %.0f allocations per plan, %.2f per submission, stats %+v", len(subs), allocs, perSub, out.Stats)
+	if perSub > 1.5 {
+		t.Fatalf("Plan allocates %.2f times per submission, want at most 1.5", perSub)
 	}
 }

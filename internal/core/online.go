@@ -78,15 +78,16 @@ type onlineResident struct {
 	seq  uint64
 }
 
-// profileBuilder resolves arrivals to workflow profiles with a
-// memoization layer: fleet streams draw millions of arrivals from a
-// handful of archetypes, and a profile is a pure function of the task
-// list and the store, so single-task workflows are cached by their
-// task value (comparable struct key, allocation-free lookup). Cached
-// profiles carry the *first* arrival's workflow name; everything
-// name-dependent on the dispatch path therefore reads the arrival,
-// never the profile.
-type profileBuilder struct {
+// ProfileBuilder resolves workflows to profiles with a memoization
+// layer: fleet streams draw millions of arrivals from a handful of
+// archetypes, and a profile is a pure function of the task list and the
+// store, so single-task workflows are cached by their task value
+// (comparable struct key, allocation-free lookup). Both dispatchers
+// build through it: core's online planner and streamer, and the
+// cluster planner. Cached profiles carry the *first* arrival's workflow
+// name; everything name-dependent on a dispatch path therefore reads
+// the arrival, never the profile.
+type ProfileBuilder struct {
 	store *profile.Store
 	cache map[workflow.Task]*WorkflowProfile
 }
@@ -96,16 +97,17 @@ type profileBuilder struct {
 // path promises bounded steady-state memory).
 const profileCacheCap = 4096
 
-func newProfileBuilder(store *profile.Store) *profileBuilder {
-	return &profileBuilder{store: store, cache: make(map[workflow.Task]*WorkflowProfile)}
+// NewProfileBuilder returns an empty memo over store.
+func NewProfileBuilder(store *profile.Store) *ProfileBuilder {
+	return &ProfileBuilder{store: store, cache: make(map[workflow.Task]*WorkflowProfile)}
 }
 
-// build returns the arrival's profile, from cache when possible. Shape
+// Build returns w's profile, from cache when possible. Shape
 // validation always runs against the submitted workflow — a cache hit
 // must not let an ill-formed workflow ride on a well-formed twin's
 // profile. An uncached profile (multi-task workflow, or the cache is
 // full) is a plain heap object the GC reclaims once its holder drops it.
-func (b *profileBuilder) build(w workflow.Workflow) (*WorkflowProfile, error) {
+func (b *ProfileBuilder) Build(w workflow.Workflow) (*WorkflowProfile, error) {
 	if err := w.ValidateShape(); err != nil {
 		return nil, err
 	}
@@ -187,10 +189,10 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 	copy(sorted, arrivals)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
 
-	builder := newProfileBuilder(s.Profiles)
+	builder := NewProfileBuilder(s.Profiles)
 	profiles := make([]*WorkflowProfile, len(sorted))
 	for i, a := range sorted {
-		wp, err := builder.build(a.Workflow)
+		wp, err := builder.Build(a.Workflow)
 		if err != nil {
 			return nil, err
 		}

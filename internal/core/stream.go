@@ -48,7 +48,7 @@ type StreamConfig struct {
 type Streamer struct {
 	sched   *Scheduler
 	d       *onlineDispatcher
-	builder *profileBuilder
+	builder *ProfileBuilder
 	// names backs the current event's RunningAlongside; it is truncated
 	// after each event is framed, so its space is reused, not grown.
 	names []string
@@ -75,7 +75,7 @@ func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
 		digest: sha256.New(),
 	}
 	st.d = newOnlineDispatcher(s, &st.stats)
-	st.builder = newProfileBuilder(s.Profiles)
+	st.builder = NewProfileBuilder(s.Profiles)
 	return st, nil
 }
 
@@ -157,7 +157,7 @@ func (st *Streamer) check(a *Arrival) (*WorkflowProfile, error) {
 		return nil, fmt.Errorf("core: out-of-order arrival %s at %v (stream is at %v)",
 			a.Workflow.Name, a.At, st.lastAt)
 	}
-	wp, err := st.builder.build(a.Workflow)
+	wp, err := st.builder.Build(a.Workflow)
 	if err != nil {
 		return nil, err
 	}

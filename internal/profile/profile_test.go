@@ -119,6 +119,56 @@ func TestProfileWorkloadAndSuite(t *testing.T) {
 	}
 }
 
+// TestStoreRejectsUnfoldableProfiles pins the store's boundary: Add and
+// Replace refuse what core.BuildWorkflowProfile would refuse to build a
+// workflow from — a negative memory peak, or a utilization or duration
+// that is negative, NaN or infinite — store nothing, and name the
+// quantity; zeros and large finite values pass.
+func TestStoreRejectsUnfoldableProfiles(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name    string
+		edit    func(*TaskProfile)
+		wantErr string // "" accepts
+	}{
+		{"valid", func(*TaskProfile) {}, ""},
+		{"zero-loads", func(p *TaskProfile) { p.AvgSMUtilPct, p.AvgBWUtilPct, p.MaxMemMiB, p.DurationS = 0, 0, 0, 0 }, ""},
+		{"huge-finite", func(p *TaskProfile) { p.AvgSMUtilPct, p.DurationS = math.MaxFloat64, math.MaxFloat64 }, ""},
+		{"neg-mem", func(p *TaskProfile) { p.MaxMemMiB = -1 }, "negative memory"},
+		{"nan-sm", func(p *TaskProfile) { p.AvgSMUtilPct = nan }, "SM utilization"},
+		{"inf-sm", func(p *TaskProfile) { p.AvgSMUtilPct = inf }, "SM utilization"},
+		{"neg-sm", func(p *TaskProfile) { p.AvgSMUtilPct = -1 }, "SM utilization"},
+		{"nan-bw", func(p *TaskProfile) { p.AvgBWUtilPct = nan }, "bandwidth utilization"},
+		{"neg-inf-bw", func(p *TaskProfile) { p.AvgBWUtilPct = -inf }, "bandwidth utilization"},
+		{"neg-bw", func(p *TaskProfile) { p.AvgBWUtilPct = -5 }, "bandwidth utilization"},
+		{"nan-duration", func(p *TaskProfile) { p.DurationS = nan }, "duration"},
+		{"inf-duration", func(p *TaskProfile) { p.DurationS = inf }, "duration"},
+		{"neg-duration", func(p *TaskProfile) { p.DurationS = -1 }, "duration"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := &TaskProfile{Workload: "X", Size: "1x", SizeFactor: 1, DurationS: 10,
+				MaxMemMiB: 1024, AvgSMUtilPct: 30, AvgBWUtilPct: 20, AvgPowerW: 100}
+			c.edit(p)
+			for _, op := range []struct {
+				name   string
+				insert func(*Store, *TaskProfile) error
+			}{{"Add", (*Store).Add}, {"Replace", (*Store).Replace}} {
+				s := NewStore()
+				err := op.insert(s, p)
+				if c.wantErr == "" {
+					if err != nil || s.Len() != 1 {
+						t.Fatalf("%s: err = %v with %d stored, want the profile stored", op.name, err, s.Len())
+					}
+					continue
+				}
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) || s.Len() != 0 {
+					t.Fatalf("%s: err = %v with %d stored, want nothing stored and an error naming %q", op.name, err, s.Len(), c.wantErr)
+				}
+			}
+		})
+	}
+}
+
 func TestStoreAddGetReplace(t *testing.T) {
 	s := NewStore()
 	p := &TaskProfile{Workload: "X", Size: "1x", SizeFactor: 1, DurationS: 1, AvgPowerW: 100}
@@ -133,7 +183,9 @@ func TestStoreAddGetReplace(t *testing.T) {
 		t.Fatal("Get missed")
 	}
 	p2 := &TaskProfile{Workload: "X", Size: "1x", SizeFactor: 1, DurationS: 2, AvgPowerW: 100}
-	s.Replace(p2)
+	if err := s.Replace(p2); err != nil {
+		t.Fatal(err)
+	}
 	got, _ = s.Get("X", "1x")
 	if got != p2 {
 		t.Fatal("Replace did not overwrite")

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"gpushare/internal/gpu"
@@ -23,10 +24,14 @@ func NewStore() *Store {
 }
 
 // Add inserts a profile, rejecting duplicates (re-profiling should be an
-// explicit Replace so campaigns notice accidental double runs).
+// explicit Replace so campaigns notice accidental double runs) and
+// profiles admission cannot fold (check).
 func (s *Store) Add(p *TaskProfile) error {
 	if p == nil {
 		return fmt.Errorf("profile: Add(nil)")
+	}
+	if err := check(p); err != nil {
+		return err
 	}
 	k := p.Key()
 	if _, dup := s.profiles[k]; dup {
@@ -36,11 +41,38 @@ func (s *Store) Add(p *TaskProfile) error {
 	return nil
 }
 
-// Replace inserts or overwrites a profile.
-func (s *Store) Replace(p *TaskProfile) {
-	if p != nil {
-		s.profiles[p.Key()] = p
+// Replace inserts or overwrites a profile, rejecting what Add rejects
+// but a duplicate.
+func (s *Store) Replace(p *TaskProfile) error {
+	if p == nil {
+		return fmt.Errorf("profile: Replace(nil)")
 	}
+	if err := check(p); err != nil {
+		return err
+	}
+	s.profiles[p.Key()] = p
+	return nil
+}
+
+// check rejects a profile the dispatchers would refuse to build a
+// workflow from (core.BuildWorkflowProfile): a negative memory peak, or
+// a utilization or duration that is negative or not finite. Admission
+// folds utilizations into per-GPU sums, where a NaN or an infinity
+// makes the sums depend on operand order and a negative value lets them
+// shrink as residents arrive.
+func check(p *TaskProfile) error {
+	if p.MaxMemMiB < 0 {
+		return fmt.Errorf("profile: %s has negative memory %d MiB", p.Key(), p.MaxMemMiB)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"SM utilization", p.AvgSMUtilPct}, {"bandwidth utilization", p.AvgBWUtilPct}, {"duration", p.DurationS}} {
+		if !(f.v >= 0 && f.v <= math.MaxFloat64) {
+			return fmt.Errorf("profile: %s has %s %g, want finite and non-negative", p.Key(), f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // Get returns the profile for a workload/size.
