@@ -50,11 +50,12 @@ fmt:
 # Short fuzzing sessions over the properties the simulator depends on:
 # predictor symmetry/no-panic, aggregate/Predict bit-identity (the
 # dispatcher's O(1) admission probes), the admission pool against a
-# reference model, event-queue pop ordering, the
-# cluster planner's all-or-nothing gang accounting, the arena ring
-# behind the flight recorder, the /ingest response bytes against a
-# replayed stream, and arbitrary /ingest bodies (a refused batch leaves
-# the stream as it was).
+# reference model (its completion timeline included), event-queue pop
+# ordering, the cluster planner's all-or-nothing gang accounting,
+# mutated stream snapshots (refused, or resumed without a panic), the
+# arena ring behind the flight recorder, the /ingest response bytes
+# against a replayed stream, and arbitrary /ingest bodies (a refused
+# batch leaves the stream as it was).
 # Native Go fuzzing takes one target per invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
@@ -63,6 +64,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPool -fuzztime=$(FUZZTIME) ./internal/admission
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzRestoreStreamer -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzRing -fuzztime=$(FUZZTIME) ./internal/arena
 	$(GO) test -run='^$$' -fuzz=FuzzFlightRing -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzIngestResponse -fuzztime=$(FUZZTIME) ./cmd/gpusched

@@ -1,15 +1,15 @@
 // Package admission keeps the per-GPU admission state both dispatchers
 // share: each GPU's interference aggregate, its residents in the
-// aggregate's fold order, and a change generation that one changed(g)
-// path stamps on every mutation. FirstFit answers a first-fit query
-// over a range of those GPUs from an index; Gen and Clock let a caller
-// tell which GPUs changed since it last looked (the cluster planner's
-// held gangs do). Two more summaries ride on the index's layout for a
-// pool that asks for them: NextChanged walks only the GPUs changed
-// since a clock reading, and NextBelow only the GPUs holding a resident
-// whose key (KeyBy) is below a bound, which is how the cluster finds
-// the GPUs a preemptor has victims on. Policy — which rules apply,
-// client caps, completion heaps, flight records, transaction journals
+// aggregate's fold order, a change generation that one changed(g) path
+// stamps on every mutation, and the residents' completion timeline.
+// FirstFit answers a first-fit query over a range of those GPUs from an
+// index; Gen and Clock let a caller tell which GPUs changed since it
+// last looked (the cluster planner's held gangs do). Two more summaries
+// ride on the index's layout for a pool that asks for them: NextChanged
+// walks only the GPUs changed since a clock reading, and NextBelow only
+// the GPUs holding a resident whose key (KeyBy) is below a bound, which
+// is how the cluster finds the GPUs a preemptor has victims on. Policy —
+// which rules apply, client caps, flight records, transaction journals
 // — stays with the caller (DESIGN.md "Admission pool", "First-fit
 // index", "Change-driven rounds").
 package admission
@@ -18,6 +18,7 @@ import (
 	"math"
 	"math/bits"
 
+	"gpushare/internal/eventq"
 	"gpushare/internal/gpu"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
@@ -29,10 +30,12 @@ import (
 // FirstFit, the changed-GPU index on the first NextChanged, and the
 // victim key when KeyBy asks for it. A pool that only runs FirstFit
 // pays one nil check per mutation for the other two.
-type Pool[R any] struct {
-	gpus  []slot[R]
-	clock uint64 // last generation handed out
-	total int    // residents across every GPU
+type Pool[R Resident] struct {
+	gpus     []slot[R]
+	clock    uint64        // last generation handed out
+	total    int           // residents across every GPU
+	timeline eventq.Queue  // pending completions by (end, schedule order)
+	free     []*completion // recycled completion payloads
 
 	// tree is the first-fit index, nil until the first FirstFit: a
 	// complete binary tree over leaves GPUs rounded up to a power of

@@ -3,25 +3,28 @@ package admission
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"gpushare/internal/gpu"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
+	"gpushare/internal/simtime"
 )
 
-// TestPoolAllocs pins the pool's mutations, probes and first-fit
-// queries at zero allocations once its lists, snapshot and index have
-// grown: the runtime half of their //repro:hotpath annotations.
+// TestPoolAllocs pins the pool's mutations, probes, first-fit queries
+// and completion timeline at zero allocations once its lists, snapshot,
+// index, heap and payload freelist have grown: the runtime half of their
+// //repro:hotpath annotations.
 func TestPoolAllocs(t *testing.T) {
-	var p Pool[int]
+	var p Pool[res]
 	p.AddGPUs(gpu.MustLookup("A100X"), 2)
 	p.KeyBy(fuzzKey)
 	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	for i := 0; i < 8; i++ {
-		p.Add(0, l, i)
+		p.Add(0, l, res(i))
 	}
-	var snap Snapshot[int]
+	var snap Snapshot[res]
 	var tally obs.ScanTally
 	skip := []bool{true, false, true}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
@@ -37,10 +40,14 @@ func TestPoolAllocs(t *testing.T) {
 		_ = p.NextBelow(2, 1)
 		p.Touch(1)
 		p.Restore(0, &snap)
+		p.Add(1, l, 100)
+		p.Cancel(p.Schedule(1, 5, 100))
+		p.Schedule(1, 5, 100)
+		_, _, _ = p.Retire(5)
 	}
 	cycle() // the first FirstFit and NextChanged build their indexes
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Fatalf("pool save/add/remove/probe/first-fit/next-changed/next-below/restore allocated %.1f objects per cycle, want 0", allocs)
+		t.Fatalf("pool save/add/remove/probe/first-fit/next-changed/next-below/restore/schedule/cancel/retire allocated %.1f objects per cycle, want 0", allocs)
 	}
 }
 
@@ -48,15 +55,15 @@ func TestPoolAllocs(t *testing.T) {
 // the summaries it never queries: a pool that only mutates and runs
 // FirstFit allocates neither the changed-GPU index nor the victim key.
 func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
-	var p Pool[int]
+	var p Pool[res]
 	p.AddGPUs(gpu.MustLookup("A100X"), 5)
 	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
-	var snap Snapshot[int]
+	var snap Snapshot[res]
 	for i := 0; i < 20; i++ {
 		g := i % 5
 		p.Save(g, &snap)
-		p.Add(g, l, i)
+		p.Add(g, l, res(i))
 		_, _, _ = p.FirstFit(0, 5, l, 4, all, nil)
 		p.Touch(g)
 		if i%3 == 0 {
@@ -77,11 +84,11 @@ func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
 // starts at its leaf and confirms it with Admit; and a query over the
 // whole pool starts at the root.
 func TestFirstFitStartsAtCoveringNode(t *testing.T) {
-	var p Pool[int]
+	var p Pool[res]
 	p.AddGPUs(gpu.MustLookup("A100X"), 512)
 	heavy := interference.Load{SMPct: 90, BWPct: 10, MemMiB: 1024}
 	for g := 8; g < 16; g++ {
-		p.Add(g, heavy, g)
+		p.Add(g, heavy, res(g))
 	}
 	l := interference.Load{SMPct: 20, BWPct: 10, MemMiB: 1024}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
@@ -112,9 +119,9 @@ func TestFirstFitStartsAtCoveringNode(t *testing.T) {
 // TestNextQueries pins both summary queries on a hand-built pool,
 // GPUs without residents and a start past the last GPU included.
 func TestNextQueries(t *testing.T) {
-	var p Pool[int]
+	var p Pool[res]
 	p.AddGPUs(gpu.MustLookup("A100X"), 6)
-	p.KeyBy(func(r int) int { return r })
+	p.KeyBy(func(r res) int { return int(r) })
 	l := interference.Load{SMPct: 1}
 	c := p.Clock()
 	p.Add(1, l, 5)
@@ -148,7 +155,7 @@ func TestNextQueries(t *testing.T) {
 // fresh clock value, Save is not a mutation, and Restore puts back the
 // generation Save saw without advancing the clock.
 func TestPoolGenerations(t *testing.T) {
-	var p Pool[string]
+	var p Pool[res]
 	p.AddGPUs(gpu.MustLookup("A100X"), 3)
 	p.AddGPUs(gpu.MustLookup("A100X"), 1)
 	if p.GPUs() != 4 {
@@ -160,11 +167,11 @@ func TestPoolGenerations(t *testing.T) {
 		}
 	}
 	c := p.Clock()
-	p.Add(1, interference.Load{SMPct: 10}, "a")
+	p.Add(1, interference.Load{SMPct: 10}, 1)
 	if p.Gen(1) <= c || p.Gen(0) > c || p.Gen(2) > c {
 		t.Fatalf("Add(1) stamped gens %d %d %d against clock %d", p.Gen(0), p.Gen(1), p.Gen(2), c)
 	}
-	var snap Snapshot[string]
+	var snap Snapshot[res]
 	c = p.Clock()
 	saved := p.Gen(1)
 	p.Save(1, &snap)
@@ -172,13 +179,13 @@ func TestPoolGenerations(t *testing.T) {
 		t.Fatal("Save advanced the clock")
 	}
 	p.RemoveAt(1, 0)
-	p.Add(1, interference.Load{SMPct: 20}, "b")
+	p.Add(1, interference.Load{SMPct: 20}, 2)
 	p.Restore(1, &snap)
 	if p.Gen(1) != saved || p.Clock() != c+2 {
 		t.Fatalf("RemoveAt+Add+Restore: gen %d clock %d, want the saved gen %d and clock %d", p.Gen(1), p.Clock(), saved, c+2)
 	}
-	if p.Total() != 1 || !reflect.DeepEqual(p.Residents(1), []string{"a"}) {
-		t.Fatalf("restore left total %d residents %v, want 1 [a]", p.Total(), p.Residents(1))
+	if p.Total() != 1 || !reflect.DeepEqual(p.Residents(1), []res{1}) {
+		t.Fatalf("restore left total %d residents %v, want 1 [1]", p.Total(), p.Residents(1))
 	}
 	c = p.Clock()
 	digest := p.Digest(2)
@@ -194,12 +201,12 @@ func TestPoolGenerations(t *testing.T) {
 // reader saw. Callers read Clock only with no GPU saved (the cluster
 // planner's holds read it after the rollback).
 func TestRestoreOutrunsInsideClock(t *testing.T) {
-	var p Pool[string]
+	var p Pool[res]
 	p.AddGPUs(gpu.MustLookup("A100X"), 1)
-	p.Add(0, interference.Load{SMPct: 10}, "a")
-	var snap Snapshot[string]
+	p.Add(0, interference.Load{SMPct: 10}, 1)
+	var snap Snapshot[res]
 	p.Save(0, &snap)
-	p.Add(0, interference.Load{SMPct: 20}, "b")
+	p.Add(0, interference.Load{SMPct: 20}, 2)
 	inside := p.Clock()
 	p.Restore(0, &snap)
 	if p.Len(0) == 2 {
@@ -209,11 +216,16 @@ func TestRestoreOutrunsInsideClock(t *testing.T) {
 		t.Fatalf("Restore stamped gen %d above the inside clock %d; update the caveat on Restore and holdState.clock", p.Gen(0), inside)
 	}
 	after := p.Clock()
-	p.Add(0, interference.Load{SMPct: 30}, "c")
+	p.Add(0, interference.Load{SMPct: 30}, 3)
 	if p.Gen(0) <= after {
 		t.Fatalf("a change after the rollback has gen %d, not above the clock %d read after it", p.Gen(0), after)
 	}
 }
+
+// res is the tests' resident: its own serial.
+type res int
+
+func (r res) Serial() uint64 { return uint64(r) }
 
 // modelResident is the reference model's view of one resident.
 type modelResident struct {
@@ -257,10 +269,16 @@ func fuzzLoad(arg byte, device gpu.DeviceSpec, signed bool) interference.Load {
 
 // fuzzKey is the fuzzed pools' victim key: a pure function of the
 // resident that repeats, so GPUs share key values.
-func fuzzKey(r int) int { return r * 7 % 5 }
+func fuzzKey(r res) int { return int(r) * 7 % 5 }
 
-// FuzzPool drives random Add/RemoveAt/Save/Restore/AddGPUs/Touch
-// sequences against a slice-of-structs model. After every step each
+// FuzzPool drives random Add/RemoveAt/Save/Restore/AddGPUs/Touch and
+// Schedule/Cancel/Retire sequences against a slice-of-structs model. A
+// completion is scheduled for a resident without one; removing a
+// resident, by RemoveAt or by a Restore that drops it, cancels its
+// completion first, as the cluster's evictions do; Retire returns the
+// model's earliest due completion, ties in schedule order, or nothing.
+// After every step the pending completions map one to one onto the
+// residents the model gave one (checkTimeline), and each
 // GPU's residents and loads match the model, its digest equals a fresh
 // Add fold of the model's loads (which pins the aggregate's member count
 // too), the pool-wide count is the sum of the per-GPU counts, the
@@ -276,10 +294,13 @@ func FuzzPool(f *testing.F) {
 	f.Add(uint8(2), []byte{0, 1, 10, 0, 0, 20, 2, 0, 0, 1, 0, 0, 3, 0, 0})
 	f.Add(uint8(3), []byte{0, 2, 255, 0, 2, 7, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 2, 0, 1, 0, 0})
 	f.Add(uint8(6), []byte{0, 0, 16, 0, 3, 17, 0, 5, 200, 4, 0, 0, 0, 6, 33, 1, 3, 0, 0, 2, 130, 3, 0, 0, 0, 4, 90})
+	// Colliding ends on one GPU, a cancel, a retire before the earliest
+	// end, retires at the collision, a removal of a scheduled resident.
+	f.Add(uint8(2), []byte{0, 0, 10, 0, 0, 20, 0, 0, 30, 0, 1, 40, 6, 0, 3, 6, 0, 3, 6, 0, 11, 6, 1, 3, 7, 0, 1, 8, 0, 2, 8, 0, 3, 8, 0, 3, 2, 1, 0, 1, 1, 0, 3, 1, 0, 8, 0, 9})
 	f.Fuzz(func(t *testing.T, gpus uint8, ops []byte) {
 		device := gpu.MustLookup("A100X")
 		n := int(gpus)%11 + 1
-		var p Pool[int]
+		var p Pool[res]
 		// The key is set before or after the first GPUs, so both of
 		// AddGPUs's paths run.
 		if gpus&1 == 0 {
@@ -290,15 +311,26 @@ func FuzzPool(f *testing.F) {
 			p.KeyBy(fuzzKey)
 		}
 		model := make([][]modelResident, n)
-		snaps := make([]Snapshot[int], n)
+		snaps := make([]Snapshot[res], n)
 		saved := make([][]modelResident, n)
 		savedDigest := make([]uint64, n)
 		savedGen := make([]uint64, n)
 		hasSave := make([]bool, n)
 		nextID := 0
+		var pending []pendingCompletion
+		// cancel drops resident id's pending completion, if it has one.
+		cancel := func(id int) {
+			for i, c := range pending {
+				if c.id == id {
+					p.Cancel(c.ev)
+					pending = slices.Delete(pending, i, i+1)
+					return
+				}
+			}
+		}
 
 		for k := 0; k+2 < len(ops); k += 3 {
-			op, g, arg := ops[k]%6, int(ops[k+1])%n, ops[k+2]
+			op, g, arg := ops[k]%9, int(ops[k+1])%n, ops[k+2]
 			clock := p.Clock()
 			gens := make([]uint64, n)
 			for i := range gens {
@@ -308,7 +340,7 @@ func FuzzPool(f *testing.F) {
 			switch op {
 			case 0:
 				l := fuzzLoad(arg, device, false)
-				p.Add(g, l, nextID)
+				p.Add(g, l, res(nextID))
 				model[g] = append(model[g], modelResident{load: l, id: nextID})
 				nextID++
 			case 1:
@@ -316,6 +348,7 @@ func FuzzPool(f *testing.F) {
 					continue
 				}
 				i := int(arg) % len(model[g])
+				cancel(model[g][i].id)
 				p.RemoveAt(g, i)
 				model[g] = append(model[g][:i:i], model[g][i+1:]...)
 			case 2:
@@ -328,6 +361,11 @@ func FuzzPool(f *testing.F) {
 			case 3:
 				if !hasSave[g] {
 					continue
+				}
+				for _, m := range model[g] {
+					if !slices.ContainsFunc(saved[g], func(s modelResident) bool { return s.id == m.id }) {
+						cancel(m.id)
+					}
 				}
 				p.Restore(g, &snaps[g])
 				model[g] = append([]modelResident(nil), saved[g]...)
@@ -346,7 +384,7 @@ func FuzzPool(f *testing.F) {
 				p.AddGPUs(device, 1)
 				n++
 				model = append(model, nil)
-				snaps = append(snaps, Snapshot[int]{})
+				snaps = append(snaps, Snapshot[res]{})
 				saved = append(saved, nil)
 				savedDigest = append(savedDigest, 0)
 				savedGen = append(savedGen, 0)
@@ -355,6 +393,49 @@ func FuzzPool(f *testing.F) {
 				g, mutated = n-1, false
 			case 5:
 				p.Touch(g)
+			case 6:
+				var free []int
+				for _, m := range model[g] {
+					if !slices.ContainsFunc(pending, func(c pendingCompletion) bool { return c.id == m.id }) {
+						free = append(free, m.id)
+					}
+				}
+				if len(free) == 0 {
+					continue
+				}
+				id, end := free[int(arg)%len(free)], simtime.Time(arg%8)
+				pending = append(pending, pendingCompletion{ev: p.Schedule(g, end, uint64(id)), g: g, id: id, end: end})
+				mutated = false
+			case 7:
+				if len(pending) == 0 {
+					continue
+				}
+				cancel(pending[int(arg)%len(pending)].id)
+				mutated = false
+			case 8:
+				now := simtime.Time(arg % 10)
+				due := -1
+				for i, c := range pending {
+					if c.end <= now && (due < 0 || c.end < pending[due].end) {
+						due = i
+					}
+				}
+				rg, r, ok := p.Retire(now)
+				if due < 0 {
+					if ok {
+						t.Fatalf("Retire(%d) removed resident %d from GPU %d, model has none due", now, r, rg)
+					}
+					mutated = false
+					break
+				}
+				c := pending[due]
+				if !ok || rg != c.g || int(r) != c.id {
+					t.Fatalf("Retire(%d) = GPU %d resident %d ok %v, model's earliest due is %d on GPU %d", now, rg, r, ok, c.id, c.g)
+				}
+				pending = slices.Delete(pending, due, due+1)
+				i := slices.IndexFunc(model[c.g], func(m modelResident) bool { return m.id == c.id })
+				model[c.g] = append(model[c.g][:i:i], model[c.g][i+1:]...)
+				g = c.g
 			}
 
 			if mutated {
@@ -389,13 +470,14 @@ func FuzzPool(f *testing.F) {
 				checkNextBelow(t, &p, int(arg>>1+q*3)%7-1, from)
 			}
 			checkIndex(t, &p)
+			checkTimeline(t, &p, pending)
 		}
 	})
 }
 
 // refFirstFit is the serial first-fit FirstFit must reproduce: probe
 // every GPU of [lo, hi) in index order.
-func refFirstFit(p *Pool[int], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) int {
+func refFirstFit(p *Pool[res], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) int {
 	for g := lo; g < hi; g++ {
 		if p.Len(g) < maxResidents && p.Admit(g, l).Rules()&rules == 0 {
 			return g
@@ -409,7 +491,7 @@ func refFirstFit(p *Pool[int], lo, hi int, l interference.Load, maxResidents int
 // query's, and its rejections cover exactly the range's GPUs left of
 // the winner: at least as many as the busiest rule counted, at most the
 // sum over rules.
-func checkFirstFit(t *testing.T, p *Pool[int], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) {
+func checkFirstFit(t *testing.T, p *Pool[res], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) {
 	t.Helper()
 	want := refFirstFit(p, lo, hi, l, maxResidents, rules)
 	g, visits, probes := p.FirstFit(lo, hi, l, maxResidents, rules, nil)
@@ -446,7 +528,7 @@ func checkFirstFit(t *testing.T, p *Pool[int], lo, hi int, l interference.Load, 
 
 // checkNextChanged compares NextChanged(c, from) with a serial scan of
 // the generations.
-func checkNextChanged(t *testing.T, p *Pool[int], c uint64, from int) {
+func checkNextChanged(t *testing.T, p *Pool[res], c uint64, from int) {
 	t.Helper()
 	want := -1
 	for g := from; g < p.GPUs(); g++ {
@@ -462,7 +544,7 @@ func checkNextChanged(t *testing.T, p *Pool[int], c uint64, from int) {
 
 // checkNextBelow compares NextBelow(k, from) with a serial scan of the
 // residents' keys.
-func checkNextBelow(t *testing.T, p *Pool[int], k, from int) {
+func checkNextBelow(t *testing.T, p *Pool[res], k, from int) {
 	t.Helper()
 	want := -1
 	for g := from; g < p.GPUs() && want < 0; g++ {
@@ -483,7 +565,7 @@ func checkNextBelow(t *testing.T, p *Pool[int], k, from int) {
 // changed-GPU index against the maximum of its children's generations;
 // and each victim key, a GPU's against a fresh fold of its residents
 // and a node's against the minimum of its children.
-func checkIndex(t *testing.T, p *Pool[int]) {
+func checkIndex(t *testing.T, p *Pool[res]) {
 	t.Helper()
 	for i := 1; i < len(p.tree); i++ {
 		a, b := p.bound(2*i), p.bound(2*i+1)
@@ -531,14 +613,14 @@ func sameLoad(a, b interference.Load) bool {
 }
 
 // checkGPU compares pool GPU g against its model.
-func checkGPU(t *testing.T, p *Pool[int], g int, model []modelResident, device gpu.DeviceSpec) {
+func checkGPU(t *testing.T, p *Pool[res], g int, model []modelResident, device gpu.DeviceSpec) {
 	t.Helper()
 	if p.Len(g) != len(model) || len(p.Residents(g)) != len(model) {
 		t.Fatalf("GPU %d holds %d residents, model %d", g, p.Len(g), len(model))
 	}
 	fresh := interference.NewAggregate(device)
 	for i, m := range model {
-		if p.Residents(g)[i] != m.id || !sameLoad(p.Load(g, i), m.load) {
+		if p.Residents(g)[i] != res(m.id) || !sameLoad(p.Load(g, i), m.load) {
 			t.Fatalf("GPU %d resident %d = %d %+v, model %d %+v", g, i, p.Residents(g)[i], p.Load(g, i), m.id, m.load)
 		}
 		fresh.Add(m.load)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"gpushare/internal/eventq"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
 	"gpushare/internal/simtime"
@@ -37,7 +36,7 @@ func (st *planner) run() {
 		if hasArr {
 			tArr = st.jobs[next].at
 		}
-		tComp, hasComp := st.completions.PeekTime()
+		tComp, hasComp := st.pool.NextCompletion()
 		if !hasArr && !hasComp {
 			return
 		}
@@ -50,13 +49,8 @@ func (st *planner) run() {
 			// round. Aggregate removal re-folds the survivors in
 			// insertion order, so the post-batch state is independent of
 			// pop order within the batch.
-			for {
-				pt, ok := st.completions.PeekTime()
-				if !ok || pt != now {
-					break
-				}
-				ev, _ := st.completions.Pop()
-				st.retire(ev, now)
+			for _, r, ok := st.pool.Retire(now); ok; _, r, ok = st.pool.Retire(now) {
+				st.retire(r, now)
 			}
 		} else {
 			now = tArr
@@ -91,18 +85,9 @@ func (st *planner) queuedAny() bool {
 	return false
 }
 
-// retire removes one completed member. The event payload is the
-// resident pointer, so retirement is identity-based: a cancelled
-// (evicted) resident can never be confused with a survivor that happens
-// to share its end instant.
-func (st *planner) retire(ev *eventq.Event, now simtime.Time) {
-	r := ev.Data.(*resident)
-	st.completions.Free(ev)
-	i := slices.Index(st.pool.Residents(r.gpu), r)
-	if i < 0 {
-		panic("cluster: resident missing from its GPU")
-	}
-	st.pool.RemoveAt(r.gpu, i)
+// retire books one completed member, which the pool's Retire has
+// removed from its GPU by serial.
+func (st *planner) retire(r *resident, now simtime.Time) {
 	st.stats.Completions++
 
 	j := r.job
@@ -703,7 +688,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 		for _, r := range st.txEvicted {
 			v := r.job
 			gs := &st.gpus[r.gpu]
-			st.completions.Cancel(r.ev)
+			st.pool.Cancel(r.ev)
 			st.out.Evictions = append(st.out.Evictions, Eviction{
 				At:        now,
 				Tenant:    v.tenant.spec.Name,
@@ -759,7 +744,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 	j.tenant.waitHist.Observe(int64(waited * 1000))
 	for _, r := range st.txPlaced {
 		gs := &st.gpus[r.gpu]
-		r.ev = st.completions.Schedule(r.end, 0, r)
+		r.ev = st.pool.Schedule(r.gpu, r.end, r.Serial())
 		j.liveCount++
 		j.residents = append(j.residents, r)
 		st.out.Dispatches = append(st.out.Dispatches, Dispatch{

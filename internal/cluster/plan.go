@@ -258,11 +258,8 @@ type tenantState struct {
 	serviceHist *obs.LocalHistogram
 }
 
-// resident is one placed member. Residents are pooled by the planner;
-// the completion event's payload is the resident pointer, so retirement
-// is identity-based by construction (the cluster layer's version of the
-// core dispatcher's completion-key fix — eviction cancels the event, so
-// a stale instant can never retire a survivor).
+// resident is one placed member, pooled by the planner; ev is its
+// pending completion, which an eviction cancels.
 type resident struct {
 	job      *job
 	memberIx int
@@ -271,6 +268,10 @@ type resident struct {
 	end      simtime.Time
 	ev       *eventq.Event
 }
+
+// Serial names the resident by gang and member: a gang has at most one
+// live resident per member.
+func (r *resident) Serial() uint64 { return uint64(r.job.seq)<<32 | uint64(r.memberIx) }
 
 // residentPriority is the pool's victim key. It keys every resident,
 // not only victimable ones: victimability also reads the gang's live
@@ -326,8 +327,7 @@ type planner struct {
 	byName  map[string]*tenantState
 	jobs    []*job
 
-	completions eventq.Queue
-	resFree     []*resident
+	resFree []*resident
 
 	// Transaction journal (one gang attempt).
 	txPlaced  []*resident
@@ -379,6 +379,9 @@ func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 	hub.Counter("cluster_hold_skip_total").Add(st.stats.HoldSkips)
 	hub.Counter("cluster_whatif_total").Add(st.stats.WhatIfs)
 	hub.Counter("cluster_probe_total").Add(st.stats.Probes)
+	if hub == nil { // telemetry off: build no per-tenant metric names
+		return st.out, nil
+	}
 	for _, t := range st.tenants {
 		hub.Gauge(obs.MetricName("cluster_tenant_queue_depth_max", t.spec.Name)).SetMax(int64(t.maxDepth))
 		hub.Counter(obs.MetricName("cluster_tenant_preemptions_total", t.spec.Name)).Add(int64(t.stat.Preemptions))

@@ -773,8 +773,9 @@ func TestClusterAdmitAllocs(t *testing.T) {
 		if low.tenant.queue.Len() != 1 || low.tenant.queue.PopFront() != low {
 			t.Fatal("the victim was not requeued at its tenant's front")
 		}
-		ev, _ := vs.completions.Pop()
-		vs.retire(ev, simtime.Zero)
+		end, _ := vs.pool.NextCompletion()
+		_, r, _ := vs.pool.Retire(end)
+		vs.retire(r, simtime.Zero)
 		vs.out.Dispatches, vs.out.Evictions, vs.out.Jobs = vs.out.Dispatches[:0], vs.out.Evictions[:0], vs.out.Jobs[:0]
 	}
 	evict()

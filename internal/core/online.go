@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"gpushare/internal/admission"
-	"gpushare/internal/eventq"
 	"gpushare/internal/gpusim"
 	"gpushare/internal/interference"
 	"gpushare/internal/metrics"
@@ -68,15 +67,16 @@ type OnlineOutcome struct {
 }
 
 // onlineResident tracks a dispatched workflow during planning; the
-// admission pool keeps it by value beside its load. seq is the
-// placement serial — the identity completion events retire by, so a
-// completion can never remove a different resident that happens to share
-// its (quantized) finish instant.
+// admission pool keeps it by value beside its load and retires it by
+// its placement serial, seq.
 type onlineResident struct {
 	name string
 	end  simtime.Time
 	seq  uint64
 }
+
+// Serial is the placement serial.
+func (r onlineResident) Serial() uint64 { return r.seq }
 
 // ProfileBuilder resolves workflows to profiles with a memoization
 // layer: fleet streams draw millions of arrivals from a handful of
@@ -213,25 +213,16 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 }
 
 // onlineDispatcher is the admission state the decision loop drives: the
-// admission pool (each GPU's residents, interference aggregate and
-// change generation), the predicted-completion min-heap, the pooled
-// completion payloads, and single-owner telemetry histograms. The
-// decision kernel (admit/retire/scan) is the production dispatcher's
-// per-arrival work and is held to the hot-path contract; dispatchOne
-// keeps the per-dispatch record building outside it.
+// admission pool (each GPU's residents, interference aggregate, change
+// generation and predicted completions) and single-owner telemetry
+// histograms. The decision kernel (admit/retire/scan) is the production
+// dispatcher's per-arrival work and is held to the hot-path contract;
+// dispatchOne keeps the per-dispatch record building outside it.
 type onlineDispatcher struct {
 	pool admission.Pool[onlineResident]
 	// empty is a GPU that never gains residents: sums only grow as
 	// residents join, so a load it rejects every GPU rejects.
 	empty interference.Aggregate
-	// completions orders predicted retirements by (end, schedule seq);
-	// payloads are pooled *completionKey values naming the exact resident
-	// each event was scheduled for, so the steady state allocates nothing
-	// (eventq freelist, pointer-in-interface payload) and retirement is
-	// identity-based even when several residents on a GPU share a
-	// quantized finish instant.
-	completions eventq.Queue
-	keyFree     []*completionKey // recycled completion payloads
 
 	nextSeq uint64 // next resident placement serial
 
@@ -258,15 +249,6 @@ type onlineDispatcher struct {
 	fl *obs.Flight
 }
 
-// completionKey is a completion event's payload: the GPU and the
-// placement serial of the resident the event retires. Keys are pooled
-// (acquireKey/releaseKey) so scheduling stays allocation-free in steady
-// state.
-type completionKey struct {
-	gpu int
-	seq uint64
-}
-
 // newOnlineDispatcher builds the admission state for the scheduler's
 // fleet. A zero-GPU fleet gets no GPUs: every scan finds nothing and
 // admit reports the arrival unadmittable.
@@ -283,29 +265,6 @@ func newOnlineDispatcher(s *Scheduler, stats *DispatchStats) *onlineDispatcher {
 	}
 	d.pool.AddGPUs(s.Device, s.GPUs)
 	return d
-}
-
-// acquireKey takes a completion payload from the freelist or allocates
-// one.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) acquireKey() *completionKey {
-	if n := len(d.keyFree); n > 0 {
-		k := d.keyFree[n-1]
-		d.keyFree[n-1] = nil
-		d.keyFree = d.keyFree[:n-1]
-		return k
-	}
-	//repro:allow:hotpathalloc key-pool refill: cold path, amortized away once the steady state recycles keys
-	return &completionKey{}
-}
-
-// releaseKey returns a retired payload to the freelist.
-//
-//repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) releaseKey(k *completionKey) {
-	//repro:allow:hotpathalloc key-pool growth is amortized; capacity is retained for the run's lifetime
-	d.keyFree = append(d.keyFree, k)
 }
 
 // scan asks the pool's first-fit index for the lowest-index GPU that
@@ -333,31 +292,12 @@ func (d *onlineDispatcher) scan(load interference.Load, seq int64, now simtime.T
 }
 
 // retire removes the residents predicted to have finished by now; the
-// pool advances each touched GPU's generation. Removal is
-// identity-based: each completion event names the resident it was
-// scheduled for (by placement serial), so colliding finish instants on
-// one GPU can never retire the wrong resident — an index scan for
-// "first end <= now" would pick whichever collided resident sits
-// earliest in the list.
+// pool retires each by its placement serial and advances the touched
+// GPU's generation.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
 func (d *onlineDispatcher) retire(now simtime.Time) {
-	for {
-		at, ok := d.completions.PeekTime()
-		if !ok || at > now {
-			return
-		}
-		ev, _ := d.completions.Pop()
-		k := ev.Data.(*completionKey)
-		d.completions.Free(ev)
-		res := d.pool.Residents(k.gpu)
-		for j := range res {
-			if res[j].seq == k.seq {
-				d.pool.RemoveAt(k.gpu, j)
-				break
-			}
-		}
-		d.releaseKey(k)
+	for _, _, ok := d.pool.Retire(now); ok; _, _, ok = d.pool.Retire(now) {
 		d.stats.Completions++
 	}
 }
@@ -384,7 +324,7 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 		}
 		// Wait for the next predicted completion (every remaining resident
 		// ends after now).
-		next, okNext := d.completions.PeekTime()
+		next, okNext := d.pool.NextCompletion()
 		if !okNext {
 			return 0, -1, false
 		}
@@ -430,10 +370,7 @@ func (d *onlineDispatcher) place(g int, load interference.Load, name string, end
 	seq := d.nextSeq
 	d.nextSeq++
 	d.pool.Add(g, load, onlineResident{name: name, end: end, seq: seq})
-	k := d.acquireKey()
-	k.gpu = g
-	k.seq = seq
-	d.completions.Schedule(end, 0, k)
+	d.pool.Schedule(g, end, seq)
 }
 
 // nameChunk is the smallest backing array dispatchOne starts when the
@@ -525,8 +462,8 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 // decisions are byte-identical to a full per-arrival rescan (pinned by
 // the goldens in testdata/), but each probe is O(1) against the GPU's
 // interference aggregate, a scan descends the pool's first-fit index
-// instead of walking every GPU, and retirements come off a
-// completion-time min-heap instead of an every-iteration sweep.
+// instead of walking every GPU, and retirements come off the pool's
+// completion timeline instead of an every-iteration sweep.
 func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
 	d := newOnlineDispatcher(s, &plan.Stats)
 	// The plan never reuses names' space: every chunk stays referenced

@@ -110,45 +110,6 @@ func TestEmptyInputEdgeCases(t *testing.T) {
 	}
 }
 
-// TestRetireIdentityWithCollidingEnds is the regression test for the
-// same-instant retire ambiguity: several residents on one GPU share a
-// quantized finish instant, and each completion event must remove
-// exactly the resident it was scheduled for — not the first list entry
-// with end <= now. The surviving resident set (and the re-folded
-// aggregate) identify the removals.
-func TestRetireIdentityWithCollidingEnds(t *testing.T) {
-	var stats DispatchStats
-	d := testDispatcher(1, &stats)
-
-	collide := at(10)
-	// Three residents, two sharing the finish instant; the survivor sits
-	// between the colliding pair, so a first-match index scan and
-	// identity-based removal disagree on which entries remain if either
-	// collided event retires the wrong resident.
-	d.place(0, interference.Load{SMPct: 10, BWPct: 1, MemMiB: 100}, "early-a", collide)
-	d.place(0, interference.Load{SMPct: 20, BWPct: 2, MemMiB: 200}, "late", at(50))
-	d.place(0, interference.Load{SMPct: 30, BWPct: 3, MemMiB: 300}, "early-b", collide)
-
-	d.retire(collide)
-	if res := d.pool.Residents(0); len(res) != 1 || res[0].name != "late" {
-		t.Fatalf("survivors after colliding retirement = %+v, want only %q", res, "late")
-	}
-	if stats.Completions != 2 {
-		t.Fatalf("completions = %d, want 2", stats.Completions)
-	}
-	// The aggregate must hold exactly the survivor's load, re-folded.
-	want := interference.NewAggregate(a100x())
-	want.Add(interference.Load{SMPct: 20, BWPct: 2, MemMiB: 200})
-	if d.pool.Len(0) != 1 || d.pool.Load(0, 0) != want.At(0) || d.pool.Digest(0) != want.Digest() {
-		t.Fatalf("aggregate after retirement holds %d members, digest %016x, want the survivor's fold %016x",
-			d.pool.Len(0), d.pool.Digest(0), want.Digest())
-	}
-	// And the popped events' payload keys must have been recycled.
-	if len(d.keyFree) != 2 {
-		t.Fatalf("key freelist holds %d entries, want 2", len(d.keyFree))
-	}
-}
-
 // TestGenerationReprobeAfterEarlyAdmit is the edge case for wait-loop
 // retry rounds: one wait round retires residents on GPU 0 and GPU 3,
 // and GPU 0 admits, ending the round before GPU 3 is ever probed. The

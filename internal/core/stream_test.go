@@ -398,6 +398,74 @@ func TestStreamRestoreValidation(t *testing.T) {
 	}
 }
 
+// FuzzRestoreStreamer feeds mutated stream snapshots to
+// RestoreStreamer. Each must either be refused with an error or restore
+// a streamer that ingests a fixed tail of arrivals without panicking:
+// the pool's Retire panics on a completion whose resident is missing,
+// so a snapshot that restores must leave every completion its resident.
+// An Ingest may refuse an arrival (one earlier than the snapshot's last
+// instant, say); the seed snapshot itself must resume on the
+// uninterrupted run's digest.
+func FuzzRestoreStreamer(f *testing.F) {
+	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 120, TargetGPUs: 4, Seed: 9})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := NewScheduler(a100x(), 4, store, EnergyPolicy())
+	if err != nil {
+		f.Fatal(err)
+	}
+	cut := 80
+	tail := arrivals[cut:]
+	ref, err := s.NewStreamer(StreamConfig{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var seed []byte
+	for i, a := range arrivals {
+		if i == cut {
+			state, err := ref.SaveState()
+			if err != nil {
+				f.Fatal(err)
+			}
+			if seed, err = json.Marshal(state); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if _, err := ref.Ingest(a); err != nil {
+			f.Fatal(err)
+		}
+	}
+	refDigest, err := ref.Finish()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Contains(seed, []byte(`"gpu":1`)) {
+		f.Fatal("the seed snapshot holds no resident on GPU 1")
+	}
+	f.Add(seed)
+	// A resident moved to another GPU, and every end in the past.
+	f.Add(bytes.Replace(seed, []byte(`"gpu":1`), []byte(`"gpu":0`), 1))
+	f.Add(bytes.ReplaceAll(seed, []byte(`"end":`), []byte(`"end":-`)))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var state StreamState
+		if json.Unmarshal(blob, &state) != nil {
+			return
+		}
+		st, err := s.RestoreStreamer(StreamConfig{}, &state)
+		if err != nil {
+			return
+		}
+		for _, a := range tail {
+			_, _ = st.Ingest(a)
+		}
+		digest, err := st.Finish()
+		if bytes.Equal(blob, seed) && (err != nil || digest != refDigest) {
+			t.Fatalf("the seed snapshot resumed on digest %s (%v), want the uninterrupted %s", digest, err, refDigest)
+		}
+	})
+}
+
 // TestStreamMisuse pins the ordering and lifecycle errors.
 func TestStreamMisuse(t *testing.T) {
 	store := suiteStore(t)
