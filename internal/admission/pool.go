@@ -276,8 +276,7 @@ func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, ru
 					rej = interference.MaskClientCap
 				} else {
 					probes++
-					out := s.agg.Admit(l)
-					if rej = out.Rules() & rules; rej == 0 {
+					if rej = s.agg.Admit(l) & rules; rej == 0 {
 						g = first
 						break
 					}
@@ -551,14 +550,9 @@ func (p *Pool[R]) Residents(g int) []R { return p.gpus[g].res }
 // Load returns resident i's load on GPU g.
 func (p *Pool[R]) Load(g, i int) interference.Load { return p.gpus[g].agg.At(i) }
 
-// Admit probes GPU g's residents plus l in O(1).
-func (p *Pool[R]) Admit(g int, l interference.Load) interference.Outcome {
-	return p.gpus[g].agg.Admit(l)
-}
-
-// AdmitExcluding probes GPU g with the residents skip marks left out,
-// without changing anything.
-func (p *Pool[R]) AdmitExcluding(g int, l interference.Load, skip []bool) interference.Outcome {
+// AdmitExcluding returns the rules GPU g breaks with the residents skip
+// marks left out and l added, without changing anything.
+func (p *Pool[R]) AdmitExcluding(g int, l interference.Load, skip []bool) interference.RuleMask {
 	return p.gpus[g].agg.AdmitExcluding(l, skip)
 }
 

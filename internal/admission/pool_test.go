@@ -32,7 +32,7 @@ func TestPoolAllocs(t *testing.T) {
 		p.Save(0, &snap)
 		p.Add(0, l, 99)
 		p.RemoveAt(0, 2)
-		_ = p.Admit(0, l).Interferes()
+		_ = p.AdmitExcluding(0, l, nil).Interferes()
 		_ = p.AdmitExcluding(0, l, skip).Interferes()
 		_, _, _ = p.FirstFit(0, 2, l, 9, all, nil)
 		_, _, _ = p.FirstFit(1, 2, l, 8, all, &tally)
@@ -479,7 +479,7 @@ func FuzzPool(f *testing.F) {
 // every GPU of [lo, hi) in index order.
 func refFirstFit(p *Pool[res], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) int {
 	for g := lo; g < hi; g++ {
-		if p.Len(g) < maxResidents && p.Admit(g, l).Rules()&rules == 0 {
+		if p.Len(g) < maxResidents && p.AdmitExcluding(g, l, nil)&rules == 0 {
 			return g
 		}
 	}

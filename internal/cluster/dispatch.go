@@ -497,7 +497,7 @@ func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip 
 	if m.load.MemMiB > node.memMiB {
 		return interference.MaskCapacity
 	}
-	return st.pool.AdmitExcluding(g, node.load(m), skip).Rules() & node.rules
+	return st.pool.AdmitExcluding(g, node.load(m), skip) & node.rules
 }
 
 // placeMember commits one member to a GPU inside the transaction.

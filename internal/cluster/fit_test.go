@@ -25,13 +25,13 @@ func refProbe(st *planner, g int, m *member) interference.RuleMask {
 		}
 		return interference.MaskCapacity
 	case ModeTimeSlice:
-		return st.pool.Admit(g, m.load).Rules() & interference.MaskCapacity
+		return st.pool.AdmitExcluding(g, m.load, nil) & interference.MaskCapacity
 	default: // ModeMPS
 		l := m.load
 		if c := node.spec.MPSActiveThreadPct; c > 0 && c < 100 && l.SMPct > c {
 			l.SMPct = c
 		}
-		return st.pool.Admit(g, l).Rules()
+		return st.pool.AdmitExcluding(g, l, nil)
 	}
 }
 

@@ -102,18 +102,18 @@ func NewProfileBuilder(store *profile.Store) *ProfileBuilder {
 	return &ProfileBuilder{store: store, cache: make(map[workflow.Task]*WorkflowProfile)}
 }
 
-// Build returns w's profile, from cache when possible. Shape
-// validation always runs against the submitted workflow — a cache hit
-// must not let an ill-formed workflow ride on a well-formed twin's
-// profile. An uncached profile (multi-task workflow, or the cache is
-// full) is a plain heap object the GC reclaims once its holder drops it.
+// Build returns w's profile, from cache when possible. A miss
+// validates w's shape in BuildWorkflowProfile; a hit's task is the
+// cache key, validated when it was cached, so only the name is checked.
+// An uncached profile (multi-task workflow, or the cache is full) is a
+// plain heap object the GC reclaims once its holder drops it.
 func (b *ProfileBuilder) Build(w workflow.Workflow) (*WorkflowProfile, error) {
-	if err := w.ValidateShape(); err != nil {
-		return nil, err
-	}
 	single := len(w.Tasks) == 1
 	if single {
 		if wp, ok := b.cache[w.Tasks[0]]; ok {
+			if w.Name == "" {
+				return nil, w.ValidateShape() // its empty-name error
+			}
 			return wp, nil
 		}
 	}
@@ -339,14 +339,9 @@ func (d *onlineDispatcher) admit(load interference.Load, arrival simtime.Time, s
 	}
 }
 
-// refuses reports that no GPU can ever admit load. It stays out of line:
-// inlined, its temporaries put scan 112 bytes deeper in the stack, where
-// serve -stream measured 15% slower on a 2-core Xeon VM.
-//
-//go:noinline
+// refuses reports that no GPU can ever admit load.
 func (d *onlineDispatcher) refuses(load interference.Load) bool {
-	out := d.empty.Admit(load)
-	return !d.policy.admits(&out)
+	return d.empty.Admit(load)&d.policy.rules() != 0
 }
 
 // fits reports that an empty GPU of the fleet admits load, so admit

@@ -12,6 +12,7 @@ import (
 	"gpushare/internal/interference"
 	"gpushare/internal/profile"
 	"gpushare/internal/simtime"
+	"gpushare/internal/workflow"
 )
 
 func at(s float64) simtime.Time { return simtime.Zero.Add(simtime.FromSeconds(s)) }
@@ -61,6 +62,38 @@ func TestScheduleOnlineBasics(t *testing.T) {
 	}
 	if out.MaxWaitS < out.MeanWaitS {
 		t.Fatal("wait stats inconsistent")
+	}
+}
+
+// TestProfileBuilderValidatesOnce pins what each path of Build checks:
+// a cache hit still refuses an empty workflow name, and a task of bad
+// shape is refused on its miss and never enters the cache, so a hit
+// need not validate its task again.
+func TestProfileBuilderValidatesOnce(t *testing.T) {
+	b := NewProfileBuilder(suiteStore(t))
+	if _, err := b.Build(wfOne("a", "AthenaPK", "1x", 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Build(wfOne("", "AthenaPK", "1x", 1)); err == nil || !strings.Contains(err.Error(), "empty name") {
+		t.Fatalf("cache hit with an empty name: err = %v, want the empty-name error", err)
+	}
+	for _, w := range []workflow.Workflow{
+		wfOne("b", "", "1x", 1),
+		wfOne("b", "AthenaPK", "huge", 1),
+		wfOne("b", "AthenaPK", "1x", 0),
+		wfOne("b", "AthenaPK", "1x", -3),
+	} {
+		for try := 0; try < 2; try++ {
+			if _, err := b.Build(w); err == nil {
+				t.Fatalf("ill-shaped %v built (try %d)", w.Tasks[0], try)
+			}
+		}
+		if _, ok := b.cache[w.Tasks[0]]; ok {
+			t.Fatalf("ill-shaped %v entered the cache", w.Tasks[0])
+		}
+	}
+	if len(b.cache) != 1 {
+		t.Fatalf("cache holds %d profiles, want 1", len(b.cache))
 	}
 }
 

@@ -100,16 +100,10 @@ func (p Policy) Validate() error {
 	return nil
 }
 
-// admits applies criteria 2 and 3 to an O(1) probe outcome: capacity
-// violations (OOM) are never acceptable; other interference is tolerated
-// only under AllowInterferingPairs. The packer and the online
-// dispatcher both decide through it.
-func (p *Policy) admits(out *interference.Outcome) bool {
-	return out.Rules()&p.rules() == 0
-}
-
-// rules is the mask admits checks: every rule, or capacity alone under
-// AllowInterferingPairs.
+// rules is the mask a probe's verdict is filtered by (criteria 2 and
+// 3): capacity violations (OOM) are never acceptable; other
+// interference is tolerated only under AllowInterferingPairs. The
+// packer and the online dispatcher both decide through it.
 func (p *Policy) rules() interference.RuleMask {
 	if p.AllowInterferingPairs {
 		return interference.MaskCapacity

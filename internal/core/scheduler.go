@@ -246,7 +246,7 @@ func (s *Scheduler) pickFirstFit(loads []interference.Load, assigned []bool, agg
 		if assigned[j] {
 			continue
 		}
-		if out := agg.Admit(loads[j]); s.Policy.admits(&out) {
+		if agg.Admit(loads[j])&s.Policy.rules() == 0 {
 			*cursor = j + 1
 			return j
 		}
@@ -272,7 +272,7 @@ func (s *Scheduler) pickOpposingPower(order []*WorkflowProfile, loads []interfer
 		if assigned[j] || rejectedIn[j] == groupID {
 			continue
 		}
-		if out := agg.Admit(loads[j]); !s.Policy.admits(&out) {
+		if agg.Admit(loads[j])&s.Policy.rules() != 0 {
 			rejectedIn[j] = groupID
 			continue
 		}

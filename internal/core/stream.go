@@ -350,6 +350,10 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 			return nil, fmt.Errorf("core: stream state resident serials not strictly increasing under next_seq")
 		}
 		prevSeq = r.Seq
+		// Admission seats no other load; the first-fit index assumes so.
+		if l := r.Load; !nonNegFinite(l.SMPct) || !nonNegFinite(l.BWPct) || l.MemMiB < 0 || l.MemMiB > s.Device.MemoryMiB {
+			return nil, fmt.Errorf("core: stream state resident %q has load %+v, which admission never seats", r.Name, l)
+		}
 		// place takes the resident's serial from nextSeq; the loop leaves
 		// nextSeq mid-stream and the restore below sets its saved value.
 		st.d.nextSeq = r.Seq

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"regexp"
 	"runtime"
 	"slices"
 	"strings"
@@ -379,6 +381,34 @@ func TestStreamRestoreValidation(t *testing.T) {
 				ss.Resident[1].Seq = ss.Resident[0].Seq
 			}
 		}, "strictly increasing"},
+		{"negative memory", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			// The first resident's memory, edited in the snapshot's JSON.
+			blob, err := json.Marshal(ss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loc := regexp.MustCompile(`"MemMiB":\d+`).FindIndex(blob)
+			blob = slices.Concat(blob[:loc[0]], []byte(`"MemMiB":-93114`), blob[loc[1]:])
+			*ss = StreamState{}
+			if err := json.Unmarshal(blob, ss); err != nil {
+				t.Fatal(err)
+			}
+		}, "never seats"},
+		{"memory above the device", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Resident[len(ss.Resident)-1].Load.MemMiB = a100x().MemoryMiB + 1
+		}, "never seats"},
+		{"NaN SM", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Resident[0].Load.SMPct = math.NaN()
+		}, "never seats"},
+		{"infinite bandwidth", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Resident[0].Load.BWPct = math.Inf(1)
+		}, "never seats"},
+		{"negative SM", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Resident[0].Load.SMPct = -1
+		}, "never seats"},
+	}
+	if len(state.Resident) < 2 {
+		t.Fatalf("the snapshot holds %d residents, want at least 2", len(state.Resident))
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

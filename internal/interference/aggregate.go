@@ -42,25 +42,6 @@ func ProfileLoad(p *profile.TaskProfile) Load {
 	return Load{SMPct: p.AvgSMUtilPct, BWPct: p.AvgBWUtilPct, MemMiB: p.MaxMemMiB}
 }
 
-// Outcome is one admission probe's result: the combined utilizations the
-// candidate group would have, and which rules it would violate. It is a
-// plain value — probing allocates nothing.
-type Outcome struct {
-	CombinedSMUtilPct float64
-	CombinedBWUtilPct float64
-	CombinedMaxMemMiB int64
-	DeviceMemMiB      int64
-
-	// Compute, Bandwidth, Capacity report the violated rules, evaluated
-	// with exactly Predict's comparisons.
-	Compute   bool
-	Bandwidth bool
-	Capacity  bool
-}
-
-// Interferes is the paper's binary prediction: any rule violated.
-func (o Outcome) Interferes() bool { return o.Compute || o.Bandwidth || o.Capacity }
-
 // Aggregate holds the running sums for one collocation group (one GPU's
 // residents, or one packing group under construction). The zero value is
 // an empty group on a zero-memory device; use NewAggregate to bind a
@@ -100,46 +81,38 @@ func (a *Aggregate) Sums() (sm, bw float64, mem int64) { return a.smSum, a.bwSum
 // DeviceMemMiB returns the capacity the memory rule checks against.
 func (a *Aggregate) DeviceMemMiB() int64 { return a.deviceMemMiB }
 
-// outcome evaluates the rules for explicit combined sums.
-func (a *Aggregate) outcome(sm, bw float64, mem int64) Outcome {
-	return Outcome{
-		CombinedSMUtilPct: sm,
-		CombinedBWUtilPct: bw,
-		CombinedMaxMemMiB: mem,
-		DeviceMemMiB:      a.deviceMemMiB,
-		Compute:           sm > 100,
-		Bandwidth:         bw > 100,
-		Capacity:          mem > a.deviceMemMiB,
-	}
-}
-
-// Admit probes "group + candidate" in O(1): the combined sums are the
-// group's fold extended by one term, exactly the value Predict computes
-// over append(members, candidate). The group is not modified.
+// Admit returns the rules "group + candidate" breaks (zero admits), in
+// O(1): the combined sums are the group's fold extended by one term,
+// exactly the value Predict computes over append(members, candidate).
+// The group is not modified.
 //
 //repro:hotpath pinned by TestAggregateAdmitAllocs
-func (a *Aggregate) Admit(l Load) Outcome {
-	return a.outcome(a.smSum+l.SMPct, a.bwSum+l.BWPct, a.memSum+l.MemMiB)
+func (a *Aggregate) Admit(l Load) RuleMask {
+	return a.rules(a.smSum+l.SMPct, a.bwSum+l.BWPct, a.memSum+l.MemMiB)
 }
 
 // AdmitExcluding probes "group − skipped members + candidate" without
 // mutating the group: the read-only form of the preemption what-if the
 // cluster planner used to run as Save / RemoveAt×k / Admit / Restore.
 // skip[i] true drops member i from the fold; indices past len(skip) are
-// kept, and a nil skip is exactly Admit. Bit-identity holds by the fold
-// contract: RemoveAt re-folds the survivors left to right, so the sums
-// it would cache equal the left-to-right fold over the surviving
-// subsequence computed here — same terms, same order, same rounding.
-// O(members) with skip, O(1) without; never allocates, never writes, so
-// concurrent AdmitExcluding probes over one aggregate are race-free.
+// kept, and a nil skip is exactly Admit. O(members) with skip, O(1)
+// without; never allocates, never writes, so concurrent AdmitExcluding
+// probes over one aggregate are race-free.
 //
 //repro:hotpath pinned by TestAggregateAdmitAllocs
-func (a *Aggregate) AdmitExcluding(l Load, skip []bool) Outcome {
+func (a *Aggregate) AdmitExcluding(l Load, skip []bool) RuleMask {
+	return a.rules(a.foldExcluding(l, skip))
+}
+
+// foldExcluding returns the combined sums AdmitExcluding judges.
+// Bit-identity holds by the fold contract: RemoveAt re-folds the
+// survivors left to right, so the sums it would cache equal the
+// left-to-right fold over the surviving subsequence computed here —
+// same terms, same order, same rounding.
+func (a *Aggregate) foldExcluding(l Load, skip []bool) (sm, bw float64, mem int64) {
 	if skip == nil {
-		return a.Admit(l)
+		return a.smSum + l.SMPct, a.bwSum + l.BWPct, a.memSum + l.MemMiB
 	}
-	var sm, bw float64
-	var mem int64
 	for i := range a.loads {
 		if i < len(skip) && skip[i] {
 			continue
@@ -148,12 +121,22 @@ func (a *Aggregate) AdmitExcluding(l Load, skip []bool) Outcome {
 		bw += a.loads[i].BWPct
 		mem += a.loads[i].MemMiB
 	}
-	return a.outcome(sm+l.SMPct, bw+l.BWPct, mem+l.MemMiB)
+	return sm + l.SMPct, bw + l.BWPct, mem + l.MemMiB
 }
 
-// Current evaluates the rules for the group as it stands.
-func (a *Aggregate) Current() Outcome {
-	return a.outcome(a.smSum, a.bwSum, a.memSum)
+// rules applies Predict's three comparisons to combined sums.
+func (a *Aggregate) rules(sm, bw float64, mem int64) RuleMask {
+	var m RuleMask
+	if sm > 100 {
+		m |= MaskCompute
+	}
+	if bw > 100 {
+		m |= MaskBandwidth
+	}
+	if mem > a.deviceMemMiB {
+		m |= MaskCapacity
+	}
+	return m
 }
 
 // Add appends a member, extending each running fold by one term.
@@ -217,27 +200,4 @@ func (a *Aggregate) Restore(s *Snapshot) {
 	//repro:allow:hotpathalloc member-list growth is amortized; restore into a previously sized aggregate is allocation-free
 	a.loads = append(a.loads[:0], s.loads...)
 	a.smSum, a.bwSum, a.memSum = s.smSum, s.bwSum, s.memSum
-}
-
-// Estimate renders the group as a full Estimate, identical to
-// Predict(device, members) over the same sequence.
-func (a *Aggregate) Estimate() Estimate {
-	e := Estimate{
-		CombinedSMUtilPct: a.smSum,
-		CombinedBWUtilPct: a.bwSum,
-		CombinedMaxMemMiB: a.memSum,
-		DeviceMemMiB:      a.deviceMemMiB,
-	}
-	if e.CombinedSMUtilPct > 100 {
-		e.Types = append(e.Types, Compute)
-	}
-	if e.CombinedBWUtilPct > 100 {
-		e.Types = append(e.Types, Bandwidth)
-	}
-	if e.CombinedMaxMemMiB > a.deviceMemMiB {
-		e.Types = append(e.Types, Capacity)
-	}
-	e.Interferes = len(e.Types) > 0
-	e.Severity = severity(e)
-	return e
 }

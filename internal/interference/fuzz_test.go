@@ -18,7 +18,8 @@ import (
 //     the matrix and the packing loop both assume order independence;
 //   - severity stays in [0,1] and is 1 exactly when capacity is violated
 //     (capacity interference means OOM, which is fatal, not a slowdown);
-//   - the binary Interferes flag agrees with the violated-rule list.
+//   - the binary Interferes flag agrees with the violated-rule list;
+//   - Aggregate.Admit over the same pair reports exactly those rules.
 func FuzzPredictInterference(f *testing.F) {
 	f.Add(50.0, 30.0, int64(20000), 60.0, 80.0, int64(30000))
 	f.Add(0.0, 0.0, int64(0), 0.0, 0.0, int64(0))
@@ -54,9 +55,11 @@ func FuzzPredictInterference(f *testing.F) {
 			t.Fatalf("Interferes=%v disagrees with Types=%v", ab.Interferes, ab.Types)
 		}
 
-		// Fits must agree with Predict on the same group.
-		if got, want := Fits(device, []*profile.TaskProfile{a}, b), !ab.Interferes; got != want {
-			t.Fatalf("Fits=%v disagrees with Predict.Interferes=%v", got, !want)
+		// The incremental probe must agree with Predict on the same group.
+		agg := NewAggregate(device)
+		agg.Add(ProfileLoad(a))
+		if got, want := agg.Admit(ProfileLoad(b)), typesMask(ab); got != want {
+			t.Fatalf("Admit=%v disagrees with Predict's types %v", got, ab.Types)
 		}
 	})
 }

@@ -133,15 +133,6 @@ func severity(e Estimate) float64 {
 	return s
 }
 
-// Fits reports whether adding candidate to group keeps the paper's rules
-// satisfied — the incremental check the scheduler's packing loop uses.
-func Fits(device gpu.DeviceSpec, group []*profile.TaskProfile, candidate *profile.TaskProfile) bool {
-	g := make([]*profile.TaskProfile, 0, len(group)+1)
-	g = append(g, group...)
-	g = append(g, candidate)
-	return !Predict(device, g).Interferes
-}
-
 // Matrix computes the pairwise interference estimates across a set of
 // profiles: entry (i,j) is the prediction for co-scheduling profiles i and
 // j. The diagonal predicts self-collocation (two instances of the task).

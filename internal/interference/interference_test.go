@@ -97,23 +97,6 @@ func TestPredictIgnoresNil(t *testing.T) {
 	}
 }
 
-func TestFits(t *testing.T) {
-	group := []*profile.TaskProfile{prof("a", 50, 5, 1000)}
-	if !Fits(a100x(), group, prof("b", 40, 5, 1000)) {
-		t.Fatal("compatible candidate rejected")
-	}
-	if Fits(a100x(), group, prof("b", 60, 5, 1000)) {
-		t.Fatal("SM-violating candidate accepted")
-	}
-	if Fits(a100x(), group, prof("b", 10, 5, a100x().MemoryMiB)) {
-		t.Fatal("capacity-violating candidate accepted")
-	}
-	// Fits must not mutate the group.
-	if len(group) != 1 {
-		t.Fatal("Fits mutated the group")
-	}
-}
-
 func TestMatrixDeterministicAndSymmetric(t *testing.T) {
 	profiles := []*profile.TaskProfile{
 		prof("z", 70, 5, 1000),

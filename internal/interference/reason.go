@@ -5,11 +5,12 @@ import (
 	"strings"
 )
 
-// Typed rejection rules. An admission probe's Outcome says *whether*
-// the paper's rules reject a candidate; operating a long-running
-// scheduling service also needs *which* rule fired ("why was this gang
-// rejected on GPU 12?"). RuleMask encodes that as a flat bitmask, safe
-// to tally from the admission hot path.
+// Typed rejection rules. An admission probe answers with the rules the
+// candidate would break, not only *whether* it fits: operating a
+// long-running scheduling service also needs *which* rule fired ("why
+// was this gang rejected on GPU 12?"). RuleMask is that answer, a flat
+// bitmask that dispatchers filter by the rules they enforce and tally
+// from the admission hot path.
 
 // RuleMask is a bitmask of admission rules. The first three bits are
 // the paper's §IV-B rules in their canonical order; MaskClientCap is
@@ -51,26 +52,19 @@ func (m RuleMask) String() string {
 	return b.String()
 }
 
-// Rules returns the outcome's violated-rule bitmask.
-func (o Outcome) Rules() RuleMask {
-	var m RuleMask
-	if o.Compute {
-		m |= MaskCompute
-	}
-	if o.Bandwidth {
-		m |= MaskBandwidth
-	}
-	if o.Capacity {
-		m |= MaskCapacity
-	}
-	return m
+// Interferes is the paper's binary prediction: any of the three §IV-B
+// rules broken. MaskClientCap is a dispatcher limit, not one of them.
+func (m RuleMask) Interferes() bool {
+	return m&(MaskCompute|MaskBandwidth|MaskCapacity) != 0
 }
 
 // Digest folds the aggregate's exact state — device capacity, member
 // count, every member's load bits, and the running sums — into a 64-bit
-// FNV-1a value. Preemption what-ifs record it before and after a
-// save/probe/restore round trip as provenance that the restore really
-// was bit-identical. It allocates nothing.
+// FNV-1a value, so two states compare equal only if they are bit for bit
+// the same. Tests use it to show that a save/probe/restore round trip,
+// or a read-only probe, leaves the aggregate as it was; an invariant
+// checker over whole pools can use it the same way. It allocates
+// nothing.
 //
 //repro:hotpath pinned by TestAggregateDigestAllocs
 func (a *Aggregate) Digest() uint64 {

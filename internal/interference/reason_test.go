@@ -10,19 +10,38 @@ func reasonDevice() gpu.DeviceSpec {
 	return gpu.DeviceSpec{Name: "test", SMCount: 108, MemoryMiB: 40960}
 }
 
-// TestOutcomeRules pins the mask an outcome reports: the violated rules
-// in canonical bit order, none for an admitted probe.
+// TestOutcomeRules pins the mask Admit reports: the violated rules in
+// canonical bit order, none for an admitted probe.
 func TestOutcomeRules(t *testing.T) {
 	a := NewAggregate(reasonDevice())
-	if m := a.Admit(Load{SMPct: 40, BWPct: 30, MemMiB: 1024}).Rules(); m != 0 {
+	if m := a.Admit(Load{SMPct: 40, BWPct: 30, MemMiB: 1024}); m != 0 {
 		t.Fatalf("admitted probe rules = %v", m)
 	}
 	a.Add(Load{SMPct: 80, BWPct: 90, MemMiB: 1024})
-	if m := a.Admit(Load{SMPct: 52.5, BWPct: 20.25, MemMiB: 1024}).Rules(); m != MaskCompute|MaskBandwidth {
+	if m := a.Admit(Load{SMPct: 52.5, BWPct: 20.25, MemMiB: 1024}); m != MaskCompute|MaskBandwidth {
 		t.Fatalf("rules = %v, want compute,bandwidth", m)
 	}
-	if m := a.Admit(Load{SMPct: 1, BWPct: 1, MemMiB: 40960}).Rules(); m != MaskCapacity {
+	if m := a.Admit(Load{SMPct: 1, BWPct: 1, MemMiB: 40960}); m != MaskCapacity {
 		t.Fatalf("rules = %v, want capacity", m)
+	}
+}
+
+// TestRuleMaskInterferes pins the paper's binary prediction over a
+// mask: any of the three rules counts, the dispatcher's client cap does
+// not.
+func TestRuleMaskInterferes(t *testing.T) {
+	for m, want := range map[RuleMask]bool{
+		0:                            false,
+		MaskClientCap:                false,
+		MaskCompute:                  true,
+		MaskBandwidth:                true,
+		MaskCapacity:                 true,
+		MaskCapacity | MaskClientCap: true,
+		MaskCompute | MaskBandwidth:  true,
+	} {
+		if got := m.Interferes(); got != want {
+			t.Errorf("RuleMask(%v).Interferes() = %v, want %v", m, got, want)
+		}
 	}
 }
 
