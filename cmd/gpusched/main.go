@@ -191,8 +191,7 @@ func (s *session) run(route func(http.Handler) (http.Handler, error), body func(
 			return fmt.Errorf("cannot listen on %s: %w", s.addr, err)
 		}
 		fmt.Printf("telemetry on http://%s/metrics\n", ln.Addr())
-		// No WriteTimeout: /debug/pprof/profile streams for 30 s.
-		srv := &http.Server{Handler: handler, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
+		srv := httpServer(handler)
 		go func() {
 			// ErrServerClosed is the orderly-shutdown sentinel, not a failure.
 			if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
@@ -224,6 +223,18 @@ func (s *session) run(route func(http.Handler) (http.Handler, error), body func(
 		return writeFlightDump(s.flightOut, s.hub)
 	}
 	return nil
+}
+
+// readTimeout bounds how long a client may take to send one request,
+// body included, so a stalled /ingest upload cannot hold its connection
+// open. It also ends a request's context, which cuts a
+// /debug/pprof/profile asking for more seconds than this.
+const readTimeout = time.Minute
+
+// httpServer is the server -http runs. No WriteTimeout:
+// /debug/pprof/profile streams for 30 s by default.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, ReadTimeout: readTimeout, IdleTimeout: 2 * time.Minute}
 }
 
 // shutdownServer drains the telemetry endpoint and reports an error from

@@ -35,6 +35,11 @@ type streamServer struct {
 // per arrival it still admits batches of some 80,000 arrivals.
 const maxIngestBytes = 8 << 20
 
+// maxIngestArrivals bounds the arrivals of one /ingest batch, so one
+// request cannot hold the stream mutex for an unbounded run of
+// dispatches.
+const maxIngestArrivals = 10_000
+
 // ingestArrival is the wire form of one arrival: a non-decreasing
 // timestamp in seconds plus the workflow to place.
 type ingestArrival struct {
@@ -86,9 +91,10 @@ func (ss *streamServer) wrap(fallback http.Handler) http.Handler {
 // handleIngest dispatches a JSON array of arrivals in order and returns
 // the resulting dispatch events as a JSON array, the streamer's spilled
 // lines byte for byte. A batch is applied whole or not at all: a body
-// over maxIngestBytes gets 413; unknown fields, bytes after the array
-// and bad timestamps get 400; an arrival the stream would refuse gets
-// 422; each before anything is dispatched.
+// over maxIngestBytes or more than maxIngestArrivals arrivals gets 413;
+// unknown fields, bytes after the array and bad timestamps get 400; an
+// arrival the stream would refuse gets 422; each before anything is
+// dispatched.
 func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a JSON array of arrivals", http.StatusMethodNotAllowed)
@@ -103,6 +109,11 @@ func (ss *streamServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		http.Error(w, fmt.Sprintf("bad arrival batch: %v (nothing dispatched)", err), http.StatusBadRequest)
+		return
+	}
+	if len(arrivals) > maxIngestArrivals {
+		http.Error(w, fmt.Sprintf("arrival batch holds %d arrivals, over %d (nothing dispatched)", len(arrivals), maxIngestArrivals),
+			http.StatusRequestEntityTooLarge)
 		return
 	}
 	body, err := ss.ingest(arrivals)

@@ -1,14 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"gpushare/internal/core"
 	"gpushare/internal/gpu"
@@ -204,9 +207,85 @@ func TestStreamServerRejections(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /ingest status = %d", resp.StatusCode)
 	}
+	// One arrival past maxIngestArrivals, well under the byte cap.
+	dispatched := ss.st.Events()
+	batch := "[" + strings.Repeat(`{"at_s":9,"name":"n","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":1}]},`, maxIngestArrivals)
+	batch += `{"at_s":9,"name":"n","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":1}]}]`
+	resp, err = http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := new(bytes.Buffer)
+	msg.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(msg.String(), "(nothing dispatched)") ||
+		ss.st.Events() != dispatched {
+		t.Fatalf("%d-arrival batch: status %d %q, %d dispatched before, %d after",
+			maxIngestArrivals+1, resp.StatusCode, msg, dispatched, ss.st.Events())
+	}
+
+	// serve's server gives a client readTimeout to send a request, body
+	// included. A copy with the timeout shortened shows that a stalled
+	// body is refused and dispatches nothing.
+	if got := httpServer(nil).ReadTimeout; got != readTimeout || got <= 0 {
+		t.Fatalf("serve's ReadTimeout = %v, want %v", got, readTimeout)
+	}
+	slow := httptest.NewUnstartedServer(nil)
+	slow.Config = httpServer(ss.wrap(http.NotFoundHandler()))
+	slow.Config.ReadTimeout = 200 * time.Millisecond
+	slow.Start()
+	defer slow.Close()
+	conn, err := net.Dial("tcp", slow.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fmt.Fprintf(conn, "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 1000\r\n\r\n[")
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err = http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("stalled body: no response: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || ss.st.Events() != dispatched {
+		t.Fatalf("stalled body: status %d, %d dispatched", resp.StatusCode, ss.st.Events()-dispatched)
+	}
 
 	if _, err := newStreamServer(spec, core.ThroughputPolicy(), "bad-shape", 7); err == nil {
 		t.Fatal("malformed shape accepted")
+	}
+}
+
+// TestIngestLeavesStoreOnBadSize pins that /ingest refuses an arrival
+// whose size label is not finite, or whose inferred profile the store's
+// check rejects, with 422 and without caching a profile for it.
+func TestIngestLeavesStoreOnBadSize(t *testing.T) {
+	spec := gpu.MustLookup("A100X")
+	_, store, err := core.NewFleetSource(spec, core.FleetSpec{Workflows: 1, TargetGPUs: 8, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := core.NewScheduler(spec, 8, store, core.ThroughputPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := &streamServer{}
+	if ss.st, err = sched.NewStreamer(core.StreamConfig{Spill: &ss.spill}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(ss.wrap(http.NotFoundHandler()))
+	defer srv.Close()
+	n := store.Len()
+	for _, size := range []string{"NaNx", "Infx", "1e300x"} {
+		body := fmt.Sprintf(`[{"at_s":0,"name":"x","tasks":[{"benchmark":"fleet-a000","size":%q,"iterations":1}]}]`, size)
+		resp, err := http.Post(srv.URL+"/ingest", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || store.Len() != n || ss.st.Events() != 0 {
+			t.Fatalf("size %s: status %d, store %d profiles (was %d), %d dispatched", size, resp.StatusCode, store.Len(), n, ss.st.Events())
+		}
 	}
 }
 

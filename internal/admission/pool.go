@@ -29,7 +29,7 @@ import (
 // the summaries its queries read: the first-fit index on the first
 // FirstFit, the changed-GPU index on the first NextChanged, and the
 // victim key when KeyBy asks for it. A pool that only runs FirstFit
-// pays one nil check per mutation for the other two.
+// pays a nil check per mutation for each of the other two.
 type Pool[R Resident] struct {
 	gpus     []slot[R]
 	clock    uint64        // last generation handed out
@@ -44,21 +44,15 @@ type Pool[R Resident] struct {
 	tree   []fitNode
 	leaves int
 
-	// sum holds the summaries on the same layout, nil until KeyBy or
-	// the first NextChanged.
-	sum *summaries[R]
-}
-
-// summaries are the per-node extrema NextChanged and NextBelow descend.
-type summaries[R any] struct {
-	// gens[i] is the maximum generation under internal node i, nil
-	// until the first NextChanged; a leaf reads its slot's gen.
+	// The per-node extrema NextChanged and NextBelow descend, on the
+	// same layout. gens[i] is the maximum generation under internal
+	// node i, nil until the first NextChanged; a leaf reads its slot's
+	// gen. key is KeyBy's function, nil until it is called, and keys[i]
+	// the minimum key under node i, leaves included: leaf leaves+g is
+	// the minimum of key over GPU g's residents, MaxInt for a GPU
+	// without any. keys is nil while key is.
 	gens []uint64
-	// key is KeyBy's function, nil until it is called.
-	key func(R) int
-	// keys[i] is the minimum key under node i, leaves included: leaf
-	// leaves+g is the minimum of key over GPU g's residents, MaxInt for
-	// a GPU without any. Nil while key is.
+	key  func(R) int
 	keys []int
 }
 
@@ -99,12 +93,9 @@ func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int) {
 	for g := first; g < len(p.gpus); g++ {
 		p.gpus[g].agg = interference.NewAggregate(device)
 	}
-	p.tree = nil
-	if p.sum != nil {
-		p.sum.gens = nil
-		if p.sum.key != nil {
-			p.buildKeys()
-		}
+	p.tree, p.gens = nil, nil
+	if p.key != nil {
+		p.buildKeys()
 	}
 }
 
@@ -119,8 +110,10 @@ func (p *Pool[R]) changed(g int) {
 	p.refresh(g)
 }
 
-// refresh recomputes GPU g's path in the index once a query has built
-// it (O(log GPUs)).
+// refresh recomputes GPU g's path in each index a query has built
+// (O(log GPUs)), and g's key from its residents. The two summaries stop
+// where a node comes out unchanged: its ancestors depend on nothing
+// else that moved.
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) refresh(g int) {
@@ -129,36 +122,24 @@ func (p *Pool[R]) refresh(g int) {
 			p.pull(i)
 		}
 	}
-	if p.sum != nil {
-		p.refreshSummaries(g)
-	}
-}
-
-// refreshSummaries recomputes GPU g's key from its residents and g's
-// path in both summaries, stopping where a node comes out unchanged:
-// its ancestors depend on nothing else that moved.
-//
-//repro:hotpath pinned by TestPoolAllocs
-func (p *Pool[R]) refreshSummaries(g int) {
-	s := p.sum
-	if s.keys != nil {
+	if p.keys != nil {
 		i := p.leaves + g
-		s.keys[i] = p.foldKey(g)
+		p.keys[i] = p.foldKey(g)
 		for i >>= 1; i > 0; i >>= 1 {
-			k := min(s.keys[2*i], s.keys[2*i+1])
-			if k == s.keys[i] {
+			k := min(p.keys[2*i], p.keys[2*i+1])
+			if k == p.keys[i] {
 				break
 			}
-			s.keys[i] = k
+			p.keys[i] = k
 		}
 	}
-	if s.gens != nil {
+	if p.gens != nil {
 		for i := (p.leaves + g) >> 1; i > 0; i >>= 1 {
 			c := max(p.genOf(2*i), p.genOf(2*i+1))
-			if c == s.gens[i] {
+			if c == p.gens[i] {
 				break
 			}
-			s.gens[i] = c
+			p.gens[i] = c
 		}
 	}
 }
@@ -330,7 +311,7 @@ func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, ru
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) genOf(i int) uint64 {
 	if i < p.leaves {
-		return p.sum.gens[i]
+		return p.gens[i]
 	}
 	if g := i - p.leaves; g < len(p.gpus) {
 		return p.gpus[g].gen
@@ -345,7 +326,7 @@ func (p *Pool[R]) foldKey(g int) int {
 	k := math.MaxInt
 	for _, r := range p.gpus[g].res {
 		//repro:allow:hotpathalloc the key reads its resident; TestPoolAllocs and the cluster's TestClusterAdmitAllocs pin the keys in use at zero allocations
-		k = min(k, p.sum.key(r))
+		k = min(k, p.key(r))
 	}
 	return k
 }
@@ -357,10 +338,7 @@ func (p *Pool[R]) foldKey(g int) int {
 // Restore), and at no other time, so a key that read state outside the
 // resident could go stale. Call it once, at setup.
 func (p *Pool[R]) KeyBy(key func(R) int) {
-	if p.sum == nil {
-		p.sum = &summaries[R]{}
-	}
-	p.sum.key = key
+	p.key = key
 	p.buildKeys()
 }
 
@@ -368,23 +346,22 @@ func (p *Pool[R]) KeyBy(key func(R) int) {
 // bottom up.
 func (p *Pool[R]) buildKeys() {
 	p.size()
-	s := p.sum
-	s.keys = make([]int, 2*p.leaves)
-	for g := range s.keys[p.leaves:] {
+	p.keys = make([]int, 2*p.leaves)
+	for g := range p.keys[p.leaves:] {
 		k := math.MaxInt
 		if g < len(p.gpus) {
 			k = p.foldKey(g)
 		}
-		s.keys[p.leaves+g] = k
+		p.keys[p.leaves+g] = k
 	}
 	for i := p.leaves - 1; i > 0; i-- {
-		s.keys[i] = min(s.keys[2*i], s.keys[2*i+1])
+		p.keys[i] = min(p.keys[2*i], p.keys[2*i+1])
 	}
 }
 
 // Key returns the minimum key over GPU g's residents (MaxInt for none).
 // The pool must have a key (KeyBy).
-func (p *Pool[R]) Key(g int) int { return p.sum.keys[p.leaves+g] }
+func (p *Pool[R]) Key(g int) int { return p.keys[p.leaves+g] }
 
 // NextBelow returns the first GPU at or after from whose key is below
 // k, or -1: the GPUs holding a resident keyed below k, in index order.
@@ -396,7 +373,7 @@ func (p *Pool[R]) NextBelow(k, from int) int {
 	if from >= len(p.gpus) {
 		return -1
 	}
-	keys := p.sum.keys
+	keys := p.keys
 	i := p.leaves + from
 	if keys[i] < k {
 		return from
@@ -431,7 +408,7 @@ func (p *Pool[R]) NextChanged(c uint64, from int) int {
 	if from >= len(p.gpus) {
 		return -1
 	}
-	if p.sum == nil || p.sum.gens == nil {
+	if p.gens == nil {
 		p.buildGens()
 	}
 	if p.gpus[from].gen > c {
@@ -460,15 +437,11 @@ func (p *Pool[R]) NextChanged(c uint64, from int) int {
 // buildGens sizes the changed-GPU index for the pool's GPUs and fills
 // it bottom up.
 func (p *Pool[R]) buildGens() {
-	if p.sum == nil {
-		//repro:allow:hotpathalloc the summaries are allocated once, on the pool's first changed-GPU query
-		p.sum = &summaries[R]{}
-	}
 	p.size()
 	//repro:allow:hotpathalloc the changed-GPU index is built once, on the pool's first query
-	p.sum.gens = make([]uint64, p.leaves)
+	p.gens = make([]uint64, p.leaves)
 	for i := p.leaves - 1; i > 0; i-- {
-		p.sum.gens[i] = max(p.genOf(2*i), p.genOf(2*i+1))
+		p.gens[i] = max(p.genOf(2*i), p.genOf(2*i+1))
 	}
 }
 

@@ -72,8 +72,8 @@ func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
 	}
 	p.AddGPUs(gpu.MustLookup("A100X"), 2)
 	_, _, _ = p.FirstFit(0, 7, l, 4, all, nil)
-	if p.tree == nil || p.sum != nil {
-		t.Fatalf("first-fit-only pool: index built %v, summaries %+v, want the index alone", p.tree != nil, p.sum)
+	if p.tree == nil || p.gens != nil || p.keys != nil {
+		t.Fatalf("first-fit-only pool: index built %v, changed-GPU index %v, keys %v, want the index alone", p.tree != nil, p.gens, p.keys)
 	}
 }
 
@@ -576,15 +576,15 @@ func checkIndex(t *testing.T, p *Pool[res]) {
 			t.Fatalf("index node %d = %+v, children %+v and %+v", i, got, a, b)
 		}
 	}
-	if p.sum == nil {
+	if p.gens == nil && p.keys == nil {
 		return
 	}
-	for i := 1; i < len(p.sum.gens); i++ {
-		if got, want := p.sum.gens[i], max(p.genOf(2*i), p.genOf(2*i+1)); got != want {
+	for i := 1; i < len(p.gens); i++ {
+		if got, want := p.gens[i], max(p.genOf(2*i), p.genOf(2*i+1)); got != want {
 			t.Fatalf("changed-GPU node %d = %d, children's maximum %d", i, got, want)
 		}
 	}
-	keys := p.sum.keys
+	keys := p.keys
 	if len(keys) != 2*p.leaves {
 		t.Fatalf("%d keys over %d leaves", len(keys), p.leaves)
 	}

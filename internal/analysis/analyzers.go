@@ -7,7 +7,6 @@ import "strings"
 // reproducibility.
 var simulatorPackages = []string{
 	"internal/admission",
-	"internal/arena",
 	"internal/cluster",
 	"internal/core",
 	"internal/gpusim",

@@ -48,23 +48,12 @@ type Policy struct {
 	Objective Objective
 	// Product is the weighting used when Objective is MaximizeProduct.
 	Product metrics.Product
-	// ThroughputClientCap overrides the client limit under
-	// MaximizeThroughput; zero selects the paper's value of 2.
-	ThroughputClientCap int
-	// ProductClientCap overrides the client limit under MaximizeProduct;
-	// zero selects a moderate default of 4 (between the throughput cap
-	// and the device maximum, matching Figure 4's product-metric sweet
-	// spot).
-	ProductClientCap int
 	// RightSizePartitions enables MPS partition right-sizing: each
 	// collocated client gets an active-thread percentage covering its
-	// predicted saturation point (Figure 1's granularity insight)
-	// instead of the full device.
+	// predicted saturation point (Figure 1's granularity insight) with a
+	// 1.2x headroom, rounded up to the 10% steps the paper sweeps in
+	// Figure 1, instead of the full device.
 	RightSizePartitions bool
-	// PartitionHeadroom is the multiplicative margin applied when
-	// right-sizing (zero selects 1.2). Partitions are rounded up to 10%
-	// steps, the granularity the paper sweeps in Figure 1.
-	PartitionHeadroom float64
 	// AllowInterferingPairs permits groups that violate the paper's
 	// interference rules (used by ablations and the naive baseline);
 	// capacity violations are never allowed.
@@ -88,15 +77,6 @@ func (p Policy) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown objective %d", int(p.Objective))
 	}
-	if p.ThroughputClientCap < 0 {
-		return fmt.Errorf("core: ThroughputClientCap must be non-negative")
-	}
-	if p.ProductClientCap < 0 {
-		return fmt.Errorf("core: ProductClientCap must be non-negative")
-	}
-	if p.PartitionHeadroom < 0 || p.PartitionHeadroom > 3 {
-		return fmt.Errorf("core: PartitionHeadroom must be in [0,3], got %g", p.PartitionHeadroom)
-	}
 	return nil
 }
 
@@ -112,18 +92,15 @@ func (p *Policy) rules() interference.RuleMask {
 }
 
 // ClientCap resolves the per-GPU client limit for the policy given the
-// device's MPS maximum (criterion 4 of §IV-B).
+// device's MPS maximum (criterion 4 of §IV-B): the paper's 2 under
+// MaximizeThroughput, 4 under MaximizeProduct (between the throughput
+// cap and the device maximum, Figure 4's product-metric sweet spot),
+// and the device maximum under MaximizeEnergyEfficiency.
 func (p Policy) ClientCap(deviceMax int) int {
 	switch p.Objective {
 	case MaximizeThroughput:
-		if p.ThroughputClientCap > 0 {
-			return min(p.ThroughputClientCap, deviceMax)
-		}
 		return min(2, deviceMax)
 	case MaximizeProduct:
-		if p.ProductClientCap > 0 {
-			return min(p.ProductClientCap, deviceMax)
-		}
 		return min(4, deviceMax)
 	default: // MaximizeEnergyEfficiency
 		return deviceMax

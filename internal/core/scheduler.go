@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"gpushare/internal/floats"
 	"gpushare/internal/gpu"
 	"gpushare/internal/interference"
 	"gpushare/internal/obs"
@@ -308,6 +307,10 @@ func (s *Scheduler) estimate(members []*WorkflowProfile) interference.Estimate {
 	return est
 }
 
+// partitionHeadroom is the multiplicative margin rightSize applies to a
+// member's predicted saturation point.
+const partitionHeadroom = 1.2
+
 // rightSize assigns each member an MPS partition covering its predicted
 // peak active compute demand plus headroom, rounded up to the 10% steps
 // the paper sweeps in Figure 1. Without right-sizing every member gets
@@ -320,15 +323,11 @@ func (s *Scheduler) rightSize(g *Group) {
 	if !s.Policy.RightSizePartitions || len(g.Members) < 2 {
 		return
 	}
-	headroom := s.Policy.PartitionHeadroom
-	if floats.IsZero(headroom) {
-		headroom = 1.2
-	}
 	for i, m := range g.Members {
 		// A partition must cover both the compute demand and the
 		// warp-slot fill of the member's kernels: below either, the
 		// member dilates (Figure 1's red-circle region).
-		need := math.Max(m.PeakActiveComputePct/100, m.PeakFillFraction) * headroom
+		need := math.Max(m.PeakActiveComputePct/100, m.PeakFillFraction) * partitionHeadroom
 		p := math.Ceil(need*10) / 10
 		if p < 0.1 {
 			p = 0.1

@@ -315,10 +315,11 @@ func TestPolicyClientCaps(t *testing.T) {
 	if got := EnergyPolicy().ClientCap(dev.MaxMPSClients); got != 48 {
 		t.Fatalf("energy cap = %d", got)
 	}
-	p := ThroughputPolicy()
-	p.ThroughputClientCap = 3
-	if got := p.ClientCap(dev.MaxMPSClients); got != 3 {
-		t.Fatalf("override cap = %d", got)
+	if got := (Policy{Objective: MaximizeProduct}).ClientCap(dev.MaxMPSClients); got != 4 {
+		t.Fatalf("product cap = %d", got)
+	}
+	if got := ThroughputPolicy().ClientCap(1); got != 1 {
+		t.Fatalf("throughput cap on a 1-client device = %d", got)
 	}
 }
 

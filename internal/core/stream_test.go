@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"gpushare/internal/profile"
+	"gpushare/internal/simtime"
 	"gpushare/internal/workflow"
 )
 
@@ -428,14 +430,19 @@ func TestStreamRestoreValidation(t *testing.T) {
 	}
 }
 
-// FuzzRestoreStreamer feeds mutated stream snapshots to
-// RestoreStreamer. Each must either be refused with an error or restore
-// a streamer that ingests a fixed tail of arrivals without panicking:
-// the pool's Retire panics on a completion whose resident is missing,
-// so a snapshot that restores must leave every completion its resident.
-// An Ingest may refuse an arrival (one earlier than the snapshot's last
-// instant, say); the seed snapshot itself must resume on the
-// uninterrupted run's digest.
+// FuzzRestoreStreamer feeds RestoreStreamer stream snapshots whose
+// decoded fields the fuzzer has mutated: counters and clocks, the
+// digest state, the histograms, and each resident's GPU, end, serial,
+// load and place in the list. Each state must either be refused with an
+// error or restore a streamer that ingests a fixed tail of arrivals
+// without panicking: the pool's Retire panics on a completion whose
+// resident is missing, so a state that restores must leave every
+// completion its resident. An Ingest may refuse an arrival (one earlier
+// than the snapshot's last instant, say); the unmutated snapshot must
+// resume on the uninterrupted run's digest.
+//
+// ops is read as 10-byte mutations: a field, a resident index and a
+// little-endian 64-bit value (an integer, or a float's bits).
 func FuzzRestoreStreamer(f *testing.F) {
 	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 120, TargetGPUs: 4, Seed: 9})
 	if err != nil {
@@ -451,14 +458,10 @@ func FuzzRestoreStreamer(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	var seed []byte
+	var seed *StreamState
 	for i, a := range arrivals {
 		if i == cut {
-			state, err := ref.SaveState()
-			if err != nil {
-				f.Fatal(err)
-			}
-			if seed, err = json.Marshal(state); err != nil {
+			if seed, err = ref.SaveState(); err != nil {
 				f.Fatal(err)
 			}
 		}
@@ -470,17 +473,67 @@ func FuzzRestoreStreamer(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	if !bytes.Contains(seed, []byte(`"gpu":1`)) {
-		f.Fatal("the seed snapshot holds no resident on GPU 1")
+	if len(seed.Resident) < 2 || seed.Resident[1].GPU == 0 {
+		f.Fatal("the seed snapshot's second resident is not on a GPU other than 0")
 	}
-	f.Add(seed)
-	// A resident moved to another GPU, and every end in the past.
-	f.Add(bytes.Replace(seed, []byte(`"gpu":1`), []byte(`"gpu":0`), 1))
-	f.Add(bytes.ReplaceAll(seed, []byte(`"end":`), []byte(`"end":-`)))
-	f.Fuzz(func(t *testing.T, blob []byte) {
-		var state StreamState
-		if json.Unmarshal(blob, &state) != nil {
-			return
+	op := func(field, resident byte, v uint64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{field, resident}, v)
+	}
+	f.Add([]byte{})
+	// A resident moved to another GPU, an end in the past, a NaN load,
+	// and a resident listed twice.
+	f.Add(op(7, 1, 0))
+	f.Add(op(8, 0, 1<<63))
+	f.Add(op(10, 2, math.Float64bits(math.NaN())))
+	f.Add(op(14, 1, 0))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		state := *seed
+		state.Resident = slices.Clone(seed.Resident)
+		state.Digest = slices.Clone(seed.Digest)
+		for ; len(ops) >= 10; ops = ops[10:] {
+			v := binary.LittleEndian.Uint64(ops[2:10])
+			switch ops[0] % 16 {
+			case 0:
+				state.GPUs = int(v)
+			case 1:
+				state.Events = int64(v)
+			case 2:
+				state.NextSeq = v
+			case 3:
+				state.LastAt = simtime.Time(v)
+			case 4:
+				state.Digest = state.Digest[:int(v%uint64(len(state.Digest)+1))]
+			case 5:
+				state.WaitedNS = int64(v)
+			case 6:
+				state.Hists = streamHists{}
+			}
+			if ops[0]%16 < 7 || len(state.Resident) == 0 {
+				continue
+			}
+			i := int(ops[1]) % len(state.Resident)
+			r := &state.Resident[i]
+			switch ops[0] % 16 {
+			case 7:
+				r.GPU = int(v)
+			case 8:
+				r.End = simtime.Time(v)
+			case 9:
+				r.Seq = v
+			case 10:
+				r.Load.SMPct = math.Float64frombits(v)
+			case 11:
+				r.Load.BWPct = math.Float64frombits(v)
+			case 12:
+				r.Load.MemMiB = int64(v)
+			case 13:
+				state.Resident = slices.Delete(state.Resident, i, i+1)
+			case 14:
+				state.Resident = slices.Insert(state.Resident, i, *r)
+			case 15:
+				j := int(v % uint64(len(state.Resident)))
+				state.Resident[i], state.Resident[j] = state.Resident[j], state.Resident[i]
+			}
 		}
 		st, err := s.RestoreStreamer(StreamConfig{}, &state)
 		if err != nil {
@@ -490,8 +543,8 @@ func FuzzRestoreStreamer(f *testing.F) {
 			_, _ = st.Ingest(a)
 		}
 		digest, err := st.Finish()
-		if bytes.Equal(blob, seed) && (err != nil || digest != refDigest) {
-			t.Fatalf("the seed snapshot resumed on digest %s (%v), want the uninterrupted %s", digest, err, refDigest)
+		if reflect.DeepEqual(&state, seed) && (err != nil || digest != refDigest) {
+			t.Fatalf("the unmutated snapshot resumed on digest %s (%v), want the uninterrupted %s", digest, err, refDigest)
 		}
 	})
 }
@@ -653,6 +706,28 @@ func TestRefusedArrivalLeavesFleet(t *testing.T) {
 	}
 }
 
+// TestPlanRefusesLoadPastDeviceMemory pins what admit's refusal guards
+// in PlanOnline, which checks nothing before admit: on a one-GPU fleet
+// the first-fit query is the GPU's own leaf, judged by Admit alone, and
+// a load within a resident's memory of the int64 limit would wrap
+// sum+load negative and be seated beside it. The refusal turns away
+// every load above device memory before a scan.
+func TestPlanRefusesLoadPastDeviceMemory(t *testing.T) {
+	store := halfHugeStore(t)
+	giant := &profile.TaskProfile{Workload: "giant", Size: "1x", Device: a100x().Name,
+		DurationS: 100, SizeFactor: 1, MaxMemMiB: math.MaxInt64 - 10, AvgSMUtilPct: 1, AvgBWUtilPct: 1}
+	if err := store.Add(giant); err != nil {
+		t.Fatal(err)
+	}
+	_, err := fleetScheduler(t, store, 1).PlanOnline([]Arrival{
+		{At: at(0), Workflow: wfOne("first", "half", "1x", 1)},
+		{At: at(1), Workflow: wfOne("giant", "giant", "1x", 1)},
+	})
+	if err == nil || !strings.Contains(err.Error(), "cannot be admitted") {
+		t.Fatalf("a load past device memory: err = %v", err)
+	}
+}
+
 // halfHugeStore holds two 100-s benchmarks: "half" (40% SM, 1 GiB),
 // two of which fill a GPU's SM, and "huge" (1 TiB), which no GPU can
 // ever take.
@@ -736,6 +811,35 @@ func TestCheckMatchesIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	same("zero GPUs", ok, empty)
+}
+
+// TestCheckLeavesStoreOnBadSize pins that a refused size leaves the
+// profile store as it was: a non-finite size label is refused when it
+// is parsed, and a finite one whose inferred profile breaks the store's
+// check (memory past int64, infinite duration) is refused before Lookup
+// caches it.
+func TestCheckLeavesStoreOnBadSize(t *testing.T) {
+	_, store, err := NewFleetSource(a100x(), FleetSpec{Workflows: 1, TargetGPUs: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := fleetScheduler(t, store, 4).NewStreamer(StreamConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bench := store.All()[0].Workload
+	n := store.Len()
+	for _, size := range []string{"NaNx", "Infx", "-Infx", "1e300x"} {
+		if err := st.Check(Arrival{Workflow: wfOne("bad", bench, size, 1)}); err == nil {
+			t.Fatalf("size %s accepted", size)
+		}
+		if store.Len() != n {
+			t.Fatalf("size %s: the store grew from %d to %d profiles: %v", size, n, store.Len(), store.Keys())
+		}
+	}
+	if err := st.Check(Arrival{Workflow: wfOne("ok", bench, "2x", 1)}); err != nil || store.Len() != n+1 {
+		t.Fatalf("size 2x: %v, %d profiles (want %d)", err, store.Len(), n+1)
+	}
 }
 
 // TestStreamEmptyDigest pins the zero-event digest to the marshaled

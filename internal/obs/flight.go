@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"io"
 	"sync"
-
-	"gpushare/internal/arena"
 )
 
-// Flight is the decision-provenance recorder: an arena-backed ring of
+// Flight is the decision-provenance recorder: a fixed-capacity ring of
 // the last N scheduling decisions (arrivals, first-fit scan summaries
 // with per-rule rejection counts, wait spans, dispatches, preemption
 // what-ifs). It answers "which rules kept this gang off every GPU?"
@@ -175,6 +173,47 @@ func (t *ScanTally) Summary(seq, atNS int64, gpu int32) FlightRecord {
 	}
 }
 
+// ring is a fixed-capacity FIFO of records: push appends one and, once
+// the buffer is full, evicts and returns the oldest, which the caller
+// may spill. The buffer is allocated once and never grows, so push
+// allocates nothing. It is not safe for concurrent use; Flight guards
+// it with its mutex.
+type ring struct {
+	buf   []FlightRecord
+	head  int // index of the oldest record
+	count int
+}
+
+// push appends v, evicting and returning the oldest record when full.
+//
+//repro:hotpath pinned by TestFlightRecordAllocs
+func (r *ring) push(v FlightRecord) (old FlightRecord, evicted bool) {
+	if r.count < len(r.buf) {
+		r.buf[(r.head+r.count)%len(r.buf)] = v
+		r.count++
+		return old, false
+	}
+	old = r.buf[r.head]
+	r.buf[r.head] = v
+	r.head = (r.head + 1) % len(r.buf)
+	return old, true
+}
+
+// snapshot appends the buffered records, oldest first, to dst.
+func (r *ring) snapshot(dst []FlightRecord) []FlightRecord {
+	for i := 0; i < r.count; i++ {
+		dst = append(dst, r.buf[(r.head+i)%len(r.buf)])
+	}
+	return dst
+}
+
+// reset empties the ring, zeroing the buffer so evicted strings are
+// released for the GC.
+func (r *ring) reset() {
+	clear(r.buf)
+	r.head, r.count = 0, 0
+}
+
 // Flight records FlightRecords into a fixed-capacity ring; once full,
 // the oldest record is either spilled as one JSONL line (streaming
 // path) or counted as dropped. Safe for concurrent use — recording is
@@ -182,7 +221,7 @@ func (t *ScanTally) Summary(seq, atNS int64, gpu int32) FlightRecord {
 // dispatch runs.
 type Flight struct {
 	mu       sync.Mutex
-	ring     *arena.Ring[FlightRecord]
+	ring     ring
 	total    int64
 	spilled  int64
 	dropped  int64
@@ -196,7 +235,10 @@ const DefaultFlightCapacity = 4096
 // NewFlight returns a recorder retaining the last capacity records.
 // Capacity must be positive.
 func NewFlight(capacity int) *Flight {
-	return &Flight{ring: arena.NewRing[FlightRecord](capacity)}
+	if capacity < 1 {
+		panic("obs: flight capacity must be positive")
+	}
+	return &Flight{ring: ring{buf: make([]FlightRecord, capacity)}}
 }
 
 // SetSpill installs w as the JSONL spill sink for evicted records (nil
@@ -234,7 +276,7 @@ func (f *Flight) Record(r FlightRecord) {
 		return
 	}
 	f.mu.Lock()
-	old, evicted := f.ring.Push(r)
+	old, evicted := f.ring.push(r)
 	f.total++
 	if evicted {
 		if f.spill != nil && f.spillErr == nil {
@@ -286,11 +328,11 @@ func (f *Flight) Snapshot() FlightSnapshot {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	s.Capacity = f.ring.Cap()
+	s.Capacity = len(f.ring.buf)
 	s.Total = f.total
 	s.Spilled = f.spilled
 	s.Dropped = f.dropped
-	s.Records = f.ring.Snapshot(s.Records)
+	s.Records = f.ring.snapshot(s.Records)
 	return s
 }
 
@@ -304,12 +346,12 @@ func (f *Flight) Restore(s FlightSnapshot) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(s.Records) > f.ring.Cap() {
-		return fmt.Errorf("obs: flight restore: %d records exceed capacity %d", len(s.Records), f.ring.Cap())
+	if len(s.Records) > len(f.ring.buf) {
+		return fmt.Errorf("obs: flight restore: %d records exceed capacity %d", len(s.Records), len(f.ring.buf))
 	}
-	f.ring.Reset()
+	f.ring.reset()
 	for _, r := range s.Records {
-		f.ring.Push(r)
+		f.ring.push(r)
 	}
 	f.total = s.Total
 	f.spilled = s.Spilled

@@ -266,3 +266,42 @@ func TestHubDump(t *testing.T) {
 		t.Fatalf("dump JSON framing: %q", buf.String())
 	}
 }
+
+// TestRingBasics pins the flight ring's FIFO window: pushes fill it
+// without evicting, then each push evicts the oldest record, and reset
+// empties it with its capacity kept.
+func TestRingBasics(t *testing.T) {
+	r := ring{buf: make([]FlightRecord, 3)}
+	if got := r.snapshot(nil); len(got) != 0 {
+		t.Fatalf("fresh ring holds %v", got)
+	}
+	for i := int64(1); i <= 3; i++ {
+		if _, ev := r.push(FlightRecord{Seq: i}); ev {
+			t.Fatalf("push %d evicted before full", i)
+		}
+	}
+	for i := int64(4); i <= 5; i++ {
+		if old, ev := r.push(FlightRecord{Seq: i}); !ev || old.Seq != i-3 {
+			t.Fatalf("push %d: evicted=%v old=%d, want true %d", i, ev, old.Seq, i-3)
+		}
+	}
+	snap := r.snapshot(nil)
+	if len(snap) != 3 || snap[0].Seq != 3 || snap[1].Seq != 4 || snap[2].Seq != 5 {
+		t.Fatalf("snapshot = %+v, want seqs 3 4 5", snap)
+	}
+	r.reset()
+	if got := r.snapshot(nil); len(got) != 0 || len(r.buf) != 3 {
+		t.Fatalf("after reset: %v, capacity %d", got, len(r.buf))
+	}
+}
+
+// TestRingPanics pins that a recorder without room is refused at
+// construction.
+func TestRingPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewFlight(0) did not panic")
+		}
+	}()
+	NewFlight(0)
+}

@@ -83,13 +83,18 @@ func (s *Store) Get(workloadName, size string) (*TaskProfile, bool) {
 
 // Lookup returns the profile for a workload/size, inferring it by scaling
 // when not directly stored but other sizes of the same workload are. The
-// inferred profile is cached in the store (marked Inferred).
+// inferred profile is cached in the store (marked Inferred) once it
+// passes the check Add runs; one that fails it is an error, and the store
+// is left as it was.
 func (s *Store) Lookup(workloadName, size string) (*TaskProfile, error) {
 	if p, ok := s.Get(workloadName, size); ok {
 		return p, nil
 	}
 	p, err := s.Infer(workloadName, size)
 	if err != nil {
+		return nil, err
+	}
+	if err := check(p); err != nil {
 		return nil, err
 	}
 	s.profiles[p.Key()] = p

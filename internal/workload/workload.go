@@ -22,6 +22,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -132,11 +133,12 @@ func (w *Workload) Profile(size string) (*SizeProfile, error) {
 	return p, nil
 }
 
-// ParseSizeFactor converts a size label like "4x" to its numeric factor.
+// ParseSizeFactor converts a size label like "4x" to its numeric factor,
+// which must be positive and finite.
 func ParseSizeFactor(size string) (float64, error) {
 	s := strings.TrimSuffix(strings.TrimSpace(size), "x")
 	f, err := strconv.ParseFloat(s, 64)
-	if err != nil || f <= 0 {
+	if err != nil || !(f > 0 && f <= math.MaxFloat64) {
 		return 0, fmt.Errorf("workload: invalid size label %q (want e.g. \"4x\")", size)
 	}
 	return f, nil
