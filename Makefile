@@ -53,9 +53,10 @@ fmt:
 # reference model (its completion timeline included), event-queue pop
 # ordering, the cluster planner's all-or-nothing gang accounting,
 # mutated stream snapshot fields (refused, or resumed without a panic),
-# the flight recorder's ring and spill order, the /ingest response bytes
-# against a replayed stream, and arbitrary /ingest bodies (a refused
-# batch leaves the stream as it was).
+# the stream's event encoder against json.Marshal, the flight
+# recorder's ring and spill order, the /ingest response bytes against a
+# replayed stream, and arbitrary /ingest bodies (a refused batch leaves
+# the stream as it was).
 # Native Go fuzzing takes one target per invocation.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPredictInterference -fuzztime=$(FUZZTIME) ./internal/interference
@@ -65,6 +66,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreStreamer -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzAppendEvent -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFlightRing -fuzztime=$(FUZZTIME) ./internal/obs
 	$(GO) test -run='^$$' -fuzz=FuzzIngestResponse -fuzztime=$(FUZZTIME) ./cmd/gpusched
 	$(GO) test -run='^$$' -fuzz=FuzzIngestHTTP -fuzztime=$(FUZZTIME) ./cmd/gpusched

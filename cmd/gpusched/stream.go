@@ -186,8 +186,9 @@ func (ss *streamServer) ingest(arrivals []core.Arrival) ([]byte, error) {
 			return nil, fmt.Errorf("arrival %d (%d dispatched): %w", i, i, err)
 		}
 	}
-	// json.Marshal escapes newlines inside strings, so every newline
-	// byte on the spill ends a line.
+	// The stream's event encoder escapes newlines inside strings
+	// (FuzzAppendEvent in internal/core and FuzzIngestResponse pin
+	// this), so every newline byte on the spill ends a line.
 	body := ss.spill.Bytes()
 	for i, c := range body {
 		if c == '\n' {

@@ -395,8 +395,27 @@ func displayName(fn *types.Func) string {
 	return fn.Name()
 }
 
+// appendsToFirstArg reports whether fn is an external append-style
+// function, which allocates only when its first argument (the
+// destination slice) must grow: strconv's Append functions and
+// utf8.AppendRune.
+func appendsToFirstArg(fn *types.Func) bool {
+	pkg := fn.Pkg()
+	if pkg == nil {
+		return false
+	}
+	switch pkg.Path() {
+	case "strconv":
+		return strings.HasPrefix(fn.Name(), "Append")
+	case "unicode/utf8":
+		return fn.Name() == "AppendRune"
+	}
+	return false
+}
+
 // externalMayAllocate classifies calls that leave the module. The
-// allowlist is small and deliberate: pure arithmetic packages, the
+// allowlist is small and deliberate: pure arithmetic packages, UTF-8
+// decoding (utf8.AppendRune is judged as an append instead), the
 // sort.Search family (the closure argument is charged separately),
 // sync locking (mutexes allocate nothing after creation), and
 // time.Duration's conversion methods (simtime interoperates with
@@ -407,7 +426,7 @@ func externalMayAllocate(fn *types.Func) bool {
 		return true
 	}
 	switch pkg.Path() {
-	case "math", "math/bits":
+	case "math", "math/bits", "unicode/utf8":
 		return false
 	case "sort":
 		switch fn.Name() {

@@ -83,19 +83,15 @@ func (c *collector) addFold(desc string, pos token.Pos) {
 	c.node.base.Folds = mergeFacts(c.node.base.Folds, []Fact{{Desc: desc, Pos: p}}, "")
 }
 
-// collectPreallocEvidence records objects assigned from make([]T, ...):
-// appends onto them carry capacity evidence and are not charged as
-// allocations (the issue is append with no sizing discipline at all).
+// collectPreallocEvidence records objects assigned from make([]T, ...)
+// or from slices.Grow: appends onto them carry capacity evidence and
+// are not charged as allocations (the fault is append with no sizing
+// discipline at all).
 func (c *collector) collectPreallocEvidence(body ast.Node) {
 	record := func(lhs ast.Expr, rhs ast.Expr) {
 		call, ok := rhs.(*ast.CallExpr)
-		if !ok || builtinNameOf(c.info, call) != "make" || len(call.Args) == 0 {
+		if !ok || !c.sizesSlice(call) {
 			return
-		}
-		if t := typeOf(c.info, call); t != nil {
-			if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
-				return
-			}
 		}
 		id, ok := unparen(lhs).(*ast.Ident)
 		if !ok {
@@ -122,6 +118,25 @@ func (c *collector) collectPreallocEvidence(body ast.Node) {
 		}
 		return true
 	})
+}
+
+// sizesSlice reports whether call is sizing evidence for the slice it
+// is assigned to: make([]T, ...), or slices.Grow, which reserves
+// capacity on a slice the function was handed.
+func (c *collector) sizesSlice(call *ast.CallExpr) bool {
+	if builtinNameOf(c.info, call) == "make" {
+		if len(call.Args) == 0 {
+			return false
+		}
+		t := typeOf(c.info, call)
+		if t == nil {
+			return true
+		}
+		_, isSlice := t.Underlying().(*types.Slice)
+		return isSlice
+	}
+	fn := calleeOf(c.info, call)
+	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "slices" && fn.Name() == "Grow"
 }
 
 func (c *collector) walk(body ast.Node) {
@@ -248,6 +263,14 @@ func (c *collector) checkCall(call *ast.CallExpr) {
 			mergeSummary(c.node.base, cs, displayName(callee))
 		}
 	default:
+		if appendsToFirstArg(callee) {
+			// Judged like the append builtin: only growing the
+			// destination allocates.
+			if len(call.Args) > 0 && !c.hasPreallocEvidence(call.Args[0]) {
+				c.addAlloc("calls "+displayName(callee)+", which may grow its destination", call.Pos())
+			}
+			return
+		}
 		if externalMayAllocate(callee) {
 			c.addAlloc("calls "+displayName(callee)+", assumed to allocate", call.Pos())
 		}

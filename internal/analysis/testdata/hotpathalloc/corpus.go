@@ -6,7 +6,12 @@
 // call-graph propagation through unannotated wrappers.
 package corpus
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strconv"
+	"unicode/utf8"
+)
 
 type item struct{ a, b int }
 
@@ -121,6 +126,33 @@ func preallocated(n int) []int {
 		out = append(out, i)
 	}
 	return out
+}
+
+// grown is the same discipline for a slice the function is handed:
+// slices.Grow reserves the capacity (and is excused), and the appends
+// after it, strconv's included, carry its evidence.
+//
+//repro:hotpath
+func grown(b []byte, v int64) []byte {
+	b = slices.Grow(b, 24) //repro:allow:hotpathalloc growth of a reused buffer is amortized
+	b = append(b, '=')
+	return strconv.AppendInt(b, v, 10)
+}
+
+// appendsBare has no sizing evidence: strconv.AppendInt is judged as
+// the append builtin is.
+//
+//repro:hotpath
+func appendsBare(b []byte, v int64) []byte {
+	return strconv.AppendInt(b, v, 10) // want "calls strconv.AppendInt, which may grow its destination"
+}
+
+// decodes calls utf8's pure decoder, which never allocates.
+//
+//repro:hotpath
+func decodes(s string) rune {
+	r, _ := utf8.DecodeRuneInString(s)
+	return r
 }
 
 // allowedAbove uses the line-above directive placement.

@@ -300,7 +300,7 @@ type nodeState struct {
 	rules interference.RuleMask // rules a GPU applies: all (MPS), capacity (time-slice), none (MIG)
 	smCap float64               // per-client SM cap: the MPS active-thread cap, or +Inf
 	// memMiB bounds one resident's memory: the MIG instance size, or
-	// math.MaxInt64.
+	// the device's memory.
 	memMiB int64
 }
 
@@ -425,7 +425,10 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	st.nodes = make([]nodeState, len(p.spec.Nodes))
 	for i, ns := range p.spec.Nodes {
 		n := &st.nodes[i]
-		n.spec, n.smCap, n.memMiB = ns, math.Inf(1), math.MaxInt64
+		// A resident never holds more than its device's memory; bounding
+		// every member here keeps the pool's memory sums far from the
+		// int64 limit, where sum + load would wrap.
+		n.spec, n.smCap, n.memMiB = ns, math.Inf(1), ns.Device.MemoryMiB
 		switch ns.Mode {
 		case ModeMPS:
 			n.cap = cmp.Or(ns.ClientCap, ns.Device.MaxMPSClients)

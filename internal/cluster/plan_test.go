@@ -11,6 +11,7 @@ import (
 	"gpushare/internal/core"
 	"gpushare/internal/gpu"
 	"gpushare/internal/gpusim"
+	"gpushare/internal/interference"
 	"gpushare/internal/obs"
 	"gpushare/internal/profile"
 	"gpushare/internal/simtime"
@@ -204,6 +205,61 @@ func TestGangNeverFitsFailsWhole(t *testing.T) {
 	// The queue keeps moving past the failed gang.
 	if len(out.Jobs) != 1 || out.Jobs[0].Gang != "after" {
 		t.Fatalf("jobs = %+v, want the trailing single to complete", out.Jobs)
+	}
+}
+
+// TestMemberAboveDeviceMemoryRefused pins the memory bound of MPS and
+// time-slice nodes: a member larger than the device is refused beside a
+// resident, where the resident's memory plus its own would wrap int64
+// and pass the capacity rule, by the first-fit scan and by the what-if
+// and hold probe alike; the plan fails it whole.
+func TestMemberAboveDeviceMemoryRefused(t *testing.T) {
+	store := profile.NewStore()
+	for name, mem := range map[string]int64{"resident": 1024, "giant": math.MaxInt64 - 10} {
+		if err := store.Add(&profile.TaskProfile{
+			Workload: name, Size: "1x", Device: "NVIDIA A100X",
+			DurationS: 100, MaxMemMiB: mem, AvgSMUtilPct: 10,
+			AvgPowerW: 100, EnergyJ: 100 * 100, GPUIdlePct: 5,
+			TheoreticalOccPct: 50, AchievedOccPct: 35, SizeFactor: 1,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	subs := []Submission{
+		sub(0, "a", 0, workflow.Single(wf("r", "resident"))),
+		sub(1, "a", 1, workflow.Single(wf("g", "giant"))),
+	}
+	for _, mode := range []Mode{ModeMPS, ModeTimeSlice} {
+		spec := oneNode(4, "a")
+		spec.Nodes[0].Mode = mode
+		spec.Preemption = true
+		p, err := NewPlanner(spec, store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.newPlanner(subs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commitByHand(t, st, st.jobs[0])
+		m := &st.jobs[1].members[0]
+		if g := st.findFit(st.jobs[1], m, simtime.Zero); g >= 0 {
+			t.Fatalf("%s: findFit seated a %d-MiB member on GPU %d beside a resident", mode, m.load.MemMiB, g)
+		}
+		node := st.gpus[0].node
+		if rules := st.probe(node, 0, m, st.pool.Len(0), nil); rules&interference.MaskCapacity == 0 {
+			t.Fatalf("%s: probe admitted a %d-MiB member beside a resident (rules %v)", mode, m.load.MemMiB, rules)
+		}
+
+		out := mustPlan(t, spec, store, subs)
+		if len(out.Failed) != 1 || out.Failed[0].Gang != "g" {
+			t.Fatalf("%s: failed = %+v, want the giant member's gang", mode, out.Failed)
+		}
+		for _, d := range out.Dispatches {
+			if d.Gang == "g" {
+				t.Fatalf("%s: giant member dispatched: %+v", mode, d)
+			}
+		}
 	}
 }
 

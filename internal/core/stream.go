@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash"
 	"io"
@@ -52,6 +51,9 @@ type Streamer struct {
 	// names backs the current event's RunningAlongside; it is truncated
 	// after each event is framed, so its space is reused, not grown.
 	names []string
+	// line holds the event being framed (separator, event, newline); it
+	// is reused, so it grows only to the longest line.
+	line  []byte
 	spill io.Writer
 
 	digest hash.Hash
@@ -103,28 +105,28 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	if err != nil {
 		return DispatchEvent{}, err
 	}
-	line, err := json.Marshal(ev)
-	if err != nil {
-		return DispatchEvent{}, err
+	// One line per event, in the one reused buffer: the digest's
+	// separator ('[' before the first event, ',' after), the event, and
+	// the spill's newline. The digest reads all but the newline, the
+	// spill all but the separator, so the framing matches json.Marshal
+	// over the full event slice ('[' e1 ',' e2 ... ']'; Finish writes
+	// the close bracket).
+	sep := byte(',')
+	if st.n == 0 {
+		sep = '['
 	}
+	st.line = append(appendEvent(append(st.line[:0], sep), &ev), '\n')
 	// The event is framed: the next arrival may reuse the name buffer's
 	// space, which keeps steady-state memory independent of the arrival
 	// count.
 	st.names = st.names[:0]
 
-	// Digest framing matches json.Marshal over the full event slice:
-	// '[' e1 ',' e2 ... ']' (Finish writes the close bracket).
-	if st.n == 0 {
-		st.digest.Write([]byte{'['})
-	} else {
-		st.digest.Write([]byte{','})
-	}
-	st.digest.Write(line)
+	st.digest.Write(st.line[:len(st.line)-1])
 	st.n++
 	st.lastAt = a.At
 
 	if st.spill != nil {
-		if _, err := st.spill.Write(append(line, '\n')); err != nil {
+		if _, err := st.spill.Write(st.line[1:]); err != nil {
 			st.err = fmt.Errorf("core: stream spill: %w", err)
 			return DispatchEvent{}, st.err
 		}
