@@ -41,15 +41,12 @@ const maxIngestBytes = 8 << 20
 const maxIngestArrivals = 10_000
 
 // ingestArrival is the wire form of one arrival: a non-decreasing
-// timestamp in seconds plus the workflow to place.
+// timestamp in seconds beside the workflow to place, in the -queue
+// file's schema (encoding/json matches its field names, "name",
+// "tasks", "benchmark", "size" and "iterations", case-insensitively).
 type ingestArrival struct {
-	AtS   float64 `json:"at_s"`
-	Name  string  `json:"name"`
-	Tasks []struct {
-		Benchmark  string `json:"benchmark"`
-		Size       string `json:"size"`
-		Iterations int    `json:"iterations"`
-	} `json:"tasks"`
+	AtS float64 `json:"at_s"`
+	workflow.Workflow
 }
 
 // newStreamServer builds the live dispatcher the ingest endpoint feeds:
@@ -151,12 +148,7 @@ func decodeBatch(r io.Reader) ([]core.Arrival, error) {
 		if err != nil {
 			return nil, fmt.Errorf("arrival %d: %w", i, err)
 		}
-		arrivals[i] = core.Arrival{At: at, Workflow: workflow.Workflow{Name: wa.Name}}
-		for _, t := range wa.Tasks {
-			arrivals[i].Workflow.Tasks = append(arrivals[i].Workflow.Tasks, workflow.Task{
-				Benchmark: t.Benchmark, Size: t.Size, Iterations: t.Iterations,
-			})
-		}
+		arrivals[i] = core.Arrival{At: at, Workflow: wa.Workflow}
 	}
 	return arrivals, nil
 }

@@ -155,13 +155,13 @@ type Spec struct {
 	// (whole-gang eviction; victims are requeued at the front of their
 	// tenant queue).
 	Preemption bool
-	// PreemptionOverheadS is the restart penalty in predicted seconds
-	// charged to each evicted member's next run (checkpoint/requeue
-	// cost), finite and non-negative; zero selects 10 s. The victim's makespan grows by the lost
-	// partial run plus this charge — the accounting the ext-cluster
-	// experiment reports.
-	PreemptionOverheadS float64
 }
+
+// preemptionOverheadS is the restart penalty in predicted seconds
+// charged to each evicted member's next run (checkpoint/requeue cost).
+// The victim's makespan grows by the lost partial run plus this charge
+// — the accounting the ext-cluster experiment reports.
+const preemptionOverheadS = 10.0
 
 // Typed validation errors (checked with errors.Is).
 var (
@@ -227,19 +227,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: tenant %s: negative weight %d", t.Name, t.Weight)
 		}
 	}
-	if math.IsNaN(s.PreemptionOverheadS) || math.IsInf(s.PreemptionOverheadS, 0) || s.PreemptionOverheadS < 0 {
-		return fmt.Errorf("cluster: preemption overhead %g is not a finite non-negative number", s.PreemptionOverheadS)
-	}
 	return nil
-}
-
-// GPUCount returns the fleet's total GPU count.
-func (s Spec) GPUCount() int {
-	n := 0
-	for _, node := range s.Nodes {
-		n += node.GPUs
-	}
-	return n
 }
 
 // Submission is one tenant request: a gang of workflows (usually one)

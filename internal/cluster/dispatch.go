@@ -698,7 +698,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 				GPU:       gs.index,
 				Preemptor: j.sub.Gang.Name,
 				LostS:     now.Sub(r.start).Seconds(),
-				OverheadS: st.overheadS(),
+				OverheadS: preemptionOverheadS,
 			})
 			st.stats.Preemptions++
 			if st.fl != nil {
@@ -728,7 +728,7 @@ func (st *planner) commit(j *job, now simtime.Time) {
 			v := victims[i]
 			v.evicting = false
 			v.preemptions++
-			v.penaltyS += st.overheadS()
+			v.penaltyS += preemptionOverheadS
 			v.tenant.stat.Preemptions++
 			v.residents = v.residents[:0]
 			st.stats.GangsPreempted++

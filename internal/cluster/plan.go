@@ -317,9 +317,8 @@ func (n *nodeState) load(m *member) interference.Load {
 
 // planner is the mutable planning state for one Plan call.
 type planner struct {
-	spec     Spec
-	profiles *profile.Store
-	nodes    []nodeState
+	spec  Spec
+	nodes []nodeState
 	// pool holds every node's GPUs in spec order; gpus runs parallel.
 	pool    admission.Pool[*resident]
 	gpus    []gpuState
@@ -395,11 +394,10 @@ func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 // newPlanner resolves the spec, sorts the stream, and builds profiles.
 func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	st := &planner{
-		spec:     p.spec,
-		profiles: p.profiles,
-		byName:   make(map[string]*tenantState, len(p.spec.Tenants)),
-		out:      &Outcome{Jobs: make([]JobSummary, 0, len(subs))},
-		fl:       obs.Active().FlightRecorder(),
+		spec:   p.spec,
+		byName: make(map[string]*tenantState, len(p.spec.Tenants)),
+		out:    &Outcome{Jobs: make([]JobSummary, 0, len(subs))},
+		fl:     obs.Active().FlightRecorder(),
 	}
 	st.stats = &st.out.Stats
 
@@ -491,17 +489,9 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		for _, wf := range sub.Gang.Members {
 			wp, err := builder.Build(wf)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("cluster: gang %s: %w", sub.Gang.Name, err)
 			}
-			memSlab = append(memSlab, member{
-				name:    wf.Name,
-				profile: wp,
-				load: interference.Load{
-					SMPct:  wp.AvgSMUtilPct,
-					BWPct:  wp.AvgBWUtilPct,
-					MemMiB: wp.MaxMemMiB,
-				},
-			})
+			memSlab = append(memSlab, member{name: wf.Name, profile: wp, load: wp.Load()})
 			j.durationS += wp.TotalDurationS
 		}
 		end := len(memSlab)
@@ -514,14 +504,6 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	// re-dispatched victims grow the log past this.
 	st.out.Dispatches = make([]Dispatch, 0, members)
 	return st, nil
-}
-
-// overheadS resolves the preemption restart penalty.
-func (st *planner) overheadS() float64 {
-	if st.spec.PreemptionOverheadS > 0 {
-		return st.spec.PreemptionOverheadS
-	}
-	return 10
 }
 
 // finish assembles tenant stats and the fleet makespan.

@@ -125,10 +125,35 @@ func TestPlanRejectsEmptyAndUnknown(t *testing.T) {
 	}
 }
 
+// TestPlanRejectsBadMember pins where a gang member's shape is checked:
+// Gang.ValidateShape looks at the gang alone, and the member's profile
+// build refuses it, with the gang named in the error.
+func TestPlanRejectsBadMember(t *testing.T) {
+	store := testStore(t)
+	p, err := NewPlanner(oneNode(2, "a"), store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	badSize := wf("w-1", "small")
+	badSize.Tasks[0].Size = "4q"
+	for _, c := range []struct {
+		name   string
+		member workflow.Workflow
+		want   string
+	}{
+		{"no tasks", workflow.Workflow{Name: "w-1"}, "no tasks"},
+		{"bad size label", badSize, `"4q"`},
+	} {
+		g := gang("pair", wf("w-0", "small"), c.member)
+		_, err := p.Plan([]Submission{sub(0, "a", 0, g)})
+		if err == nil || !strings.Contains(err.Error(), "gang pair") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want naming gang pair and containing %q", c.name, err, c.want)
+		}
+	}
+}
+
 // TestSpecRejectsNonFinite pins the spec boundary: a NaN thread cap
-// would leave its node silently uncapped, a NaN preemption overhead
-// would silently become the 10 s default, and an infinite one would
-// turn a victim's restart into an undefined float-to-int conversion.
+// would leave its node silently uncapped.
 func TestSpecRejectsNonFinite(t *testing.T) {
 	store := testStore(t)
 	for _, c := range []struct {
@@ -138,10 +163,6 @@ func TestSpecRejectsNonFinite(t *testing.T) {
 		{"thread cap NaN", func(s *Spec) { s.Nodes[0].MPSActiveThreadPct = math.NaN() }},
 		{"thread cap +Inf", func(s *Spec) { s.Nodes[0].MPSActiveThreadPct = math.Inf(1) }},
 		{"thread cap -Inf", func(s *Spec) { s.Nodes[0].MPSActiveThreadPct = math.Inf(-1) }},
-		{"overhead NaN", func(s *Spec) { s.PreemptionOverheadS = math.NaN() }},
-		{"overhead +Inf", func(s *Spec) { s.PreemptionOverheadS = math.Inf(1) }},
-		{"overhead -Inf", func(s *Spec) { s.PreemptionOverheadS = math.Inf(-1) }},
-		{"overhead negative", func(s *Spec) { s.PreemptionOverheadS = -1 }},
 	} {
 		spec := oneNode(2, "a")
 		spec.Preemption = true
@@ -151,7 +172,7 @@ func TestSpecRejectsNonFinite(t *testing.T) {
 		}
 	}
 	spec := oneNode(2, "a")
-	spec.Nodes[0].MPSActiveThreadPct, spec.PreemptionOverheadS = 100, 0
+	spec.Nodes[0].MPSActiveThreadPct = 100
 	if _, err := NewPlanner(spec, store); err != nil {
 		t.Fatalf("boundary spec rejected: %v", err)
 	}

@@ -33,22 +33,21 @@ var (
 // arXiv:2505.08562 both argue per-arrival decisions must stay cheap at
 // exactly this scale).
 
+// fleetArchetypes is the number of distinct synthetic task profiles a
+// fleet draws from, and fleetMeanDurationS their mean predicted solo
+// duration (the paper's workflows run seconds to minutes).
+const (
+	fleetArchetypes    = 16
+	fleetMeanDurationS = 120.0
+)
+
 // FleetSpec parameterizes a synthetic arrival stream.
 type FleetSpec struct {
 	// Workflows is the number of arrivals to generate (at least 1).
 	Workflows int
-	// Archetypes is the number of distinct synthetic task profiles the
-	// stream draws from; zero selects 16.
-	Archetypes int
-	// MeanDurationS is the mean predicted solo duration; zero selects
-	// 120 s (the paper's workflows run seconds to minutes).
-	MeanDurationS float64
-	// MeanGapS is the mean inter-arrival gap. Zero derives a gap that
-	// keeps TargetGPUs devices at roughly 80% of their collocation
-	// capacity under the energy policy (~3 residents per GPU).
-	MeanGapS float64
-	// TargetGPUs sizes the derived gap when MeanGapS is zero; zero
-	// selects 64.
+	// TargetGPUs sizes the mean inter-arrival gap so that many devices
+	// run at roughly 80% of their collocation capacity under the energy
+	// policy (~3 residents per GPU); zero selects 64.
 	TargetGPUs int
 	// Seed drives the xrand stream; equal specs generate byte-identical
 	// fleets.
@@ -105,34 +104,23 @@ func NewFleetSource(device gpu.DeviceSpec, spec FleetSpec) (*FleetSource, *profi
 	if err := device.Validate(); err != nil {
 		return nil, nil, err
 	}
-	archetypes := spec.Archetypes
-	if archetypes <= 0 {
-		archetypes = 16
+	gpus := spec.TargetGPUs
+	if gpus == 0 {
+		gpus = 64
 	}
-	meanDur := spec.MeanDurationS
-	if meanDur <= 0 {
-		meanDur = 120
-	}
-	gap := spec.MeanGapS
-	if gap <= 0 {
-		gpus := spec.TargetGPUs
-		if gpus <= 0 {
-			gpus = 64
-		}
-		// ~3 co-residents per GPU under the additive SM rule, at 80%
-		// occupancy: concurrency = meanDur/gap = 3 * gpus * 0.8.
-		gap = meanDur / (3 * float64(gpus) * 0.8)
-	}
+	// ~3 co-residents per GPU under the additive SM rule, at 80%
+	// occupancy: concurrency = fleetMeanDurationS/gap = 3 * gpus * 0.8.
+	gap := fleetMeanDurationS / (3 * float64(gpus) * 0.8)
 
 	rng := xrand.New(spec.Seed)
 	store := profile.NewStore()
-	names := make([]string, archetypes)
-	for k := 0; k < archetypes; k++ {
+	names := make([]string, fleetArchetypes)
+	for k := range names {
 		names[k] = fmt.Sprintf("fleet-a%03d", k)
 		sm := 8 + 50*rng.Float64() // 8..58% SM: groups of 2-6 fit the rule
 		bw := 5 + 40*rng.Float64() // 5..45% bandwidth
 		mem := 2048 + int64(18432*rng.Float64())
-		dur := meanDur * (0.3 + 1.4*rng.Float64())
+		dur := fleetMeanDurationS * (0.3 + 1.4*rng.Float64())
 		// Idle share consistent with the SM average: duty must cover it.
 		idle := rng.Float64() * (90 - sm)
 		power := device.IdlePowerW + 2.1*sm + 0.6*bw

@@ -144,10 +144,8 @@ type OnlinePlan struct {
 	// Stats summarizes the work the admission path did.
 	Stats DispatchStats
 
-	arrivals []Arrival          // sorted by arrival time
+	arrivals []Arrival          // sorted by arrival time; Dispatches runs parallel
 	profiles []*WorkflowProfile // parallel to arrivals
-	at       []simtime.Time     // dispatch instants, parallel to arrivals
-	gpu      []int              // dispatch targets, parallel to arrivals
 }
 
 // DispatchStats counts the admission path's work. Probe counts are an
@@ -203,8 +201,6 @@ func (s *Scheduler) planOnline(arrivals []Arrival) (*OnlinePlan, error) {
 		Dispatches: make([]DispatchEvent, 0, len(sorted)),
 		arrivals:   sorted,
 		profiles:   profiles,
-		at:         make([]simtime.Time, len(sorted)),
-		gpu:        make([]int, len(sorted)),
 	}
 	if err := s.dispatchArrivals(plan); err != nil {
 		return nil, err
@@ -224,11 +220,15 @@ type onlineDispatcher struct {
 	// residents join, so a load it rejects every GPU rejects.
 	empty interference.Aggregate
 
-	nextSeq uint64 // next resident placement serial
+	// seq numbers the dispatches: every dispatch places one resident, so
+	// a dispatch's event index, its flight records' Seq (the key
+	// `gpusched explain -seq` queries by) and its resident's placement
+	// serial are one number, and seq is also the count of dispatches.
+	seq int64
 
 	clientCap int
 	policy    Policy
-	stats     *DispatchStats
+	stats     DispatchStats
 	waitedNS  int64 // total queueing delay, sim ns
 
 	// Single-owner histograms: the decision loop is serial, so each
@@ -237,12 +237,6 @@ type onlineDispatcher struct {
 	waitHist    *obs.LocalHistogram // admission latency, sim ms
 	depthHist   *obs.LocalHistogram // collocated clients at dispatch
 	serviceHist *obs.LocalHistogram // predicted service time, sim ms
-
-	// arrivalSeq numbers the arrivals in dispatch order — the key flight
-	// records carry and `gpusched explain -seq` queries by. The streamer
-	// restores it on resume so a resumed run's trail continues the
-	// uninterrupted numbering.
-	arrivalSeq int64
 	// fl is the decision-provenance recorder, captured once at
 	// construction (nil when telemetry is disabled — the hot path then
 	// pays one predictable branch per rejection and allocates nothing).
@@ -252,12 +246,11 @@ type onlineDispatcher struct {
 // newOnlineDispatcher builds the admission state for the scheduler's
 // fleet. A zero-GPU fleet gets no GPUs: every scan finds nothing and
 // admit reports the arrival unadmittable.
-func newOnlineDispatcher(s *Scheduler, stats *DispatchStats) *onlineDispatcher {
+func newOnlineDispatcher(s *Scheduler) *onlineDispatcher {
 	d := &onlineDispatcher{
 		empty:       interference.NewAggregate(s.Device),
 		clientCap:   s.Policy.ClientCap(s.Device.MaxMPSClients),
 		policy:      s.Policy,
-		stats:       stats,
 		waitHist:    obs.NewLocalHistogram(queueWaitBoundsMs),
 		depthHist:   obs.NewLocalHistogram(groupOccupancyBounds),
 		serviceHist: obs.NewLocalHistogram(serviceBoundsMs),
@@ -357,13 +350,11 @@ func unadmittable(a *Arrival, wp *WorkflowProfile) error {
 }
 
 // place commits an admitted load: the resident joins GPU g's set and
-// fold, and its predicted completion is scheduled against the
-// resident's placement serial.
+// fold under placement serial seq, and its predicted completion is
+// scheduled against that serial.
 //
 //repro:hotpath pinned by TestDispatcherAdmitAllocs
-func (d *onlineDispatcher) place(g int, load interference.Load, name string, end simtime.Time) {
-	seq := d.nextSeq
-	d.nextSeq++
+func (d *onlineDispatcher) place(g int, load interference.Load, name string, end simtime.Time, seq uint64) {
 	d.pool.Add(g, load, onlineResident{name: name, end: end, seq: seq})
 	d.pool.Schedule(g, end, seq)
 }
@@ -383,9 +374,8 @@ const nameChunk = 4096
 // Everything name-dependent reads the arrival, not the profile —
 // cached profiles carry another arrival's name.
 func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *[]string) (DispatchEvent, error) {
-	load := wp.load()
-	seq := d.arrivalSeq
-	d.arrivalSeq++
+	load := wp.Load()
+	seq := d.seq
 	if d.fl != nil {
 		d.fl.Record(obs.FlightRecord{
 			Seq: seq, Kind: obs.FlightArrival, AtNS: int64(a.At),
@@ -416,7 +406,8 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *[
 		*names = buf
 	}
 	end := now.Add(simtime.FromSeconds(wp.TotalDurationS))
-	d.place(placed, load, a.Workflow.Name, end)
+	d.place(placed, load, a.Workflow.Name, end, uint64(seq))
+	d.seq++
 	waited := now.Sub(a.At)
 	d.waitedNS += int64(waited)
 	d.waitHist.Observe(int64(waited / simtime.Millisecond))
@@ -441,11 +432,11 @@ func (d *onlineDispatcher) dispatchOne(a *Arrival, wp *WorkflowProfile, names *[
 // mergeObs folds the dispatcher's single-owner telemetry into the
 // shared registry: histograms merge bucket-wise and the accumulated
 // counters land once instead of per arrival.
-func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
+func (d *onlineDispatcher) mergeObs(hub *obs.Hub) {
 	d.waitHist.MergeInto(hub.Histogram("dispatch_queue_wait_ms", queueWaitBoundsMs))
 	d.depthHist.MergeInto(hub.Histogram("dispatch_collocated_clients", groupOccupancyBounds))
 	d.serviceHist.MergeInto(hub.Histogram("dispatch_service_ms", serviceBoundsMs))
-	hub.Counter("dispatch_total").Add(dispatched)
+	hub.Counter("dispatch_total").Add(d.seq)
 	hub.Counter("dispatch_waited_simns_total").Add(d.waitedNS)
 	hub.Counter("dispatch_probe_total").Add(d.stats.Probes)
 	hub.Counter("dispatch_visit_total").Add(d.stats.Visits)
@@ -460,7 +451,7 @@ func (d *onlineDispatcher) mergeObs(hub *obs.Hub, dispatched int64) {
 // instead of walking every GPU, and retirements come off the pool's
 // completion timeline instead of an every-iteration sweep.
 func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
-	d := newOnlineDispatcher(s, &plan.Stats)
+	d := newOnlineDispatcher(s)
 	// The plan never reuses names' space: every chunk stays referenced
 	// by the Dispatches carved from it.
 	var names []string
@@ -469,11 +460,10 @@ func (s *Scheduler) dispatchArrivals(plan *OnlinePlan) error {
 		if err != nil {
 			return err
 		}
-		plan.at[i] = ev.At
-		plan.gpu[i] = ev.GPU
 		plan.Dispatches = append(plan.Dispatches, ev)
 	}
-	d.mergeObs(obs.Active(), int64(len(plan.Dispatches)))
+	plan.Stats = d.stats
+	d.mergeObs(obs.Active())
 	return nil
 }
 
@@ -497,7 +487,7 @@ func (s *Scheduler) ScheduleOnline(arrivals []Arrival, simCfg gpusim.Config) (*O
 	out := &OnlineOutcome{Dispatches: plan.Dispatches}
 
 	// Execute the plan: one engine per GPU, clients at dispatch times.
-	sharing, err := s.runOnlinePlacement(plan.arrivals, plan.at, plan.gpu, simCfg)
+	sharing, err := s.runPlacement(plan.arrivals, plan.Dispatches, simCfg, "online", 104729, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -531,17 +521,11 @@ func (s *Scheduler) ScheduleOnline(arrivals []Arrival, simCfg gpusim.Config) (*O
 	return out, nil
 }
 
-// runOnlinePlacement executes the dispatch plan.
-func (s *Scheduler) runOnlinePlacement(arrivals []Arrival, at []simtime.Time, gpuOf []int, simCfg gpusim.Config) (metrics.RunSummary, error) {
-	return s.runPlacement(arrivals, at, gpuOf, simCfg, "online", 104729, 0)
-}
-
 // runOnlineSequential executes the arrival-respecting no-collocation
 // baseline: FIFO, one workflow at a time per GPU.
 func (s *Scheduler) runOnlineSequential(arrivals []Arrival, profiles []*WorkflowProfile, simCfg gpusim.Config) (metrics.RunSummary, error) {
 	free := make([]simtime.Time, s.GPUs)
-	start := make([]simtime.Time, len(arrivals))
-	gpuOf := make([]int, len(arrivals))
+	placed := make([]DispatchEvent, len(arrivals))
 	for i, a := range arrivals {
 		best := 0
 		for g := 1; g < s.GPUs; g++ {
@@ -549,18 +533,18 @@ func (s *Scheduler) runOnlineSequential(arrivals []Arrival, profiles []*Workflow
 				best = g
 			}
 		}
-		start[i] = simtime.Max(a.At, free[best])
-		free[best] = start[i].Add(simtime.FromSeconds(profiles[i].TotalDurationS))
-		gpuOf[i] = best
+		placed[i].At = simtime.Max(a.At, free[best])
+		placed[i].GPU = best
+		free[best] = placed[i].At.Add(simtime.FromSeconds(profiles[i].TotalDurationS))
 	}
-	return s.runPlacement(arrivals, start, gpuOf, simCfg, "seq", 7877, 1)
+	return s.runPlacement(arrivals, placed, simCfg, "seq", 7877, 1)
 }
 
 // runPlacement simulates arrival i as client "<prefix>-<i>-<name>" on
-// GPU gpuOf[i] from at[i], one engine per GPU seeded
+// GPU placed[i].GPU from placed[i].At, one engine per GPU seeded
 // simCfg.Seed + g*stride + offset, and summarizes the pool; an unused
 // GPU idles for the whole makespan.
-func (s *Scheduler) runPlacement(arrivals []Arrival, at []simtime.Time, gpuOf []int, simCfg gpusim.Config, prefix string, stride, offset uint64) (metrics.RunSummary, error) {
+func (s *Scheduler) runPlacement(arrivals []Arrival, placed []DispatchEvent, simCfg gpusim.Config, prefix string, stride, offset uint64) (metrics.RunSummary, error) {
 	engines := make([]*gpusim.Engine, s.GPUs)
 	used := make([]bool, s.GPUs)
 	for g := range engines {
@@ -577,11 +561,11 @@ func (s *Scheduler) runPlacement(arrivals []Arrival, at []simtime.Time, gpuOf []
 		if err != nil {
 			return metrics.RunSummary{}, err
 		}
-		g := gpuOf[i]
+		g := placed[i].GPU
 		used[g] = true
 		if err := engines[g].AddClient(gpusim.Client{
 			ID:      fmt.Sprintf("%s-%02d-%s", prefix, i, a.Workflow.Name),
-			Arrival: at[i],
+			Arrival: placed[i].At,
 			Tasks:   tasks,
 		}); err != nil {
 			return metrics.RunSummary{}, err

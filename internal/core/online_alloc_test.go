@@ -14,8 +14,7 @@ import (
 // GPUs so every arrival exercises retirement, index updates, retry
 // scans and completion waits, not just the empty-fleet fast path.
 func TestDispatcherAdmitAllocs(t *testing.T) {
-	var stats DispatchStats
-	d := testDispatcher(4, &stats)
+	d := testDispatcher(4)
 	load := interference.Load{SMPct: 30, BWPct: 20, MemMiB: 1024}
 	hold := simtime.FromSeconds(100)
 	now := simtime.Zero
@@ -25,8 +24,8 @@ func TestDispatcherAdmitAllocs(t *testing.T) {
 		if !ok {
 			t.Fatal("admit failed: load should always fit eventually")
 		}
+		d.place(g, load, "w", at.Add(hold), uint64(seq))
 		seq++
-		d.place(g, load, "w", at.Add(hold))
 		now = now.Add(simtime.FromSeconds(1))
 	}
 	for i := 0; i < 64; i++ { // warm freelist, heap and index
@@ -36,8 +35,8 @@ func TestDispatcherAdmitAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("admit+place allocated %.1f objects per arrival, want 0", allocs)
 	}
-	if stats.Waits == 0 || stats.Completions == 0 {
-		t.Fatalf("pin never exercised the wait loop (waits=%d completions=%d)", stats.Waits, stats.Completions)
+	if d.stats.Waits == 0 || d.stats.Completions == 0 {
+		t.Fatalf("pin never exercised the wait loop (waits=%d completions=%d)", d.stats.Waits, d.stats.Completions)
 	}
 }
 
@@ -49,8 +48,7 @@ func TestDispatcherAdmitAllocsFlightEnabled(t *testing.T) {
 	prev := obs.SetActive(obs.NewHub(nil))
 	defer obs.SetActive(prev)
 
-	var stats DispatchStats
-	d := testDispatcher(4, &stats)
+	d := testDispatcher(4)
 	if d.fl == nil {
 		t.Fatal("dispatcher did not capture the active flight recorder")
 	}
@@ -63,8 +61,8 @@ func TestDispatcherAdmitAllocsFlightEnabled(t *testing.T) {
 		if !ok {
 			t.Fatal("admit failed: load should always fit eventually")
 		}
+		d.place(g, load, "w", at.Add(hold), uint64(seq))
 		seq++
-		d.place(g, load, "w", at.Add(hold))
 		now = now.Add(simtime.FromSeconds(1))
 	}
 	for i := 0; i < 64; i++ {

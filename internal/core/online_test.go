@@ -21,9 +21,9 @@ func at(s float64) simtime.Time { return simtime.Zero.Add(simtime.FromSeconds(s)
 // over a bare energy-policy scheduler, for tests that drive the
 // admission kernel in isolation. The client cap is lowered to 8 so
 // small fleets saturate.
-func testDispatcher(gpus int, stats *DispatchStats) *onlineDispatcher {
+func testDispatcher(gpus int) *onlineDispatcher {
 	s := &Scheduler{Device: a100x(), GPUs: gpus, Policy: EnergyPolicy()}
-	d := newOnlineDispatcher(s, stats)
+	d := newOnlineDispatcher(s)
 	d.clientCap = 8
 	return d
 }
@@ -153,12 +153,12 @@ func TestEmptyInputEdgeCases(t *testing.T) {
 // probes the first-fit index visits.
 func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 	load := interference.Load{SMPct: 60, BWPct: 10, MemMiB: 1024}
-	var stats DispatchStats
-	d := testDispatcher(4, &stats)
+	d := testDispatcher(4)
 	// Fill all four GPUs; GPU 0 and GPU 3 both free up at t=10s, the
-	// others much later.
+	// others much later. The fillers take placement serials 0-3 and the
+	// arrivals 4 and 5, the order a stream would have given them.
 	for g, end := range []simtime.Time{at(10), at(100), at(100), at(10)} {
-		d.place(g, load, "filler", end)
+		d.place(g, load, "filler", end, uint64(g))
 	}
 	type placement struct {
 		gpu int
@@ -182,7 +182,7 @@ func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 		if want := []int{2, 0}[seq]; changed != want {
 			t.Fatalf("arrival %d: %d GPUs changed during admit, want %d", seq, changed, want)
 		}
-		d.place(g, load, "w", when.Add(simtime.FromSeconds(1000)))
+		d.place(g, load, "w", when.Add(simtime.FromSeconds(1000)), uint64(4+seq))
 		got = append(got, placement{gpu: g, at: when})
 	}
 	// Arrival A at t=0: every GPU rejects, the wait round at t=10 retires
@@ -199,8 +199,8 @@ func TestGenerationReprobeAfterEarlyAdmit(t *testing.T) {
 	// visits the root, node 2 (all residents again at 60: pruned), node
 	// 3, GPU 2 (rejects) and GPU 3 (admits): 5 visits, 2 probes.
 	wantStats := DispatchStats{Probes: 1 + 2, Visits: 1 + 3 + 5, Waits: 1, Completions: 2}
-	if stats != wantStats {
-		t.Fatalf("stats %+v, want %+v", stats, wantStats)
+	if d.stats != wantStats {
+		t.Fatalf("stats %+v, want %+v", d.stats, wantStats)
 	}
 }
 

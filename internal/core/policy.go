@@ -55,8 +55,9 @@ type Policy struct {
 	// Figure 1, instead of the full device.
 	RightSizePartitions bool
 	// AllowInterferingPairs permits groups that violate the paper's
-	// interference rules (used by ablations and the naive baseline);
-	// capacity violations are never allowed.
+	// interference rules; capacity violations are never allowed. No
+	// experiment or baseline sets it: the golden dispatch logs and
+	// tests pin what it admits.
 	AllowInterferingPairs bool
 	// PairOpposingPower applies the paper's recommendation 3 ("where
 	// possible, pair workflows with opposing power profiles"): among

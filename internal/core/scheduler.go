@@ -157,7 +157,7 @@ func (s *Scheduler) BuildPlan(q *workflow.Queue) (*Plan, error) {
 	clientCap := s.Policy.ClientCap(s.Device.MaxMPSClients)
 	loads := make([]interference.Load, len(order))
 	for i, wp := range order {
-		loads[i] = wp.load()
+		loads[i] = wp.Load()
 	}
 	assigned := make([]bool, len(order))
 	// rejectedIn[j] marks the group (by id) that last rejected candidate

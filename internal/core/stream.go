@@ -45,7 +45,6 @@ type StreamConfig struct {
 // dispatcher. It is single-owner, like the dispatcher it drives; wrap
 // it in a mutex to share (cmd/gpusched's serve mode does).
 type Streamer struct {
-	sched   *Scheduler
 	d       *onlineDispatcher
 	builder *ProfileBuilder
 	// names backs the current event's RunningAlongside; it is truncated
@@ -57,9 +56,7 @@ type Streamer struct {
 	spill io.Writer
 
 	digest hash.Hash
-	n      int64 // events framed into the digest
 	lastAt simtime.Time
-	stats  DispatchStats
 
 	finished bool
 	// err is the first spill failure, returned by every later Ingest,
@@ -71,14 +68,12 @@ type Streamer struct {
 // scheduler's fleet (GPUs, policy, profile store). Every StreamConfig
 // is valid, so the error is always nil.
 func (s *Scheduler) NewStreamer(cfg StreamConfig) (*Streamer, error) {
-	st := &Streamer{
-		sched:  s,
-		spill:  cfg.Spill,
-		digest: sha256.New(),
-	}
-	st.d = newOnlineDispatcher(s, &st.stats)
-	st.builder = NewProfileBuilder(s.Profiles)
-	return st, nil
+	return &Streamer{
+		d:       newOnlineDispatcher(s),
+		builder: NewProfileBuilder(s.Profiles),
+		spill:   cfg.Spill,
+		digest:  sha256.New(),
+	}, nil
 }
 
 // Ingest dispatches one arrival, frames its event into the digest and
@@ -101,10 +96,6 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	if err != nil {
 		return DispatchEvent{}, err
 	}
-	ev, err := st.d.dispatchOne(&a, wp, &st.names)
-	if err != nil {
-		return DispatchEvent{}, err
-	}
 	// One line per event, in the one reused buffer: the digest's
 	// separator ('[' before the first event, ',' after), the event, and
 	// the spill's newline. The digest reads all but the newline, the
@@ -112,8 +103,12 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	// over the full event slice ('[' e1 ',' e2 ... ']'; Finish writes
 	// the close bracket).
 	sep := byte(',')
-	if st.n == 0 {
+	if st.d.seq == 0 {
 		sep = '['
+	}
+	ev, err := st.d.dispatchOne(&a, wp, &st.names)
+	if err != nil {
+		return DispatchEvent{}, err
 	}
 	st.line = append(appendEvent(append(st.line[:0], sep), &ev), '\n')
 	// The event is framed: the next arrival may reuse the name buffer's
@@ -122,7 +117,6 @@ func (st *Streamer) Ingest(a Arrival) (DispatchEvent, error) {
 	st.names = st.names[:0]
 
 	st.digest.Write(st.line[:len(st.line)-1])
-	st.n++
 	st.lastAt = a.At
 
 	if st.spill != nil {
@@ -155,7 +149,7 @@ func (st *Streamer) check(a *Arrival) (*WorkflowProfile, error) {
 	if st.finished {
 		return nil, fmt.Errorf("core: ingest after Finish")
 	}
-	if st.n > 0 && a.At < st.lastAt {
+	if st.d.seq > 0 && a.At < st.lastAt {
 		return nil, fmt.Errorf("core: out-of-order arrival %s at %v (stream is at %v)",
 			a.Workflow.Name, a.At, st.lastAt)
 	}
@@ -163,7 +157,7 @@ func (st *Streamer) check(a *Arrival) (*WorkflowProfile, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !st.d.fits(wp.load()) {
+	if !st.d.fits(wp.Load()) {
 		return nil, unadmittable(a, wp)
 	}
 	return wp, nil
@@ -186,10 +180,10 @@ func (st *Streamer) IngestAll(src ArrivalSource) (int, error) {
 }
 
 // Events reports how many arrivals have been dispatched.
-func (st *Streamer) Events() int64 { return st.n }
+func (st *Streamer) Events() int64 { return st.d.seq }
 
 // Stats returns the admission path's work counters so far.
-func (st *Streamer) Stats() DispatchStats { return st.stats }
+func (st *Streamer) Stats() DispatchStats { return st.d.stats }
 
 // WaitedS reports the total simulated queueing delay across all
 // dispatched arrivals, in seconds — the streaming counterpart of
@@ -210,12 +204,12 @@ func (st *Streamer) Finish() (string, error) {
 		return "", fmt.Errorf("core: Finish called twice")
 	}
 	st.finished = true
-	if st.n == 0 {
+	if st.d.seq == 0 {
 		st.digest.Write([]byte("[]"))
 	} else {
 		st.digest.Write([]byte{']'})
 	}
-	st.d.mergeObs(obs.Active(), st.n)
+	st.d.mergeObs(obs.Active())
 	return hex.EncodeToString(st.digest.Sum(nil)), nil
 }
 
@@ -225,20 +219,22 @@ func (st *Streamer) Finish() (string, error) {
 // saved in placement-serial order with the exact loads their aggregates
 // fold over; restore re-folds by Add in that order, which reproduces
 // every sum bit for bit (the aggregate invariant: sums equal the
-// left-fold over the member list).
+// left-fold over the member list). A resident's serial is the sequence
+// number of the dispatch that placed it, so every serial is below
+// Events, the next dispatch's.
 //
 // The state holds no events: they are on the spill already, and the
 // digest state carries their framing. A snapshot from a build that
-// retained recent events under a "ring" key still restores: encoding/json
-// ignores the key, and the continued digest still matches, though the
-// lines that key held never reach the new spill.
+// retained recent events under a "ring" key, or saved the next serial
+// under "next_seq", still restores: encoding/json ignores the keys, and
+// the continued digest still matches, though the lines a ring held
+// never reach the new spill.
 type StreamState struct {
 	// GPUs pins the fleet shape; restore rejects a scheduler with a
 	// different one.
 	GPUs int `json:"gpus"`
 
 	Events   int64          `json:"events"`
-	NextSeq  uint64         `json:"next_seq"`
 	LastAt   simtime.Time   `json:"last_at"`
 	Stats    DispatchStats  `json:"stats"`
 	WaitedNS int64          `json:"waited_ns"`
@@ -281,11 +277,10 @@ func (st *Streamer) SaveState() (*StreamState, error) {
 		return nil, err
 	}
 	state := &StreamState{
-		GPUs:     st.sched.GPUs,
-		Events:   st.n,
-		NextSeq:  st.d.nextSeq,
+		GPUs:     st.d.pool.GPUs(),
+		Events:   st.d.seq,
 		LastAt:   st.lastAt,
-		Stats:    st.stats,
+		Stats:    st.d.stats,
 		WaitedNS: st.d.waitedNS,
 		Digest:   digestState,
 		Hists: streamHists{
@@ -343,23 +338,21 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 		return nil, fmt.Errorf("core: stream state histograms missing or bounds mismatched")
 	}
 
-	var prevSeq uint64
+	if state.Events < 0 {
+		return nil, fmt.Errorf("core: stream state has %d events", state.Events)
+	}
 	for i, r := range state.Resident {
 		if r.GPU < 0 || r.GPU >= s.GPUs {
 			return nil, fmt.Errorf("core: stream state resident %q on GPU %d, fleet has %d", r.Name, r.GPU, s.GPUs)
 		}
-		if r.Seq >= state.NextSeq || (i > 0 && r.Seq <= prevSeq) {
-			return nil, fmt.Errorf("core: stream state resident serials not strictly increasing under next_seq")
+		if r.Seq >= uint64(state.Events) || (i > 0 && r.Seq <= state.Resident[i-1].Seq) {
+			return nil, fmt.Errorf("core: stream state resident serials not strictly increasing below events")
 		}
-		prevSeq = r.Seq
 		// Admission seats no other load; the first-fit index assumes so.
 		if l := r.Load; !nonNegFinite(l.SMPct) || !nonNegFinite(l.BWPct) || l.MemMiB < 0 || l.MemMiB > s.Device.MemoryMiB {
 			return nil, fmt.Errorf("core: stream state resident %q has load %+v, which admission never seats", r.Name, l)
 		}
-		// place takes the resident's serial from nextSeq; the loop leaves
-		// nextSeq mid-stream and the restore below sets its saved value.
-		st.d.nextSeq = r.Seq
-		st.d.place(r.GPU, r.Load, r.Name, r.End)
+		st.d.place(r.GPU, r.Load, r.Name, r.End, r.Seq)
 	}
 	if state.Flight != nil && st.d.fl != nil {
 		if err := st.d.fl.Restore(*state.Flight); err != nil {
@@ -369,13 +362,10 @@ func (s *Scheduler) RestoreStreamer(cfg StreamConfig, state *StreamState) (*Stre
 	if err := st.digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(state.Digest); err != nil {
 		return nil, fmt.Errorf("core: stream state digest: %w", err)
 	}
-	st.d.nextSeq = state.NextSeq
 	st.d.waitedNS = state.WaitedNS
-	// One flight/arrival sequence number per dispatched event: resume
-	// continues the uninterrupted numbering.
-	st.d.arrivalSeq = state.Events
-	st.stats = state.Stats
-	st.n = state.Events
+	st.d.stats = state.Stats
+	// Resume continues the uninterrupted dispatch numbering.
+	st.d.seq = state.Events
 	st.lastAt = state.LastAt
 	return st, nil
 }

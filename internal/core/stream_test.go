@@ -176,7 +176,9 @@ func TestPlanNameChunks(t *testing.T) {
 // TestStreamSnapshotResume pins deterministic resume: snapshot
 // mid-stream, serialize the state through JSON (as a checkpoint file
 // would), restore on a fresh scheduler, finish the stream — and land on
-// the uninterrupted run's digest and spill, byte for byte.
+// the uninterrupted run's digest and spill, byte for byte. A snapshot
+// that still carries the "next_seq" key older builds saved resumes on
+// the same digest.
 func TestStreamSnapshotResume(t *testing.T) {
 	arrivals, store, err := GenerateFleet(a100x(), FleetSpec{Workflows: 1500, TargetGPUs: 12, Seed: 3})
 	if err != nil {
@@ -248,6 +250,28 @@ func TestStreamSnapshotResume(t *testing.T) {
 	// in the second.
 	if got := spillA.String() + spillB.String(); got != refSpill.String() {
 		t.Fatal("concatenated interrupted spill diverged from uninterrupted spill")
+	}
+	// Older builds saved the next placement serial beside the event
+	// count, always equal to it.
+	older := bytes.Replace(blob, []byte(`"events":`), []byte(fmt.Sprintf(`"next_seq":%d,"events":`, state.Events)), 1)
+	if bytes.Equal(older, blob) {
+		t.Fatal("snapshot JSON carries no events field to precede")
+	}
+	var saved StreamState
+	if err := json.Unmarshal(older, &saved); err != nil {
+		t.Fatal(err)
+	}
+	third, err := fleetScheduler(t, store, 12).RestoreStreamer(StreamConfig{}, &saved)
+	if err != nil {
+		t.Fatalf("snapshot with next_seq: %v", err)
+	}
+	for _, a := range arrivals[cut:] {
+		if _, err := third.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, err := third.Finish(); err != nil || d != refDigest {
+		t.Fatalf("snapshot with next_seq resumed on digest %s (%v), want %s", d, err, refDigest)
 	}
 	// The snapshot is a copy, not a handoff: the first streamer still
 	// finishes on the reference digest.
@@ -383,6 +407,15 @@ func TestStreamRestoreValidation(t *testing.T) {
 				ss.Resident[1].Seq = ss.Resident[0].Seq
 			}
 		}, "strictly increasing"},
+		{"serial at events", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Resident[len(ss.Resident)-1].Seq = uint64(ss.Events)
+		}, "below events"},
+		{"serial above events", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Resident[len(ss.Resident)-1].Seq = uint64(ss.Events) + 1000
+		}, "below events"},
+		{"negative events", fleetScheduler(t, store, 4), func(ss *StreamState) {
+			ss.Events = -1
+		}, "-1 events"},
 		{"negative memory", fleetScheduler(t, store, 4), func(ss *StreamState) {
 			// The first resident's memory, edited in the snapshot's JSON.
 			blob, err := json.Marshal(ss)
@@ -431,7 +464,7 @@ func TestStreamRestoreValidation(t *testing.T) {
 }
 
 // FuzzRestoreStreamer feeds RestoreStreamer stream snapshots whose
-// decoded fields the fuzzer has mutated: counters and clocks, the
+// decoded fields the fuzzer has mutated: counters, stats and clocks, the
 // digest state, the histograms, and each resident's GPU, end, serial,
 // load and place in the list. Each state must either be refused with an
 // error or restore a streamer that ingests a fixed tail of arrivals
@@ -498,7 +531,7 @@ func FuzzRestoreStreamer(f *testing.F) {
 			case 1:
 				state.Events = int64(v)
 			case 2:
-				state.NextSeq = v
+				state.Stats.Probes = int64(v)
 			case 3:
 				state.LastAt = simtime.Time(v)
 			case 4:

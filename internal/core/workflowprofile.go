@@ -62,10 +62,10 @@ func (wp *WorkflowProfile) profileView() *profile.TaskProfile {
 	}
 }
 
-// load is the workflow's contribution to the additive interference
+// Load is the workflow's contribution to the additive interference
 // rules — the same three quantities profileView exposes to Predict, so
 // aggregate probes over loads are bit-identical to Predict over views.
-func (wp *WorkflowProfile) load() interference.Load {
+func (wp *WorkflowProfile) Load() interference.Load {
 	return interference.Load{
 		SMPct:  wp.AvgSMUtilPct,
 		BWPct:  wp.AvgBWUtilPct,

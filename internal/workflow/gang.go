@@ -23,11 +23,11 @@ func Single(w Workflow) Gang {
 	return Gang{Name: w.Name, Members: []Workflow{w}}
 }
 
-// ValidateShape checks the gang's structure without resolving benchmarks
-// against the built-in workload registry (see Task.ValidateShape): a
-// named, non-empty member set with structurally valid members and no
-// duplicate member names — eviction and completion accounting key
-// members by name within a gang.
+// ValidateShape checks the gang itself, not its members: a named,
+// non-empty member set with no duplicate member names — eviction and
+// completion accounting key members by name within a gang. Each
+// member's shape is checked where its profile is built
+// (core.ProfileBuilder).
 func (g Gang) ValidateShape() error {
 	if g.Name == "" {
 		return fmt.Errorf("workflow: gang with empty name")
@@ -37,9 +37,6 @@ func (g Gang) ValidateShape() error {
 	}
 	seen := make(map[string]bool, len(g.Members))
 	for _, m := range g.Members {
-		if err := m.ValidateShape(); err != nil {
-			return fmt.Errorf("workflow: gang %s: %w", g.Name, err)
-		}
 		if seen[m.Name] {
 			return fmt.Errorf("workflow: gang %s: duplicate member %s", g.Name, m.Name)
 		}

@@ -30,7 +30,6 @@ func TestGangValidateShapeRejects(t *testing.T) {
 	}{
 		{"empty name", Gang{Members: []Workflow{gangWf("w0")}}, "empty name"},
 		{"no members", Gang{Name: "g"}, "no members"},
-		{"bad member", Gang{Name: "g", Members: []Workflow{{Name: "w"}}}, "no tasks"},
 		{"duplicate member", Gang{Name: "g", Members: []Workflow{gangWf("w0"), gangWf("w0")}}, "duplicate member"},
 	}
 	for _, c := range cases {
