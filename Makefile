@@ -65,6 +65,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzPool -fuzztime=$(FUZZTIME) ./internal/admission
 	$(GO) test -run='^$$' -fuzz=FuzzEventQueue -fuzztime=$(FUZZTIME) ./internal/eventq
 	$(GO) test -run='^$$' -fuzz=FuzzGangAdmission -fuzztime=$(FUZZTIME) ./internal/cluster
+	$(GO) test -run='^$$' -fuzz=FuzzFindFit -fuzztime=$(FUZZTIME) ./internal/cluster
 	$(GO) test -run='^$$' -fuzz=FuzzRestoreStreamer -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzAppendEvent -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzFlightRing -fuzztime=$(FUZZTIME) ./internal/obs

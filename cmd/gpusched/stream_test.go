@@ -677,3 +677,40 @@ func FuzzIngestHTTP(f *testing.F) {
 		}
 	})
 }
+
+// TestDecodeBatchKeys pins the keys /ingest accepts: the tagged wire
+// form matches the lowercase keys exactly and any other case of them,
+// as the -queue file's untagged workflow.Workflow does; it refuses a
+// key neither form has; and a workflow without tasks keeps a nil task
+// list.
+func TestDecodeBatchKeys(t *testing.T) {
+	want := workflow.Workflow{Name: "w", Tasks: []workflow.Task{{Benchmark: "fleet-a000", Size: "1x", Iterations: 2}}}
+	for _, body := range []string{
+		`[{"at_s":1,"name":"w","tasks":[{"benchmark":"fleet-a000","size":"1x","iterations":2}]}]`,
+		`[{"AT_S":1,"Name":"w","TASKS":[{"Benchmark":"fleet-a000","SIZE":"1x","Iterations":2}]}]`,
+	} {
+		got, err := decodeBatch(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		var queued workflow.Workflow
+		if err := json.Unmarshal([]byte(body[1:len(body)-1]), &struct {
+			AtS float64 `json:"at_s"`
+			*workflow.Workflow
+		}{Workflow: &queued}); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].At != simtime.Zero.Add(simtime.FromSeconds(1)) ||
+			!slices.Equal(got[0].Workflow.Tasks, want.Tasks) || got[0].Workflow.Name != want.Name ||
+			!slices.Equal(queued.Tasks, want.Tasks) || queued.Name != want.Name {
+			t.Fatalf("%s: decoded %+v, the -queue schema %+v, want %+v at 1 s", body, got, queued, want)
+		}
+	}
+	if _, err := decodeBatch(strings.NewReader(`[{"at_s":1,"name":"w","workflow":"x"}]`)); err == nil {
+		t.Fatal("decodeBatch accepted an unknown key")
+	}
+	got, err := decodeBatch(strings.NewReader(`[{"at_s":1,"name":"w"}]`))
+	if err != nil || got[0].Workflow.Tasks != nil {
+		t.Fatalf("a workflow without tasks decoded to %+v, %v; want a nil task list", got, err)
+	}
+}

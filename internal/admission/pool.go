@@ -2,8 +2,9 @@
 // share: each GPU's interference aggregate, its residents in the
 // aggregate's fold order, a change generation that one changed(g) path
 // stamps on every mutation, and the residents' completion timeline.
-// FirstFit answers a first-fit query over a range of those GPUs from an
-// index; Gen and Clock let a caller tell which GPUs changed since it
+// Each GPU belongs to a class, the set of GPUs that judge a candidate
+// alike; FirstFit answers one query per class over the whole pool from
+// an index, in one walk; Gen and Clock let a caller tell which GPUs changed since it
 // last looked (the cluster planner's held gangs do). Two more summaries
 // ride on the index's layout for a pool that asks for them: NextChanged
 // walks only the GPUs changed since a clock reading, and NextBelow only
@@ -16,7 +17,6 @@ package admission
 
 import (
 	"math"
-	"math/bits"
 
 	"gpushare/internal/eventq"
 	"gpushare/internal/gpu"
@@ -32,6 +32,7 @@ import (
 // pays a nil check per mutation for each of the other two.
 type Pool[R Resident] struct {
 	gpus     []slot[R]
+	classes  int           // one more than the highest GPU class
 	clock    uint64        // last generation handed out
 	total    int           // residents across every GPU
 	timeline eventq.Queue  // pending completions by (end, schedule order)
@@ -39,9 +40,15 @@ type Pool[R Resident] struct {
 
 	// tree is the first-fit index, nil until the first FirstFit: a
 	// complete binary tree over leaves GPUs rounded up to a power of
-	// two, root at 1, node i's children at 2i and 2i+1. It stores the
-	// internal nodes only; leaf leaves+g is GPU g's own slot.
+	// two, root at 1, node i's children at 2i and 2i+1, once per class.
+	// It stores the internal nodes only: tree[c*leaves+i] bounds node
+	// i's GPUs of class c, so one class's tree is one run of leaves
+	// entries, and counts[c*leaves+i] counts them, for a tally. Leaf
+	// leaves+g is GPU g's own slot. lims holds one query's per-class
+	// limits.
 	tree   []fitNode
+	counts []int32
+	lims   []limit
 	leaves int
 
 	// The per-node extrema NextChanged and NextBelow descend, on the
@@ -56,25 +63,36 @@ type Pool[R Resident] struct {
 	keys []int
 }
 
-// fitNode bounds a subtree of GPUs: the minimum over them of each
-// quantity a rule adds the candidate's load to. A float minimum is one
-// GPU's exact sum, or NaN when any of them is NaN (the builtin min
-// propagates it).
+// fitNode bounds one class's GPUs under an index node: the minimum over
+// them of each quantity a rule adds the candidate's load to. A float
+// minimum is one GPU's exact sum, or NaN when any of them is NaN (the
+// builtin min propagates it). Four fields keep it in registers: the
+// compiler decomposes a struct of at most four fields, and copies a
+// larger one through memory on every pass of the walk and the refresh.
 type fitNode struct {
 	sm, bw float64
 	over   int64 // memory sum minus device memory
 	n      int32 // resident count
 }
 
-// noGPU is the bound of a leaf past the last GPU: the identity of min
-// in every field, so a node bounds its real GPUs alone.
+// noGPU is the bound of a class with no GPU under a node: the identity
+// of min in every field, so a node bounds its real GPUs alone. No query
+// passes it: its resident count is at every client cap (limit.set).
 var noGPU = fitNode{sm: math.Inf(1), bw: math.Inf(1), over: math.MaxInt64, n: math.MaxInt32}
+
+// minBound is the bound over the GPUs of a and of b.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func minBound(a, b fitNode) fitNode {
+	return fitNode{sm: min(a.sm, b.sm), bw: min(a.bw, b.bw), over: min(a.over, b.over), n: min(a.n, b.n)}
+}
 
 // slot is one GPU: the fields a first-fit probe reads sit together.
 type slot[R any] struct {
-	agg interference.Aggregate
-	res []R
-	gen uint64
+	agg   interference.Aggregate
+	res   []R
+	gen   uint64
+	class uint8
 }
 
 // Snapshot is one GPU's saved aggregate, residents and generation. The
@@ -85,14 +103,18 @@ type Snapshot[R any] struct {
 	gen uint64
 }
 
-// AddGPUs appends n empty GPUs of the given device, at generation 0.
-// The next FirstFit rebuilds the index over the grown pool.
-func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int) {
+// AddGPUs appends n empty GPUs of the given device and class, at
+// generation 0. A class is the set of GPUs one Query judges (FirstFit);
+// a pool whose GPUs all judge alike uses class 0. The next FirstFit
+// rebuilds the index over the grown pool.
+func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int, class uint8) {
 	first := len(p.gpus)
 	p.gpus = append(p.gpus, make([]slot[R], n)...)
 	for g := first; g < len(p.gpus); g++ {
 		p.gpus[g].agg = interference.NewAggregate(device)
+		p.gpus[g].class = class
 	}
+	p.classes = max(p.classes, int(class)+1)
 	p.tree, p.gens = nil, nil
 	if p.key != nil {
 		p.buildKeys()
@@ -118,9 +140,7 @@ func (p *Pool[R]) changed(g int) {
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) refresh(g int) {
 	if p.tree != nil {
-		for i := (p.leaves + g) >> 1; i > 0; i >>= 1 {
-			p.pull(i)
-		}
+		p.refreshFit(g)
 	}
 	if p.keys != nil {
 		i := p.leaves + g
@@ -144,29 +164,44 @@ func (p *Pool[R]) refresh(g int) {
 	}
 }
 
-// bound returns node i's bound: a tree node's, or for a leaf its GPU's
-// own sums read from the slot.
+// refreshFit recomputes the bound of g's class on g's path: the leaf
+// level from the two GPUs' slots, then each ancestor from its children's
+// bounds alone. No other class's bound depends on g, and no node's GPU
+// count changes.
 //
 //repro:hotpath pinned by TestPoolAllocs
-func (p *Pool[R]) bound(i int) fitNode {
-	if i < p.leaves {
-		return p.tree[i]
+func (p *Pool[R]) refreshFit(g int) {
+	i := (p.leaves + g) >> 1
+	if i == 0 {
+		return // one GPU: the root is its leaf
 	}
-	g := i - p.leaves
-	if g >= len(p.gpus) {
+	c := int(p.gpus[g].class)
+	t := p.tree[c*p.leaves : (c+1)*p.leaves]
+	t[i] = minBound(p.leafBound(2*i-p.leaves, c), p.leafBound(2*i+1-p.leaves, c))
+	for i >>= 1; i > 0; i >>= 1 {
+		t[i] = minBound(t[2*i], t[2*i+1])
+	}
+}
+
+// isClass is 1 when GPU g exists and is of class c, else 0.
+func (p *Pool[R]) isClass(g, c int) int32 {
+	if g < len(p.gpus) && int(p.gpus[g].class) == c {
+		return 1
+	}
+	return 0
+}
+
+// leafBound returns GPU g's own sums as class c's bound, or noGPU when
+// g is past the last GPU or of another class.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) leafBound(g, c int) fitNode {
+	if g >= len(p.gpus) || int(p.gpus[g].class) != c {
 		return noGPU
 	}
 	s := &p.gpus[g]
 	sm, bw, mem := s.agg.Sums()
 	return fitNode{sm: sm, bw: bw, over: mem - s.agg.DeviceMemMiB(), n: int32(len(s.res))}
-}
-
-// pull recomputes internal node i from its children.
-//
-//repro:hotpath pinned by TestPoolAllocs
-func (p *Pool[R]) pull(i int) {
-	a, b := p.bound(2*i), p.bound(2*i+1)
-	p.tree[i] = fitNode{sm: min(a.sm, b.sm), bw: min(a.bw, b.bw), over: min(a.over, b.over), n: min(a.n, b.n)}
 }
 
 // size sets leaves to the GPU count rounded up to a power of two: the
@@ -179,110 +214,208 @@ func (p *Pool[R]) size() {
 	}
 }
 
-// build sizes the index for the pool's GPUs and fills it bottom up.
+// build sizes the index for the pool's GPUs and classes and fills it
+// bottom up.
 func (p *Pool[R]) build() {
 	p.size()
+	k := p.classes
 	//repro:allow:hotpathalloc the index is built once, on the pool's first query
-	p.tree = make([]fitNode, p.leaves)
-	for i := p.leaves - 1; i > 0; i-- {
-		p.pull(i)
+	p.tree = make([]fitNode, p.leaves*k)
+	//repro:allow:hotpathalloc the counts are built once, with the index
+	p.counts = make([]int32, p.leaves*k)
+	//repro:allow:hotpathalloc the limits are sized once, with the index
+	p.lims = make([]limit, k)
+	for c := 0; c < k; c++ {
+		t, n := p.tree[c*p.leaves:(c+1)*p.leaves], p.counts[c*p.leaves:(c+1)*p.leaves]
+		for i := p.leaves - 1; i > 0; i-- {
+			if l := 2*i - p.leaves; l >= 0 {
+				t[i] = minBound(p.leafBound(l, c), p.leafBound(l+1, c))
+				n[i] = p.isClass(l, c) + p.isClass(l+1, c)
+			} else {
+				t[i], n[i] = minBound(t[2*i], t[2*i+1]), n[2*i]+n[2*i+1]
+			}
+		}
 	}
 }
 
-// FirstFit returns the lowest-index GPU in [lo, hi), where 0 <= lo and
-// hi <= GPUs(), that holds fewer than maxResidents residents and where
-// Admit(l) breaks none of the rules in rules (compute, bandwidth,
-// capacity), or -1: the answer of probing every GPU of the range in
-// index order. It starts at the lowest index node covering the range,
-// found in O(1), descends to the leftmost subtree meeting the range
-// whose bound passes the client cap and every rule in rules, and
-// confirms each leaf it reaches with Admit; a subtree wholly left of lo
-// is stepped over unexamined. A range of one aligned subtree starts at
-// that subtree, so a query [0, GPUs()) starts at the root.
+// Query is what FirstFit asks of one class's GPUs: whether one holds
+// fewer than MaxResidents residents and breaks none of the rules in
+// Rules (compute, bandwidth, capacity) when Admit adds Load. Off, when
+// nonzero, rules the class out whole: its GPUs reject the candidate
+// with the rules in Off and are never probed (a GPU class whose memory
+// partition is smaller than the candidate).
+type Query struct {
+	Load         interference.Load
+	MaxResidents int
+	Rules        interference.RuleMask
+	Off          interference.RuleMask
+}
+
+// limit is one class's Query as the walk compares against it. A bound
+// is judged against fixed limits, 100 for the SM and bandwidth sums and
+// 0 for the memory excess, with a rule outside the query's rules turned
+// off in the load it adds instead: -Inf for a float sum (bound - Inf is
+// -Inf, or NaN for a +Inf bound, and neither exceeds 100) and -2^62 for
+// the memory excess, which keeps every sum far from 0 and from the
+// int64 limits. The client cap is at most MaxInt32, the resident count
+// of a class with no GPU under a node, so such a bound never passes; an
+// Off class gets cap 0, which no count is below. The leaf keeps the
+// query's own load and rules for Admit.
+type limit struct {
+	sm, bw     float64 // the SM and bandwidth loads a bound adds
+	mem        int64   // the memory load a bound's excess adds
+	cap        int
+	l          interference.Load
+	rules, off interference.RuleMask
+}
+
+// set precomputes q's limits into lim.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (lim *limit) set(q *Query) {
+	lim.l, lim.rules, lim.off = q.Load, q.Rules, q.Off
+	lim.sm, lim.bw, lim.mem = math.Inf(-1), math.Inf(-1), -1<<62
+	if q.Rules&interference.MaskCompute != 0 {
+		lim.sm = q.Load.SMPct
+	}
+	if q.Rules&interference.MaskBandwidth != 0 {
+		lim.bw = q.Load.BWPct
+	}
+	if q.Rules&interference.MaskCapacity != 0 {
+		lim.mem = q.Load.MemMiB
+	}
+	lim.cap = min(q.MaxResidents, math.MaxInt32)
+	if q.Off != 0 {
+		lim.cap = 0
+	}
+}
+
+// passes reports whether bound nd could hold a GPU that admits under
+// lim: it is under the client cap and adding the load breaks no limit.
+// A NaN sum fails no comparison, so it passes.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (lim *limit) passes(nd *fitNode) bool {
+	return int(nd.n) < lim.cap && !(nd.sm+lim.sm > 100) && !(nd.bw+lim.bw > 100) && !(nd.over+lim.mem > 0)
+}
+
+// reject returns the rules bound nd breaks under lim, nonzero exactly
+// when passes is false: an Off class's rules, else the client cap and
+// each rule whose limit the bound exceeds.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (lim *limit) reject(nd *fitNode) interference.RuleMask {
+	if lim.off != 0 {
+		return lim.off
+	}
+	var rej interference.RuleMask
+	if int(nd.n) >= lim.cap {
+		rej |= interference.MaskClientCap
+	}
+	if nd.sm+lim.sm > 100 {
+		rej |= interference.MaskCompute
+	}
+	if nd.bw+lim.bw > 100 {
+		rej |= interference.MaskBandwidth
+	}
+	if nd.over+lim.mem > 0 {
+		rej |= interference.MaskCapacity
+	}
+	return rej
+}
+
+// FirstFit returns the lowest-index GPU that admits under its class's
+// query, or -1: the answer of probing every GPU in index order, each
+// with q[c] for its class c. q holds a query for every class the pool's
+// GPUs use. A GPU admits when its class is not Off, it holds fewer than
+// MaxResidents residents, and Admit(Load) breaks none of Rules.
+//
+// The walk starts at the root and descends to the leftmost subtree
+// where some class's bound passes that class's query; a subtree where
+// every class's bound fails is stepped over. A leaf is judged under its
+// own class: an Off class or a full GPU rejects at once, a GPU whose
+// parent's bound of its class fails rejects without a probe, and any
+// other GPU is confirmed with Admit. The first leaf that passes is the
+// answer.
 //
 // A bound is exact: its float fields are single GPUs' sums, so bound +
 // l is the addition Admit does for that GPU, and IEEE rounding is
-// monotone, so a bound that breaks a rule proves every GPU under it
-// breaks it, those in the range included: a subtree reaching past the
-// range bounds a superset, whose minimum is no greater than the
-// range's. The walk starting below the root loses no pruning either:
-// an ancestor of the covering node bounds a superset of it, so where
-// the ancestor would prune, the covering node prunes too. A NaN sum
-// propagates into its ancestors' bounds, whose comparisons then fail,
-// so a NaN GPU is never pruned; it is reached and judged by Admit. The
-// memory bound is exact integer arithmetic while sums stay far from the
-// int64 limits, which holds when every load is at most a device's
-// memory (DESIGN.md §11, "First-fit index").
+// monotone, so a class's bound that breaks a rule proves every GPU of
+// the class under it breaks it. A NaN sum propagates into its
+// ancestors' bounds, whose comparisons then fail, so a NaN GPU is never
+// pruned; it is reached and judged by Admit. The memory bound is exact
+// integer arithmetic while sums stay far from the int64 limits, which
+// holds when every load is at most a device's memory (DESIGN.md §11,
+// "First-fit index").
 //
 // visits counts the nodes examined, leaves included; probes the leaves
 // confirmed with Admit. A non-nil tally also receives the visits and,
-// per rule, the range's GPUs each rejection covered: those under a
-// pruned subtree, or one rejected leaf. The index is built on the
-// first call.
+// per rule, the GPUs each rejection covered: those of each class under
+// a pruned subtree, or one rejected leaf; together they cover every GPU
+// left of the answer once. The index is built on the first call.
 //
 //repro:hotpath pinned by TestPoolAllocs
-func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask, tally *obs.ScanTally) (g, visits, probes int) {
-	if lo >= hi {
+func (p *Pool[R]) FirstFit(q []Query, tally *obs.ScanTally) (g, visits, probes int) {
+	n := len(p.gpus)
+	if n == 0 {
 		return -1, 0, 0
 	}
 	if p.tree == nil {
 		p.build()
 	}
-	// A rule outside rules gets a limit no sum can exceed.
-	limSM, limBW, limOver := math.Inf(1), math.Inf(1), int64(math.MaxInt64)
-	if rules&interference.MaskCompute != 0 {
-		limSM = 100
-	}
-	if rules&interference.MaskBandwidth != 0 {
-		limBW = 100
-	}
-	if rules&interference.MaskCapacity != 0 {
-		limOver = 0
+	tree, leaves, lims := p.tree, p.leaves, p.lims
+	for c := range lims {
+		lims[c].set(&q[c])
 	}
 	g = -1
-	// Node i covers GPUs [first, first+span), first = i*span-leaves. The
-	// walk starts at the lowest node covering [lo, hi): the leaves of lo
-	// and hi-1 share their ancestors above the highest bit where their
-	// indices differ. Stepping right out of that node passes hi, which
-	// ends the walk.
-	h := bits.Len(uint((p.leaves + lo) ^ (p.leaves + hi - 1)))
-	i, span := (p.leaves+lo)>>h, 1<<h
+	// Node i covers GPUs [i*span-leaves, (i+1)*span-leaves).
+	i, span := 1, leaves
 	for {
-		if first := i*span - p.leaves; first+span > lo {
-			visits++
+		visits++
+		if i >= leaves {
+			s := &p.gpus[i-leaves]
+			c := int(s.class)
+			lim := &lims[c]
 			var rej interference.RuleMask
-			if i >= p.leaves {
-				s := &p.gpus[first]
-				if len(s.res) >= maxResidents {
-					rej = interference.MaskClientCap
-				} else {
-					probes++
-					if rej = s.agg.Admit(l) & rules; rej == 0 {
-						g = first
-						break
-					}
-				}
-			} else {
-				nd := &p.tree[i]
-				if int(nd.n) >= maxResidents {
-					rej |= interference.MaskClientCap
-				}
-				if nd.sm+l.SMPct > limSM {
-					rej |= interference.MaskCompute
-				}
-				if nd.bw+l.BWPct > limBW {
-					rej |= interference.MaskBandwidth
-				}
-				if nd.over+l.MemMiB > limOver {
-					rej |= interference.MaskCapacity
-				}
-				if rej == 0 {
-					i, span = 2*i, span>>1
-					continue
+			switch {
+			case lim.off != 0:
+				rej = lim.off
+			case len(s.res) >= lim.cap:
+				rej = interference.MaskClientCap
+			case len(lims) > 1 && i > 1 && !lim.passes(&tree[c*leaves+i>>1]):
+				// The walk came down for another class: this GPU's own
+				// class fails at its parent, and hence above it.
+				rej = lim.reject(&tree[c*leaves+i>>1])
+			default:
+				probes++
+				if rej = s.agg.Admit(lim.l) & lim.rules; rej == 0 {
+					g = i - leaves
 				}
 			}
+			if g >= 0 {
+				break
+			}
 			if tally != nil {
-				tally.RejectRange(uint8(rej), int32(min(first+span, hi)-max(first, lo)))
+				tally.RejectRange(uint8(rej), 1)
+			}
+		} else {
+			pass := false
+			for c := range lims {
+				if lims[c].passes(&tree[c*leaves+i]) {
+					pass = true
+					break
+				}
+			}
+			if pass {
+				i, span = 2*i, span>>1
+				continue
+			}
+			if tally != nil {
+				for c := range lims {
+					if n := p.counts[c*leaves+i]; n > 0 {
+						tally.RejectRange(uint8(lims[c].reject(&tree[c*leaves+i])), n)
+					}
+				}
 			}
 		}
 		// Move to the next subtree to the right: climb while i is a
@@ -294,7 +427,7 @@ func (p *Pool[R]) FirstFit(lo, hi int, l interference.Load, maxResidents int, ru
 			break
 		}
 		i++
-		if i*span-p.leaves >= hi {
+		if i*span-leaves >= n {
 			break
 		}
 	}

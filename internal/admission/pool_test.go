@@ -18,7 +18,8 @@ import (
 // //repro:hotpath annotations.
 func TestPoolAllocs(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 2)
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, 1)
 	p.KeyBy(fuzzKey)
 	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	for i := 0; i < 8; i++ {
@@ -28,14 +29,16 @@ func TestPoolAllocs(t *testing.T) {
 	var tally obs.ScanTally
 	skip := []bool{true, false, true}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
+	q := []Query{{Load: l, MaxResidents: 9, Rules: all}, {Load: l, MaxResidents: 8, Rules: all}}
+	full := []Query{{Load: l, MaxResidents: 8, Rules: all}, {Load: l, Off: interference.MaskCapacity}}
 	cycle := func() {
 		p.Save(0, &snap)
 		p.Add(0, l, 99)
 		p.RemoveAt(0, 2)
 		_ = p.AdmitExcluding(0, l, nil).Interferes()
 		_ = p.AdmitExcluding(0, l, skip).Interferes()
-		_, _, _ = p.FirstFit(0, 2, l, 9, all, nil)
-		_, _, _ = p.FirstFit(1, 2, l, 8, all, &tally)
+		_, _, _ = p.FirstFit(q, nil)
+		_, _, _ = p.FirstFit(full, &tally)
 		_ = p.NextChanged(p.Clock()-1, 0)
 		_ = p.NextBelow(2, 1)
 		p.Touch(1)
@@ -56,62 +59,87 @@ func TestPoolAllocs(t *testing.T) {
 // FirstFit allocates neither the changed-GPU index nor the victim key.
 func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 5)
+	p.AddGPUs(gpu.MustLookup("A100X"), 5, 0)
 	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
+	q := []Query{{Load: l, MaxResidents: 4, Rules: all}}
 	var snap Snapshot[res]
 	for i := 0; i < 20; i++ {
 		g := i % 5
 		p.Save(g, &snap)
 		p.Add(g, l, res(i))
-		_, _, _ = p.FirstFit(0, 5, l, 4, all, nil)
+		_, _, _ = p.FirstFit(q, nil)
 		p.Touch(g)
 		if i%3 == 0 {
 			p.Restore(g, &snap)
 		}
 	}
-	p.AddGPUs(gpu.MustLookup("A100X"), 2)
-	_, _, _ = p.FirstFit(0, 7, l, 4, all, nil)
+	p.AddGPUs(gpu.MustLookup("A100X"), 2, 0)
+	_, _, _ = p.FirstFit(q, nil)
 	if p.tree == nil || p.gens != nil || p.keys != nil {
 		t.Fatalf("first-fit-only pool: index built %v, changed-GPU index %v, keys %v, want the index alone", p.tree != nil, p.gens, p.keys)
 	}
 }
 
-// TestFirstFitStartsAtCoveringNode pins where a range query starts: at
-// the lowest index node covering the range. On a 512-GPU pool, a query
-// over an aligned 8-GPU range whose subtree rejects makes one visit and
-// no probe, though no ancestor of that subtree prunes; a one-GPU range
-// starts at its leaf and confirms it with Admit; and a query over the
-// whole pool starts at the root.
-func TestFirstFitStartsAtCoveringNode(t *testing.T) {
-	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 512)
+// TestFirstFitWalksClasses pins the one walk on hand-built pools: over
+// one class it starts at the root and descends to the first admitting
+// GPU; a subtree is stepped over only when every class's bound fails
+// there; an Off class's GPU rejects without a probe; and a GPU reached
+// because another class passed its parent, while its own class fails
+// there, rejects without a probe too.
+func TestFirstFitWalksClasses(t *testing.T) {
+	device := gpu.MustLookup("A100X")
 	heavy := interference.Load{SMPct: 90, BWPct: 10, MemMiB: 1024}
-	for g := 8; g < 16; g++ {
-		p.Add(g, heavy, res(g))
-	}
 	l := interference.Load{SMPct: 20, BWPct: 10, MemMiB: 1024}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
-	for _, q := range []struct {
+	fits := Query{Load: l, MaxResidents: 4, Rules: all}
+	off := Query{Load: l, MaxResidents: 4, Rules: all, Off: interference.MaskCapacity}
+
+	var wide Pool[res]
+	wide.AddGPUs(device, 512, 0)
+	for g := 0; g < 8; g++ {
+		wide.Add(g, heavy, res(g))
+	}
+	// Two-class pools: GPUs 0 and 1 of class 0 are heavy, GPU 2 is of
+	// class 1, GPU 3 of class 0 is idle; then a heavy class-0 GPU beside
+	// an idle class-1 GPU.
+	var mixed Pool[res]
+	mixed.AddGPUs(device, 2, 0)
+	mixed.AddGPUs(device, 1, 1)
+	mixed.AddGPUs(device, 1, 0)
+	mixed.Add(0, heavy, 0)
+	mixed.Add(1, heavy, 1)
+	var pair Pool[res]
+	pair.AddGPUs(device, 1, 0)
+	pair.AddGPUs(device, 1, 1)
+	pair.Add(0, heavy, 0)
+
+	for _, c := range []struct {
 		name                         string
-		lo, hi, maxResidents         int
+		p                            *Pool[res]
+		q                            []Query
 		want, wantVisits, wantProbes int
+		wantRejected                 int32
 	}{
-		{"rejecting subtree", 8, 16, 4, -1, 1, 0},
-		{"one GPU over the SM limit", 8, 9, 4, -1, 1, 1},
-		{"one GPU at its client cap", 8, 9, 1, -1, 1, 0},
-		{"one idle GPU", 16, 17, 4, 16, 1, 1},
-		// The root, then eight left children down to GPU 0's leaf.
-		{"whole pool", 0, 512, 4, 0, 10, 1},
+		// The root and six left children down to the 8-GPU subtree the
+		// heavy GPUs fill, which is stepped over, then its right sibling
+		// and three nodes down to GPU 8, the one probe.
+		{"one class", &wide, []Query{fits}, 8, 11, 1, 8},
+		// Root, [0,2) stepped over, [2,4), GPU 2 Off, GPU 3 admits.
+		{"off class", &mixed, []Query{fits, off}, 3, 5, 1, 3},
+		{"no class admits", &mixed, []Query{off, off}, -1, 1, 0, 4},
+		// Root passes for class 1; GPU 0's class fails at the root,
+		// its parent, so only GPU 1 is probed.
+		{"parent fails its class", &pair, []Query{fits, fits}, 1, 3, 1, 1},
 	} {
 		var tally obs.ScanTally
-		g, visits, probes := p.FirstFit(q.lo, q.hi, l, q.maxResidents, all, &tally)
-		if g != q.want || visits != q.wantVisits || probes != q.wantProbes {
-			t.Errorf("%s: FirstFit(%d, %d) = GPU %d, %d visits, %d probes; want %d, %d, %d",
-				q.name, q.lo, q.hi, g, visits, probes, q.want, q.wantVisits, q.wantProbes)
+		g, visits, probes := c.p.FirstFit(c.q, &tally)
+		if g != c.want || visits != c.wantVisits || probes != c.wantProbes || tally.Rejected() != c.wantRejected {
+			t.Errorf("%s: FirstFit = GPU %d, %d visits, %d probes, %d rejected; want %d, %d, %d, %d",
+				c.name, g, visits, probes, tally.Rejected(), c.want, c.wantVisits, c.wantProbes, c.wantRejected)
 		}
 		if rec := tally.Summary(0, 0, int32(g)); int(rec.Clients) != visits {
-			t.Errorf("%s: tally holds %d visits, want %d", q.name, rec.Clients, visits)
+			t.Errorf("%s: tally holds %d visits, want %d", c.name, rec.Clients, visits)
 		}
 	}
 }
@@ -120,7 +148,7 @@ func TestFirstFitStartsAtCoveringNode(t *testing.T) {
 // GPUs without residents and a start past the last GPU included.
 func TestNextQueries(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 6)
+	p.AddGPUs(gpu.MustLookup("A100X"), 6, 0)
 	p.KeyBy(func(r res) int { return int(r) })
 	l := interference.Load{SMPct: 1}
 	c := p.Clock()
@@ -156,8 +184,8 @@ func TestNextQueries(t *testing.T) {
 // generation Save saw without advancing the clock.
 func TestPoolGenerations(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 3)
-	p.AddGPUs(gpu.MustLookup("A100X"), 1)
+	p.AddGPUs(gpu.MustLookup("A100X"), 3, 0)
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
 	if p.GPUs() != 4 {
 		t.Fatalf("pool holds %d GPUs, want 4", p.GPUs())
 	}
@@ -202,7 +230,7 @@ func TestPoolGenerations(t *testing.T) {
 // planner's holds read it after the rollback).
 func TestRestoreOutrunsInsideClock(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 1)
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
 	p.Add(0, interference.Load{SMPct: 10}, 1)
 	var snap Snapshot[res]
 	p.Save(0, &snap)
@@ -284,29 +312,37 @@ func fuzzKey(r res) int { return int(r) * 7 % 5 }
 // too), the pool-wide count is the sum of the per-GPU counts, the
 // mutated or touched GPU — and only it — gets a fresh generation, and a
 // Restore gives back the exact digest, count and generation its Save
-// saw without advancing the clock. FirstFit, over random GPU ranges
-// (empty and single-GPU ones included) under varied client caps and
-// rule masks, names the GPU a serial probe of the range names;
-// NextChanged and NextBelow, from random GPUs against random clock
-// readings and keys, name the GPU a serial scan names; and every index
-// node is the minimum (the maximum generation) of its children.
+// saw without advancing the clock. FirstFit, over GPUs of random
+// classes (0 to 3) with one random query per class (client caps, rule
+// masks, Off classes, and NaN and infinite SM and bandwidth loads),
+// names the GPU a serial probe of every GPU under its class's query
+// names, and its tally covers exactly the GPUs left of that GPU, once
+// each; NextChanged and NextBelow, from random GPUs against random
+// clock readings and keys, name the GPU a serial scan names; and every
+// index node's bound of each class is the minimum of its children's
+// (every node the maximum generation of its children).
 func FuzzPool(f *testing.F) {
-	f.Add(uint8(2), []byte{0, 1, 10, 0, 0, 20, 2, 0, 0, 1, 0, 0, 3, 0, 0})
-	f.Add(uint8(3), []byte{0, 2, 255, 0, 2, 7, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 2, 0, 1, 0, 0})
-	f.Add(uint8(6), []byte{0, 0, 16, 0, 3, 17, 0, 5, 200, 4, 0, 0, 0, 6, 33, 1, 3, 0, 0, 2, 130, 3, 0, 0, 0, 4, 90})
+	f.Add(uint8(2), uint32(0), []byte{0, 1, 10, 0, 0, 20, 2, 0, 0, 1, 0, 0, 3, 0, 0})
+	f.Add(uint8(3), uint32(0x24), []byte{0, 2, 255, 0, 2, 7, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 2, 0, 1, 0, 0})
+	f.Add(uint8(6), uint32(0xe4e4), []byte{0, 0, 16, 0, 3, 17, 0, 5, 200, 4, 0, 0, 0, 6, 33, 1, 3, 0, 0, 2, 130, 3, 0, 0, 0, 4, 90})
 	// Colliding ends on one GPU, a cancel, a retire before the earliest
 	// end, retires at the collision, a removal of a scheduled resident.
-	f.Add(uint8(2), []byte{0, 0, 10, 0, 0, 20, 0, 0, 30, 0, 1, 40, 6, 0, 3, 6, 0, 3, 6, 0, 11, 6, 1, 3, 7, 0, 1, 8, 0, 2, 8, 0, 3, 8, 0, 3, 2, 1, 0, 1, 1, 0, 3, 1, 0, 8, 0, 9})
-	f.Fuzz(func(t *testing.T, gpus uint8, ops []byte) {
+	f.Add(uint8(2), uint32(0), []byte{0, 0, 10, 0, 0, 20, 0, 0, 30, 0, 1, 40, 6, 0, 3, 6, 0, 3, 6, 0, 11, 6, 1, 3, 7, 0, 1, 8, 0, 2, 8, 0, 3, 8, 0, 3, 2, 1, 0, 1, 1, 0, 3, 1, 0, 8, 0, 9})
+	// Two classes interleaved over unaligned runs, new GPUs of class 3.
+	f.Add(uint8(9), uint32(0x5a69), []byte{0, 0, 200, 0, 1, 7, 0, 3, 90, 0, 4, 255, 4, 0, 3, 0, 9, 40, 5, 2, 0, 0, 6, 128})
+	f.Fuzz(func(t *testing.T, gpus uint8, classes uint32, ops []byte) {
 		device := gpu.MustLookup("A100X")
 		n := int(gpus)%11 + 1
 		var p Pool[res]
 		// The key is set before or after the first GPUs, so both of
-		// AddGPUs's paths run.
+		// AddGPUs's paths run. GPU g's class is bits 2g and 2g+1 of
+		// classes.
 		if gpus&1 == 0 {
 			p.KeyBy(fuzzKey)
 		}
-		p.AddGPUs(device, n)
+		for g := 0; g < n; g++ {
+			p.AddGPUs(device, 1, uint8(classes>>(2*g)&3))
+		}
 		if gpus&1 == 1 {
 			p.KeyBy(fuzzKey)
 		}
@@ -381,7 +417,7 @@ func FuzzPool(f *testing.F) {
 				if n >= 24 {
 					continue
 				}
-				p.AddGPUs(device, 1)
+				p.AddGPUs(device, 1, arg&3)
 				n++
 				model = append(model, nil)
 				snaps = append(snaps, Snapshot[res]{})
@@ -459,12 +495,7 @@ func FuzzPool(f *testing.F) {
 				t.Fatalf("pool count %d, per-GPU counts sum to %d", p.Total(), total)
 			}
 			for q := byte(0); q < 4; q++ {
-				lo := int(arg+q*53) % (n + 1)
-				hi := lo + int(arg>>3+q*29)%(n+1-lo)
-				if q == 0 {
-					lo, hi = 0, n
-				}
-				checkFirstFit(t, &p, lo, hi, fuzzLoad(arg+q*37, device, true), int(arg+q)%6, interference.RuleMask(arg>>2+q)&7)
+				checkFirstFit(t, &p, fuzzQueries(p.classes, arg+q*41, device))
 				from := int(arg+q*71) % (n + 1)
 				checkNextChanged(t, &p, uint64(arg+q*13)%(p.Clock()+2), from)
 				checkNextBelow(t, &p, int(arg>>1+q*3)%7-1, from)
@@ -475,54 +506,92 @@ func FuzzPool(f *testing.F) {
 	})
 }
 
-// refFirstFit is the serial first-fit FirstFit must reproduce: probe
-// every GPU of [lo, hi) in index order.
-func refFirstFit(p *Pool[res], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) int {
-	for g := lo; g < hi; g++ {
-		if p.Len(g) < maxResidents && p.AdmitExcluding(g, l, nil)&rules == 0 {
-			return g
+// fuzzQueries draws one query per class from arg: a client cap from 0
+// to 5, a rule mask, a load with special values, and about one class in
+// five Off with a nonzero mask.
+func fuzzQueries(classes int, arg byte, device gpu.DeviceSpec) []Query {
+	qs := make([]Query, classes)
+	for c := range qs {
+		a := arg + byte(c)*53
+		qs[c] = Query{
+			Load:         fuzzLoad(a, device, true),
+			MaxResidents: int(a) % 6,
+			Rules:        interference.RuleMask(a>>2) & 7,
+		}
+		if a%5 == 1 {
+			qs[c].Off = interference.RuleMask(a>>4)%15 + 1
 		}
 	}
-	return -1
+	return qs
 }
 
-// checkFirstFit compares one query over [lo, hi) against the serial
-// reference, with and without a tally. The tally's visits are the
-// query's, and its rejections cover exactly the range's GPUs left of
-// the winner: at least as many as the busiest rule counted, at most the
-// sum over rules.
-func checkFirstFit(t *testing.T, p *Pool[res], lo, hi int, l interference.Load, maxResidents int, rules interference.RuleMask) {
+// verdict is the rules GPU g breaks under its class's query, as a
+// serial scan judges it: an Off class's rules, else the client cap and
+// Admit's rules within the query's.
+func verdict(p *Pool[res], qs []Query, g int) interference.RuleMask {
+	q := &qs[p.gpus[g].class]
+	if q.Off != 0 {
+		return q.Off
+	}
+	rej := p.AdmitExcluding(g, q.Load, nil) & q.Rules
+	if p.Len(g) >= q.MaxResidents {
+		rej |= interference.MaskClientCap
+	}
+	return rej
+}
+
+// checkFirstFit compares one query set against a serial probe of every
+// GPU under its class's query, with and without a tally. The tally's
+// visits are the query's, it covers each GPU left of the winner once,
+// and it counts no rule more often than those GPUs break it.
+func checkFirstFit(t *testing.T, p *Pool[res], qs []Query) {
 	t.Helper()
-	want := refFirstFit(p, lo, hi, l, maxResidents, rules)
-	g, visits, probes := p.FirstFit(lo, hi, l, maxResidents, rules, nil)
+	want, broken := -1, [4]int64{}
+	for g := 0; g < p.GPUs(); g++ {
+		rej := verdict(p, qs, g)
+		if rej == 0 {
+			want = g
+			break
+		}
+		for i := range broken {
+			broken[i] += int64(rej >> i & 1)
+		}
+	}
+	g, visits, probes := p.FirstFit(qs, nil)
 	if g != want {
-		t.Fatalf("FirstFit([%d,%d), %+v, cap %d, rules %v) = %d, serial first-fit %d", lo, hi, l, maxResidents, rules, g, want)
+		t.Fatalf("FirstFit(%+v) = %d, serial first-fit %d", qs, g, want)
 	}
 	if probes > visits {
 		t.Fatalf("FirstFit probed %d GPUs in %d visits", probes, visits)
 	}
 	var tally obs.ScanTally
-	if g2, v2, p2 := p.FirstFit(lo, hi, l, maxResidents, rules, &tally); g2 != g || v2 != visits || p2 != probes {
+	if g2, v2, p2 := p.FirstFit(qs, &tally); g2 != g || v2 != visits || p2 != probes {
 		t.Fatalf("tallied FirstFit = %d %d %d, untallied %d %d %d", g2, v2, p2, g, visits, probes)
 	}
 	rec := tally.Summary(0, 0, int32(g))
 	if rec.Clients != int32(visits) {
 		t.Fatalf("tally visits %d, query visits %d", rec.Clients, visits)
 	}
-	covered := int64(g - lo)
+	covered := int32(g)
 	if g < 0 {
-		covered = int64(hi - lo)
+		covered = int32(p.GPUs())
+	}
+	if tally.Rejected() != covered {
+		t.Fatalf("tally covers %d GPUs, %d lie left of winner %d", tally.Rejected(), covered, g)
 	}
 	counts := []int64{rec.SMExcessMilli, rec.BWExcessMilli, rec.MemExcessMiB, int64(rec.CapSkips)}
-	var most, sum int64
+	var sum int64
 	for i, c := range counts {
 		if (c > 0) != (rec.Rules&(1<<i) != 0) {
 			t.Fatalf("tally rules %04b disagree with counts %v", rec.Rules, counts)
 		}
-		most, sum = max(most, c), sum+c
+		if c > broken[i] {
+			t.Fatalf("tally counts %v, but the GPUs left of winner %d break the rules %v times", counts, g, broken)
+		}
+		sum += c
 	}
-	if most > covered || sum < covered {
-		t.Fatalf("tally counts %v for the %d GPUs of [%d,%d) left of winner %d", counts, covered, lo, hi, g)
+	if sum < int64(covered) {
+		t.Fatalf("tally counts %v for the %d GPUs left of winner %d", counts, covered, g)
 	}
 }
 
@@ -560,20 +629,30 @@ func checkNextBelow(t *testing.T, p *Pool[res], k, from int) {
 	}
 }
 
-// checkIndex checks every built index node against the minimum of its
-// children, bit for bit, so a NaN minimum must be NaN; each node of the
+// checkIndex checks every built index node's bound of each class
+// against the minimum of its children's, bit for bit, so a NaN minimum
+// must be NaN, and its GPU count against the sum; each node of the
 // changed-GPU index against the maximum of its children's generations;
 // and each victim key, a GPU's against a fresh fold of its residents
 // and a node's against the minimum of its children.
 func checkIndex(t *testing.T, p *Pool[res]) {
 	t.Helper()
-	for i := 1; i < len(p.tree); i++ {
-		a, b := p.bound(2*i), p.bound(2*i+1)
-		got := p.tree[i]
-		if math.Float64bits(got.sm) != math.Float64bits(min(a.sm, b.sm)) ||
-			math.Float64bits(got.bw) != math.Float64bits(min(a.bw, b.bw)) ||
-			got.over != min(a.over, b.over) || got.n != min(a.n, b.n) {
-			t.Fatalf("index node %d = %+v, children %+v and %+v", i, got, a, b)
+	child := func(i, c int) (fitNode, int32) {
+		if i >= p.leaves {
+			return p.leafBound(i-p.leaves, c), p.isClass(i-p.leaves, c)
+		}
+		return p.tree[c*p.leaves+i], p.counts[c*p.leaves+i]
+	}
+	for i := 1; i < p.leaves && p.tree != nil; i++ {
+		for c := 0; c < p.classes; c++ {
+			a, na := child(2*i, c)
+			b, nb := child(2*i+1, c)
+			got, n := child(i, c)
+			if math.Float64bits(got.sm) != math.Float64bits(min(a.sm, b.sm)) ||
+				math.Float64bits(got.bw) != math.Float64bits(min(a.bw, b.bw)) ||
+				got.over != min(a.over, b.over) || got.n != min(a.n, b.n) || n != na+nb {
+				t.Fatalf("index node %d class %d = %+v over %d GPUs, children %+v and %+v over %d and %d", i, c, got, n, a, b, na, nb)
+			}
 		}
 	}
 	if p.gens == nil && p.keys == nil {

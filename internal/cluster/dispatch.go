@@ -382,11 +382,12 @@ func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	return true
 }
 
-// findFit asks the pool's first-fit index once per node, in spec
-// order, for the first GPU that admits the member under the node's
-// resolved semantics, and returns its pool index or -1. A MIG node
-// whose instances are smaller than the member rejects it whole, without
-// a query. With telemetry on, the scan leaves one flight record: the
+// findFit asks the pool's first-fit index once, with one query per GPU
+// class, for the first GPU in pool order that admits the member under
+// its node's resolved semantics, and returns its pool index or -1. A
+// class whose memory partition (a MIG instance) is smaller than the
+// member is Off: its GPUs reject the member on capacity without a
+// probe. With telemetry on, the scan leaves one flight record: the
 // winner, the index nodes visited and the GPUs rejected per rule.
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
@@ -396,22 +397,15 @@ func (st *planner) findFit(j *job, m *member, now simtime.Time) int {
 	if st.fl != nil {
 		t = &tally
 	}
-	g := -1
-	for n := range st.nodes {
-		node := &st.nodes[n]
-		if m.load.MemMiB > node.memMiB {
-			if t != nil {
-				t.RejectRange(uint8(interference.MaskCapacity), int32(node.spec.GPUs))
-			}
-			continue
-		}
-		var probes int
-		g, _, probes = st.pool.FirstFit(node.first, node.first+node.spec.GPUs, node.load(m), node.cap, node.rules, t)
-		st.stats.Probes += int64(probes)
-		if g >= 0 {
-			break
+	for c := range st.classes {
+		sem, q := &st.classes[c], &st.queries[c]
+		q.Load, q.Off = sem.load(m), 0
+		if m.load.MemMiB > sem.memMiB {
+			q.Off = interference.MaskCapacity
 		}
 	}
+	g, _, probes := st.pool.FirstFit(st.queries, t)
+	st.stats.Probes += int64(probes)
 	if t != nil {
 		st.recordScan(t, j, m, g, now)
 	}
@@ -674,8 +668,9 @@ func (st *planner) rollback() {
 
 // commit finalizes a successful gang placement: victims' events are
 // cancelled and their gangs requeued with the restart penalty, placed
-// members get completion events and dispatch records, and the tenant's
-// deficit counter is charged.
+// members get completion events and compact log records (finish turns
+// them into the Outcome's logs), and the tenant's deficit counter is
+// charged.
 func (st *planner) commit(j *job, now simtime.Time) {
 	for _, g := range st.txTouched {
 		st.gpus[g].saved = false
@@ -689,16 +684,9 @@ func (st *planner) commit(j *job, now simtime.Time) {
 			v := r.job
 			gs := &st.gpus[r.gpu]
 			st.pool.Cancel(r.ev)
-			st.out.Evictions = append(st.out.Evictions, Eviction{
-				At:        now,
-				Tenant:    v.tenant.spec.Name,
-				Gang:      v.sub.Gang.Name,
-				Workflow:  v.members[r.memberIx].name,
-				Node:      gs.node.spec.Name,
-				GPU:       gs.index,
-				Preemptor: j.sub.Gang.Name,
-				LostS:     now.Sub(r.start).Seconds(),
-				OverheadS: preemptionOverheadS,
+			st.evictions = append(st.evictions, evictionRec{
+				at: now, start: r.start, victim: int32(v.seq), member: int32(r.memberIx),
+				gpu: int32(r.gpu), preemptor: int32(j.seq),
 			})
 			st.stats.Preemptions++
 			if st.fl != nil {
@@ -743,19 +731,11 @@ func (st *planner) commit(j *job, now simtime.Time) {
 	j.lastWaitS = waited
 	j.tenant.waitHist.Observe(int64(waited * 1000))
 	for _, r := range st.txPlaced {
-		gs := &st.gpus[r.gpu]
 		r.ev = st.pool.Schedule(r.gpu, r.end, r.Serial())
 		j.liveCount++
 		j.residents = append(j.residents, r)
-		st.out.Dispatches = append(st.out.Dispatches, Dispatch{
-			At:          now,
-			Tenant:      j.tenant.spec.Name,
-			Gang:        j.sub.Gang.Name,
-			Workflow:    j.members[r.memberIx].name,
-			Node:        gs.node.spec.Name,
-			GPU:         gs.index,
-			WaitedS:     waited,
-			Preemptions: j.preemptions,
+		st.dispatches = append(st.dispatches, dispatchRec{
+			at: now, job: int32(j.seq), member: int32(r.memberIx), gpu: int32(r.gpu), preemptions: int32(j.preemptions),
 		})
 		if st.fl != nil {
 			rec := st.gpuRecord(obs.FlightDispatch, j, &j.members[r.memberIx], r.gpu, now)

@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"gpushare/internal/interference"
@@ -48,11 +52,10 @@ func refFit(st *planner, m *member) int {
 
 // TestFindFitMatchesSerialWalk fills MPS nodes (capped and uncapped),
 // MIG nodes and time-slice nodes with random residents and checks, for
-// random members, that findFit's per-node index queries name the GPU
-// the serial per-mode walk names, and that on every GPU z directAdmits
-// agrees with the walk's verdict and with findFit's own query narrowed
-// to [z, z+1). The hold re-checks rest on that agreement (DESIGN.md
-// §13, "Change-driven rounds").
+// random members, that findFit's class queries name the GPU the serial
+// per-mode walk names, and that on every GPU z directAdmits agrees with
+// the walk's verdict. The hold re-checks rest on that agreement
+// (DESIGN.md §13, "Change-driven rounds").
 func TestFindFitMatchesSerialWalk(t *testing.T) {
 	store := testStore(t)
 	device := a100x()
@@ -106,13 +109,10 @@ func TestFindFitMatchesSerialWalk(t *testing.T) {
 				misses++
 			}
 			for z := range st.gpus {
-				node := st.gpus[z].node
 				walk := refProbe(st, z, m) == 0
-				g, _, _ := st.pool.FirstFit(z, z+1, node.load(m), node.cap, node.rules, nil)
-				query := m.load.MemMiB <= node.memMiB && g == z
-				if direct := st.directAdmits(j, z, 0); direct != walk || direct != query {
-					t.Fatalf("state %d, %s GPU %d, member %+v: directAdmits %v, serial walk %v, narrowed query %v",
-						state, node.spec.Name, z, m.load, direct, walk, query)
+				if direct := st.directAdmits(j, z, 0); direct != walk {
+					t.Fatalf("state %d, %s GPU %d, member %+v: directAdmits %v, serial walk %v",
+						state, st.gpus[z].node.spec.Name, z, m.load, direct, walk)
 				}
 			}
 		}
@@ -120,4 +120,178 @@ func TestFindFitMatchesSerialWalk(t *testing.T) {
 	if misses == 0 || len(wins) != len(spec.Nodes) {
 		t.Fatalf("winners per node %v and %d misses: want every node to win and some queries to miss", wins, misses)
 	}
+}
+
+// refNodeFit is the per-node fit scan the class walk replaced: for each
+// node in spec order, a first-fit over the node's GPU range that starts
+// at the lowest index node covering the range, descends where the
+// bound over every GPU under a node (whatever its class) passes the
+// node's query, and confirms each leaf it reaches with Admit; a member
+// larger than a MIG node's instance skips the node. It returns the
+// winner and the GPUs it confirmed. The bounds are built afresh from
+// the pool's residents, left folds in resident order as the aggregate
+// keeps them.
+func refNodeFit(st *planner, m *member) (winner int, probes int64) {
+	type bound struct {
+		sm, bw float64
+		over   int64
+		n      int
+	}
+	gpus := len(st.gpus)
+	leaves := 1
+	for leaves < gpus {
+		leaves <<= 1
+	}
+	tree := make([]bound, 2*leaves)
+	for i := range tree {
+		tree[i] = bound{math.Inf(1), math.Inf(1), math.MaxInt64, math.MaxInt}
+	}
+	for g := range gpus {
+		b := bound{over: -st.gpus[g].node.spec.Device.MemoryMiB, n: st.pool.Len(g)}
+		for i := range b.n {
+			l := st.pool.Load(g, i)
+			b.sm, b.bw, b.over = b.sm+l.SMPct, b.bw+l.BWPct, b.over+l.MemMiB
+		}
+		tree[leaves+g] = b
+	}
+	for i := leaves - 1; i > 0; i-- {
+		a, b := tree[2*i], tree[2*i+1]
+		tree[i] = bound{min(a.sm, b.sm), min(a.bw, b.bw), min(a.over, b.over), min(a.n, b.n)}
+	}
+	first := 0
+	for n := range st.nodes {
+		node := &st.nodes[n]
+		lo, hi := first, first+node.spec.GPUs
+		first = hi
+		if m.load.MemMiB > node.memMiB {
+			continue
+		}
+		l := node.load(m)
+		limSM, limBW, limOver := math.Inf(1), math.Inf(1), int64(math.MaxInt64)
+		if node.rules&interference.MaskCompute != 0 {
+			limSM = 100
+		}
+		if node.rules&interference.MaskBandwidth != 0 {
+			limBW = 100
+		}
+		if node.rules&interference.MaskCapacity != 0 {
+			limOver = 0
+		}
+		h := bits.Len(uint((leaves + lo) ^ (leaves + hi - 1)))
+		i, span := (leaves+lo)>>h, 1<<h
+		for {
+			if first := i*span - leaves; first+span > lo {
+				if i >= leaves {
+					if st.pool.Len(first) < node.cap {
+						probes++
+						if st.pool.AdmitExcluding(first, l, nil)&node.rules == 0 {
+							return first, probes
+						}
+					}
+				} else if b := tree[i]; b.n < node.cap && !(b.sm+l.SMPct > limSM) &&
+					!(b.bw+l.BWPct > limBW) && !(b.over+l.MemMiB > limOver) {
+					i, span = 2*i, span>>1
+					continue
+				}
+			}
+			for i&1 == 1 {
+				i, span = i>>1, span<<1
+			}
+			if i == 0 {
+				break
+			}
+			i++
+			if i*span-leaves >= hi {
+				break
+			}
+		}
+	}
+	return -1, probes
+}
+
+// FuzzFindFit builds clusters of random shape, fills them with random
+// residents, and checks findFit's one class walk against refNodeFit,
+// the per-node loop it replaced, for random members: both name the same
+// GPU, the walk probes no more GPUs than the loop, and exactly as many
+// when every node is an aligned power-of-two block of at least two
+// GPUs. Each node takes 2 bytes of shape: its GPU count (1 to 11, so
+// nodes straddle index subtrees; 2, 4 or 8 in aligned clusters, whose
+// nodes are laid out largest first) and its mode with its caps: MPS
+// uncapped or under an active-thread cap, MIG with 1 to 7 instances, or
+// time-slicing. Nodes that resolve alike share a GPU class.
+func FuzzFindFit(f *testing.F) {
+	f.Add(uint64(1), []byte{2, 0, 1, 1, 1, 2, 1, 3})
+	f.Add(uint64(2), []byte{8, 0, 4, 2, 4, 3, 2, 1})
+	f.Add(uint64(3), []byte{3, 5, 5, 9, 7, 0x32, 11, 4, 1, 0x40})
+	f.Add(uint64(4), []byte{1, 0, 1, 0, 1, 1, 1, 0, 6, 0x17})
+	f.Fuzz(func(t *testing.T, seed uint64, shape []byte) {
+		device := a100x()
+		aligned := seed&1 == 1
+		spec := Spec{Tenants: []TenantSpec{{Name: "a"}}}
+		for k := 0; k+1 < len(shape) && len(spec.Nodes) < 8; k += 2 {
+			size, mode := int(shape[k])%11+1, shape[k+1]
+			if aligned {
+				size = 2 << (shape[k] % 3)
+			}
+			ns := NodeSpec{Name: fmt.Sprintf("n%d", len(spec.Nodes)), Device: device, GPUs: size}
+			switch mode % 4 {
+			case 0:
+				ns.Mode, ns.ClientCap = ModeMPS, int(mode>>2)%6+1
+			case 1:
+				ns.Mode, ns.ClientCap, ns.MPSActiveThreadPct = ModeMPS, int(mode>>2)%6+1, float64(20+int(mode>>4)%8*10)
+			case 2:
+				ns.Mode, ns.MIGInstances = ModeMIG, int(mode>>2)%7+1
+			default:
+				ns.Mode, ns.TimeSliceCap = ModeTimeSlice, int(mode>>2)%4+1
+			}
+			spec.Nodes = append(spec.Nodes, ns)
+		}
+		if len(spec.Nodes) == 0 {
+			return
+		}
+		if aligned {
+			slices.SortStableFunc(spec.Nodes, func(a, b NodeSpec) int { return b.GPUs - a.GPUs })
+		}
+		p, err := NewPlanner(spec, testStore(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := p.newPlanner([]Submission{sub(0, "a", 0, workflow.Single(wf("w", "small")))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, m := st.jobs[0], &st.jobs[0].members[0]
+		rng := xrand.New(seed)
+		load := func(sm, bw float64, mem int64) interference.Load {
+			l := interference.Load{SMPct: rng.Float64() * sm, BWPct: rng.Float64() * bw, MemMiB: int64(rng.Intn(int(mem) + 1))}
+			if rng.Intn(40) == 0 {
+				l.SMPct = math.NaN()
+			}
+			return l
+		}
+		for g := range st.gpus {
+			for k := rng.Intn(st.gpus[g].node.cap + 1); k > 0; k-- {
+				r := st.acquireResident()
+				r.job, r.gpu = j, g
+				st.pool.Add(g, load(60, 60, device.MemoryMiB/4), r)
+			}
+		}
+		var nodes []string
+		for _, n := range st.nodes {
+			nodes = append(nodes, fmt.Sprintf("%d GPUs %v cap %d smCap %g memMiB %d", n.spec.GPUs, n.spec.Mode, n.cap, n.smCap, n.memMiB))
+		}
+		for q := 0; q < 8; q++ {
+			m.load = load(100, 100, device.MemoryMiB)
+			want, wantProbes := refNodeFit(st, m)
+			before := st.stats.Probes
+			got := st.findFit(j, m, simtime.Zero)
+			probes := st.stats.Probes - before
+			if got != want {
+				t.Fatalf("nodes %q, member %+v: findFit = %d, per-node loop %d", nodes, m.load, got, want)
+			}
+			if probes > wantProbes || aligned && probes != wantProbes {
+				t.Fatalf("nodes %q (aligned %v), member %+v: findFit probed %d GPUs, per-node loop %d", nodes, aligned, m.load, probes, wantProbes)
+			}
+		}
+	})
 }

@@ -164,6 +164,7 @@ func TestHoldRetriesWhenSiblingEndsVictimability(t *testing.T) {
 	}
 	st.jobs[1].members[0].load.SMPct = math.NaN()
 	st.run()
+	st.finish()
 	out := st.out
 	wantAdmittedAt(t, out, "h", 1, 10)
 	if len(out.Evictions) != 1 || out.Evictions[0].Gang != "l" {

@@ -215,6 +215,26 @@ type holdState struct {
 	touched []int
 }
 
+// dispatchRec is one committed member placement as commit logs it:
+// the job by its sequence, the member by its index, the pool GPU, and
+// the gang's evictions so far. It holds no pointer, so a growing log
+// costs the collector nothing to scan.
+type dispatchRec struct {
+	at          simtime.Time
+	job, member int32
+	gpu         int32
+	preemptions int32
+}
+
+// evictionRec is one evicted member as commit logs it: the instant, the
+// victim resident's start, the victim job and member, the pool GPU and
+// the preemptor job.
+type evictionRec struct {
+	at, start      simtime.Time
+	victim, member int32
+	gpu, preemptor int32
+}
+
 // placement is one member's GPU in a failed attempt, and whether the
 // member got there by evicting lower-priority gangs.
 type placement struct {
@@ -294,8 +314,16 @@ type gpuState struct {
 // once in newPlanner: admission reads these fields, never the mode
 // (placeMember still reads it for time-slice dilation, a duration).
 type nodeState struct {
-	spec  NodeSpec
-	first int                   // pool index of the node's GPU 0
+	spec NodeSpec
+	semantics
+	// class is the node's GPU class in the pool: the index of the
+	// first node with the same semantics among the planner's classes.
+	class uint8
+}
+
+// semantics is how a node's GPUs admit a member. Nodes with equal
+// semantics form one GPU class, which findFit asks one query.
+type semantics struct {
 	cap   int                   // residents per GPU
 	rules interference.RuleMask // rules a GPU applies: all (MPS), capacity (time-slice), none (MIG)
 	smCap float64               // per-client SM cap: the MPS active-thread cap, or +Inf
@@ -307,7 +335,7 @@ type nodeState struct {
 // load is member m's load as the node admits and places it: SM demand
 // clamped to the node's cap, which bounds the pressure one client can
 // exert (bandwidth and memory are not partitioned).
-func (n *nodeState) load(m *member) interference.Load {
+func (n *semantics) load(m *member) interference.Load {
 	l := m.load
 	if l.SMPct > n.smCap {
 		l.SMPct = n.smCap
@@ -319,6 +347,11 @@ func (n *nodeState) load(m *member) interference.Load {
 type planner struct {
 	spec  Spec
 	nodes []nodeState
+	// classes holds each GPU class's semantics, in the order the
+	// classes first appear in the spec; queries is findFit's scratch,
+	// one query per class, whose caps and rules are set once.
+	classes []semantics
+	queries []admission.Query
 	// pool holds every node's GPUs in spec order; gpus runs parallel.
 	pool    admission.Pool[*resident]
 	gpus    []gpuState
@@ -346,6 +379,11 @@ type planner struct {
 	// telemetry is disabled, and every record site is guarded so the
 	// disabled hot path stays allocation-free.
 	fl *obs.Flight
+
+	// dispatches and evictions are the decision logs as commit records
+	// them; finish builds the Outcome's logs from them once.
+	dispatches []dispatchRec
+	evictions  []evictionRec
 
 	out   *Outcome
 	stats *Stats
@@ -393,6 +431,9 @@ func (p *Planner) Plan(subs []Submission) (*Outcome, error) {
 
 // newPlanner resolves the spec, sorts the stream, and builds profiles.
 func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
+	if len(subs) > math.MaxInt32 {
+		return nil, fmt.Errorf("cluster: %d submissions, over the %d one plan logs", len(subs), math.MaxInt32)
+	}
 	st := &planner{
 		spec:   p.spec,
 		byName: make(map[string]*tenantState, len(p.spec.Tenants)),
@@ -445,8 +486,17 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 			n.cap = cmp.Or(ns.TimeSliceCap, 4)
 			n.rules = interference.MaskCapacity
 		}
-		n.first = st.pool.GPUs()
-		st.pool.AddGPUs(ns.Device, ns.GPUs)
+		c := slices.Index(st.classes, n.semantics)
+		if c < 0 {
+			if len(st.classes) > math.MaxUint8 {
+				return nil, fmt.Errorf("cluster: node %s: more than %d distinct node semantics", ns.Name, math.MaxUint8+1)
+			}
+			c = len(st.classes)
+			st.classes = append(st.classes, n.semantics)
+			st.queries = append(st.queries, admission.Query{MaxResidents: n.cap, Rules: n.rules})
+		}
+		n.class = uint8(c)
+		st.pool.AddGPUs(ns.Device, ns.GPUs, n.class)
 		for g := 0; g < ns.GPUs; g++ {
 			st.gpus = append(st.gpus, gpuState{node: n, index: g})
 		}
@@ -456,7 +506,8 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	st.pool.KeyBy(residentPriority)
 
 	// Stable sort by arrival instant; input order breaks ties. The
-	// sorted index is the job's identity for every later tie-break.
+	// sorted index is the job's identity for every later tie-break, and
+	// the log records hold it in 32 bits.
 	order := make([]*Submission, len(subs))
 	for i := range subs {
 		order[i] = &subs[i]
@@ -502,7 +553,7 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 	}
 	// Every member dispatches at least once unless its gang fails;
 	// re-dispatched victims grow the log past this.
-	st.out.Dispatches = make([]Dispatch, 0, members)
+	st.dispatches = make([]dispatchRec, 0, members)
 	return st, nil
 }
 
@@ -522,21 +573,46 @@ func (st *planner) finish() {
 			st.out.MakespanS = j.CompletionS
 		}
 	}
-	// A held outcome keeps only what it logged: the logs were presized
-	// or grown by append, and re-dispatched victims outgrow the presize.
-	st.out.Dispatches = trim(st.out.Dispatches)
-	st.out.Evictions = trim(st.out.Evictions)
-	st.out.Jobs = trim(st.out.Jobs)
-}
-
-// trim returns s without spare capacity, and nil when it is empty, as
-// a log that was never appended to reads.
-func trim[T any](s []T) []T {
-	if len(s) == 0 {
-		return nil
+	// The logs are built once, at their exact length; a log nothing was
+	// appended to reads nil. Jobs was presized at the submission count,
+	// which a failed gang leaves short.
+	if n := len(st.dispatches); n > 0 {
+		st.out.Dispatches = make([]Dispatch, n)
+		for i, d := range st.dispatches {
+			j, gs := st.jobs[d.job], &st.gpus[d.gpu]
+			st.out.Dispatches[i] = Dispatch{
+				At:          d.at,
+				Tenant:      j.tenant.spec.Name,
+				Gang:        j.sub.Gang.Name,
+				Workflow:    j.members[d.member].name,
+				Node:        gs.node.spec.Name,
+				GPU:         gs.index,
+				WaitedS:     d.at.Sub(j.at).Seconds(),
+				Preemptions: int(d.preemptions),
+			}
+		}
 	}
-	if cap(s) > len(s) {
-		return slices.Clone(s)
+	if n := len(st.evictions); n > 0 {
+		st.out.Evictions = make([]Eviction, n)
+		for i, e := range st.evictions {
+			v, gs := st.jobs[e.victim], &st.gpus[e.gpu]
+			st.out.Evictions[i] = Eviction{
+				At:        e.at,
+				Tenant:    v.tenant.spec.Name,
+				Gang:      v.sub.Gang.Name,
+				Workflow:  v.members[e.member].name,
+				Node:      gs.node.spec.Name,
+				GPU:       gs.index,
+				Preemptor: st.jobs[e.preemptor].sub.Gang.Name,
+				LostS:     e.at.Sub(e.start).Seconds(),
+				OverheadS: preemptionOverheadS,
+			}
+		}
 	}
-	return s
+	switch n := len(st.out.Jobs); {
+	case n == 0:
+		st.out.Jobs = nil
+	case n < cap(st.out.Jobs):
+		st.out.Jobs = slices.Clone(st.out.Jobs)
+	}
 }

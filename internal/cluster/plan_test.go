@@ -229,6 +229,32 @@ func TestGangNeverFitsFailsWhole(t *testing.T) {
 	}
 }
 
+// TestOutcomeLogsExact pins the logs finish builds: each is allocated
+// once at its length, with no spare capacity, and is nil when nothing
+// was logged, as a log that was never appended to reads. The first plan
+// preempts and fails a gang, so Jobs ends short of its presize; the
+// second fails every gang, so nothing dispatches, evicts or completes.
+func TestOutcomeLogsExact(t *testing.T) {
+	store := testStore(t)
+	spec, subs := flightScenario()
+	out := mustPlan(t, spec, store, subs)
+	if len(out.Dispatches) == 0 || len(out.Evictions) == 0 || len(out.Jobs) == 0 || len(out.Failed) == 0 {
+		t.Fatalf("scenario logged %d dispatches, %d evictions, %d jobs, %d failures; want some of each",
+			len(out.Dispatches), len(out.Evictions), len(out.Jobs), len(out.Failed))
+	}
+	if cap(out.Dispatches) != len(out.Dispatches) || cap(out.Evictions) != len(out.Evictions) || cap(out.Jobs) != len(out.Jobs) {
+		t.Fatalf("log capacities %d/%d/%d for lengths %d/%d/%d, want them equal", cap(out.Dispatches), cap(out.Evictions), cap(out.Jobs),
+			len(out.Dispatches), len(out.Evictions), len(out.Jobs))
+	}
+	none := mustPlan(t, oneNode(2, "a"), store, []Submission{
+		sub(0, "a", 0, gang("too-big", wf("g0", "small"), wf("g1", "small"), wf("g2", "small"))),
+	})
+	if none.Dispatches != nil || none.Evictions != nil || none.Jobs != nil || len(none.Failed) != 1 {
+		t.Fatalf("all-failed plan: dispatches %v, evictions %v, jobs %v, failed %v; want three nil logs and one failure",
+			none.Dispatches, none.Evictions, none.Jobs, none.Failed)
+	}
+}
+
 // TestMemberAboveDeviceMemoryRefused pins the memory bound of MPS and
 // time-slice nodes: a member larger than the device is refused beside a
 // resident, where the resident's memory plus its own would wrap int64
@@ -853,7 +879,7 @@ func TestClusterAdmitAllocs(t *testing.T) {
 		end, _ := vs.pool.NextCompletion()
 		_, r, _ := vs.pool.Retire(end)
 		vs.retire(r, simtime.Zero)
-		vs.out.Dispatches, vs.out.Evictions, vs.out.Jobs = vs.out.Dispatches[:0], vs.out.Evictions[:0], vs.out.Jobs[:0]
+		vs.dispatches, vs.evictions, vs.out.Jobs = vs.dispatches[:0], vs.evictions[:0], vs.out.Jobs[:0]
 	}
 	evict()
 	if allocs := testing.AllocsPerRun(200, evict); allocs != 0 {

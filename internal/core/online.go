@@ -256,7 +256,7 @@ func newOnlineDispatcher(s *Scheduler) *onlineDispatcher {
 		serviceHist: obs.NewLocalHistogram(serviceBoundsMs),
 		fl:          obs.Active().FlightRecorder(),
 	}
-	d.pool.AddGPUs(s.Device, s.GPUs)
+	d.pool.AddGPUs(s.Device, s.GPUs, 0)
 	return d
 }
 
@@ -275,7 +275,8 @@ func (d *onlineDispatcher) scan(load interference.Load, seq int64, now simtime.T
 	if d.fl != nil {
 		t = &tally
 	}
-	placed, visits, probes := d.pool.FirstFit(0, d.pool.GPUs(), load, d.clientCap, d.policy.rules(), t)
+	q := [1]admission.Query{{Load: load, MaxResidents: d.clientCap, Rules: d.policy.rules()}}
+	placed, visits, probes := d.pool.FirstFit(q[:], t)
 	d.stats.Probes += int64(probes)
 	d.stats.Visits += int64(visits)
 	if t != nil {

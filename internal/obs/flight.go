@@ -135,6 +135,7 @@ type ScanTally struct {
 	visits int32
 	rules  uint8
 	counts [4]int32
+	gpus   int32 // GPUs the rejections covered
 }
 
 // Visit tallies n visits: the index nodes a scan examined, leaves
@@ -150,12 +151,17 @@ func (t *ScanTally) Visit(n int32) { t.visits += n }
 //
 //repro:hotpath pinned by TestFlightRecordAllocs
 func (t *ScanTally) RejectRange(rules uint8, gpus int32) {
+	t.gpus += gpus
 	t.rules |= rules
 	t.counts[0] += gpus * int32(rules&1)
 	t.counts[1] += gpus * int32(rules>>1&1)
 	t.counts[2] += gpus * int32(rules>>2&1)
 	t.counts[3] += gpus * int32(rules>>3&1)
 }
+
+// Rejected returns the GPUs the tallied rejections covered, each
+// counted once whatever rules it broke: the GPUs a scan passed over.
+func (t *ScanTally) Rejected() int32 { return t.gpus }
 
 // Summary returns the tallied scan's FlightScan record with winner gpu,
 // or -1 when none admitted. The winner's visit is tallied like any
