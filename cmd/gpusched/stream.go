@@ -42,22 +42,11 @@ const maxIngestArrivals = 10_000
 
 // ingestArrival is the wire form of one arrival: a non-decreasing
 // timestamp in seconds beside the workflow to place, in the -queue
-// file's schema. The tags are the keys clients send, so encoding/json
-// matches each at once; it still accepts them in any case, as it does
-// workflow.Workflow's untagged fields in a -queue file.
+// file's schema (encoding/json matches its field names, "name",
+// "tasks", "benchmark", "size" and "iterations", case-insensitively).
 type ingestArrival struct {
-	AtS   float64      `json:"at_s"`
-	Name  string       `json:"name"`
-	Tasks []ingestTask `json:"tasks"`
-}
-
-// ingestTask is the wire form of a workflow.Task: the same fields with
-// the wire keys as tags, so a struct conversion turns one into the
-// other.
-type ingestTask struct {
-	Benchmark  string `json:"benchmark"`
-	Size       string `json:"size"`
-	Iterations int    `json:"iterations"`
+	AtS float64 `json:"at_s"`
+	workflow.Workflow
 }
 
 // newStreamServer builds the live dispatcher the ingest endpoint feeds:
@@ -154,25 +143,12 @@ func decodeBatch(r io.Reader) ([]core.Arrival, error) {
 		return nil, err
 	}
 	arrivals := make([]core.Arrival, len(batch))
-	n := 0
-	for _, wa := range batch {
-		n += len(wa.Tasks)
-	}
-	// The batch's tasks share one slab, each workflow capped at its own.
-	slab := make([]workflow.Task, n)
 	for i, wa := range batch {
 		at, err := arrivalInstant(wa.AtS)
 		if err != nil {
 			return nil, fmt.Errorf("arrival %d: %w", i, err)
 		}
-		var tasks []workflow.Task
-		if wa.Tasks != nil {
-			tasks, slab = slab[:len(wa.Tasks):len(wa.Tasks)], slab[len(wa.Tasks):]
-			for k, t := range wa.Tasks {
-				tasks[k] = workflow.Task(t)
-			}
-		}
-		arrivals[i] = core.Arrival{At: at, Workflow: workflow.Workflow{Name: wa.Name, Tasks: tasks}}
+		arrivals[i] = core.Arrival{At: at, Workflow: wa.Workflow}
 	}
 	return arrivals, nil
 }

@@ -678,11 +678,10 @@ func FuzzIngestHTTP(f *testing.F) {
 	})
 }
 
-// TestDecodeBatchKeys pins the keys /ingest accepts: the tagged wire
-// form matches the lowercase keys exactly and any other case of them,
-// as the -queue file's untagged workflow.Workflow does; it refuses a
-// key neither form has; and a workflow without tasks keeps a nil task
-// list.
+// TestDecodeBatchKeys pins the keys /ingest accepts: the lowercase
+// keys and any other case of them, as the -queue file's schema does; it
+// refuses a key that schema lacks; and a workflow without tasks keeps a
+// nil task list.
 func TestDecodeBatchKeys(t *testing.T) {
 	want := workflow.Workflow{Name: "w", Tasks: []workflow.Task{{Benchmark: "fleet-a000", Size: "1x", Iterations: 2}}}
 	for _, body := range []string{

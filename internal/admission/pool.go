@@ -2,10 +2,11 @@
 // share: each GPU's interference aggregate, its residents in the
 // aggregate's fold order, a change generation that one changed(g) path
 // stamps on every mutation, and the residents' completion timeline.
-// Each GPU belongs to a class, the set of GPUs that judge a candidate
-// alike; FirstFit answers one query per class over the whole pool from
-// an index, in one walk; Gen and Clock let a caller tell which GPUs changed since it
-// last looked (the cluster planner's held gangs do). Two more summaries
+// Each GPU belongs to a Class, the rules and caps by which it judges a
+// candidate; FirstFit finds the first GPU in the pool that admits a
+// load under its own class, from an index, in one walk; Gen and Clock
+// let a caller tell which GPUs changed since it last looked (the
+// cluster planner's held gangs do). Two more summaries
 // ride on the index's layout for a pool that asks for them: NextChanged
 // walks only the GPUs changed since a clock reading, and NextBelow only
 // the GPUs holding a resident whose key (KeyBy) is below a bound, which
@@ -17,6 +18,7 @@ package admission
 
 import (
 	"math"
+	"slices"
 
 	"gpushare/internal/eventq"
 	"gpushare/internal/gpu"
@@ -32,23 +34,32 @@ import (
 // pays a nil check per mutation for each of the other two.
 type Pool[R Resident] struct {
 	gpus     []slot[R]
-	classes  int           // one more than the highest GPU class
+	classes  []Class       // the GPUs' distinct classes
+	classOf  []int32       // each GPU's index in classes; nil while there is one
 	clock    uint64        // last generation handed out
 	total    int           // residents across every GPU
 	timeline eventq.Queue  // pending completions by (end, schedule order)
 	free     []*completion // recycled completion payloads
 
-	// tree is the first-fit index, nil until the first FirstFit: a
-	// complete binary tree over leaves GPUs rounded up to a power of
-	// two, root at 1, node i's children at 2i and 2i+1, once per class.
-	// It stores the internal nodes only: tree[c*leaves+i] bounds node
-	// i's GPUs of class c, so one class's tree is one run of leaves
-	// entries, and counts[c*leaves+i] counts them, for a tally. Leaf
-	// leaves+g is GPU g's own slot. lims holds one query's per-class
-	// limits.
-	tree   []fitNode
-	counts []int32
-	lims   []limit
+	// The first-fit index, nil until the first FirstFit: a complete
+	// binary tree over leaves GPUs rounded up to a power of two, root at
+	// 1, node i's children at 2i and 2i+1. Each internal node holds one
+	// entry per class with a GPU under it, and no other: ents[e] bounds
+	// the class's GPUs under the node and info[e] names the class, counts
+	// those GPUs and links the entry to its neighbours. Node i's entries
+	// are ents[off[i+1]:off[i]], laid out from the last node up to the
+	// root, in the order their classes first appear among the node's
+	// GPUs, so a node over two GPUs of two classes lists the left GPU's
+	// first. ents[0] is noGPU and info[0] no class: the entry a link
+	// names when there is none. A pool of one class keeps node i's one
+	// entry at ents[i] instead, noGPU where the node holds no GPU, with
+	// no info or off: the layout and the arithmetic of a plain tree. A
+	// leaf leaves+g is GPU g's own slot. fit is the current FirstFit
+	// call, with each class's limits.
+	ents   []fitNode
+	info   []entry
+	off    []int32
+	fit    fitQuery
 	leaves int
 
 	// The per-node extrema NextChanged and NextBelow descend, on the
@@ -87,12 +98,21 @@ func minBound(a, b fitNode) fitNode {
 	return fitNode{sm: min(a.sm, b.sm), bw: min(a.bw, b.bw), over: min(a.over, b.over), n: min(a.n, b.n)}
 }
 
+// entry is one class's place in an index node: the class, its GPUs
+// under the node, and the entry of the same class in the parent node
+// (up, 0 at the root) and in the sibling node (sib, 0 when the sibling
+// holds no GPU of the class). A refresh climbs up, taking each parent's
+// bound as the minimum of an entry's and its sibling's.
+type entry struct {
+	class, n int32
+	up, sib  int32
+}
+
 // slot is one GPU: the fields a first-fit probe reads sit together.
 type slot[R any] struct {
-	agg   interference.Aggregate
-	res   []R
-	gen   uint64
-	class uint8
+	agg interference.Aggregate
+	res []R
+	gen uint64
 }
 
 // Snapshot is one GPU's saved aggregate, residents and generation. The
@@ -103,19 +123,52 @@ type Snapshot[R any] struct {
 	gen uint64
 }
 
+// Class is how a GPU judges a candidate load l: it admits l when it
+// holds fewer than MaxResidents residents, l needs at most MemMiB of
+// memory, and Admit adds l, its SM demand capped at SMCap, without
+// breaking any of Rules. SMCap is +Inf and MemMiB MaxInt64 for a GPU
+// without such a limit. A candidate over MemMiB breaks MaskCapacity
+// whatever the GPU holds (a memory partition smaller than it).
+type Class struct {
+	MaxResidents int
+	Rules        interference.RuleMask
+	SMCap        float64
+	MemMiB       int64
+}
+
+// Load returns l as class c admits and places it: SM demand above SMCap
+// is clamped to it, which bounds the pressure one client can exert.
+func (c *Class) Load(l interference.Load) interference.Load {
+	if l.SMPct > c.SMCap {
+		l.SMPct = c.SMCap
+	}
+	return l
+}
+
 // AddGPUs appends n empty GPUs of the given device and class, at
-// generation 0. A class is the set of GPUs one Query judges (FirstFit);
-// a pool whose GPUs all judge alike uses class 0. The next FirstFit
-// rebuilds the index over the grown pool.
-func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int, class uint8) {
+// generation 0. GPUs added with equal classes share one; the index
+// costs memory in the classes each index node's GPUs span, not in the
+// class count. The next FirstFit rebuilds the index over the grown pool.
+func (p *Pool[R]) AddGPUs(device gpu.DeviceSpec, n int, class Class) {
+	c := slices.Index(p.classes, class)
+	if c < 0 {
+		c = len(p.classes)
+		p.classes = append(p.classes, class)
+	}
 	first := len(p.gpus)
 	p.gpus = append(p.gpus, make([]slot[R], n)...)
 	for g := first; g < len(p.gpus); g++ {
 		p.gpus[g].agg = interference.NewAggregate(device)
-		p.gpus[g].class = class
 	}
-	p.classes = max(p.classes, int(class)+1)
-	p.tree, p.gens = nil, nil
+	if c > 0 && p.classOf == nil {
+		p.classOf = make([]int32, first, first+n) // every earlier GPU is of class 0
+	}
+	if p.classOf != nil {
+		for range n {
+			p.classOf = append(p.classOf, int32(c))
+		}
+	}
+	p.ents, p.gens = nil, nil
 	if p.key != nil {
 		p.buildKeys()
 	}
@@ -139,7 +192,7 @@ func (p *Pool[R]) changed(g int) {
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) refresh(g int) {
-	if p.tree != nil {
+	if p.ents != nil {
 		p.refreshFit(g)
 	}
 	if p.keys != nil {
@@ -164,10 +217,10 @@ func (p *Pool[R]) refresh(g int) {
 	}
 }
 
-// refreshFit recomputes the bound of g's class on g's path: the leaf
-// level from the two GPUs' slots, then each ancestor from its children's
-// bounds alone. No other class's bound depends on g, and no node's GPU
-// count changes.
+// refreshFit recomputes the bound of g's class on g's path: the entry
+// at the leaf level from the two GPUs' slots, then each entry up from
+// the one below and its sibling. No other class's bound depends on g,
+// and no node's classes or GPU counts change.
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) refreshFit(g int) {
@@ -175,17 +228,52 @@ func (p *Pool[R]) refreshFit(g int) {
 	if i == 0 {
 		return // one GPU: the root is its leaf
 	}
-	c := int(p.gpus[g].class)
-	t := p.tree[c*p.leaves : (c+1)*p.leaves]
-	t[i] = minBound(p.leafBound(2*i-p.leaves, c), p.leafBound(2*i+1-p.leaves, c))
-	for i >>= 1; i > 0; i >>= 1 {
-		t[i] = minBound(t[2*i], t[2*i+1])
+	if p.info == nil { // one class
+		p.ents[i] = minBound(p.leafBound(2*i-p.leaves, 0), p.leafBound(2*i+1-p.leaves, 0))
+		for i >>= 1; i > 0; i >>= 1 {
+			p.ents[i] = minBound(p.ents[2*i], p.ents[2*i+1])
+		}
+		return
 	}
+	e := p.leafEntry(i, g)
+	c := int(p.classAt(g))
+	p.ents[e] = minBound(p.leafBound(2*i-p.leaves, c), p.leafBound(2*i+1-p.leaves, c))
+	for {
+		in := p.info[e]
+		if in.up == 0 {
+			return
+		}
+		p.ents[in.up] = minBound(p.ents[e], p.ents[in.sib])
+		e = in.up
+	}
+}
+
+// leafEntry returns the entry of GPU g's class in i, g's parent: the
+// second of two entries for a right GPU of the other class, else the
+// first.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) leafEntry(i, g int) int32 {
+	e := p.off[i+1]
+	if p.off[i]-e == 2 {
+		e += int32(g & 1)
+	}
+	return e
+}
+
+// classAt returns GPU g's index in classes.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (p *Pool[R]) classAt(g int) int32 {
+	if p.classOf == nil {
+		return 0
+	}
+	return p.classOf[g]
 }
 
 // isClass is 1 when GPU g exists and is of class c, else 0.
 func (p *Pool[R]) isClass(g, c int) int32 {
-	if g < len(p.gpus) && int(p.gpus[g].class) == c {
+	if g < len(p.gpus) && int(p.classAt(g)) == c {
 		return 1
 	}
 	return 0
@@ -196,7 +284,7 @@ func (p *Pool[R]) isClass(g, c int) int32 {
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (p *Pool[R]) leafBound(g, c int) fitNode {
-	if g >= len(p.gpus) || int(p.gpus[g].class) != c {
+	if g >= len(p.gpus) || int(p.classAt(g)) != c {
 		return noGPU
 	}
 	s := &p.gpus[g]
@@ -214,79 +302,139 @@ func (p *Pool[R]) size() {
 	}
 }
 
-// build sizes the index for the pool's GPUs and classes and fills it
-// bottom up.
+// build sizes the index for the pool's GPUs and fills it bottom up, in
+// one pass over the nodes: a node at the leaf level lists its GPUs'
+// classes, and a node above lists its left child's entries and then
+// the right child's classes the left lacks, taking the minimum and the
+// sum where both children hold the class. The entries number at most
+// the GPUs plus, per level, the class changes between neighbouring
+// GPUs. A pool of one class gets the plain tree instead.
 func (p *Pool[R]) build() {
 	p.size()
-	k := p.classes
-	//repro:allow:hotpathalloc the index is built once, on the pool's first query
-	p.tree = make([]fitNode, p.leaves*k)
-	//repro:allow:hotpathalloc the counts are built once, with the index
-	p.counts = make([]int32, p.leaves*k)
+	leaves, k := p.leaves, len(p.classes)
 	//repro:allow:hotpathalloc the limits are sized once, with the index
-	p.lims = make([]limit, k)
-	for c := 0; c < k; c++ {
-		t, n := p.tree[c*p.leaves:(c+1)*p.leaves], p.counts[c*p.leaves:(c+1)*p.leaves]
-		for i := p.leaves - 1; i > 0; i-- {
-			if l := 2*i - p.leaves; l >= 0 {
-				t[i] = minBound(p.leafBound(l, c), p.leafBound(l+1, c))
-				n[i] = p.isClass(l, c) + p.isClass(l+1, c)
+	p.fit.lims = make([]limit, k)
+	p.fit.classes = p.classes
+	if k == 1 {
+		p.info, p.off = nil, nil
+		//repro:allow:hotpathalloc the index is built once, on the pool's first query
+		p.ents = make([]fitNode, leaves)
+		for i := leaves - 1; i > 0; i-- {
+			if l := 2*i - leaves; l >= 0 {
+				p.ents[i] = minBound(p.leafBound(l, 0), p.leafBound(l+1, 0))
 			} else {
-				t[i], n[i] = minBound(t[2*i], t[2*i+1]), n[2*i]+n[2*i+1]
+				p.ents[i] = minBound(p.ents[2*i], p.ents[2*i+1])
 			}
 		}
+		return
+	}
+	//repro:allow:hotpathalloc the index is built once, on the pool's first query
+	p.off = make([]int32, leaves+1)
+	//repro:allow:hotpathalloc the index is built once, on the pool's first query
+	p.ents = append(make([]fitNode, 0, leaves), noGPU)
+	//repro:allow:hotpathalloc the index is built once, on the pool's first query
+	p.info = make([]entry, 1, leaves)
+	// stamp[c] is the last node that listed class c, and at[c] and
+	// from[c] its entry there and the child entry that created it.
+	//repro:allow:hotpathalloc build scratch, once per index
+	scratch := make([]int32, 3*k)
+	stamp, at, from := scratch[:k], scratch[k:2*k], scratch[2*k:]
+	p.off[leaves] = 1
+	for i := leaves - 1; i > 0; i-- {
+		if l := 2*i - leaves; l >= 0 {
+			for g := l; g < min(l+2, len(p.gpus)); g++ {
+				c := p.classOf[g]
+				if stamp[c] != int32(i) {
+					stamp[c] = int32(i)
+					//repro:allow:hotpathalloc the index is built once, on the pool's first query
+					p.ents = append(p.ents, minBound(p.leafBound(l, int(c)), p.leafBound(l+1, int(c))))
+					//repro:allow:hotpathalloc the index is built once, on the pool's first query
+					p.info = append(p.info, entry{class: c, n: p.isClass(l, int(c)) + p.isClass(l+1, int(c))})
+				}
+			}
+		} else {
+			for child := 2 * i; child <= 2*i+1; child++ {
+				for e := p.off[child+1]; e < p.off[child]; e++ {
+					c := p.info[e].class
+					if stamp[c] != int32(i) {
+						stamp[c], at[c], from[c] = int32(i), int32(len(p.ents)), e
+						//repro:allow:hotpathalloc the index is built once, on the pool's first query
+						p.ents = append(p.ents, p.ents[e])
+						//repro:allow:hotpathalloc the index is built once, on the pool's first query
+						p.info = append(p.info, entry{class: c, n: p.info[e].n})
+					} else {
+						up, left := at[c], from[c]
+						p.ents[up] = minBound(p.ents[up], p.ents[e])
+						p.info[up].n += p.info[e].n
+						p.info[left].sib, p.info[e].sib = e, left
+					}
+					p.info[e].up = at[c]
+				}
+			}
+		}
+		p.off[i] = int32(len(p.ents))
 	}
 }
 
-// Query is what FirstFit asks of one class's GPUs: whether one holds
-// fewer than MaxResidents residents and breaks none of the rules in
-// Rules (compute, bandwidth, capacity) when Admit adds Load. Off, when
-// nonzero, rules the class out whole: its GPUs reject the candidate
-// with the rules in Off and are never probed (a GPU class whose memory
-// partition is smaller than the candidate).
-type Query struct {
-	Load         interference.Load
-	MaxResidents int
-	Rules        interference.RuleMask
-	Off          interference.RuleMask
-}
-
-// limit is one class's Query as the walk compares against it. A bound
-// is judged against fixed limits, 100 for the SM and bandwidth sums and
-// 0 for the memory excess, with a rule outside the query's rules turned
-// off in the load it adds instead: -Inf for a float sum (bound - Inf is
-// -Inf, or NaN for a +Inf bound, and neither exceeds 100) and -2^62 for
-// the memory excess, which keeps every sum far from 0 and from the
-// int64 limits. The client cap is at most MaxInt32, the resident count
-// of a class with no GPU under a node, so such a bound never passes; an
-// Off class gets cap 0, which no count is below. The leaf keeps the
-// query's own load and rules for Admit.
+// limit is a class's judgement of one load as the walk compares bounds
+// against it. A bound is judged against fixed limits, 100 for the SM
+// and bandwidth sums and 0 for the memory excess, with a rule outside
+// the class's rules turned off in the load it adds instead: -Inf for a
+// float sum (bound - Inf is -Inf, or NaN for a +Inf bound, and neither
+// exceeds 100) and -2^62 for the memory excess, which keeps every sum
+// far from 0 and from the int64 limits. The client cap is at most MaxInt32, the resident count
+// noGPU holds, so that bound never passes; a class the load is over
+// MemMiB for is off, with cap 0, which no count is below. The leaf
+// keeps the class's load and rules for Admit. call is the FirstFit call
+// the limits were set for.
 type limit struct {
 	sm, bw     float64 // the SM and bandwidth loads a bound adds
 	mem        int64   // the memory load a bound's excess adds
 	cap        int
 	l          interference.Load
 	rules, off interference.RuleMask
+	call       uint64
 }
 
-// set precomputes q's limits into lim.
+// fitQuery is a FirstFit call: its load, its number, and the pool's
+// classes and their limits for it.
+type fitQuery struct {
+	l       interference.Load
+	call    uint64
+	classes []Class
+	lims    []limit
+}
+
+// lim returns class c's limits for the call, setting them on the call's
+// first use of c: a walk that meets few of many classes sets few.
 //
 //repro:hotpath pinned by TestPoolAllocs
-func (lim *limit) set(q *Query) {
-	lim.l, lim.rules, lim.off = q.Load, q.Rules, q.Off
+func (q *fitQuery) lim(c int32) *limit {
+	if q.lims[c].call != q.call {
+		q.set(c)
+	}
+	return &q.lims[c]
+}
+
+// set derives class c's limits for the call's load.
+//
+//repro:hotpath pinned by TestPoolAllocs
+func (q *fitQuery) set(c int32) {
+	lim, cl, l := &q.lims[c], &q.classes[c], q.l
+	lim.call, lim.off, lim.cap = q.call, 0, min(cl.MaxResidents, math.MaxInt32)
+	if l.MemMiB > cl.MemMiB {
+		lim.off, lim.cap = interference.MaskCapacity, 0
+	}
+	lim.l, lim.rules = cl.Load(l), cl.Rules
 	lim.sm, lim.bw, lim.mem = math.Inf(-1), math.Inf(-1), -1<<62
-	if q.Rules&interference.MaskCompute != 0 {
-		lim.sm = q.Load.SMPct
+	if cl.Rules&interference.MaskCompute != 0 {
+		lim.sm = lim.l.SMPct
 	}
-	if q.Rules&interference.MaskBandwidth != 0 {
-		lim.bw = q.Load.BWPct
+	if cl.Rules&interference.MaskBandwidth != 0 {
+		lim.bw = lim.l.BWPct
 	}
-	if q.Rules&interference.MaskCapacity != 0 {
-		lim.mem = q.Load.MemMiB
-	}
-	lim.cap = min(q.MaxResidents, math.MaxInt32)
-	if q.Off != 0 {
-		lim.cap = 0
+	if cl.Rules&interference.MaskCapacity != 0 {
+		lim.mem = lim.l.MemMiB
 	}
 }
 
@@ -300,8 +448,8 @@ func (lim *limit) passes(nd *fitNode) bool {
 }
 
 // reject returns the rules bound nd breaks under lim, nonzero exactly
-// when passes is false: an Off class's rules, else the client cap and
-// each rule whose limit the bound exceeds.
+// when passes is false: MaskCapacity for an off class, else the client
+// cap and each rule whose limit the bound exceeds.
 //
 //repro:hotpath pinned by TestPoolAllocs
 func (lim *limit) reject(nd *fitNode) interference.RuleMask {
@@ -324,19 +472,17 @@ func (lim *limit) reject(nd *fitNode) interference.RuleMask {
 	return rej
 }
 
-// FirstFit returns the lowest-index GPU that admits under its class's
-// query, or -1: the answer of probing every GPU in index order, each
-// with q[c] for its class c. q holds a query for every class the pool's
-// GPUs use. A GPU admits when its class is not Off, it holds fewer than
-// MaxResidents residents, and Admit(Load) breaks none of Rules.
+// FirstFit returns the lowest-index GPU that admits load l under its
+// class, or -1: the answer of judging every GPU in index order (Class).
 //
 // The walk starts at the root and descends to the leftmost subtree
-// where some class's bound passes that class's query; a subtree where
-// every class's bound fails is stepped over. A leaf is judged under its
-// own class: an Off class or a full GPU rejects at once, a GPU whose
-// parent's bound of its class fails rejects without a probe, and any
-// other GPU is confirmed with Admit. The first leaf that passes is the
-// answer.
+// where some class's bound passes that class's limits for l; a subtree
+// where every class's bound fails is stepped over. A leaf is judged
+// under its own class: a class l is over MemMiB for, or a full GPU,
+// rejects at once, a GPU whose parent's bound of its class fails
+// rejects without a probe, and any other GPU is confirmed with Admit.
+// The first leaf that passes is the answer. Each class's limits are
+// derived from l once per call, when the walk first meets the class.
 //
 // A bound is exact: its float fields are single GPUs' sums, so bound +
 // l is the addition Admit does for that GPU, and IEEE rounding is
@@ -355,37 +501,44 @@ func (lim *limit) reject(nd *fitNode) interference.RuleMask {
 // left of the answer once. The index is built on the first call.
 //
 //repro:hotpath pinned by TestPoolAllocs
-func (p *Pool[R]) FirstFit(q []Query, tally *obs.ScanTally) (g, visits, probes int) {
+func (p *Pool[R]) FirstFit(l interference.Load, tally *obs.ScanTally) (g, visits, probes int) {
 	n := len(p.gpus)
 	if n == 0 {
 		return -1, 0, 0
 	}
-	if p.tree == nil {
+	if p.ents == nil {
 		p.build()
 	}
-	tree, leaves, lims := p.tree, p.leaves, p.lims
-	for c := range lims {
-		lims[c].set(&q[c])
+	ents, info, off, leaves := p.ents, p.info, p.off, p.leaves
+	q := &p.fit
+	q.l, q.call = l, q.call+1
+	// In a pool of one class, one is its limits (and ents a plain tree).
+	var one *limit
+	if info == nil {
+		one = q.lim(0)
 	}
 	g = -1
-	// Node i covers GPUs [i*span-leaves, (i+1)*span-leaves).
-	i, span := 1, leaves
+	// Node i covers GPUs [i*span-leaves, (i+1)*span-leaves). Its first
+	// skip entries are known to fail: see the descent below.
+	i, span, skip := 1, leaves, int32(0)
 	for {
 		visits++
 		if i >= leaves {
 			s := &p.gpus[i-leaves]
-			c := int(s.class)
-			lim := &lims[c]
+			lim := one
+			if lim == nil {
+				lim = q.lim(p.classOf[i-leaves])
+			}
 			var rej interference.RuleMask
 			switch {
 			case lim.off != 0:
 				rej = lim.off
 			case len(s.res) >= lim.cap:
 				rej = interference.MaskClientCap
-			case len(lims) > 1 && i > 1 && !lim.passes(&tree[c*leaves+i>>1]):
-				// The walk came down for another class: this GPU's own
-				// class fails at its parent, and hence above it.
-				rej = lim.reject(&tree[c*leaves+i>>1])
+			case one == nil && i > 1 && off[i>>1]-off[i>>1+1] == 2 && !lim.passes(&ents[p.leafEntry(i>>1, i)]):
+				// The walk came down for the other GPU's class: this
+				// GPU's own class fails at its parent.
+				rej = lim.reject(&ents[p.leafEntry(i>>1, i)])
 			default:
 				probes++
 				if rej = s.agg.Admit(lim.l) & lim.rules; rej == 0 {
@@ -398,23 +551,31 @@ func (p *Pool[R]) FirstFit(q []Query, tally *obs.ScanTally) (g, visits, probes i
 			if tally != nil {
 				tally.RejectRange(uint8(rej), 1)
 			}
-		} else {
-			pass := false
-			for c := range lims {
-				if lims[c].passes(&tree[c*leaves+i]) {
-					pass = true
-					break
-				}
-			}
-			if pass {
+		} else if one != nil {
+			if one.passes(&ents[i]) {
 				i, span = 2*i, span>>1
 				continue
 			}
 			if tally != nil {
-				for c := range lims {
-					if n := p.counts[c*leaves+i]; n > 0 {
-						tally.RejectRange(uint8(lims[c].reject(&tree[c*leaves+i])), n)
-					}
+				tally.RejectRange(uint8(one.reject(&ents[i])), int32(min(span, n-(i*span-leaves))))
+			}
+		} else {
+			e, end := off[i+1]+skip, off[i]
+			for e < end && !q.lim(info[e].class).passes(&ents[e]) {
+				e++
+			}
+			if e < end {
+				// The walk descends to the left child, whose entries are
+				// the first of this node's, in the same order. Those
+				// before e failed here, and a class that fails at a node
+				// fails under it, where its bound is a minimum over fewer
+				// GPUs: the child skips them.
+				i, span, skip = 2*i, span>>1, e-off[i+1]
+				continue
+			}
+			if tally != nil {
+				for e := off[i+1]; e < off[i]; e++ {
+					tally.RejectRange(uint8(q.lim(info[e].class).reject(&ents[e])), info[e].n)
 				}
 			}
 		}
@@ -426,7 +587,7 @@ func (p *Pool[R]) FirstFit(q []Query, tally *obs.ScanTally) (g, visits, probes i
 		if i == 0 {
 			break
 		}
-		i++
+		i, skip = i+1, 0
 		if i*span-leaves >= n {
 			break
 		}

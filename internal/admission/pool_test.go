@@ -2,6 +2,7 @@ package admission
 
 import (
 	"math"
+	"math/bits"
 	"reflect"
 	"slices"
 	"testing"
@@ -18,27 +19,27 @@ import (
 // //repro:hotpath annotations.
 func TestPoolAllocs(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
-	p.AddGPUs(gpu.MustLookup("A100X"), 1, 1)
+	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, Class{MaxResidents: 8, Rules: all, SMCap: math.Inf(1), MemMiB: math.MaxInt64})
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, Class{MaxResidents: 8, Rules: all, SMCap: 50, MemMiB: 8192})
 	p.KeyBy(fuzzKey)
 	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
+	// GPU 0 is full at its cap, and big is over GPU 1's memory bound.
+	big := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 10000}
 	for i := 0; i < 8; i++ {
 		p.Add(0, l, res(i))
 	}
 	var snap Snapshot[res]
 	var tally obs.ScanTally
 	skip := []bool{true, false, true}
-	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
-	q := []Query{{Load: l, MaxResidents: 9, Rules: all}, {Load: l, MaxResidents: 8, Rules: all}}
-	full := []Query{{Load: l, MaxResidents: 8, Rules: all}, {Load: l, Off: interference.MaskCapacity}}
 	cycle := func() {
 		p.Save(0, &snap)
 		p.Add(0, l, 99)
 		p.RemoveAt(0, 2)
 		_ = p.AdmitExcluding(0, l, nil).Interferes()
 		_ = p.AdmitExcluding(0, l, skip).Interferes()
-		_, _, _ = p.FirstFit(q, nil)
-		_, _, _ = p.FirstFit(full, &tally)
+		_, _, _ = p.FirstFit(l, nil)
+		_, _, _ = p.FirstFit(big, &tally)
 		_ = p.NextChanged(p.Clock()-1, 0)
 		_ = p.NextBelow(2, 1)
 		p.Touch(1)
@@ -59,81 +60,91 @@ func TestPoolAllocs(t *testing.T) {
 // FirstFit allocates neither the changed-GPU index nor the victim key.
 func TestFirstFitOnlyPoolBuildsNoSummaries(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 5, 0)
-	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
-	q := []Query{{Load: l, MaxResidents: 4, Rules: all}}
+	class := Class{MaxResidents: 4, Rules: all, SMCap: math.Inf(1), MemMiB: math.MaxInt64}
+	p.AddGPUs(gpu.MustLookup("A100X"), 5, class)
+	l := interference.Load{SMPct: 7, BWPct: 5, MemMiB: 4096}
 	var snap Snapshot[res]
 	for i := 0; i < 20; i++ {
 		g := i % 5
 		p.Save(g, &snap)
 		p.Add(g, l, res(i))
-		_, _, _ = p.FirstFit(q, nil)
+		_, _, _ = p.FirstFit(l, nil)
 		p.Touch(g)
 		if i%3 == 0 {
 			p.Restore(g, &snap)
 		}
 	}
-	p.AddGPUs(gpu.MustLookup("A100X"), 2, 0)
-	_, _, _ = p.FirstFit(q, nil)
-	if p.tree == nil || p.gens != nil || p.keys != nil {
-		t.Fatalf("first-fit-only pool: index built %v, changed-GPU index %v, keys %v, want the index alone", p.tree != nil, p.gens, p.keys)
+	p.AddGPUs(gpu.MustLookup("A100X"), 2, class)
+	_, _, _ = p.FirstFit(l, nil)
+	if p.ents == nil || p.gens != nil || p.keys != nil {
+		t.Fatalf("first-fit-only pool: index built %v, changed-GPU index %v, keys %v, want the index alone", p.ents != nil, p.gens, p.keys)
 	}
 }
 
 // TestFirstFitWalksClasses pins the one walk on hand-built pools: over
 // one class it starts at the root and descends to the first admitting
 // GPU; a subtree is stepped over only when every class's bound fails
-// there; an Off class's GPU rejects without a probe; and a GPU reached
-// because another class passed its parent, while its own class fails
-// there, rejects without a probe too.
+// there; a class the load is over the memory bound of rejects without a
+// probe; a GPU reached because another class passed its parent, while
+// its own class fails there, rejects without a probe too; and a class's
+// SM cap clamps the load it judges.
 func TestFirstFitWalksClasses(t *testing.T) {
 	device := gpu.MustLookup("A100X")
 	heavy := interference.Load{SMPct: 90, BWPct: 10, MemMiB: 1024}
 	l := interference.Load{SMPct: 20, BWPct: 10, MemMiB: 1024}
 	all := interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
-	fits := Query{Load: l, MaxResidents: 4, Rules: all}
-	off := Query{Load: l, MaxResidents: 4, Rules: all, Off: interference.MaskCapacity}
+	fits := Class{MaxResidents: 4, Rules: all, SMCap: math.Inf(1), MemMiB: 40000}
+	small := Class{MaxResidents: 4, Rules: all, SMCap: math.Inf(1), MemMiB: 512}
+	capped := Class{MaxResidents: 4, Rules: all, SMCap: 50, MemMiB: 40000}
 
 	var wide Pool[res]
-	wide.AddGPUs(device, 512, 0)
+	wide.AddGPUs(device, 512, fits)
 	for g := 0; g < 8; g++ {
 		wide.Add(g, heavy, res(g))
 	}
-	// Two-class pools: GPUs 0 and 1 of class 0 are heavy, GPU 2 is of
-	// class 1, GPU 3 of class 0 is idle; then a heavy class-0 GPU beside
-	// an idle class-1 GPU.
+	// Two-class pools: GPUs 0 and 1 are heavy, GPU 2 has a small memory
+	// bound, GPU 3 is idle; then a heavy GPU beside an idle GPU of
+	// another class; then two GPUs at 45% SM, the second capped.
 	var mixed Pool[res]
-	mixed.AddGPUs(device, 2, 0)
-	mixed.AddGPUs(device, 1, 1)
-	mixed.AddGPUs(device, 1, 0)
+	mixed.AddGPUs(device, 2, fits)
+	mixed.AddGPUs(device, 1, small)
+	mixed.AddGPUs(device, 1, fits)
 	mixed.Add(0, heavy, 0)
 	mixed.Add(1, heavy, 1)
 	var pair Pool[res]
-	pair.AddGPUs(device, 1, 0)
-	pair.AddGPUs(device, 1, 1)
+	pair.AddGPUs(device, 1, fits)
+	pair.AddGPUs(device, 1, capped)
 	pair.Add(0, heavy, 0)
+	var half Pool[res]
+	half.AddGPUs(device, 1, fits)
+	half.AddGPUs(device, 1, capped)
+	half.Add(0, interference.Load{SMPct: 45, BWPct: 10, MemMiB: 1024}, 0)
+	half.Add(1, interference.Load{SMPct: 45, BWPct: 10, MemMiB: 1024}, 1)
 
 	for _, c := range []struct {
 		name                         string
 		p                            *Pool[res]
-		q                            []Query
+		l                            interference.Load
 		want, wantVisits, wantProbes int
 		wantRejected                 int32
 	}{
 		// The root and six left children down to the 8-GPU subtree the
 		// heavy GPUs fill, which is stepped over, then its right sibling
 		// and three nodes down to GPU 8, the one probe.
-		{"one class", &wide, []Query{fits}, 8, 11, 1, 8},
-		// Root, [0,2) stepped over, [2,4), GPU 2 Off, GPU 3 admits.
-		{"off class", &mixed, []Query{fits, off}, 3, 5, 1, 3},
-		{"no class admits", &mixed, []Query{off, off}, -1, 1, 0, 4},
-		// Root passes for class 1; GPU 0's class fails at the root,
-		// its parent, so only GPU 1 is probed.
-		{"parent fails its class", &pair, []Query{fits, fits}, 1, 3, 1, 1},
+		{"one class", &wide, l, 8, 11, 1, 8},
+		// Root, [0,2) stepped over, [2,4), GPU 2 over its memory bound,
+		// GPU 3 admits.
+		{"memory bound", &mixed, l, 3, 5, 1, 3},
+		{"no class admits", &mixed, interference.Load{SMPct: 20, BWPct: 10, MemMiB: 50000}, -1, 1, 0, 4},
+		// Root passes for GPU 1's class; GPU 0's class fails at the
+		// root, its parent, so only GPU 1 is probed.
+		{"parent fails its class", &pair, l, 1, 3, 1, 1},
+		// 45 + 90 breaks GPU 0's compute rule; GPU 1 judges 45 + 50.
+		{"SM cap", &half, heavy, 1, 3, 1, 1},
 	} {
 		var tally obs.ScanTally
-		g, visits, probes := c.p.FirstFit(c.q, &tally)
+		g, visits, probes := c.p.FirstFit(c.l, &tally)
 		if g != c.want || visits != c.wantVisits || probes != c.wantProbes || tally.Rejected() != c.wantRejected {
 			t.Errorf("%s: FirstFit = GPU %d, %d visits, %d probes, %d rejected; want %d, %d, %d, %d",
 				c.name, g, visits, probes, tally.Rejected(), c.want, c.wantVisits, c.wantProbes, c.wantRejected)
@@ -142,13 +153,19 @@ func TestFirstFitWalksClasses(t *testing.T) {
 			t.Errorf("%s: tally holds %d visits, want %d", c.name, rec.Clients, visits)
 		}
 	}
+	if got := len(pair.classes); got != 2 {
+		t.Errorf("pool of two classes added one GPU each holds %d classes", got)
+	}
+	if got := len(mixed.classes); got != 2 {
+		t.Errorf("pool adding one class twice holds %d classes, want 2", got)
+	}
 }
 
 // TestNextQueries pins both summary queries on a hand-built pool,
 // GPUs without residents and a start past the last GPU included.
 func TestNextQueries(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 6, 0)
+	p.AddGPUs(gpu.MustLookup("A100X"), 6, Class{})
 	p.KeyBy(func(r res) int { return int(r) })
 	l := interference.Load{SMPct: 1}
 	c := p.Clock()
@@ -184,8 +201,8 @@ func TestNextQueries(t *testing.T) {
 // generation Save saw without advancing the clock.
 func TestPoolGenerations(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 3, 0)
-	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
+	p.AddGPUs(gpu.MustLookup("A100X"), 3, Class{})
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, Class{})
 	if p.GPUs() != 4 {
 		t.Fatalf("pool holds %d GPUs, want 4", p.GPUs())
 	}
@@ -230,7 +247,7 @@ func TestPoolGenerations(t *testing.T) {
 // planner's holds read it after the rollback).
 func TestRestoreOutrunsInsideClock(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, Class{})
 	p.Add(0, interference.Load{SMPct: 10}, 1)
 	var snap Snapshot[res]
 	p.Save(0, &snap)
@@ -312,15 +329,14 @@ func fuzzKey(r res) int { return int(r) * 7 % 5 }
 // too), the pool-wide count is the sum of the per-GPU counts, the
 // mutated or touched GPU — and only it — gets a fresh generation, and a
 // Restore gives back the exact digest, count and generation its Save
-// saw without advancing the clock. FirstFit, over GPUs of random
-// classes (0 to 3) with one random query per class (client caps, rule
-// masks, Off classes, and NaN and infinite SM and bandwidth loads),
-// names the GPU a serial probe of every GPU under its class's query
-// names, and its tally covers exactly the GPUs left of that GPU, once
-// each; NextChanged and NextBelow, from random GPUs against random
-// clock readings and keys, name the GPU a serial scan names; and every
-// index node's bound of each class is the minimum of its children's
-// (every node the maximum generation of its children).
+// saw without advancing the clock. FirstFit, over GPUs of up to four
+// random classes (client caps, rule masks, SM caps and memory bounds)
+// and for random loads (NaN and infinite SM and bandwidth demands
+// included), names the GPU a serial judgement of every GPU under its
+// class names, and its tally covers exactly the GPUs left of that GPU,
+// once each; NextChanged and NextBelow, from random GPUs against random
+// clock readings and keys, name the GPU a serial scan names; and the
+// indexes' layout, bounds and links hold (checkIndex).
 func FuzzPool(f *testing.F) {
 	f.Add(uint8(2), uint32(0), []byte{0, 1, 10, 0, 0, 20, 2, 0, 0, 1, 0, 0, 3, 0, 0})
 	f.Add(uint8(3), uint32(0x24), []byte{0, 2, 255, 0, 2, 7, 0, 1, 3, 2, 2, 0, 1, 2, 1, 3, 2, 0, 1, 0, 0})
@@ -335,13 +351,13 @@ func FuzzPool(f *testing.F) {
 		n := int(gpus)%11 + 1
 		var p Pool[res]
 		// The key is set before or after the first GPUs, so both of
-		// AddGPUs's paths run. GPU g's class is bits 2g and 2g+1 of
-		// classes.
+		// AddGPUs's paths run. GPU g's class is one of four drawn from
+		// gpus, picked by bits 2g and 2g+1 of classes.
 		if gpus&1 == 0 {
 			p.KeyBy(fuzzKey)
 		}
 		for g := 0; g < n; g++ {
-			p.AddGPUs(device, 1, uint8(classes>>(2*g)&3))
+			p.AddGPUs(device, 1, fuzzClass(byte(classes>>(2*g)&3), gpus))
 		}
 		if gpus&1 == 1 {
 			p.KeyBy(fuzzKey)
@@ -417,7 +433,7 @@ func FuzzPool(f *testing.F) {
 				if n >= 24 {
 					continue
 				}
-				p.AddGPUs(device, 1, arg&3)
+				p.AddGPUs(device, 1, fuzzClass(arg&3, gpus))
 				n++
 				model = append(model, nil)
 				snaps = append(snaps, Snapshot[res]{})
@@ -495,7 +511,7 @@ func FuzzPool(f *testing.F) {
 				t.Fatalf("pool count %d, per-GPU counts sum to %d", p.Total(), total)
 			}
 			for q := byte(0); q < 4; q++ {
-				checkFirstFit(t, &p, fuzzQueries(p.classes, arg+q*41, device))
+				checkFirstFit(t, &p, fuzzLoad(arg+q*41, device, true))
 				from := int(arg+q*71) % (n + 1)
 				checkNextChanged(t, &p, uint64(arg+q*13)%(p.Clock()+2), from)
 				checkNextBelow(t, &p, int(arg>>1+q*3)%7-1, from)
@@ -506,49 +522,48 @@ func FuzzPool(f *testing.F) {
 	})
 }
 
-// fuzzQueries draws one query per class from arg: a client cap from 0
-// to 5, a rule mask, a load with special values, and about one class in
-// five Off with a nonzero mask.
-func fuzzQueries(classes int, arg byte, device gpu.DeviceSpec) []Query {
-	qs := make([]Query, classes)
-	for c := range qs {
-		a := arg + byte(c)*53
-		qs[c] = Query{
-			Load:         fuzzLoad(a, device, true),
-			MaxResidents: int(a) % 6,
-			Rules:        interference.RuleMask(a>>2) & 7,
-		}
-		if a%5 == 1 {
-			qs[c].Off = interference.RuleMask(a>>4)%15 + 1
-		}
+// fuzzClass draws class k of the four a fuzzed pool's seed picks: a
+// client cap from 0 to 5, a rule mask, an SM cap (none, 0, 25 or NaN,
+// which clamps nothing) and a memory bound (none, or a quarter or half
+// of an A100X).
+func fuzzClass(k, seed byte) Class {
+	a := k*53 + seed
+	return Class{
+		MaxResidents: int(a) % 6,
+		Rules:        interference.RuleMask(a>>2) & 7,
+		SMCap:        []float64{math.Inf(1), 0, 25, math.NaN()}[a>>5&3],
+		MemMiB:       []int64{math.MaxInt64, 20480, 40960, math.MaxInt64}[a>>3&3],
 	}
-	return qs
 }
 
-// verdict is the rules GPU g breaks under its class's query, as a
-// serial scan judges it: an Off class's rules, else the client cap and
-// Admit's rules within the query's.
-func verdict(p *Pool[res], qs []Query, g int) interference.RuleMask {
-	q := &qs[p.gpus[g].class]
-	if q.Off != 0 {
-		return q.Off
+// verdict is the rules GPU g breaks for load l under its class, as a
+// serial scan judges it: capacity for a load over the memory bound,
+// else the client cap and Admit's rules within the class's, for the
+// load under the SM cap.
+func verdict(p *Pool[res], l interference.Load, g int) interference.RuleMask {
+	c := p.classes[p.classAt(g)]
+	if l.MemMiB > c.MemMiB {
+		return interference.MaskCapacity
 	}
-	rej := p.AdmitExcluding(g, q.Load, nil) & q.Rules
-	if p.Len(g) >= q.MaxResidents {
+	if l.SMPct > c.SMCap {
+		l.SMPct = c.SMCap
+	}
+	rej := p.AdmitExcluding(g, l, nil) & c.Rules
+	if p.Len(g) >= c.MaxResidents {
 		rej |= interference.MaskClientCap
 	}
 	return rej
 }
 
-// checkFirstFit compares one query set against a serial probe of every
-// GPU under its class's query, with and without a tally. The tally's
+// checkFirstFit compares FirstFit(l) against a serial judgement of
+// every GPU under its class, with and without a tally. The tally's
 // visits are the query's, it covers each GPU left of the winner once,
 // and it counts no rule more often than those GPUs break it.
-func checkFirstFit(t *testing.T, p *Pool[res], qs []Query) {
+func checkFirstFit(t *testing.T, p *Pool[res], l interference.Load) {
 	t.Helper()
 	want, broken := -1, [4]int64{}
 	for g := 0; g < p.GPUs(); g++ {
-		rej := verdict(p, qs, g)
+		rej := verdict(p, l, g)
 		if rej == 0 {
 			want = g
 			break
@@ -557,15 +572,15 @@ func checkFirstFit(t *testing.T, p *Pool[res], qs []Query) {
 			broken[i] += int64(rej >> i & 1)
 		}
 	}
-	g, visits, probes := p.FirstFit(qs, nil)
+	g, visits, probes := p.FirstFit(l, nil)
 	if g != want {
-		t.Fatalf("FirstFit(%+v) = %d, serial first-fit %d", qs, g, want)
+		t.Fatalf("FirstFit(%+v) over classes %+v = %d, serial first-fit %d", l, p.classes, g, want)
 	}
 	if probes > visits {
 		t.Fatalf("FirstFit probed %d GPUs in %d visits", probes, visits)
 	}
 	var tally obs.ScanTally
-	if g2, v2, p2 := p.FirstFit(qs, &tally); g2 != g || v2 != visits || p2 != probes {
+	if g2, v2, p2 := p.FirstFit(l, &tally); g2 != g || v2 != visits || p2 != probes {
 		t.Fatalf("tallied FirstFit = %d %d %d, untallied %d %d %d", g2, v2, p2, g, visits, probes)
 	}
 	rec := tally.Summary(0, 0, int32(g))
@@ -629,29 +644,81 @@ func checkNextBelow(t *testing.T, p *Pool[res], k, from int) {
 	}
 }
 
-// checkIndex checks every built index node's bound of each class
-// against the minimum of its children's, bit for bit, so a NaN minimum
-// must be NaN, and its GPU count against the sum; each node of the
-// changed-GPU index against the maximum of its children's generations;
-// and each victim key, a GPU's against a fresh fold of its residents
-// and a node's against the minimum of its children.
+// checkIndex checks the first-fit index's layout and bounds: each
+// node lists exactly the classes of its GPUs, in the order they first
+// appear; each entry's bound is the minimum of its class's bounds in the
+// node's children, bit for bit, so a NaN minimum must be NaN, and its
+// GPU count their sum; and each entry links to its class's entry in the
+// parent and in the sibling (0 for none); a one-class pool's plain tree
+// holds at each node the minimum of its children. It then checks each
+// node of the changed-GPU index against the maximum of its children's
+// generations, and each victim key, a GPU's against a fresh fold of its
+// residents and a node's against the minimum of its children.
 func checkIndex(t *testing.T, p *Pool[res]) {
 	t.Helper()
+	// entryOf returns node i's entry of class c, or 0.
+	entryOf := func(i, c int) int32 {
+		for e := p.off[i+1]; e < p.off[i]; e++ {
+			if int(p.info[e].class) == c {
+				return e
+			}
+		}
+		return 0
+	}
 	child := func(i, c int) (fitNode, int32) {
 		if i >= p.leaves {
 			return p.leafBound(i-p.leaves, c), p.isClass(i-p.leaves, c)
 		}
-		return p.tree[c*p.leaves+i], p.counts[c*p.leaves+i]
+		if p.info == nil {
+			return p.ents[i], 0
+		}
+		e := entryOf(i, c)
+		return p.ents[e], p.info[e].n
 	}
-	for i := 1; i < p.leaves && p.tree != nil; i++ {
-		for c := 0; c < p.classes; c++ {
+	sameMin := func(got, a, b fitNode) bool {
+		return math.Float64bits(got.sm) == math.Float64bits(min(a.sm, b.sm)) &&
+			math.Float64bits(got.bw) == math.Float64bits(min(a.bw, b.bw)) &&
+			got.over == min(a.over, b.over) && got.n == min(a.n, b.n)
+	}
+	if p.ents != nil && (p.info == nil) != (len(p.classes) == 1) {
+		t.Fatalf("pool of %d classes built entry info %v", len(p.classes), p.info != nil)
+	}
+	for i := 1; i < p.leaves && p.ents != nil && p.info == nil; i++ {
+		a, _ := child(2*i, 0)
+		b, _ := child(2*i+1, 0)
+		if !sameMin(p.ents[i], a, b) {
+			t.Fatalf("one-class index node %d = %+v, children %+v and %+v", i, p.ents[i], a, b)
+		}
+	}
+	for i := 1; i < p.leaves && p.info != nil; i++ {
+		span := p.leaves >> (bits.Len(uint(i)) - 1)
+		var want []int32
+		for g := i*span - p.leaves; g < min((i+1)*span-p.leaves, p.GPUs()); g++ {
+			if c := p.classAt(g); !slices.Contains(want, c) {
+				want = append(want, c)
+			}
+		}
+		var got []int32
+		for e := p.off[i+1]; e < p.off[i]; e++ {
+			got = append(got, p.info[e].class)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("index node %d lists classes %v, its GPUs' classes in order are %v", i, got, want)
+		}
+		for e := p.off[i+1]; e < p.off[i]; e++ {
+			c := int(p.info[e].class)
 			a, na := child(2*i, c)
 			b, nb := child(2*i+1, c)
-			got, n := child(i, c)
-			if math.Float64bits(got.sm) != math.Float64bits(min(a.sm, b.sm)) ||
-				math.Float64bits(got.bw) != math.Float64bits(min(a.bw, b.bw)) ||
-				got.over != min(a.over, b.over) || got.n != min(a.n, b.n) || n != na+nb {
+			got, n := p.ents[e], p.info[e].n
+			if !sameMin(got, a, b) || n != na+nb {
 				t.Fatalf("index node %d class %d = %+v over %d GPUs, children %+v and %+v over %d and %d", i, c, got, n, a, b, na, nb)
+			}
+			var up, sib int32
+			if i > 1 {
+				up, sib = entryOf(i>>1, c), entryOf(i^1, c)
+			}
+			if p.info[e].up != up || p.info[e].sib != sib {
+				t.Fatalf("index node %d class %d links up %d sibling %d, want %d and %d", i, c, p.info[e].up, p.info[e].sib, up, sib)
 			}
 		}
 	}

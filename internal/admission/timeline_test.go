@@ -21,7 +21,7 @@ import (
 func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 	device := gpu.MustLookup("A100X")
 	var p Pool[res]
-	p.AddGPUs(device, 1, 0)
+	p.AddGPUs(device, 1, Class{})
 	collide := simtime.Time(10)
 	// The survivors sit between colliding residents, so a first-match
 	// scan and identity-based removal disagree on which entries remain.
@@ -88,7 +88,7 @@ func TestRetireIdentityWithCollidingEnds(t *testing.T) {
 // completion panics instead of retiring nothing.
 func TestRetireMissingResidentPanics(t *testing.T) {
 	var p Pool[res]
-	p.AddGPUs(gpu.MustLookup("A100X"), 1, 0)
+	p.AddGPUs(gpu.MustLookup("A100X"), 1, Class{})
 	p.Add(0, interference.Load{SMPct: 1}, 7)
 	p.Schedule(0, 3, 7)
 	p.RemoveAt(0, 0)

@@ -382,11 +382,10 @@ func (st *planner) tryPlaceGang(j *job, now simtime.Time) bool {
 	return true
 }
 
-// findFit asks the pool's first-fit index once, with one query per GPU
-// class, for the first GPU in pool order that admits the member under
-// its node's resolved semantics, and returns its pool index or -1. A
-// class whose memory partition (a MIG instance) is smaller than the
-// member is Off: its GPUs reject the member on capacity without a
+// findFit asks the pool's first-fit index once for the first GPU in
+// pool order that admits the member under its node's class, and
+// returns its pool index or -1. A node whose memory partition (a MIG
+// instance) is smaller than the member rejects it on capacity without a
 // probe. With telemetry on, the scan leaves one flight record: the
 // winner, the index nodes visited and the GPUs rejected per rule.
 //
@@ -397,14 +396,7 @@ func (st *planner) findFit(j *job, m *member, now simtime.Time) int {
 	if st.fl != nil {
 		t = &tally
 	}
-	for c := range st.classes {
-		sem, q := &st.classes[c], &st.queries[c]
-		q.Load, q.Off = sem.load(m), 0
-		if m.load.MemMiB > sem.memMiB {
-			q.Off = interference.MaskCapacity
-		}
-	}
-	g, _, probes := st.pool.FirstFit(st.queries, t)
+	g, _, probes := st.pool.FirstFit(m.load, t)
 	st.stats.Probes += int64(probes)
 	if t != nil {
 		st.recordScan(t, j, m, g, now)
@@ -485,13 +477,13 @@ func (st *planner) findEvictionFit(j *job, m *member, now simtime.Time) int {
 //
 //repro:hotpath pinned by TestClusterAdmitAllocs
 func (st *planner) probe(node *nodeState, g int, m *member, residents int, skip []bool) interference.RuleMask {
-	if residents >= node.cap {
+	if residents >= node.MaxResidents {
 		return interference.MaskClientCap
 	}
-	if m.load.MemMiB > node.memMiB {
+	if m.load.MemMiB > node.MemMiB {
 		return interference.MaskCapacity
 	}
-	return st.pool.AdmitExcluding(g, node.load(m), skip) & node.rules
+	return st.pool.AdmitExcluding(g, node.Load(m.load), skip) & node.Rules
 }
 
 // placeMember commits one member to a GPU inside the transaction.
@@ -506,7 +498,7 @@ func (st *planner) placeMember(j *job, memberIx int, g int, now simtime.Time) {
 
 	node := st.gpus[g].node
 	durS := m.profile.TotalDurationS + j.penaltyS/float64(len(j.members))
-	load := node.load(m)
+	load := node.Load(m.load)
 	if node.spec.Mode == ModeTimeSlice {
 		// Predicted duration dilates with the co-resident count at
 		// dispatch (including this member). Earlier residents keep

@@ -19,12 +19,12 @@ import (
 // and judges pool GPU g for member m.
 func refProbe(st *planner, g int, m *member) interference.RuleMask {
 	node := st.gpus[g].node
-	if st.pool.Len(g) >= node.cap {
+	if st.pool.Len(g) >= node.MaxResidents {
 		return interference.MaskClientCap
 	}
 	switch node.spec.Mode {
 	case ModeMIG:
-		if m.load.MemMiB <= node.spec.Device.MemoryMiB/int64(node.cap) {
+		if m.load.MemMiB <= node.spec.Device.MemoryMiB/int64(node.MaxResidents) {
 			return 0
 		}
 		return interference.MaskCapacity
@@ -90,7 +90,7 @@ func TestFindFitMatchesSerialWalk(t *testing.T) {
 		}
 		j := st.jobs[0]
 		for g := range st.gpus {
-			for k := rng.Intn(st.gpus[g].node.cap + 1); k > 0; k-- {
+			for k := rng.Intn(st.gpus[g].node.MaxResidents + 1); k > 0; k-- {
 				r := st.acquireResident()
 				r.job, r.gpu = j, g
 				st.pool.Add(g, load(50, 50, device.MemoryMiB/4), r)
@@ -163,18 +163,18 @@ func refNodeFit(st *planner, m *member) (winner int, probes int64) {
 		node := &st.nodes[n]
 		lo, hi := first, first+node.spec.GPUs
 		first = hi
-		if m.load.MemMiB > node.memMiB {
+		if m.load.MemMiB > node.MemMiB {
 			continue
 		}
-		l := node.load(m)
+		l := node.Load(m.load)
 		limSM, limBW, limOver := math.Inf(1), math.Inf(1), int64(math.MaxInt64)
-		if node.rules&interference.MaskCompute != 0 {
+		if node.Rules&interference.MaskCompute != 0 {
 			limSM = 100
 		}
-		if node.rules&interference.MaskBandwidth != 0 {
+		if node.Rules&interference.MaskBandwidth != 0 {
 			limBW = 100
 		}
-		if node.rules&interference.MaskCapacity != 0 {
+		if node.Rules&interference.MaskCapacity != 0 {
 			limOver = 0
 		}
 		h := bits.Len(uint((leaves + lo) ^ (leaves + hi - 1)))
@@ -182,13 +182,13 @@ func refNodeFit(st *planner, m *member) (winner int, probes int64) {
 		for {
 			if first := i*span - leaves; first+span > lo {
 				if i >= leaves {
-					if st.pool.Len(first) < node.cap {
+					if st.pool.Len(first) < node.MaxResidents {
 						probes++
-						if st.pool.AdmitExcluding(first, l, nil)&node.rules == 0 {
+						if st.pool.AdmitExcluding(first, l, nil)&node.Rules == 0 {
 							return first, probes
 						}
 					}
-				} else if b := tree[i]; b.n < node.cap && !(b.sm+l.SMPct > limSM) &&
+				} else if b := tree[i]; b.n < node.MaxResidents && !(b.sm+l.SMPct > limSM) &&
 					!(b.bw+l.BWPct > limBW) && !(b.over+l.MemMiB > limOver) {
 					i, span = 2*i, span>>1
 					continue
@@ -270,7 +270,7 @@ func FuzzFindFit(f *testing.F) {
 			return l
 		}
 		for g := range st.gpus {
-			for k := rng.Intn(st.gpus[g].node.cap + 1); k > 0; k-- {
+			for k := rng.Intn(st.gpus[g].node.MaxResidents + 1); k > 0; k-- {
 				r := st.acquireResident()
 				r.job, r.gpu = j, g
 				st.pool.Add(g, load(60, 60, device.MemoryMiB/4), r)
@@ -278,7 +278,7 @@ func FuzzFindFit(f *testing.F) {
 		}
 		var nodes []string
 		for _, n := range st.nodes {
-			nodes = append(nodes, fmt.Sprintf("%d GPUs %v cap %d smCap %g memMiB %d", n.spec.GPUs, n.spec.Mode, n.cap, n.smCap, n.memMiB))
+			nodes = append(nodes, fmt.Sprintf("%d GPUs %v cap %d smCap %g memMiB %d", n.spec.GPUs, n.spec.Mode, n.MaxResidents, n.SMCap, n.MemMiB))
 		}
 		for q := 0; q < 8; q++ {
 			m.load = load(100, 100, device.MemoryMiB)
@@ -294,4 +294,48 @@ func FuzzFindFit(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestManyClassesPlan pins planning for a spec whose nodes all resolve
+// differently: 300 MPS nodes of 1 to 3 GPUs, each under its own
+// active-thread cap, make 300 GPU classes. The plan succeeds, and
+// findFit names the GPU refNodeFit names, with no more probes.
+func TestManyClassesPlan(t *testing.T) {
+	device := a100x()
+	spec := Spec{Tenants: []TenantSpec{{Name: "a"}}}
+	for i := range 300 {
+		spec.Nodes = append(spec.Nodes, NodeSpec{
+			Name: fmt.Sprintf("n%d", i), Device: device, GPUs: i%3 + 1,
+			Mode: ModeMPS, ClientCap: 4, MPSActiveThreadPct: 10 + float64(i)/4,
+		})
+	}
+	p, err := NewPlanner(spec, testStore(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := []Submission{sub(0, "a", 0, workflow.Single(wf("w", "small")))}
+	if _, err := p.Plan(subs); err != nil {
+		t.Fatalf("plan over 300 node classes: %v", err)
+	}
+	st, err := p.newPlanner(subs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, m := st.jobs[0], &st.jobs[0].members[0]
+	rng := xrand.New(5)
+	for g := range st.gpus {
+		for k := rng.Intn(4); k > 0; k-- {
+			r := st.acquireResident()
+			r.job, r.gpu = j, g
+			st.pool.Add(g, interference.Load{SMPct: rng.Float64() * 50, BWPct: rng.Float64() * 50, MemMiB: 1024}, r)
+		}
+	}
+	for q := 0; q < 16; q++ {
+		m.load = interference.Load{SMPct: rng.Float64() * 100, BWPct: rng.Float64() * 100, MemMiB: 2048}
+		want, wantProbes := refNodeFit(st, m)
+		before := st.stats.Probes
+		if got := st.findFit(j, m, simtime.Zero); got != want || st.stats.Probes-before > wantProbes {
+			t.Fatalf("member %+v: findFit = %d with %d probes, per-node loop %d with %d", m.load, got, st.stats.Probes-before, want, wantProbes)
+		}
+	}
 }

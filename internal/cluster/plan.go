@@ -311,47 +311,22 @@ type gpuState struct {
 }
 
 // nodeState is one node's admission semantics, resolved from its mode
-// once in newPlanner: admission reads these fields, never the mode
-// (placeMember still reads it for time-slice dilation, a duration).
+// once in newPlanner: admission reads its class, never the mode
+// (placeMember still reads it for time-slice dilation, a duration). The
+// class's client cap is the residents per GPU; its rules are all three
+// under MPS, capacity under time-slicing and none under MIG; its SM cap
+// is the MPS active-thread cap, or +Inf; and its memory bound is the
+// MIG instance size, or the device's memory. Nodes with equal classes
+// share one in the pool.
 type nodeState struct {
 	spec NodeSpec
-	semantics
-	// class is the node's GPU class in the pool: the index of the
-	// first node with the same semantics among the planner's classes.
-	class uint8
-}
-
-// semantics is how a node's GPUs admit a member. Nodes with equal
-// semantics form one GPU class, which findFit asks one query.
-type semantics struct {
-	cap   int                   // residents per GPU
-	rules interference.RuleMask // rules a GPU applies: all (MPS), capacity (time-slice), none (MIG)
-	smCap float64               // per-client SM cap: the MPS active-thread cap, or +Inf
-	// memMiB bounds one resident's memory: the MIG instance size, or
-	// the device's memory.
-	memMiB int64
-}
-
-// load is member m's load as the node admits and places it: SM demand
-// clamped to the node's cap, which bounds the pressure one client can
-// exert (bandwidth and memory are not partitioned).
-func (n *semantics) load(m *member) interference.Load {
-	l := m.load
-	if l.SMPct > n.smCap {
-		l.SMPct = n.smCap
-	}
-	return l
+	admission.Class
 }
 
 // planner is the mutable planning state for one Plan call.
 type planner struct {
 	spec  Spec
 	nodes []nodeState
-	// classes holds each GPU class's semantics, in the order the
-	// classes first appear in the spec; queries is findFit's scratch,
-	// one query per class, whose caps and rules are set once.
-	classes []semantics
-	queries []admission.Query
 	// pool holds every node's GPUs in spec order; gpus runs parallel.
 	pool    admission.Pool[*resident]
 	gpus    []gpuState
@@ -467,36 +442,26 @@ func (p *Planner) newPlanner(subs []Submission) (*planner, error) {
 		// A resident never holds more than its device's memory; bounding
 		// every member here keeps the pool's memory sums far from the
 		// int64 limit, where sum + load would wrap.
-		n.spec, n.smCap, n.memMiB = ns, math.Inf(1), ns.Device.MemoryMiB
+		n.spec, n.SMCap, n.MemMiB = ns, math.Inf(1), ns.Device.MemoryMiB
 		switch ns.Mode {
 		case ModeMPS:
-			n.cap = cmp.Or(ns.ClientCap, ns.Device.MaxMPSClients)
-			n.rules = interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
+			n.MaxResidents = cmp.Or(ns.ClientCap, ns.Device.MaxMPSClients)
+			n.Rules = interference.MaskCompute | interference.MaskBandwidth | interference.MaskCapacity
 			if ns.MPSActiveThreadPct > 0 && ns.MPSActiveThreadPct < 100 {
-				n.smCap = ns.MPSActiveThreadPct
+				n.SMCap = ns.MPSActiveThreadPct
 			}
 		case ModeMIG:
 			// Isolated equal instances: per-instance memory, no
 			// cross-instance interference.
-			n.cap = cmp.Or(ns.MIGInstances, ns.Device.MaxMIGInstances)
-			n.memMiB = ns.Device.MemoryMiB / int64(n.cap)
+			n.MaxResidents = cmp.Or(ns.MIGInstances, ns.Device.MaxMIGInstances)
+			n.MemMiB = ns.Device.MemoryMiB / int64(n.MaxResidents)
 		case ModeTimeSlice:
 			// Temporal sharing: no spatial interference rules, but the
 			// residents still share device memory.
-			n.cap = cmp.Or(ns.TimeSliceCap, 4)
-			n.rules = interference.MaskCapacity
+			n.MaxResidents = cmp.Or(ns.TimeSliceCap, 4)
+			n.Rules = interference.MaskCapacity
 		}
-		c := slices.Index(st.classes, n.semantics)
-		if c < 0 {
-			if len(st.classes) > math.MaxUint8 {
-				return nil, fmt.Errorf("cluster: node %s: more than %d distinct node semantics", ns.Name, math.MaxUint8+1)
-			}
-			c = len(st.classes)
-			st.classes = append(st.classes, n.semantics)
-			st.queries = append(st.queries, admission.Query{MaxResidents: n.cap, Rules: n.rules})
-		}
-		n.class = uint8(c)
-		st.pool.AddGPUs(ns.Device, ns.GPUs, n.class)
+		st.pool.AddGPUs(ns.Device, ns.GPUs, n.Class)
 		for g := 0; g < ns.GPUs; g++ {
 			st.gpus = append(st.gpus, gpuState{node: n, index: g})
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"gpushare/internal/admission"
@@ -226,10 +227,9 @@ type onlineDispatcher struct {
 	// serial are one number, and seq is also the count of dispatches.
 	seq int64
 
-	clientCap int
-	policy    Policy
-	stats     DispatchStats
-	waitedNS  int64 // total queueing delay, sim ns
+	policy   Policy
+	stats    DispatchStats
+	waitedNS int64 // total queueing delay, sim ns
 
 	// Single-owner histograms: the decision loop is serial, so each
 	// observation is an unsynchronized int bump; mergeObs folds them into
@@ -249,14 +249,20 @@ type onlineDispatcher struct {
 func newOnlineDispatcher(s *Scheduler) *onlineDispatcher {
 	d := &onlineDispatcher{
 		empty:       interference.NewAggregate(s.Device),
-		clientCap:   s.Policy.ClientCap(s.Device.MaxMPSClients),
 		policy:      s.Policy,
 		waitHist:    obs.NewLocalHistogram(queueWaitBoundsMs),
 		depthHist:   obs.NewLocalHistogram(groupOccupancyBounds),
 		serviceHist: obs.NewLocalHistogram(serviceBoundsMs),
 		fl:          obs.Active().FlightRecorder(),
 	}
-	d.pool.AddGPUs(s.Device, s.GPUs, 0)
+	// Every GPU judges alike: the policy's client cap and rules, with
+	// no SM cap and no memory partition.
+	d.pool.AddGPUs(s.Device, s.GPUs, admission.Class{
+		MaxResidents: s.Policy.ClientCap(s.Device.MaxMPSClients),
+		Rules:        s.Policy.rules(),
+		SMCap:        math.Inf(1),
+		MemMiB:       math.MaxInt64,
+	})
 	return d
 }
 
@@ -275,8 +281,7 @@ func (d *onlineDispatcher) scan(load interference.Load, seq int64, now simtime.T
 	if d.fl != nil {
 		t = &tally
 	}
-	q := [1]admission.Query{{Load: load, MaxResidents: d.clientCap, Rules: d.policy.rules()}}
-	placed, visits, probes := d.pool.FirstFit(q[:], t)
+	placed, visits, probes := d.pool.FirstFit(load, t)
 	d.stats.Probes += int64(probes)
 	d.stats.Visits += int64(visits)
 	if t != nil {

@@ -19,13 +19,12 @@ func at(s float64) simtime.Time { return simtime.Zero.Add(simtime.FromSeconds(s)
 
 // testDispatcher builds a dispatcher through the production constructor
 // over a bare energy-policy scheduler, for tests that drive the
-// admission kernel in isolation. The client cap is lowered to 8 so
-// small fleets saturate.
+// admission kernel in isolation. The device's MPS client limit, the
+// energy policy's client cap, is lowered to 8 so small fleets saturate.
 func testDispatcher(gpus int) *onlineDispatcher {
-	s := &Scheduler{Device: a100x(), GPUs: gpus, Policy: EnergyPolicy()}
-	d := newOnlineDispatcher(s)
-	d.clientCap = 8
-	return d
+	device := a100x()
+	device.MaxMPSClients = 8
+	return newOnlineDispatcher(&Scheduler{Device: device, GPUs: gpus, Policy: EnergyPolicy()})
 }
 
 func TestScheduleOnlineBasics(t *testing.T) {
